@@ -178,6 +178,11 @@ class Corpus:
 
 
 # Share of accepted originals per length bin, and the line range of each bin.
+# These shares, like UNIT_BINS and the duplicate, reject, syntax-error and
+# operator-swap rates below, are assumptions with no measured source: neither
+# the paper's abstract nor this repository gives a length or defect
+# distribution. They set how much of each workload's time falls on long
+# units, so the mix is a stated choice, not a model of a real corpus.
 CORPUS_BINS = ((0.70, 12, 50), (0.16, 51, 100), (0.06, 101, 150), (0.04, 151, 200),
                (0.04, 201, 400))
 
@@ -253,12 +258,16 @@ def units(seed: int, n_units: int) -> UnitSet:
     for i, (share, lo, hi) in enumerate(UNIT_BINS):
         count = round(share * n_units) if i < len(UNIT_BINS) - 1 else n_units - len(lengths)
         lengths += spread(count, lo, hi)
-    rng.shuffle(lengths)
+    # The units that fail to compile are picked before the shuffle, so their
+    # lengths, and with them the mutation work left out, do not depend on
+    # the seed.
+    plan = [(n, k % 25 == 24) for k, n in enumerate(lengths)]
+    rng.shuffle(plan)
     out = UnitSet({})
-    for i, n in enumerate(lengths):
+    for i, (n, broken) in enumerate(plan):
         uid = f"a{i:04d}.v"
         text = design(rng, f"au{seed % 1000}_{i}", n)
-        if i % 25 == 24:
+        if broken:
             text = text.replace("\nendmodule\n", "\n  assign pending = ;\nendmodule\n")
             out.syntax_errors.add(uid)
         out.texts[uid] = text

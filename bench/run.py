@@ -1,13 +1,17 @@
 """Hermetic benchmark of assertforge's filter, augment and eval paths.
 
-    python3 bench/run.py --workload filter-corpus --seed 1 --seconds 30 --trace 0
-    python3 bench/run.py --workload all --seed 1 --seconds 30 --trace 1
+    python3 bench/run.py --workload filter-corpus --seed 1 --seconds 25 --trace 0
+    python3 bench/run.py --workload all --seed 1 --seconds 25 --trace 1
 
 Run it from the repository root. It needs no EDA tool and no LLM endpoint:
 inputs come from the benchmark's own seeded generator, tools are in-process
 fakes or a replay cache recorded during set-up. One process, one thread, one
 client in a closed loop. The workload sets up three times, then repeats
-until --seconds have passed (at least three times); times are medians.
+until --seconds have passed (at least three times); times are medians. One
+more, untimed repetition runs under tracemalloc for the memory metric. Every
+timed step runs between two runs of a fixed reference job, and its time is
+reported at reference speed (see calib.py); the measured times are printed
+beside it and kept in the run record.
 
 --trace 0 reports the end-to-end metrics. --trace 1 alternates untraced and
 traced repetitions and reports the per-layer metrics, including the tracing
@@ -26,13 +30,14 @@ import hashlib
 import json
 import os
 import platform
-import resource
 import shutil
 import statistics
 import subprocess
 import sys
 import time
+import tracemalloc
 import traceback
+from dataclasses import dataclass
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -48,9 +53,20 @@ E2E_UNITS = {
     "setup_s": "s",
     "wall_s": "s",
     "items_per_s": "items/s",
-    "peak_rss_mb": "MiB",
+    "peak_mem_mb": "MiB",
     "ok_ratio": "ratio",
 }
+
+
+@dataclass
+class Rep:
+    """One repetition: its wall time as measured and at reference speed."""
+
+    traced: bool
+    raw_s: float | None  # None for the untimed memory repetition
+    ref_s: float | None
+    outcome: object  # workloads.Outcome
+    readings: dict | None  # per-layer readings of a traced repetition
 
 
 def parse_args(argv):
@@ -139,6 +155,7 @@ def main(argv=None) -> int:
     t0 = time.perf_counter()
     sys.path.insert(0, str(SRC))
     import assertforge.cli  # noqa: F401  (the package as a user loads it)
+    import calib
     import tracing
     import workloads
 
@@ -150,7 +167,10 @@ def main(argv=None) -> int:
     wl = workloads.WORKLOADS[args.workload](args.seed, args.size)
     base = WORK / args.workload
     shutil.rmtree(base, ignore_errors=True)
-    setup_times = []
+    # refs[k] and refs[k + 1] are the reference job's times right before and
+    # right after timed step k; the import is step 0 and has only the after.
+    refs = [calib.reference_s()]
+    setups = []  # (raw s, reference s)
     n_setups = SETUP_REPS if args.trace == 0 else 1  # set-up time is an end-to-end metric
     for i in range(n_setups):
         last = i == n_setups - 1
@@ -158,11 +178,13 @@ def main(argv=None) -> int:
         gc.collect()
         t = time.perf_counter()
         inputs = wl.setup(target)
-        setup_times.append(time.perf_counter() - t)
+        raw = time.perf_counter() - t
+        refs.append(calib.reference_s())
+        setups.append((raw, calib.scale(raw, refs[-2], refs[-1])))
         if not last:
             shutil.rmtree(target, ignore_errors=True)
 
-    reps = []  # (traced, wall_s, Outcome, per-layer readings or None)
+    reps: list[Rep] = []
     last_tracer = None
     start = time.perf_counter()
     while True:
@@ -183,52 +205,75 @@ def main(argv=None) -> int:
         finally:
             if tracer is not None:
                 tracer.uninstall()
+        refs.append(calib.reference_s())
+        factor = calib.scale(1.0, refs[-2], refs[-1])
         if raised is None:
             outcome = wl.collect()
         else:
             outcome = workloads.Outcome(wl.items, wl.items, "", [f"run raised:\n{raised}"])
         readings = None
         if tracer is not None:
-            readings, last_tracer = tracing.layer_readings(tracer), tracer
-        reps.append((traced, wall, outcome, readings))
+            readings, last_tracer = tracing.layer_readings(tracer, factor), tracer
+        reps.append(Rep(traced, wall, wall * factor, outcome, readings))
         if raised is not None:
             break
         elapsed = time.perf_counter() - start
-        typical = statistics.median(r[1] for r in reps)
+        typical = statistics.median(r.raw_s for r in reps)
         enough = len(reps) >= (MIN_TRACE_REPS if args.trace else MIN_REPS)
         if enough and elapsed + typical > args.seconds:
             break
 
-    problems = [p for r in reps for p in r[2].problems]
-    digests = {r[2].digest for r in reps}
+    peak_mem_mb = 0.0
+    if args.trace == 0 and raised is None:
+        # Memory is read apart from the timed repetitions, because tracing
+        # allocations slows them; set-up allocations are not counted.
+        wl.reset()
+        gc.collect()
+        tracemalloc.start()
+        try:
+            wl.run(None)
+            peak_mem_mb = tracemalloc.get_traced_memory()[1] / 2**20
+            outcome = wl.collect()
+        except Exception:
+            outcome = workloads.Outcome(wl.items, wl.items, "",
+                                        [f"memory repetition raised:\n{traceback.format_exc()}"])
+        finally:
+            tracemalloc.stop()
+        reps.append(Rep(False, None, None, outcome, None))
+
+    problems = [p for r in reps for p in r.outcome.problems]
+    digests = {r.outcome.digest for r in reps}
     if len(digests) != 1:
         problems.append(f"output digests differ across repetitions: {sorted(digests)}")
-    attempted = sum(r[2].attempted for r in reps)
-    failed = sum(r[2].failed for r in reps)
-    plain = [r for r in reps if not r[0]]
-    walls = [r[1] for r in plain]
+    attempted = sum(r.outcome.attempted for r in reps)
+    failed = sum(r.outcome.failed for r in reps)
+    plain = [r for r in reps if not r.traced and r.raw_s is not None]
+    walls = [r.ref_s for r in plain]
 
     if args.trace == 0:
         metrics = {
-            "setup_s": import_s + statistics.median(setup_times),
+            "setup_s": calib.scale(import_s, refs[0], refs[0])
+            + statistics.median(ref_s for _, ref_s in setups),
             "wall_s": statistics.median(walls),
-            "items_per_s": statistics.median(r[2].attempted / r[1] for r in plain),
-            "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024,
+            "items_per_s": statistics.median(r.outcome.attempted / r.ref_s for r in plain),
+            "peak_mem_mb": peak_mem_mb,
             "ok_ratio": (attempted - failed) / attempted,
         }
         units = E2E_UNITS
-        samples = {"setup_s": len(setup_times), "wall_s": len(walls),
-                   "items_per_s": len(walls), "peak_rss_mb": 1, "ok_ratio": attempted}
+        samples = {"setup_s": len(setups), "wall_s": len(walls),
+                   "items_per_s": len(walls), "peak_mem_mb": 1, "ok_ratio": attempted}
     else:
-        traced_reps = [r for r in reps if r[0]]
+        traced_reps = [r for r in reps if r.traced]
         if not traced_reps:  # the run failed before its first traced repetition
             last_tracer = tracing.Tracer()
-            traced_reps = [(True, statistics.median(walls), None, tracing.layer_readings(last_tracer))]
+            traced_reps = [Rep(True, None, statistics.median(walls), None,
+                               tracing.layer_readings(last_tracer, 1.0))]
         metrics = {
-            name: statistics.median(r[3][name] for r in traced_reps) for name in traced_reps[0][3]
+            name: statistics.median(r.readings[name] for r in traced_reps)
+            for name in traced_reps[0].readings
         }
         untraced_wall = statistics.median(walls)
-        metrics["trace.overhead_s"] = statistics.median(r[1] for r in traced_reps) - untraced_wall
+        metrics["trace.overhead_s"] = statistics.median(r.ref_s for r in traced_reps) - untraced_wall
         metrics["trace.overhead_share"] = metrics["trace.overhead_s"] / untraced_wall
         metrics["trace.spans"] = len(last_tracer.spans)
         units = {name: unit for name, unit, *_ in tracing.LAYER_METRICS}
@@ -238,10 +283,16 @@ def main(argv=None) -> int:
     # Human-readable report, then the machine-readable last line.
     print(f"workload {args.workload}  seed {args.seed}  size {args.size}  trace {args.trace}  "
           f"inputs {json.dumps(inputs)}")
-    print(f"  set-up {n_setups}x: "
-          + ", ".join(_fmt(s) for s in setup_times) + f" s (+ import {_fmt(import_s)} s)")
-    print(f"  untraced wall_s: fastest {_fmt(min(walls))}, median {_fmt(statistics.median(walls))}, "
-          f"slowest {_fmt(max(walls))} s over {len(walls)} repetitions")
+    raw_walls = [r.raw_s for r in plain]
+    print(f"  set-up {n_setups}x: " + ", ".join(_fmt(raw) for raw, _ in setups)
+          + f" s (+ import {_fmt(import_s)} s) measured, "
+          + ", ".join(_fmt(ref_s) for _, ref_s in setups) + " s at reference speed")
+    print(f"  untraced wall_s measured: fastest {_fmt(min(raw_walls))}, median "
+          f"{_fmt(statistics.median(raw_walls))}, slowest {_fmt(max(raw_walls))} s; at reference "
+          f"speed: median {_fmt(statistics.median(walls))} s; over {len(walls)} repetitions")
+    print(f"  reference job: fastest {_fmt(min(refs))}, median {_fmt(statistics.median(refs))}, "
+          f"slowest {_fmt(max(refs))} s over {len(refs)} runs "
+          f"(REFERENCE_S {_fmt(calib.REFERENCE_S)} s)")
     print(f"  repetitions: {len(plain)} untraced"
           + (f", {len(reps) - len(plain)} traced" if args.trace else "")
           + f"; {wl.item} attempted {attempted}, failed {failed}")
@@ -263,9 +314,14 @@ def main(argv=None) -> int:
         "trace": args.trace,
         "machine": machine(args.seed),
         "inputs": inputs,
-        "setup_s": setup_times,
         "import_s": import_s,
-        "repetitions": [{"traced": r[0], "wall_s": r[1], "digest": r[2].digest} for r in reps],
+        "setups": [{"measured_s": raw, "reference_s": ref_s} for raw, ref_s in setups],
+        "reference_job_s": refs,
+        "repetitions": [
+            {"traced": r.traced, "measured_s": r.raw_s, "reference_s": r.ref_s,
+             "digest": r.outcome.digest}
+            for r in reps
+        ],
         "problems": problems,
         "metrics": {k: {"value": v, "unit": units[k]} for k, v in metrics.items()},
     }

@@ -21,6 +21,7 @@ from pathlib import Path
 # object in it such as a click command.
 TARGETS = (
     ("assertforge.cli", "filter_cmd.callback", "cli.filter"),
+    ("assertforge.cli", "augment.callback", "cli.augment"),
     ("assertforge.cli", "eval_cmd.callback", "cli.eval"),
     ("assertforge.corpus", "load_corpus_dir", "corpus.load_corpus_dir"),
     ("assertforge.corpus", "tokenize", "corpus.tokenize"),
@@ -246,8 +247,8 @@ _AUGMENT = "wall_s@augment-record"
 _EVAL = "items_per_s@eval-replay"
 
 _span_metrics("corpus.load_corpus_dir", _FILTER, "self_s")
-_span_metrics("corpus.tokenize", _FILTER, "calls", "self_s")
-_metric("corpus.tokenize.mb_per_s", "MB/s", "higher", _FILTER,
+_span_metrics("corpus.tokenize", _FILTER + ", " + _AUGMENT, "calls", "self_s")
+_metric("corpus.tokenize.mb_per_s", "MB/s", "higher", _FILTER + ", " + _AUGMENT,
         lambda t: _ratio(t.counter("corpus.tokenize.bytes") / 1e6, t.total_s("corpus.tokenize")))
 _span_metrics("corpus.filter_units", _FILTER, "self_s")
 _span_metrics("mutate.tokenize", _AUGMENT, "calls", "self_s")
@@ -290,12 +291,24 @@ for _fn in ("textutil.extract_json_object", "textutil.parse_solution_reply"):
             _EVAL + " (base: evalharness.ModelResponse.from_raw.calls)",
             lambda t, f=_fn: _ratio(t.calls(f), _responses(t)))
 _span_metrics("cli.filter", _FILTER, "self_s")
+_span_metrics("cli.augment", _AUGMENT, "self_s")
 _span_metrics("cli.eval", _EVAL, "self_s")
 _metric("trace.overhead_s", "s", "lower", "none: traced wall_s minus untraced wall_s")
 _metric("trace.overhead_share", "ratio", "lower", "none: trace.overhead_s / untraced wall_s")
 _metric("trace.spans", "count", "lower", "none: spans recorded in one traced repetition")
 
 
-def layer_readings(t: Tracer) -> dict[str, float]:
-    """Every Tracer-derived per-layer metric of one traced repetition."""
-    return {name: read(t) for name, _, _, _, read in LAYER_METRICS if read is not None}
+# How a reading in each unit converts to reference speed, given the factor
+# that converts measured seconds; counts, ratios and bytes do not change.
+_AT_REFERENCE_SPEED = {"s": lambda v, f: v * f, "us": lambda v, f: v * f,
+                       "MB/s": lambda v, f: v / f}
+
+
+def layer_readings(t: Tracer, factor: float) -> dict[str, float]:
+    """Every Tracer-derived per-layer metric of one traced repetition, with
+    times and rates at reference speed (``factor``: see ``calib.scale``)."""
+    return {
+        name: _AT_REFERENCE_SPEED.get(unit, lambda v, f: v)(read(t), factor)
+        for name, unit, _, _, read in LAYER_METRICS
+        if read is not None
+    }

@@ -10,6 +10,7 @@ digests do not depend on where the checkout lives.
 from __future__ import annotations
 
 import contextlib
+import functools
 import hashlib
 import io
 import json
@@ -24,10 +25,9 @@ import click
 
 import fakes
 import gen
-from assertforge import cli, pipeline
+from assertforge import cli
 from assertforge import dataset as ds
 from assertforge import evalharness as ev
-from assertforge.corpus import SourceUnit
 from assertforge.toolchain import Toolchain, ToolSettings
 
 N_TARGET = 20
@@ -165,7 +165,7 @@ class AugmentRecord:
     # dominates; toolchain does its cache writes and digests, and dataset
     # runs split and build_records. Short units alone would hide the
     # mutation cost, hence the long tail.
-    why = ("pipeline.run_augment over 40 generated units in all 5 length bins, tail to "
+    why = ("assertforge augment over 40 generated units in all 5 length bins, tail to "
            "420 lines, fake tools, cache in record mode; mutation-site enumeration dominates")
     item = "units"
     sizes = {"full": 40, "tiny": 8}
@@ -176,11 +176,23 @@ class AugmentRecord:
 
     def setup(self, work: Path) -> dict:
         generated = gen.units(self.seed, self.n_units)
-        self.units = [SourceUnit.from_text(uid, text, uid) for uid, text in generated.texts.items()]
+        (work / "units").mkdir(parents=True, exist_ok=True)
+        manifest = []
+        for uid, text in generated.texts.items():
+            path = work / "units" / uid
+            path.write_text(text, encoding="utf-8")
+            manifest.append({"id": uid, "path": str(path)})
+        gen.write_jsonl(manifest, work / "manifest.jsonl")
+        (work / "augment.cfg").write_text(
+            f"seed = {self.seed}\nmutations.per_unit = 3\n"
+            f"mock.dir = {work / 'cache'}\nmock.mode = record\n",
+            encoding="utf-8",
+        )
         self.originals = {_module_name(t): t for t in generated.texts.values()}
         self.planted_syntax_errors = len(generated.syntax_errors)
         self.work = work
-        return {"units": len(self.units), "lines": sum(u.line_count for u in self.units)}
+        return {"units": len(manifest),
+                "lines": sum(t.count("\n") for t in generated.texts.values())}
 
     def run(self, tracer) -> None:
         backends = {
@@ -190,23 +202,30 @@ class AugmentRecord:
         }
         if tracer is not None:
             backends = {k: tracer.wrap(fn, "toolchain.backend") for k, fn in backends.items()}
-        settings = ToolSettings(mock_dir=str(self.work / "cache"), mock_mode="record")
-        tc = Toolchain(settings, **backends)
-        result = pipeline.run_augment(
-            self.units, tc, pipeline.AugmentConfig(seed=self.seed, mutations_per_unit=3)
-        )
-        out = self.work / "out"
-        for family in ("pt", "bug", "svabug"):
-            ds.write_jsonl([r.to_json() for r in getattr(result, family)], out / f"{family}.jsonl")
-        ds.write_jsonl([c.to_json() for c in result.eval_cases], out / "sva_eval_machine.jsonl")
-        (out / "split_plan.json").write_text(json.dumps(result.split_plan.to_json()) + "\n")
-        self.errors = result.errors
+        # The CLI builds its Toolchain from the config alone; the fakes are
+        # injected by rebinding the name it calls, for this call only.
+        real = cli.Toolchain
+        cli.Toolchain = functools.partial(real, **backends)
+        try:
+            w = self.work
+            self.code, self.stderr = _invoke_cli(
+                ["augment", "--config", str(w / "augment.cfg"),
+                 "--manifest", str(w / "manifest.jsonl"), "--out-dir", str(w / "out")]
+            )
+        finally:
+            cli.Toolchain = real
 
     def collect(self) -> Outcome:
         out = self.work / "out"
-        names = ("pt.jsonl", "bug.jsonl", "svabug.jsonl", "sva_eval_machine.jsonl", "split_plan.json")
-        problems = [f"augment error: {e}" for e in self.errors]
-        failed = len({e.get("unit_id") for e in self.errors})
+        names = ("pt.jsonl", "bug.jsonl", "svabug.jsonl", "sva_eval_machine.jsonl",
+                 "split_plan.json", "augment_report.json")
+        if not all((out / n).is_file() for n in names):
+            return Outcome(self.n_units, self.n_units, "", [f"augment failed: {self.stderr}"])
+        errors = _cli_errors(self.stderr)
+        problems = [f"augment error: {e}" for e in errors]
+        if self.code != 0 and not errors:
+            problems.append(f"augment exited {self.code}: {self.stderr}")
+        failed = len({e.get("unit_id") for e in errors})
         test_modules = {
             m for b in json.loads((out / "split_plan.json").read_text())["bins"] for m in b["test"]
         }
