@@ -1,17 +1,18 @@
 """Hermetic benchmark of assertforge's filter, augment and eval paths.
 
-    python3 bench/run.py --workload filter-corpus --seed 1 --seconds 25 --trace 0
-    python3 bench/run.py --workload all --seed 1 --seconds 25 --trace 1
+    python3 bench/run.py --workload filter-corpus --seed 1 --seconds 22 --trace 0
+    python3 bench/run.py --workload all --seed 1 --seconds 22 --trace 1
 
 Run it from the repository root. It needs no EDA tool and no LLM endpoint:
 inputs come from the benchmark's own seeded generator, tools are in-process
 fakes or a replay cache recorded during set-up. One process, one thread, one
 client in a closed loop. The workload sets up three times, then repeats
-until --seconds have passed (at least three times); times are medians. One
-more, untimed repetition runs under tracemalloc for the memory metric. Every
-timed step runs between two runs of a fixed reference job, and its time is
-reported at reference speed (see calib.py); the measured times are printed
-beside it and kept in the run record.
+until --seconds have passed (at least three times); times are medians.
+Two more, untimed repetitions run under tracemalloc for the memory metric,
+the smaller of their peaks. Every timed step runs between two runs of a
+fixed reference job, and its time is reported at reference speed (see
+calib.py); the measured times are printed beside it and kept in the run
+record.
 
 --trace 0 reports the end-to-end metrics. --trace 1 alternates untraced and
 traced repetitions and reports the per-layer metrics, including the tracing
@@ -48,6 +49,7 @@ WORKLOAD_NAMES = ("filter-corpus", "augment-record", "eval-replay")
 MIN_REPS = 3
 MIN_TRACE_REPS = 4  # alternating untraced and traced
 SETUP_REPS = 3
+MEM_REPS = 2
 
 E2E_UNITS = {
     "setup_s": "s",
@@ -223,23 +225,31 @@ def main(argv=None) -> int:
         if enough and elapsed + typical > args.seconds:
             break
 
-    peak_mem_mb = 0.0
+    peaks = []  # MiB
     if args.trace == 0 and raised is None:
         # Memory is read apart from the timed repetitions, because tracing
-        # allocations slows them; set-up allocations are not counted.
-        wl.reset()
-        gc.collect()
-        tracemalloc.start()
-        try:
-            wl.run(None)
-            peak_mem_mb = tracemalloc.get_traced_memory()[1] / 2**20
-            outcome = wl.collect()
-        except Exception:
-            outcome = workloads.Outcome(wl.items, wl.items, "",
-                                        [f"memory repetition raised:\n{traceback.format_exc()}"])
-        finally:
-            tracemalloc.stop()
-        reps.append(Rep(False, None, None, outcome, None))
+        # allocations slows them; set-up allocations are not counted. One
+        # repetition can hold a one-off allocation whose timing depends on
+        # the process's history: pathlib interns every path part, and the
+        # interpreter's table of interned strings is rebuilt, about 0.9 MiB
+        # at once, every several repetitions. Such allocations only add, so
+        # the smallest peak of MEM_REPS repetitions leaves them out.
+        for _ in range(MEM_REPS):
+            wl.reset()
+            gc.collect()
+            tracemalloc.start()
+            try:
+                wl.run(None)
+                peaks.append(tracemalloc.get_traced_memory()[1] / 2**20)
+                outcome = wl.collect()
+            except Exception:
+                outcome = workloads.Outcome(wl.items, wl.items, "",
+                                            [f"memory repetition raised:\n{traceback.format_exc()}"])
+            finally:
+                tracemalloc.stop()
+            reps.append(Rep(False, None, None, outcome, None))
+            if outcome.problems:
+                break
 
     problems = [p for r in reps for p in r.outcome.problems]
     digests = {r.outcome.digest for r in reps}
@@ -256,12 +266,12 @@ def main(argv=None) -> int:
             + statistics.median(ref_s for _, ref_s in setups),
             "wall_s": statistics.median(walls),
             "items_per_s": statistics.median(r.outcome.attempted / r.ref_s for r in plain),
-            "peak_mem_mb": peak_mem_mb,
+            "peak_mem_mb": min(peaks, default=0.0),
             "ok_ratio": (attempted - failed) / attempted,
         }
         units = E2E_UNITS
         samples = {"setup_s": len(setups), "wall_s": len(walls),
-                   "items_per_s": len(walls), "peak_mem_mb": 1, "ok_ratio": attempted}
+                   "items_per_s": len(walls), "peak_mem_mb": len(peaks), "ok_ratio": attempted}
     else:
         traced_reps = [r for r in reps if r.traced]
         if not traced_reps:  # the run failed before its first traced repetition
