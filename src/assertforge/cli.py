@@ -19,7 +19,7 @@ from . import __version__
 from . import dataset as ds
 from . import evalharness as ev
 from . import trainmath as tm
-from .config import PipelineConfig
+from .config import PipelineConfig, parse_ks
 from .corpus import SourceUnit, filter_units, load_corpus_dir
 from .errors import (
     AssertForgeError,
@@ -29,7 +29,7 @@ from .errors import (
     InsufficientValidResponses,
     SchemaError,
 )
-from .pipeline import AugmentConfig, render_counts_table, run_augment
+from .pipeline import render_counts_table, run_augment
 from .toolchain import Toolchain
 
 
@@ -115,17 +115,9 @@ def augment(config_path, manifest, out_dir, parallel, keep_temp):
         raise click.ClickException(f"manifest not found: {manifest}")
     if keep_temp:
         cfg.tools.keep_temp = True
+    cfg.parallel = parallel or cfg.parallel
     units, load_errors = _load_manifest_units(manifest)
-    tc = Toolchain(cfg.tools)
-    aug_cfg = AugmentConfig(
-        seed=cfg.seed,
-        mutations_per_unit=cfg.mutations_per_unit,
-        split_fraction=cfg.split_fraction,
-        verify_depth=cfg.tools.verifier_depth,
-        parallel=parallel or cfg.parallel,
-        bug_source=cfg.bug_source,
-    )
-    result = run_augment(units, tc, aug_cfg)
+    result = run_augment(units, Toolchain(cfg.tools), cfg)
     result.errors = load_errors + result.errors
 
     header = _header(cfg)
@@ -173,10 +165,11 @@ def eval_cmd(benchmark, config_path, out_path, results_path, csv_path, n_target,
     """Benchmark the configured solver over an EvalCase JSONL file."""
     cfg = _load_config(config_path)
     n_target = n_target or cfg.eval_n
-    ks = cfg.eval_ks
-    if ks_text:
-        ks = tuple(sorted({int(k) for k in ks_text.split(",") if k.strip()}))
-    if not ks or n_target < max(ks):
+    try:
+        ks = parse_ks(ks_text, "--k") if ks_text else cfg.eval_ks
+    except DomainError as exc:
+        raise click.ClickException(str(exc))
+    if n_target < max(ks):
         raise click.ClickException(f"--n {n_target} must be >= every k in {ks}")
     mode = mode or cfg.eval_mode
     workers = parallel or cfg.parallel
@@ -270,15 +263,19 @@ def dpo_prep(results_file, benchmark, config_path, out_path, n_expected):
     errors: list[dict] = []
     judged_entries = []
     for row in result_rows:
-        case = cases.get(row["case_id"])
+        case_id = row.get("case_id")
+        case = cases.get(case_id)
         if case is None:
-            errors.append({"case_id": row["case_id"], "error": "unknown case id"})
+            errors.append({"case_id": case_id, "error": "unknown case id"})
+            continue
+        if not isinstance(row.get("responses"), list):
+            errors.append({"case_id": case_id, "error": "results row has no responses list"})
             continue
         valid = [r for r in row["responses"] if r.get("valid_json")]
         if len(valid) != n_expected:
             errors.append(
                 {
-                    "case_id": row["case_id"],
+                    "case_id": case_id,
                     "error": f"expected {n_expected} valid responses, got {len(valid)}",
                 }
             )

@@ -54,6 +54,17 @@ def _get_float(m: dict, key: str, default: float) -> float:
         raise DomainError(f"config {key} must be a number") from exc
 
 
+def parse_ks(text: str, source: str = "eval.ks") -> tuple[int, ...]:
+    """Sorted distinct ks from a comma-separated list; each k must be >= 1."""
+    try:
+        ks = tuple(sorted({int(k) for k in text.split(",") if k.strip()}))
+    except ValueError as exc:
+        raise DomainError(f"{source} must be comma-separated integers, got {text!r}") from exc
+    if not ks or ks[0] < 1:
+        raise DomainError(f"{source} must name one or more ks, each >= 1, got {text!r}")
+    return ks
+
+
 @dataclass
 class PipelineConfig:
     corpus_dir: str = "."
@@ -76,6 +87,8 @@ class PipelineConfig:
             raise DomainError("eval.n must be >= every k")
         if self.eval_mode not in ("textual", "reverify"):
             raise DomainError(f"unknown eval mode: {self.eval_mode!r}")
+        if self.bug_source not in ("engine", "llm"):
+            raise DomainError(f"bugs.source must be engine or llm, got {self.bug_source!r}")
 
     @property
     def config_digest(self) -> str:
@@ -84,13 +97,6 @@ class PipelineConfig:
 
     @classmethod
     def from_mapping(cls, m: dict[str, str]) -> "PipelineConfig":
-        ks_text = m.get("eval.ks", "1,5")
-        try:
-            ks = tuple(sorted({int(k) for k in ks_text.split(",") if k.strip()}))
-        except ValueError as exc:
-            raise DomainError("eval.ks must be comma-separated integers") from exc
-        if not ks:
-            raise DomainError("eval.ks must name at least one k")
         tools = ToolSettings(
             compiler_cmd=m.get("compiler.cmd"),
             verifier_cmd=m.get("verifier.cmd"),
@@ -117,7 +123,7 @@ class PipelineConfig:
             mutations_per_unit=_get_int(m, "mutations.per_unit", 3),
             bug_source=m.get("bugs.source", "engine"),
             eval_n=_get_int(m, "eval.n", 20),
-            eval_ks=ks,
+            eval_ks=parse_ks(m.get("eval.ks", "1,5")),
             eval_mode=m.get("eval.mode", "textual"),
             parallel=_get_int(m, "parallel", 1),
             tools=tools,

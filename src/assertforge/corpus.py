@@ -233,11 +233,6 @@ class SourceUnit:
         )
 
 
-def extract_modules(unit: SourceUnit) -> list[str]:
-    """Every identifier immediately following a `module` keyword, in order."""
-    return list(unit.module_names)
-
-
 # Keywords whose presence marks a file as containing functional logic.
 _FUNCTIONAL_KEYWORDS = frozenset(
     {

@@ -3,7 +3,8 @@ length-binned 90/10 module-name split.
 
 Routing of pipeline items is a total function of (compile status, verify
 status); every item lands in exactly one family or one documented non-family
-outcome. JSONL field names are part of the external contract and must not
+outcome, except that a test-assigned assertion failure is held out for the
+benchmark. JSONL field names are part of the external contract and must not
 drift.
 """
 
@@ -18,6 +19,7 @@ from typing import Iterable
 
 from .corpus import SourceUnit
 from .errors import DomainError, InconsistentProvenance, SchemaError
+from .mutate import MutationRecord
 from .textutil import normalize_line, parse_solution_reply
 
 BIN_LABELS = ("(0,50]", "(50,100]", "(100,150]", "(150,200]", "(200,+inf)")
@@ -286,18 +288,27 @@ def route_mutant(compile_status: str, verify_status: str | None) -> str:
 
 @dataclass
 class MutantItem:
-    """One injected bug with its tool outcomes, ready for routing."""
+    """One injected bug with its tool outcomes and split assignment, ready for
+    routing. A test-assigned bug that trips the assertion is held out for the
+    benchmark instead of becoming an SVA-Bug record."""
 
-    buggy_line: str
-    corrected_line: str
-    line_no: int
+    record: MutationRecord
     compile_status: str
     verify_status: str | None = None
     buggy_code: str = ""  # mutant source without the assertion
     buggy_sv_code: str = ""  # mutant source with the assertion inserted
     log: str = ""
+    assignment: str = "train"  # train | test, from the unit's module name
     cot_reply: str | None = None  # raw Stage-3 reply; None when not generated
-    reserved_for_test: bool = False  # held out for the benchmark, not routed
+
+    @property
+    def golden(self) -> GoldenSolution:
+        rec = self.record
+        return GoldenSolution(rec.mutated_snippet, rec.original_snippet, rec.line)
+
+    @property
+    def held_out(self) -> bool:
+        return self.assignment == "test" and self.verify_status == "assertion_failed"
 
 
 @dataclass
@@ -343,12 +354,14 @@ def build_records(items: Iterable[PipelineItem], corpus_ids: set[str]) -> Record
             continue
         for mut in item.mutants:
             routed = route_mutant(mut.compile_status, mut.verify_status)
+            if mut.held_out:
+                continue  # a benchmark case, built by the caller
+            golden = mut.golden
             if routed == "bug":
                 bundle.bug.append(
-                    BugRecord(item.spec, mut.buggy_code, mut.buggy_line, mut.corrected_line)
+                    BugRecord(item.spec, mut.buggy_code, golden.buggy_line, golden.corrected_line)
                 )
             elif routed == "svabug":
-                golden = GoldenSolution(mut.buggy_line, mut.corrected_line, mut.line_no)
                 cot_text = None
                 step_by_step = False
                 if mut.cot_reply is not None:
@@ -366,18 +379,18 @@ def build_records(items: Iterable[PipelineItem], corpus_ids: set[str]) -> Record
                         buggy_sv_code=mut.buggy_sv_code,
                         log=mut.log,
                         step_by_step=step_by_step,
-                        buggy_line=mut.buggy_line,
-                        corrected_line=mut.corrected_line,
+                        buggy_line=golden.buggy_line,
+                        corrected_line=golden.corrected_line,
                         cot=cot_text,
                     )
                 )
             elif routed.startswith("drop:"):
                 bundle.drops.append(
-                    {"unit_id": item.unit_id, "line": mut.line_no, "outcome": routed}
+                    {"unit_id": item.unit_id, "line": golden.line_no, "outcome": routed}
                 )
             else:
                 bundle.errors.append(
-                    {"unit_id": item.unit_id, "line": mut.line_no, "outcome": routed}
+                    {"unit_id": item.unit_id, "line": golden.line_no, "outcome": routed}
                 )
     return bundle
 

@@ -20,7 +20,7 @@ from .errors import (
     SchemaError,
 )
 from .mutate import BugType
-from .textutil import normalize_line_loose, parse_solution_reply
+from .textutil import extract_json_object, normalize_line_loose, solution_from_object
 from .toolchain import LlmRequest, Toolchain
 
 SOURCES = ("machine", "human")
@@ -117,11 +117,8 @@ class ModelResponse:
 
     @classmethod
     def from_raw(cls, raw_text: str) -> "ModelResponse":
-        from .textutil import extract_json_object
-
         obj = extract_json_object(raw_text)
-        parsed = parse_solution_reply(raw_text)
-        return cls(raw_text=raw_text, parsed=parsed, valid_json=obj is not None)
+        return cls(raw_text=raw_text, parsed=solution_from_object(obj), valid_json=obj is not None)
 
 
 @dataclass(frozen=True)
@@ -179,11 +176,7 @@ def judge(
     textual = line_ok and (line_only or fix_ok)
     if mode == "textual":
         return "correct" if textual else "incorrect"
-    if toolchain is None or (
-        toolchain.cache is None
-        and toolchain.settings.verifier_cmd is None
-        and toolchain._verify_backend is None
-    ):
+    if toolchain is None or not toolchain.has_verifier:
         raise ReverifyUnavailable("reverify mode needs a configured verifier")
     if buggy_code is None:
         raise DomainError("reverify mode needs the buggy code")

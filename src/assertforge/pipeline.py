@@ -3,9 +3,11 @@ together to produce the three dataset families plus benchmark cases.
 
 Per unit: syntax check (failures become pretraining records), spec and
 assertion generation, deterministic bug injection, mutant compilation and
-verification, then the train/test split and CoT generation for train items
-only. Test items become machine benchmark cases instead, so no test item
-ever receives a CoT.
+verification. Each injected bug is one ``dataset.MutantItem`` from then on.
+The train/test split assigns every mutant its unit's side, CoT generation
+runs for train-side assertion failures only, and ``dataset.build_records``
+routes the items; test-side assertion failures become machine benchmark
+cases instead, so no test item ever receives a CoT.
 """
 
 from __future__ import annotations
@@ -17,6 +19,7 @@ from dataclasses import dataclass, field
 
 from . import dataset as ds
 from . import mutate
+from .config import PipelineConfig
 from .corpus import SourceUnit
 from .errors import AssertForgeError, NoAlternativeError, ParseFailure
 from .evalharness import BUG_TYPE_ORDER, EvalCase
@@ -67,26 +70,6 @@ replacement line text).
 
 {code}
 """
-
-
-@dataclass
-class AugmentConfig:
-    seed: int = 0
-    mutations_per_unit: int = 3
-    split_fraction: float = 0.9
-    verify_depth: int | None = None
-    parallel: int = 1
-    bug_source: str = "engine"  # engine | llm
-
-
-@dataclass
-class SvaBugCandidate:
-    unit: SourceUnit
-    record: MutationRecord
-    buggy_sv_code: str
-    log: str
-    assignment: str = "train"  # train | test
-    cot_reply: str | None = None
 
 
 @dataclass
@@ -195,29 +178,19 @@ def engine_bug_candidates(
     return records
 
 
-@dataclass
-class _UnitOutcome:
-    unit: SourceUnit
-    item: ds.PipelineItem
-    candidates: list[SvaBugCandidate] = field(default_factory=list)
-    errors: list[dict] = field(default_factory=list)
-
-
-def _process_unit(unit: SourceUnit, tc: Toolchain, cfg: AugmentConfig) -> _UnitOutcome:
-    out = _UnitOutcome(unit, ds.PipelineItem(unit_id=unit.id, compile_status="ok"))
+def _process_unit(
+    unit: SourceUnit, tc: Toolchain, cfg: PipelineConfig
+) -> tuple[ds.PipelineItem, dict | None]:
+    """Stages 1 and 2 for one unit: the item, plus the error that cut it short."""
     compile_outcome = tc.compile_check(unit.text)
-    out.item.compile_status = compile_outcome.status
-    out.item.code = unit.text
+    item = ds.PipelineItem(unit.id, compile_outcome.status, code=unit.text)
     if compile_outcome.status == "tool_error":
-        out.errors.append(
-            {"unit_id": unit.id, "stage": "compile", "error": compile_outcome.stderr_text}
-        )
-        return out
+        return item, {"unit_id": unit.id, "stage": "compile", "error": compile_outcome.stderr_text}
+    item.spec = tc.llm_call(
+        LlmRequest(task="spec", prompt_text=SPEC_PROMPT.format(code=unit.text))
+    ).text
     if compile_outcome.status == "syntax_error":
-        out.item.spec = tc.llm_call(
-            LlmRequest(task="spec", prompt_text=SPEC_PROMPT.format(code=unit.text))
-        ).text
-        out.item.analysis = tc.llm_call(
+        item.analysis = tc.llm_call(
             LlmRequest(
                 task="cot",
                 prompt_text=ANALYSIS_PROMPT.format(
@@ -225,34 +198,26 @@ def _process_unit(unit: SourceUnit, tc: Toolchain, cfg: AugmentConfig) -> _UnitO
                 ),
             )
         ).text
-        return out
-
-    out.item.spec = tc.llm_call(
-        LlmRequest(task="spec", prompt_text=SPEC_PROMPT.format(code=unit.text))
-    ).text
+        return item, None
 
     sva_text = tc.llm_call(
         LlmRequest(
             task="sva",
-            prompt_text=SVA_PROMPT.format(spec=out.item.spec, code=unit.text),
+            prompt_text=SVA_PROMPT.format(spec=item.spec, code=unit.text),
         )
     ).text.strip()
     try:
         with_sva, at_line = insert_assertion(unit.text, sva_text)
         assertion = AssertionSpec.from_text(sva_text, at_line)
     except (ParseFailure, AssertForgeError) as exc:
-        out.errors.append({"unit_id": unit.id, "stage": "sva", "error": str(exc)})
-        return out
-    baseline = tc.formal_verify(with_sva, cfg.verify_depth)
+        return item, {"unit_id": unit.id, "stage": "sva", "error": str(exc)}
+    baseline = tc.formal_verify(with_sva)
     if baseline.status != "proven":
-        out.errors.append(
-            {
-                "unit_id": unit.id,
-                "stage": "sva_validation",
-                "error": f"assertion not proven on original design: {baseline.status}",
-            }
-        )
-        return out
+        return item, {
+            "unit_id": unit.id,
+            "stage": "sva_validation",
+            "error": f"assertion not proven on original design: {baseline.status}",
+        }
 
     if cfg.bug_source == "llm":
         records = llm_bug_candidates(tc, unit, cfg.mutations_per_unit, cfg.seed)
@@ -261,90 +226,66 @@ def _process_unit(unit: SourceUnit, tc: Toolchain, cfg: AugmentConfig) -> _UnitO
     for rec in records:
         rec = mutate.with_relation(rec, assertion)
         buggy = rec.apply_to(unit.text)
-        mut_compile = tc.compile_check(buggy)
-        mut_item = ds.MutantItem(
-            buggy_line=rec.mutated_snippet,
-            corrected_line=rec.original_snippet,
-            line_no=rec.line,
-            compile_status=mut_compile.status,
-            buggy_code=buggy,
-        )
-        out.item.mutants.append(mut_item)
-        if mut_compile.status != "ok":
+        mut = ds.MutantItem(rec, tc.compile_check(buggy).status, buggy_code=buggy)
+        item.mutants.append(mut)
+        if mut.compile_status != "ok":
             continue
-        buggy_sv, _ = insert_assertion(buggy, sva_text)
-        verify = tc.formal_verify(buggy_sv, cfg.verify_depth)
-        mut_item.verify_status = verify.status
-        mut_item.buggy_sv_code = buggy_sv
-        mut_item.log = verify.log_text
-        if verify.status == "assertion_failed":
-            out.candidates.append(
-                SvaBugCandidate(unit, rec, buggy_sv, verify.log_text)
-            )
-    return out
+        mut.buggy_sv_code, _ = insert_assertion(buggy, sva_text)
+        verify = tc.formal_verify(mut.buggy_sv_code)
+        mut.verify_status = verify.status
+        mut.log = verify.log_text
+    return item, None
 
 
 def run_augment(
-    units: list[SourceUnit], tc: Toolchain, cfg: AugmentConfig | None = None
+    units: list[SourceUnit], tc: Toolchain, cfg: PipelineConfig | None = None
 ) -> AugmentResult:
-    cfg = cfg or AugmentConfig()
+    """Run the pipeline over ``units``. Reads ``seed``, ``mutations_per_unit``,
+    ``split_fraction``, ``parallel`` and ``bug_source`` from ``cfg``; the
+    verifier depth is the toolchain's own."""
+    cfg = cfg or PipelineConfig()
     result = AugmentResult()
 
     if cfg.parallel > 1:
         with ThreadPoolExecutor(max_workers=cfg.parallel) as pool:
-            outcomes = list(pool.map(lambda u: _process_unit(u, tc, cfg), units))
+            processed = list(pool.map(lambda u: _process_unit(u, tc, cfg), units))
     else:
-        outcomes = [_process_unit(u, tc, cfg) for u in units]
-
-    for oc in outcomes:
-        result.errors.extend(oc.errors)
+        processed = [_process_unit(u, tc, cfg) for u in units]
+    items = [item for item, _ in processed]
+    result.errors.extend(error for _, error in processed if error)
+    failing = [
+        [m for m in item.mutants if m.verify_status == "assertion_failed"] for item in items
+    ]
 
     # Split before CoT generation: test items never receive a CoT.
-    split_units = [oc.unit for oc in outcomes if oc.candidates and oc.unit.module_names]
+    split_units = [u for u, fails in zip(units, failing) if fails and u.module_names]
     if split_units:
         result.split_plan = ds.split(split_units, cfg.seed, cfg.split_fraction)
     else:
         empty = tuple(ds.SplitBin(label, (), ()) for label in ds.BIN_LABELS)
         result.split_plan = ds.SplitPlan(cfg.seed, empty)
 
-    for oc in outcomes:
-        assignment = result.split_plan.unit_assignment(oc.unit) or "train"
-        for cand in oc.candidates:
-            cand.assignment = assignment
-            if assignment == "train":
-                cand.cot_reply = tc.llm_call(
-                    LlmRequest(
-                        task="cot",
-                        prompt_text=COT_PROMPT.format(
-                            spec=oc.item.spec,
-                            code=cand.buggy_sv_code,
-                            log=cand.log,
-                            line=cand.record.line,
-                            buggy_line=cand.record.mutated_snippet,
-                        ),
-                        nonce=f"{oc.unit.id}:{cand.record.line}:{cand.record.rng_seed}",
-                    )
-                ).text
-
-    # Attach CoT replies to the train-side mutant items, then route.
-    for oc in outcomes:
-        by_key = {
-            (c.record.line, c.record.mutated_snippet): c for c in oc.candidates
-        }
-        for mut in oc.item.mutants:
-            cand = by_key.get((mut.line_no, mut.buggy_line))
-            if cand is None:
+    for unit, item in zip(units, items):
+        assignment = result.split_plan.unit_assignment(unit) or "train"
+        for mut in item.mutants:
+            mut.assignment = assignment
+            if assignment == "test" or mut.verify_status != "assertion_failed":
                 continue
-            if cand.assignment == "test":
-                mut.reserved_for_test = True
-                continue
-            mut.cot_reply = cand.cot_reply
+            rec = mut.record
+            mut.cot_reply = tc.llm_call(
+                LlmRequest(
+                    task="cot",
+                    prompt_text=COT_PROMPT.format(
+                        spec=item.spec,
+                        code=mut.buggy_sv_code,
+                        log=mut.log,
+                        line=rec.line,
+                        buggy_line=rec.mutated_snippet,
+                    ),
+                    nonce=f"{unit.id}:{rec.line}:{rec.rng_seed}",
+                )
+            ).text
 
-    items = []
-    for oc in outcomes:
-        item = oc.item
-        item.mutants = [m for m in item.mutants if not m.reserved_for_test]
-        items.append(item)
     bundle = ds.build_records(items, {u.id for u in units})
     result.pt = bundle.pt
     result.bug = bundle.bug
@@ -357,32 +298,29 @@ def run_augment(
         "unparseable": bundle.cot_unparseable,
     }
 
-    # Benchmark cases from the reserved 10%.
-    for oc in outcomes:
-        for idx, cand in enumerate(oc.candidates):
-            if cand.assignment != "test":
-                continue
-            rec = cand.record
-            result.eval_cases.append(
-                EvalCase(
-                    id=f"{oc.unit.id}#m{idx}",
-                    source="machine",
-                    spec=oc.item.spec,
-                    buggy_sv_code=cand.buggy_sv_code,
-                    log=cand.log,
-                    golden=ds.GoldenSolution(
-                        rec.mutated_snippet, rec.original_snippet, rec.line
-                    ),
-                    bug_type=rec.bug_type,
-                    length_bin=ds.length_bin(max(1, oc.unit.line_count)),
+    # Benchmark cases from the reserved 10%; the index counts the unit's
+    # assertion failures.
+    for unit, item, fails in zip(units, items, failing):
+        for idx, mut in enumerate(fails):
+            if mut.held_out:
+                result.eval_cases.append(
+                    EvalCase(
+                        id=f"{unit.id}#m{idx}",
+                        source="machine",
+                        spec=item.spec,
+                        buggy_sv_code=mut.buggy_sv_code,
+                        log=mut.log,
+                        golden=mut.golden,
+                        bug_type=mut.record.bug_type,
+                        length_bin=ds.length_bin(max(1, unit.line_count)),
+                    )
                 )
-            )
 
-    result.counts = _distribution_counts(outcomes, result)
+    result.counts = _distribution_counts(units, failing, result)
     return result
 
 
-def _distribution_counts(outcomes, result: AugmentResult) -> dict:
+def _distribution_counts(units, failing, result: AugmentResult) -> dict:
     """Counts of SVA-Bug and benchmark entries per length interval and bug type."""
 
     def empty() -> dict:
@@ -393,13 +331,13 @@ def _distribution_counts(outcomes, result: AugmentResult) -> dict:
 
     svabug_counts = empty()
     eval_counts = empty()
-    for oc in outcomes:
-        interval = ds.BIN_LABELS[ds.length_bin(max(1, oc.unit.line_count))]
-        for cand in oc.candidates:
-            target = svabug_counts if cand.assignment == "train" else eval_counts
+    for unit, fails in zip(units, failing):
+        interval = ds.BIN_LABELS[ds.length_bin(max(1, unit.line_count))]
+        for mut in fails:
+            target = eval_counts if mut.held_out else svabug_counts
             target["by_interval"][interval] += 1
-            target["by_bug_type"][cand.record.bug_type.relation] += 1
-            target["by_bug_type"][cand.record.bug_type.syntactic] += 1
+            target["by_bug_type"][mut.record.bug_type.relation] += 1
+            target["by_bug_type"][mut.record.bug_type.syntactic] += 1
     return {
         "families": {
             "pt": len(result.pt),

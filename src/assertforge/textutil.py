@@ -58,10 +58,12 @@ def parse_solution_reply(text: str) -> dict | None:
     "cot". Returns {"buggy_line": str, "fix": str, "cot": str | None} or None
     when the reply does not honor the contract.
     """
-    obj = extract_json_object(text)
-    if obj is None:
-        return None
-    if not {"buggy_line", "fix", "cot"} <= obj.keys():
+    return solution_from_object(extract_json_object(text))
+
+
+def solution_from_object(obj: dict | None) -> dict | None:
+    """The solution contract of an already-extracted reply object, or None."""
+    if obj is None or not {"buggy_line", "fix", "cot"} <= obj.keys():
         return None
     buggy, fix, cot = obj["buggy_line"], obj["fix"], obj["cot"]
     if not isinstance(buggy, str) or not isinstance(fix, str):

@@ -1,10 +1,13 @@
 """Adapters for the three external services: compiler, verifier, LLM endpoint.
 
 All three adapters are content-agnostic and replayable: every call is keyed
-by a digest of its request, and a ReplayCache can record live outcomes or
-serve them back hermetically. Tool commands are user-configurable templates
-with {file} and {depth} placeholders; nothing here hard-depends on a
-particular compiler or verifier.
+by a digest of its request and goes through one record/replay path
+(``Toolchain._cached``), which either records live outcomes into a
+ReplayCache or serves them back hermetically. In replay mode a missing or
+undecodable entry is a miss: ``tool_error`` for the compiler and verifier,
+``EndpointUnreachable`` for the LLM. Tool commands are user-configurable
+templates with {file} and {depth} placeholders; nothing here hard-depends on
+a particular compiler or verifier.
 """
 
 from __future__ import annotations
@@ -18,9 +21,9 @@ import shutil
 import subprocess
 import tempfile
 import threading
-from dataclasses import dataclass, replace as dc_replace
+from dataclasses import asdict, dataclass, replace as dc_replace
 from pathlib import Path
-from typing import Callable
+from typing import Callable, TypeVar
 
 import requests
 
@@ -34,6 +37,8 @@ from .errors import (
 COMPILE_STATUSES = ("ok", "syntax_error", "tool_error")
 VERIFY_STATUSES = ("proven", "assertion_failed", "inconclusive", "tool_error")
 LLM_TASKS = frozenset({"spec", "bugs", "sva", "cot", "solve"})
+
+T = TypeVar("T")
 
 
 @dataclass(frozen=True)
@@ -135,6 +140,8 @@ class ReplayCache:
         return self.dir / f"{key}.json"
 
     def get(self, key: str) -> dict | None:
+        """The stored entry, or None when there is none. An entry that is not
+        valid JSON raises ValueError."""
         p = self._path(key)
         if not p.is_file():
             return None
@@ -173,24 +180,56 @@ class Toolchain:
         self._verify_backend = verify_backend
         self._llm_backend = llm_backend
 
+    @property
+    def has_verifier(self) -> bool:
+        """True when formal_verify can reach a verifier: a replay cache, a
+        verifier command or an injected backend."""
+        return (
+            self.cache is not None
+            or self.settings.verifier_cmd is not None
+            or self._verify_backend is not None
+        )
+
+    def _cached(
+        self,
+        request: dict,
+        live: Callable[[], T],
+        decode: Callable[[dict], T],
+        miss: Callable[[str], T],
+    ) -> T:
+        """The one record/replay path shared by all three adapters.
+
+        Replay mode answers from the cache only; a missing or undecodable
+        entry goes to ``miss`` with a message naming the key. Otherwise
+        ``live`` runs, and record mode stores its outcome.
+        """
+        if self.cache is None:
+            return live()
+        key = request_digest(request)
+        if self.cache.mode == "replay":
+            try:
+                hit = self.cache.get(key)
+                if hit is not None:
+                    return decode(hit["response"])
+                reason = "replay cache miss"
+            except (ValueError, KeyError, TypeError) as exc:
+                reason = f"malformed replay cache entry ({exc})"
+            return miss(f"{reason}: {key}")
+        outcome = live()
+        self.cache.put(key, request, asdict(outcome))
+        return outcome
+
     # -- compiler -----------------------------------------------------------
 
     def compile_check(self, source: str) -> CompileOutcome:
         if not source:
             raise DomainError("cannot compile empty source")
-        req = {"kind": "compile", "source": source}
-        key = request_digest(req)
-        if self.cache is not None and self.cache.mode == "replay":
-            hit = self.cache.get(key)
-            if hit is None:
-                return CompileOutcome("tool_error", f"replay cache miss: {key}")
-            return CompileOutcome(**hit["response"])
-        outcome = self._compile_raw(source)
-        if self.cache is not None and self.cache.mode == "record":
-            self.cache.put(
-                key, req, {"status": outcome.status, "stderr_text": outcome.stderr_text}
-            )
-        return outcome
+        return self._cached(
+            {"kind": "compile", "source": source},
+            lambda: self._compile_raw(source),
+            lambda resp: CompileOutcome(**resp),
+            lambda msg: CompileOutcome("tool_error", msg),
+        )
 
     def _compile_raw(self, source: str) -> CompileOutcome:
         if self._compile_backend is not None:
@@ -212,25 +251,12 @@ class Toolchain:
         depth = depth if depth is not None else self.settings.verifier_depth
         if depth < 1:
             raise DomainError("depth must be positive")
-        req = {"kind": "verify", "source": source_with_sva, "depth": depth}
-        key = request_digest(req)
-        if self.cache is not None and self.cache.mode == "replay":
-            hit = self.cache.get(key)
-            if hit is None:
-                return VerifyOutcome("tool_error", f"replay cache miss: {key}")
-            return VerifyOutcome(**hit["response"])
-        outcome = self._verify_raw(source_with_sva, depth)
-        if self.cache is not None and self.cache.mode == "record":
-            self.cache.put(
-                key,
-                req,
-                {
-                    "status": outcome.status,
-                    "log_text": outcome.log_text,
-                    "failing_step": outcome.failing_step,
-                },
-            )
-        return outcome
+        return self._cached(
+            {"kind": "verify", "source": source_with_sva, "depth": depth},
+            lambda: self._verify_raw(source_with_sva, depth),
+            lambda resp: VerifyOutcome(**resp),
+            lambda msg: VerifyOutcome("tool_error", msg),
+        )
 
     def _verify_raw(self, source: str, depth: int) -> VerifyOutcome:
         if self._verify_backend is not None:
@@ -271,28 +297,22 @@ class Toolchain:
             "temperature": effective.temperature,
             "nonce": effective.nonce,
         }
-        key = request_digest(payload)
-        if self.cache is not None and self.cache.mode == "replay":
-            hit = self.cache.get(key)
-            if hit is None:
-                raise EndpointUnreachable(f"replay cache miss: {key}")
-            resp = hit["response"]
-            return LlmReply(resp["text"], resp.get("attempt_index", 1))
+        return self._cached(
+            payload,
+            lambda: self._llm_attempts(effective),
+            lambda resp: LlmReply(resp["text"], resp.get("attempt_index", 1)),
+            _raise_unreachable,
+        )
+
+    def _llm_attempts(self, req: LlmRequest) -> LlmReply:
         last_failure: Exception | None = None
-        for attempt in range(1, effective.max_attempts + 1):
+        for attempt in range(1, req.max_attempts + 1):
             try:
-                text = self._llm_raw(effective)
+                return LlmReply(self._llm_raw(req), attempt)
             except TransportFailure as exc:
                 last_failure = exc
-                continue
-            reply = LlmReply(text, attempt)
-            if self.cache is not None and self.cache.mode == "record":
-                self.cache.put(
-                    key, payload, {"text": reply.text, "attempt_index": reply.attempt_index}
-                )
-            return reply
         raise AttemptsExhausted(
-            f"{effective.max_attempts} attempts failed for task={effective.task}: {last_failure}"
+            f"{req.max_attempts} attempts failed for task={req.task}: {last_failure}"
         )
 
     def _llm_raw(self, req: LlmRequest) -> str:
@@ -368,3 +388,7 @@ class Toolchain:
         finally:
             if not self.settings.keep_temp:
                 shutil.rmtree(scratch, ignore_errors=True)
+
+
+def _raise_unreachable(message: str) -> LlmReply:
+    raise EndpointUnreachable(message)

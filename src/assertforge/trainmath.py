@@ -56,17 +56,7 @@ def pt_loss(
     Default reduction is the plain double sum; "mean" divides by the total
     number of token terms.
     """
-    if reduction not in ("sum", "mean"):
-        raise DomainError(f"unknown reduction: {reduction!r}")
-    total = 0.0
-    terms = 0
-    for sample in samples:
-        logs = _checked_logs(provider.sequence_probs((), sample))
-        total -= sum(logs)
-        terms += len(logs)
-    if reduction == "mean":
-        return total / terms if terms else 0.0
-    return total
+    return sft_loss(provider, [((), sample) for sample in samples], reduction)
 
 
 def sft_loss(
@@ -289,14 +279,7 @@ class BigramSoftmaxProvider:
         return g
 
     def pt_loss_grad(self, samples, reduction: str = "sum") -> np.ndarray:
-        g = np.zeros_like(self.logits)
-        terms = 0
-        for sample in samples:
-            g += self._grad_neg_logprob((), sample)
-            terms += len(sample)
-        if reduction == "mean" and terms:
-            g /= terms
-        return g
+        return self.sft_loss_grad([((), sample) for sample in samples], reduction)
 
     def sft_loss_grad(self, pairs, reduction: str = "sum") -> np.ndarray:
         g = np.zeros_like(self.logits)

@@ -55,7 +55,8 @@ def cli_env(tmp_path_factory):
     """Record the replay cache once; hand tests a ready config + benchmark."""
     import assertforge.dataset as ds
     import assertforge.evalharness as ev
-    from assertforge.pipeline import AugmentConfig, run_augment
+    from assertforge.config import PipelineConfig
+    from assertforge.pipeline import run_augment
     from fixture_corpus import HUMAN_EVAL_CASES
 
     base = tmp_path_factory.mktemp("cli_env")
@@ -71,7 +72,7 @@ def cli_env(tmp_path_factory):
         llm_backend=fake_llm,
     )
     result = run_augment(
-        accepted, recorder, AugmentConfig(seed=E2E_SEED, mutations_per_unit=3)
+        accepted, recorder, PipelineConfig(seed=E2E_SEED, mutations_per_unit=3)
     )
     assert not result.errors
 

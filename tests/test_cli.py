@@ -8,6 +8,7 @@ Frozen goldens (counts, c-vector) were computed once from the fixture corpus
 at seed 20240817 and pinned here.
 """
 
+import hashlib
 import json
 
 import pytest
@@ -129,6 +130,51 @@ def test_augment_cli_byte_identical_runs(cli_env, tmp_path):
         assert (out1 / name).read_bytes() == (out2 / name).read_bytes(), name
 
 
+def _body_digest(path):
+    """sha256 of an output file without its metadata header or `meta` block,
+    which carry the config digest and so depend on where the config lives."""
+    text = path.read_text(encoding="utf-8")
+    if path.suffix == ".jsonl":
+        body = "".join(text.splitlines(keepends=True)[1:])
+    else:
+        doc = json.loads(text)
+        del doc["meta"]
+        body = json.dumps(doc, indent=2) + "\n"
+    return hashlib.sha256(body.encode()).hexdigest()
+
+
+# Pinned from the fixture corpus at E2E_SEED; any change to a byte of the
+# augment data path shows up here even when the family counts stay the same.
+AUGMENT_BODY_DIGESTS = {
+    "pt.jsonl": "2db475dc26df8c10c4830b506c23f68e75209d2aecf77c424e19caa2f41adb2a",
+    "bug.jsonl": "eaf22cac9da0ab5908822c32e6d7a927f0520e969cde03d99de1532d10706bb2",
+    "svabug.jsonl": "d4ed02789c309b76fa88e253c1f2a62b8e2e5f98b00045e9ed6505430c335aec",
+    "sva_eval_machine.jsonl": "5af6e6d4c1fd4debcf2874d4ef2bc949eb86dbcd589c457e850cff1c2bf380ef",
+    "split_plan.json": "d852a9bac32d8864f4a69f9864f95ec6b7518d3a8159e12478540dc674b9e7d4",
+    "augment_report.json": "0a45a56e346f256e532f5767f65333a4c967d82d748466b7d7191fbcba757dc7",
+}
+EVAL_BODY_DIGESTS = {
+    "report.json": "4d2fba324f1f235d3729fb7b216fdbd1a30f19b232556ce6dc6f0b8a70020177",
+    "results.jsonl": "41e08021579425a681c6903adc4002bc15146a5b772162957c9f4adf6258c7f4",
+}
+
+
+@pytest.mark.parametrize("parallel", [1, 4])
+def test_augment_cli_pinned_digests(cli_env, tmp_path, parallel):
+    out = tmp_path / "out"
+    invoke("filter", "--config", cli_env["config"], "--out-dir", out)
+    res = invoke("augment", "--config", cli_env["config"], "--manifest",
+                 out / "manifest.jsonl", "--out-dir", out, "--parallel", parallel)
+    assert res.exit_code == 0, res.output
+    assert {n: _body_digest(out / n) for n in AUGMENT_OUTPUTS} == AUGMENT_BODY_DIGESTS
+
+
+def test_eval_cli_pinned_digests(cli_env, tmp_path):
+    report, results = _run_eval(cli_env, tmp_path, "pin")
+    got = {"report.json": _body_digest(report), "results.jsonl": _body_digest(results)}
+    assert got == EVAL_BODY_DIGESTS
+
+
 def test_augment_cli_schemas(cli_env, tmp_path):
     out = tmp_path / "out"
     _run_augment(cli_env, out)
@@ -216,6 +262,37 @@ def test_eval_cli_bad_schema(cli_env, tmp_path):
     assert res.exit_code != 0
 
 
+@pytest.mark.parametrize(
+    "extra, config_line, message",
+    [
+        (["--k", "x"], None, "--k must be comma-separated integers"),
+        (["--k", "0", "--n", "1"], None, "--k must name one or more ks"),
+        ([], "eval.ks = 0", "eval.ks must name one or more ks"),
+    ],
+    ids=["k-not-an-integer", "k-zero-flag", "k-zero-config"],
+)
+def test_eval_cli_rejects_bad_ks_before_any_call(cli_env, tmp_path, extra, config_line, message):
+    config = cli_env["config"]
+    if config_line:
+        config = tmp_path / "bad.cfg"
+        config.write_text(cli_env["config"].read_text() + config_line + "\n")
+    report = tmp_path / "report.json"
+    res = invoke("eval", cli_env["benchmark"], "--config", config, "--out", report, *extra)
+    assert res.exit_code != 0
+    lines = res.output.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith(f"Error: {message}")
+    assert not report.exists()
+
+
+def test_augment_cli_rejects_unknown_bug_source(cli_env, tmp_path):
+    config = tmp_path / "bad.cfg"
+    config.write_text(cli_env["config"].read_text() + "bugs.source = engin\n")
+    res = invoke("augment", "--config", config, "--out-dir", tmp_path,
+                 "--manifest", tmp_path / "none.jsonl")
+    assert res.exit_code != 0
+    assert "bugs.source must be engine or llm" in res.output
+
+
 # -- dpo-prep ----------------------------------------------------------------------
 
 
@@ -278,6 +355,20 @@ def test_dpo_prep_wrong_count_errors(cli_env, tmp_path):
     )
     assert res.exit_code == 1
     assert "expected 20" in res.output
+
+
+def test_dpo_prep_row_without_responses_is_an_error(cli_env, tmp_path):
+    _, results_path = _run_eval(cli_env, tmp_path, "dpo_bad")
+    rows = read_records(results_path)
+    del rows[0]["responses"]
+    broken = tmp_path / "broken.jsonl"
+    ds.write_jsonl(rows, broken)
+    triples_path = tmp_path / "triples.jsonl"
+    res = invoke("dpo-prep", broken, "--benchmark", cli_env["benchmark"], "--out", triples_path)
+    assert res.exit_code == 1
+    errors = json.loads(res.output.strip().splitlines()[-1])["errors"]
+    assert errors == [{"case_id": rows[0]["case_id"], "error": "results row has no responses list"}]
+    assert triples_path.is_file()
 
 
 # -- losses -------------------------------------------------------------------------

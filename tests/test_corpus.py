@@ -8,7 +8,6 @@ from assertforge.corpus import (
     SourceUnit,
     classify_rejection,
     dedup,
-    extract_modules,
     filter_units,
     tokenize,
 )
@@ -83,17 +82,17 @@ def test_roundtrip_comment_edge_cases():
 
 def test_extract_modules_single():
     u = SourceUnit.from_text("t", "module adder; endmodule")
-    assert extract_modules(u) == ["adder"]
+    assert list(u.module_names) == ["adder"]
 
 
 def test_extract_modules_two_in_order():
     u = SourceUnit.from_text("t", "module a; endmodule\nmodule b; endmodule\n")
-    assert extract_modules(u) == ["a", "b"]
+    assert list(u.module_names) == ["a", "b"]
 
 
 def test_extract_modules_none():
     u = SourceUnit.from_text("t", "endmodule")
-    assert extract_modules(u) == []
+    assert list(u.module_names) == []
 
 
 def test_classify_constant_assign_rejected():

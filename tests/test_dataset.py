@@ -24,6 +24,7 @@ from assertforge.dataset import (
     write_jsonl,
 )
 from assertforge.errors import DomainError, InconsistentProvenance, SchemaError
+from assertforge.mutate import BugType, MutationRecord
 from assertforge.textutil import normalize_line, normalize_line_loose
 
 
@@ -202,6 +203,12 @@ def test_route_totality_fuzz():
             route_mutant(c, v)
 
 
+def _bug(line_no, original, mutated):
+    return MutationRecord(
+        "b", line_no, original, mutated, BugType("Value", "Direct"), frozenset(), rng_seed=0
+    )
+
+
 def test_build_records_routing(mock_toolchain):
     items = [
         PipelineItem(unit_id="a", compile_status="syntax_error", code="x", spec="s", analysis="a"),
@@ -211,9 +218,7 @@ def test_build_records_routing(mock_toolchain):
             spec="s",
             mutants=[
                 MutantItem(
-                    buggy_line="y = 1;",
-                    corrected_line="y = 0;",
-                    line_no=2,
+                    record=_bug(2, "y = 0;", "y = 1;"),
                     compile_status="ok",
                     verify_status="assertion_failed",
                     buggy_code="module b;\ny = 1;\nendmodule",
@@ -221,17 +226,13 @@ def test_build_records_routing(mock_toolchain):
                     log="FAIL step 1",
                 ),
                 MutantItem(
-                    buggy_line="y = 2;",
-                    corrected_line="y = 0;",
-                    line_no=2,
+                    record=_bug(2, "y = 0;", "y = 2;"),
                     compile_status="ok",
                     verify_status="proven",
                     buggy_code="module b;\ny = 2;\nendmodule",
                 ),
                 MutantItem(
-                    buggy_line="y = ;",
-                    corrected_line="y = 0;",
-                    line_no=2,
+                    record=_bug(2, "y = 0;", "y = ;"),
                     compile_status="syntax_error",
                 ),
             ],
@@ -253,9 +254,7 @@ def test_build_records_cot_attachment():
         spec="s",
         mutants=[
             MutantItem(
-                buggy_line="y = 1;",
-                corrected_line="y = 0;",
-                line_no=2,
+                record=_bug(2, "y = 0;", "y = 1;"),
                 compile_status="ok",
                 verify_status="assertion_failed",
                 buggy_sv_code="module b;\ny = 1;\nassert(y == 0);\nendmodule",
@@ -263,9 +262,7 @@ def test_build_records_cot_attachment():
                 cot_reply=golden_reply,
             ),
             MutantItem(
-                buggy_line="y = 2;",
-                corrected_line="y = 0;",
-                line_no=2,
+                record=_bug(2, "y = 0;", "y = 2;"),
                 compile_status="ok",
                 verify_status="assertion_failed",
                 buggy_sv_code="module b;\ny = 2;\nassert(y == 0);\nendmodule",

@@ -128,6 +128,18 @@ def resp(buggy, fix, cot="why"):
 GOLDEN = GoldenSolution("out <= in + 1;", "out <= in;", 3)
 
 
+def test_from_raw_extracts_json_once(monkeypatch):
+    import assertforge.evalharness as ev
+
+    calls = []
+    real = ev.extract_json_object
+    monkeypatch.setattr(ev, "extract_json_object", lambda t: calls.append(t) or real(t))
+    r = ModelResponse.from_raw('{"buggy_line": "a", "fix": "b", "cot": null}')
+    assert len(calls) == 1
+    assert r.valid_json and r.parsed == {"buggy_line": "a", "fix": "b", "cot": None}
+    assert ModelResponse.from_raw('{"fix": "b"}').parsed is None
+
+
 def test_judge_table_row_correct():
     assert judge(resp("out <= in + 1;", "out <= in;"), GOLDEN) == "correct"
 

@@ -1,6 +1,6 @@
+from assertforge.config import PipelineConfig
 from assertforge.corpus import SourceUnit
 from assertforge.pipeline import (
-    AugmentConfig,
     engine_bug_candidates,
     insert_assertion,
     llm_bug_candidates,
@@ -29,7 +29,7 @@ def test_engine_candidates_deterministic(accepted_units):
 
 
 def test_run_augment_families_nonempty(accepted_units, mock_toolchain):
-    res = run_augment(accepted_units, mock_toolchain, AugmentConfig(seed=20240817))
+    res = run_augment(accepted_units, mock_toolchain, PipelineConfig(seed=20240817))
     assert res.pt and res.bug and res.svabug
     assert not res.errors
     # step_by_step biconditional over every emitted record
@@ -47,7 +47,7 @@ def test_run_augment_all_proven_empty_svabug(accepted_units, corpus_units):
         verify_backend=lambda s, d: VerifyOutcome("proven", "PASS"),
         llm_backend=fake_llm,
     )
-    res = run_augment(accepted_units, tc, AugmentConfig(seed=1))
+    res = run_augment(accepted_units, tc, PipelineConfig(seed=1))
     assert res.svabug == [] and res.eval_cases == []
     assert res.bug  # bugs that never trip the assertion are retained
 
@@ -59,7 +59,7 @@ def test_run_augment_verifier_down_reports_items(accepted_units):
         verify_backend=lambda s, d: VerifyOutcome("tool_error", "no verifier"),
         llm_backend=fake_llm,
     )
-    res = run_augment(accepted_units, tc, AugmentConfig(seed=1))
+    res = run_augment(accepted_units, tc, PipelineConfig(seed=1))
     assert res.svabug == [] and res.bug == []
     assert res.errors
     assert all("error" in e or "outcome" in e for e in res.errors)
@@ -76,15 +76,15 @@ def test_run_augment_parallel_matches_serial(accepted_units, corpus_units):
             llm_backend=fake_llm,
         )
 
-    serial = run_augment(accepted_units, make_tc(), AugmentConfig(seed=3, parallel=1))
-    parallel = run_augment(accepted_units, make_tc(), AugmentConfig(seed=3, parallel=4))
+    serial = run_augment(accepted_units, make_tc(), PipelineConfig(seed=3, parallel=1))
+    parallel = run_augment(accepted_units, make_tc(), PipelineConfig(seed=3, parallel=4))
     assert [r.to_json() for r in serial.svabug] == [r.to_json() for r in parallel.svabug]
     assert [r.to_json() for r in serial.bug] == [r.to_json() for r in parallel.bug]
     assert serial.counts == parallel.counts
 
 
 def test_run_augment_test_items_never_get_cot(accepted_units, mock_toolchain):
-    res = run_augment(accepted_units, mock_toolchain, AugmentConfig(seed=20240817))
+    res = run_augment(accepted_units, mock_toolchain, PipelineConfig(seed=20240817))
     test_names = {n for b in res.split_plan.bins for n in b.test}
     assert res.eval_cases, "fixture seed should reserve at least one unit"
     for case in res.eval_cases:
@@ -116,7 +116,7 @@ def test_llm_bug_path_rejects_bad_replies():
 
 
 def test_run_augment_with_llm_bug_source(accepted_units, mock_toolchain):
-    cfg = AugmentConfig(seed=5, bug_source="llm", mutations_per_unit=2)
+    cfg = PipelineConfig(seed=5, bug_source="llm", mutations_per_unit=2)
     res = run_augment(accepted_units, mock_toolchain, cfg)
     assert not res.errors
     assert res.bug or res.svabug

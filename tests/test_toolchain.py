@@ -225,6 +225,45 @@ def test_replay_miss_behaviour(tmp_path):
         tc.llm_call(LlmRequest(task="spec", prompt_text="missing"))
 
 
+def test_replay_malformed_entry_is_a_miss(tmp_path):
+    recorder = Toolchain(
+        ToolSettings(mock_dir=str(tmp_path / "cache"), mock_mode="record"),
+        compile_backend=lambda s: CompileOutcome("ok", ""),
+        verify_backend=lambda s, d: VerifyOutcome("proven", "PASS"),
+        llm_backend=lambda r: "recorded text",
+    )
+    req = LlmRequest(task="spec", prompt_text="p")
+    recorder.compile_check("module m; endmodule")
+    recorder.formal_verify("assert(x);", depth=3)
+    recorder.llm_call(req)
+    entries = sorted((tmp_path / "cache").iterdir())
+    assert len(entries) == 3
+    for entry in entries:  # truncate every entry mid-object
+        entry.write_text(entry.read_text()[:20])
+    cache = ReplayCache(tmp_path / "cache")
+    with pytest.raises(ValueError):
+        cache.get(entries[0].stem)
+    assert cache.get("0" * 64) is None
+
+    tc = Toolchain(ToolSettings(mock_dir=str(tmp_path / "cache"), mock_mode="replay"))
+    compiled = tc.compile_check("module m; endmodule")
+    verified = tc.formal_verify("assert(x);", depth=3)
+    assert compiled.status == verified.status == "tool_error"
+    keys = {e.stem for e in entries}
+    for text in (compiled.stderr_text, verified.log_text):
+        assert "malformed replay cache entry" in text
+        assert any(key in text for key in keys)
+    with pytest.raises(EndpointUnreachable, match="malformed replay cache entry"):
+        tc.llm_call(req)
+
+
+def test_has_verifier_truth_table(tmp_path):
+    assert not Toolchain().has_verifier
+    assert Toolchain(ToolSettings(verifier_cmd="sby {file}")).has_verifier
+    assert Toolchain(verify_backend=lambda s, d: VerifyOutcome("proven")).has_verifier
+    assert Toolchain(cache=ReplayCache(tmp_path, mode="replay")).has_verifier
+
+
 def test_replay_nonce_distinguishes_draws(tmp_path):
     counter = {"n": 0}
 
