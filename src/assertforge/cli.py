@@ -257,10 +257,17 @@ def dpo_prep(results_file, benchmark, config_path, out_path, n_expected):
     """Select challenging cases from eval results and emit preference triples."""
     cfg = _load_config(config_path)
     _, case_rows = ds.strip_meta_header(ds.read_jsonl(benchmark))
-    cases = {r["id"]: ev.EvalCase.from_json(r) for r in case_rows}
     _, result_rows = ds.strip_meta_header(ds.read_jsonl(results_file))
 
     errors: list[dict] = []
+    cases = {}
+    for r in case_rows:
+        try:
+            case = ev.EvalCase.from_json(r)
+        except (SchemaError, ValueError) as exc:
+            errors.append({"case_id": r.get("id"), "error": f"benchmark row: {exc}"})
+            continue
+        cases[case.id] = case
     judged_entries = []
     for row in result_rows:
         case_id = row.get("case_id")
@@ -301,6 +308,29 @@ def dpo_prep(results_file, benchmark, config_path, out_path, n_expected):
     _finish(errors)
 
 
+_DPO_FIELDS = ("policy_p", "ref_p", "policy_n", "ref_n")
+
+
+def _is_prob(p) -> bool:
+    return isinstance(p, (int, float)) and not isinstance(p, bool) and 0 < p <= 1
+
+
+def _checked_loss_row(row: dict) -> str:
+    """The row's kind; SchemaError unless it carries that kind's probabilities."""
+    kind = row.get("kind")
+    if kind in ("pt", "sft"):
+        probs = row.get("token_probs")
+        if not isinstance(probs, list) or not all(map(_is_prob, probs)):
+            raise SchemaError(f"{kind} row needs token_probs, a list of probabilities in (0, 1]")
+    elif kind == "dpo":
+        bad = [f for f in _DPO_FIELDS if not _is_prob(row.get(f))]
+        if bad:
+            raise SchemaError(f"dpo row needs probabilities in (0, 1] for {', '.join(bad)}")
+    else:
+        raise SchemaError(f"unknown kind {kind!r}")
+    return kind
+
+
 @main.command()
 @click.argument("probs_file", type=click.Path(exists=True))
 @click.option("--config", "config_path", type=click.Path(), default=None)
@@ -312,21 +342,26 @@ def losses(probs_file, config_path, beta, reduction):
     Input rows: {"kind":"pt","token_probs":[...]} for one pretraining sample,
     {"kind":"sft","token_probs":[...]} for one answer's teacher-forced probs,
     {"kind":"dpo","policy_p":..,"ref_p":..,"policy_n":..,"ref_n":..} for one
-    preference triple's sequence probabilities.
+    preference triple's sequence probabilities. A row of another kind, or
+    one whose probabilities are missing or outside (0, 1], is a per-row error
+    and the losses come from the other rows.
     """
     cfg = _load_config(config_path)
     _, rows = ds.strip_meta_header(ds.read_jsonl(probs_file))
     pt_samples, sft_pairs, dpo_rows = [], [], []
-    for i, row in enumerate(rows):
-        kind = row.get("kind")
+    errors: list[dict] = []
+    for i, row in enumerate(rows, start=1):
+        try:
+            kind = _checked_loss_row(row)
+        except SchemaError as exc:
+            errors.append({"row": i, "error": str(exc)})
+            continue
         if kind == "pt":
             pt_samples.append(row["token_probs"])
         elif kind == "sft":
             sft_pairs.append(row["token_probs"])
-        elif kind == "dpo":
-            dpo_rows.append(row)
         else:
-            raise click.ClickException(f"row {i + 1}: unknown kind {kind!r}")
+            dpo_rows.append(row)
 
     out: dict = {"meta": _header(cfg), "counts": {"pt": len(pt_samples), "sft": len(sft_pairs), "dpo": len(dpo_rows)}}
     if pt_samples:
@@ -359,6 +394,7 @@ def losses(probs_file, config_path, beta, reduction):
             beta=beta,
         )
     click.echo(json.dumps(out, indent=2))
+    _finish(errors)
 
 
 if __name__ == "__main__":

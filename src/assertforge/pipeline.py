@@ -133,8 +133,6 @@ def llm_bug_candidates(
         if mutated == original or (line_no, mutated) in seen:
             continue
         seen.add((line_no, mutated))
-        info = mutate._analyze_line(mutated)
-        targets = frozenset(t.text for t in info.lhs_idents)
         records.append(
             MutationRecord(
                 unit_id=unit.id,
@@ -142,7 +140,7 @@ def llm_bug_candidates(
                 original_snippet=original,
                 mutated_snippet=mutated,
                 bug_type=mutate.BugType("Non_cond", "Unknown"),
-                lhs_targets=targets,
+                lhs_targets=mutate.assigned_targets(mutated) or frozenset(),
                 rng_seed=_derive_seed(base_seed, unit.id, "llm", i),
                 detail="llm-generated bug",
             )

@@ -371,6 +371,21 @@ def test_dpo_prep_row_without_responses_is_an_error(cli_env, tmp_path):
     assert triples_path.is_file()
 
 
+def test_dpo_prep_malformed_benchmark_row_is_an_error(cli_env, tmp_path):
+    _, results_path = _run_eval(cli_env, tmp_path, "dpo_badcase")
+    bench_rows = read_records(cli_env["benchmark"])
+    benchmark = tmp_path / "benchmark.jsonl"
+    ds.write_jsonl(bench_rows + [{"id": "x", "source": "machine"}], benchmark)
+    triples_path = tmp_path / "triples.jsonl"
+    res = invoke("dpo-prep", results_path, "--benchmark", benchmark, "--out", triples_path)
+    assert res.exit_code == 1
+    assert f"{GOLDEN_CHALLENGING} challenging cases" in res.stdout
+    errors = json.loads(res.stderr)["errors"]
+    assert [e["case_id"] for e in errors] == ["x"]
+    assert "buggy_sv_code" in errors[0]["error"]
+    assert len(read_records(triples_path)) == GOLDEN_TRIPLES
+
+
 # -- losses -------------------------------------------------------------------------
 
 
@@ -397,3 +412,29 @@ def test_losses_cli_unknown_kind(tmp_path):
     ds.write_jsonl([{"kind": "mystery"}], probs)
     res = invoke("losses", probs)
     assert res.exit_code != 0
+
+
+def test_losses_cli_malformed_rows_are_errors(tmp_path):
+    probs = tmp_path / "probs.jsonl"
+    ds.write_jsonl(
+        [
+            {"kind": "pt"},
+            {"kind": "pt", "token_probs": [0.5, 0.25]},
+            {"kind": "sft", "token_probs": [0.5, "x"]},
+            {"kind": "mystery"},
+            {"kind": "dpo", "policy_p": 0.8, "ref_p": 0.5, "policy_n": 0.1},
+            {"kind": "dpo", "policy_p": 0.8, "ref_p": 0.5, "policy_n": 0.1, "ref_n": 0.0},
+            {"kind": "dpo", "policy_p": 0.8, "ref_p": 0.5, "policy_n": 0.1, "ref_n": 0.4},
+        ],
+        probs,
+    )
+    res = invoke("losses", probs)
+    assert res.exit_code == 1
+    doc = json.loads(res.stdout)
+    assert doc["counts"] == {"pt": 1, "sft": 0, "dpo": 1}
+    assert doc["pt_loss"] == pytest.approx(2.0794415416798357, abs=1e-10)
+    assert "sft_loss" not in doc
+    assert doc["dpo_loss"] == pytest.approx(0.60459, abs=1e-4)
+    errors = json.loads(res.stderr)["errors"]
+    assert [e["row"] for e in errors] == [1, 3, 4, 5, 6]
+    assert "ref_n" in errors[3]["error"] and "ref_n" in errors[4]["error"]

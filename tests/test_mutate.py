@@ -259,3 +259,36 @@ def test_seeded_batch_single_line_and_reproducible(accepted_units):
             assert len(orig_lines) == len(mut_lines)
             assert sum(a != b for a, b in zip(orig_lines, mut_lines)) == 1
     assert produced >= 100
+
+
+# -- rework guard ------------------------------------------------------------
+
+
+def test_enumerate_sites_lexes_each_line_once_and_pools_once(monkeypatch, corpus_units):
+    import assertforge.mutate as m
+
+    calls = {"tokenize": 0, "pool": 0}
+
+    def counting(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    monkeypatch.setattr(m, "tokenize", counting("tokenize", m.tokenize))
+    monkeypatch.setattr(m, "_identifier_pool", counting("pool", m._identifier_pool))
+    for u in corpus_units:
+        tainted = set()
+        for t in u.tokens:
+            if t.kind in ("comment", "string") and "\n" in t.text:
+                tainted.update(range(t.line, t.line + t.text.count("\n") + 1))
+        candidates = sum(
+            1
+            for ln, text in enumerate(u.text.split("\n"), start=1)
+            if text.strip() and ln not in tainted
+        )
+        calls.update(tokenize=0, pool=0)
+        enumerate_sites(u)
+        assert calls["tokenize"] <= candidates, u.id
+        assert calls["pool"] == 1, u.id
