@@ -87,6 +87,8 @@ class PipelineConfig:
             raise DomainError("eval.n must be >= every k")
         if self.eval_mode not in ("textual", "reverify"):
             raise DomainError(f"unknown eval mode: {self.eval_mode!r}")
+        if self.parallel < 1:
+            raise DomainError(f"parallel must be >= 1, got {self.parallel}")
         if self.bug_source not in ("engine", "llm"):
             raise DomainError(f"bugs.source must be engine or llm, got {self.bug_source!r}")
 

@@ -1,11 +1,11 @@
-"""Dataset assembly: the three record families, CoT validation, and the
-length-binned 90/10 module-name split.
+"""Dataset assembly: the three record families, the machine benchmark cases,
+CoT validation, and the length-binned 90/10 module-name split.
 
-Routing of pipeline items is a total function of (compile status, verify
-status); every item lands in exactly one family or one documented non-family
-outcome, except that a test-assigned assertion failure is held out for the
-benchmark. JSONL field names are part of the external contract and must not
-drift.
+Routing happens once, in ``build_records``: it is a total function of
+(compile status, verify status, split assignment), and every injected bug
+lands in exactly one family, one benchmark case, or one documented drop or
+error. The same pass counts what it routed. JSONL field names are part of the
+external contract and must not drift.
 """
 
 from __future__ import annotations
@@ -19,10 +19,16 @@ from typing import Iterable
 
 from .corpus import SourceUnit
 from .errors import DomainError, InconsistentProvenance, SchemaError
-from .mutate import MutationRecord
+from .mutate import BugType, MutationRecord
 from .textutil import normalize_line, parse_solution_reply
 
 BIN_LABELS = ("(0,50]", "(50,100]", "(100,150]", "(150,200]", "(200,+inf)")
+
+SOURCES = ("machine", "human")
+
+# Canonical breakdown key order: the two relation values then the five
+# syntactic values, i.e. the seven taxonomy rows.
+BUG_TYPE_ORDER = ("Direct", "Indirect", "Var", "Value", "Op", "Cond", "Non_cond")
 
 
 def length_bin(line_count: int) -> int:
@@ -133,6 +139,64 @@ class GoldenSolution:
     buggy_line: str
     corrected_line: str
     line_no: int = 0
+
+
+@dataclass(frozen=True)
+class EvalCase:
+    """One benchmark case: a failing design, its log and the golden fix."""
+
+    id: str
+    source: str  # machine | human
+    spec: str
+    buggy_sv_code: str
+    log: str
+    golden: GoldenSolution
+    bug_type: BugType
+    length_bin: int
+
+    def __post_init__(self):
+        if self.source not in SOURCES:
+            raise ValueError(f"unknown case source: {self.source!r}")
+        if self.bug_type.relation == "Unknown":
+            raise ValueError("eval cases must carry a resolved Direct/Indirect relation")
+        if not (0 <= self.length_bin <= 4):
+            raise ValueError("length_bin must lie in 0..4")
+
+    def to_json(self) -> dict:
+        return {
+            "id": self.id,
+            "source": self.source,
+            "spec": self.spec,
+            "buggy_sv_code": self.buggy_sv_code,
+            "log": self.log,
+            "golden_buggy_line": self.golden.buggy_line,
+            "golden_corrected_line": self.golden.corrected_line,
+            "bug_syntactic": self.bug_type.syntactic,
+            "bug_relation": self.bug_type.relation,
+            "length_bin": self.length_bin,
+        }
+
+    @classmethod
+    def from_json(cls, obj: dict) -> "EvalCase":
+        try:
+            code = obj["buggy_sv_code"]
+            lb = obj.get("length_bin")
+            if lb is None:
+                lb = length_bin(max(1, len(code.splitlines())))
+            return cls(
+                id=obj["id"],
+                source=obj["source"],
+                spec=obj["spec"],
+                buggy_sv_code=code,
+                log=obj["log"],
+                golden=GoldenSolution(
+                    obj["golden_buggy_line"], obj["golden_corrected_line"]
+                ),
+                bug_type=BugType(obj["bug_syntactic"], obj["bug_relation"]),
+                length_bin=lb,
+            )
+        except KeyError as exc:
+            raise SchemaError(f"eval case missing field {exc}") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -289,8 +353,9 @@ def route_mutant(compile_status: str, verify_status: str | None) -> str:
 @dataclass
 class MutantItem:
     """One injected bug with its tool outcomes and split assignment, ready for
-    routing. A test-assigned bug that trips the assertion is held out for the
-    benchmark instead of becoming an SVA-Bug record."""
+    routing. A test-assigned bug is held out of the training families: it
+    becomes a benchmark case when it trips the assertion, and nothing when it
+    does not."""
 
     record: MutationRecord
     compile_status: str
@@ -308,7 +373,7 @@ class MutantItem:
 
     @property
     def held_out(self) -> bool:
-        return self.assignment == "test" and self.verify_status == "assertion_failed"
+        return self.assignment == "test"
 
 
 @dataclass
@@ -325,23 +390,42 @@ class PipelineItem:
 
 @dataclass
 class RecordBundle:
+    """Everything ``build_records`` routed, and the counts over it."""
+
     pt: list[PtRecord] = field(default_factory=list)
     bug: list[BugRecord] = field(default_factory=list)
     svabug: list[SvaBugRecord] = field(default_factory=list)
+    eval_cases: list[EvalCase] = field(default_factory=list)
     drops: list[dict] = field(default_factory=list)
     errors: list[dict] = field(default_factory=list)
-    cot_total: int = 0
-    cot_correct: int = 0
-    cot_unparseable: int = 0
+    split_plan: SplitPlan | None = None
+    counts: dict = field(default_factory=dict)
+    cot_stats: dict = field(
+        default_factory=lambda: {"total": 0, "correct": 0, "unparseable": 0}
+    )
+
+
+def _empty_counts() -> dict:
+    return {
+        "by_interval": dict.fromkeys(BIN_LABELS, 0),
+        "by_bug_type": dict.fromkeys(BUG_TYPE_ORDER, 0),
+    }
 
 
 def build_records(items: Iterable[PipelineItem], corpus_ids: set[str]) -> RecordBundle:
-    """Route pipeline items into the three families and validate CoTs.
+    """Route pipeline items into the three families and the benchmark cases,
+    validate CoTs, and count SVA-Bug records and cases per length interval
+    and bug type.
 
-    Raises InconsistentProvenance when an item references a unit id absent
-    from ``corpus_ids``.
+    A held-out mutant that trips the assertion becomes a benchmark case with
+    id ``{unit_id}#m{i}``, where i counts the unit's assertion failures; its
+    other outcomes become drops or errors, never records. Raises
+    InconsistentProvenance when an item references a unit id absent from
+    ``corpus_ids``.
     """
     bundle = RecordBundle()
+    sides = {"svabug": _empty_counts(), "eval": _empty_counts()}
+    cot = bundle.cot_stats
     for item in items:
         if item.unit_id not in corpus_ids:
             raise InconsistentProvenance(f"unknown unit id: {item.unit_id}")
@@ -352,38 +436,59 @@ def build_records(items: Iterable[PipelineItem], corpus_ids: set[str]) -> Record
         if outcome != "proceed":
             bundle.errors.append({"unit_id": item.unit_id, "outcome": outcome})
             continue
+        bin_index = length_bin(max(1, len(item.code.splitlines())))
+        failures = 0
         for mut in item.mutants:
             routed = route_mutant(mut.compile_status, mut.verify_status)
-            if mut.held_out:
-                continue  # a benchmark case, built by the caller
             golden = mut.golden
-            if routed == "bug":
-                bundle.bug.append(
-                    BugRecord(item.spec, mut.buggy_code, golden.buggy_line, golden.corrected_line)
-                )
-            elif routed == "svabug":
+            if routed == "svabug":
+                bug_type = mut.record.bug_type
+                side = sides["eval" if mut.held_out else "svabug"]
+                side["by_interval"][BIN_LABELS[bin_index]] += 1
+                side["by_bug_type"][bug_type.relation] += 1
+                side["by_bug_type"][bug_type.syntactic] += 1
+                failures += 1
+                if mut.held_out:
+                    bundle.eval_cases.append(
+                        EvalCase(
+                            id=f"{item.unit_id}#m{failures - 1}",
+                            source="machine",
+                            spec=item.spec,
+                            buggy_sv_code=mut.buggy_sv_code,
+                            log=mut.log,
+                            golden=golden,
+                            bug_type=bug_type,
+                            length_bin=bin_index,
+                        )
+                    )
+                    continue
                 cot_text = None
-                step_by_step = False
                 if mut.cot_reply is not None:
-                    bundle.cot_total += 1
+                    cot["total"] += 1
                     parsed = parse_solution_reply(mut.cot_reply)
                     if parsed is None:
-                        bundle.cot_unparseable += 1
+                        cot["unparseable"] += 1
                     elif validate_cot(mut.cot_reply, golden) == "correct":
-                        bundle.cot_correct += 1
+                        cot["correct"] += 1
                         cot_text = parsed["cot"] or ""
-                        step_by_step = True
                 bundle.svabug.append(
                     SvaBugRecord(
                         spec=item.spec,
                         buggy_sv_code=mut.buggy_sv_code,
                         log=mut.log,
-                        step_by_step=step_by_step,
+                        step_by_step=cot_text is not None,
                         buggy_line=golden.buggy_line,
                         corrected_line=golden.corrected_line,
                         cot=cot_text,
                     )
                 )
+            elif routed == "bug":
+                if not mut.held_out:
+                    bundle.bug.append(
+                        BugRecord(
+                            item.spec, mut.buggy_code, golden.buggy_line, golden.corrected_line
+                        )
+                    )
             elif routed.startswith("drop:"):
                 bundle.drops.append(
                     {"unit_id": item.unit_id, "line": golden.line_no, "outcome": routed}
@@ -392,6 +497,15 @@ def build_records(items: Iterable[PipelineItem], corpus_ids: set[str]) -> Record
                 bundle.errors.append(
                     {"unit_id": item.unit_id, "line": golden.line_no, "outcome": routed}
                 )
+    bundle.counts = {
+        "families": {
+            "pt": len(bundle.pt),
+            "bug": len(bundle.bug),
+            "svabug": len(bundle.svabug),
+            "eval": len(bundle.eval_cases),
+        },
+        **sides,
+    }
     return bundle
 
 

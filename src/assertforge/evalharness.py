@@ -12,22 +12,14 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, Mapping, Sequence
 
-from .dataset import BIN_LABELS, GoldenSolution, length_bin
+from .dataset import BIN_LABELS, BUG_TYPE_ORDER, EvalCase, GoldenSolution
 from .errors import (
     DomainError,
     InsufficientValidResponses,
     ReverifyUnavailable,
-    SchemaError,
 )
-from .mutate import BugType
 from .textutil import extract_json_object, normalize_line_loose, solution_from_object
 from .toolchain import LlmRequest, Toolchain
-
-SOURCES = ("machine", "human")
-
-# Canonical breakdown key order: the two relation values then the five
-# syntactic values, i.e. the seven taxonomy rows.
-BUG_TYPE_ORDER = ("Direct", "Indirect", "Var", "Value", "Op", "Cond", "Non_cond")
 
 SOLVE_PROMPT = """You are debugging a SystemVerilog design whose assertion fails.
 
@@ -51,62 +43,6 @@ RETRY_SUFFIXES = (
     "\nYour previous reply was not a valid JSON object. Reply with JSON only.",
     "\nReply with ONLY the JSON object: no prose, no code fences.",
 )
-
-
-@dataclass(frozen=True)
-class EvalCase:
-    id: str
-    source: str  # machine | human
-    spec: str
-    buggy_sv_code: str
-    log: str
-    golden: GoldenSolution
-    bug_type: BugType
-    length_bin: int
-
-    def __post_init__(self):
-        if self.source not in SOURCES:
-            raise ValueError(f"unknown case source: {self.source!r}")
-        if self.bug_type.relation == "Unknown":
-            raise ValueError("eval cases must carry a resolved Direct/Indirect relation")
-        if not (0 <= self.length_bin <= 4):
-            raise ValueError("length_bin must lie in 0..4")
-
-    def to_json(self) -> dict:
-        return {
-            "id": self.id,
-            "source": self.source,
-            "spec": self.spec,
-            "buggy_sv_code": self.buggy_sv_code,
-            "log": self.log,
-            "golden_buggy_line": self.golden.buggy_line,
-            "golden_corrected_line": self.golden.corrected_line,
-            "bug_syntactic": self.bug_type.syntactic,
-            "bug_relation": self.bug_type.relation,
-            "length_bin": self.length_bin,
-        }
-
-    @classmethod
-    def from_json(cls, obj: dict) -> "EvalCase":
-        try:
-            code = obj["buggy_sv_code"]
-            lb = obj.get("length_bin")
-            if lb is None:
-                lb = length_bin(max(1, len(code.splitlines())))
-            return cls(
-                id=obj["id"],
-                source=obj["source"],
-                spec=obj["spec"],
-                buggy_sv_code=code,
-                log=obj["log"],
-                golden=GoldenSolution(
-                    obj["golden_buggy_line"], obj["golden_corrected_line"]
-                ),
-                bug_type=BugType(obj["bug_syntactic"], obj["bug_relation"]),
-                length_bin=lb,
-            )
-        except KeyError as exc:
-            raise SchemaError(f"eval case missing field {exc}") from exc
 
 
 @dataclass(frozen=True)
@@ -153,15 +89,13 @@ def judge(
     line_only: bool = False,
     toolchain: Toolchain | None = None,
     buggy_code: str | None = None,
-    depth: int | None = None,
-    reverify_requires_textual: bool = True,
 ) -> str:
     """Judge one parsed response against the golden solution.
 
     Textual mode compares whitespace-insensitively; both the buggy line and
     the fix must match (buggy line alone with ``line_only``). Reverify mode
-    additionally (or instead) applies the fix and requires the verifier to
-    prove the patched design.
+    additionally applies the fix and requires the verifier to prove the
+    patched design.
     """
     if response.parsed is None:
         raise DomainError("judge requires a parsed response")
@@ -180,12 +114,12 @@ def judge(
         raise ReverifyUnavailable("reverify mode needs a configured verifier")
     if buggy_code is None:
         raise DomainError("reverify mode needs the buggy code")
-    if reverify_requires_textual and not textual:
+    if not textual:
         return "incorrect"
     patched = _apply_fix(buggy_code, response.parsed["buggy_line"], response.parsed["fix"])
     if patched is None:
         return "incorrect"
-    outcome = toolchain.formal_verify(patched, depth)
+    outcome = toolchain.formal_verify(patched)
     return "correct" if outcome.status == "proven" else "incorrect"
 
 
@@ -207,7 +141,6 @@ def collect_responses(
     n_target: int = 20,
     max_rounds: int | None = None,
     judge_fn: Callable[[ModelResponse], str] | None = None,
-    temperature: float | None = None,
 ) -> CaseResult:
     """Query the solver until ``n_target`` valid-JSON responses are collected.
 
@@ -229,7 +162,6 @@ def collect_responses(
         req = LlmRequest(
             task="solve",
             prompt_text=solve_prompt(case, invalid),
-            temperature=temperature,
             nonce=f"{case.id}:{calls}",
         )
         reply = solver(req)

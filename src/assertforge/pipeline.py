@@ -4,10 +4,10 @@ together to produce the three dataset families plus benchmark cases.
 Per unit: syntax check (failures become pretraining records), spec and
 assertion generation, deterministic bug injection, mutant compilation and
 verification. Each injected bug is one ``dataset.MutantItem`` from then on.
-The train/test split assigns every mutant its unit's side, CoT generation
-runs for train-side assertion failures only, and ``dataset.build_records``
-routes the items; test-side assertion failures become machine benchmark
-cases instead, so no test item ever receives a CoT.
+The train/test split assigns every mutant its unit's side, and CoT generation
+skips the mutants that side holds out, so no test item ever receives a CoT.
+Routing happens once, in ``dataset.build_records``, which turns each mutant
+into a record, a benchmark case, a drop or an error and counts the result.
 """
 
 from __future__ import annotations
@@ -15,14 +15,12 @@ from __future__ import annotations
 import json
 import random
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
 
 from . import dataset as ds
 from . import mutate
 from .config import PipelineConfig
 from .corpus import SourceUnit
 from .errors import AssertForgeError, NoAlternativeError, ParseFailure
-from .evalharness import BUG_TYPE_ORDER, EvalCase
 from .mutate import AssertionSpec, MutationRecord
 from .toolchain import LlmRequest, Toolchain
 
@@ -70,19 +68,6 @@ replacement line text).
 
 {code}
 """
-
-
-@dataclass
-class AugmentResult:
-    pt: list[ds.PtRecord] = field(default_factory=list)
-    bug: list[ds.BugRecord] = field(default_factory=list)
-    svabug: list[ds.SvaBugRecord] = field(default_factory=list)
-    eval_cases: list[EvalCase] = field(default_factory=list)
-    split_plan: ds.SplitPlan | None = None
-    counts: dict = field(default_factory=dict)
-    errors: list[dict] = field(default_factory=list)
-    drops: list[dict] = field(default_factory=list)
-    cot_stats: dict = field(default_factory=dict)
 
 
 def insert_assertion(text: str, sva_text: str) -> tuple[str, int]:
@@ -235,117 +220,68 @@ def _process_unit(
     return item, None
 
 
+def _process_isolated(
+    unit: SourceUnit, tc: Toolchain, cfg: PipelineConfig
+) -> tuple[ds.PipelineItem | None, dict | None]:
+    """``_process_unit``, or no item and the error when it raises: a unit that
+    fails this way contributes no records."""
+    try:
+        return _process_unit(unit, tc, cfg)
+    except AssertForgeError as exc:
+        return None, {"unit_id": unit.id, "stage": "unit", "error": str(exc)}
+
+
 def run_augment(
     units: list[SourceUnit], tc: Toolchain, cfg: PipelineConfig | None = None
-) -> AugmentResult:
+) -> ds.RecordBundle:
     """Run the pipeline over ``units``. Reads ``seed``, ``mutations_per_unit``,
     ``split_fraction``, ``parallel`` and ``bug_source`` from ``cfg``; the
     verifier depth is the toolchain's own."""
     cfg = cfg or PipelineConfig()
-    result = AugmentResult()
-
-    if cfg.parallel > 1:
-        with ThreadPoolExecutor(max_workers=cfg.parallel) as pool:
-            processed = list(pool.map(lambda u: _process_unit(u, tc, cfg), units))
-    else:
-        processed = [_process_unit(u, tc, cfg) for u in units]
-    items = [item for item, _ in processed]
-    result.errors.extend(error for _, error in processed if error)
-    failing = [
-        [m for m in item.mutants if m.verify_status == "assertion_failed"] for item in items
-    ]
+    with ThreadPoolExecutor(max_workers=cfg.parallel) as pool:
+        processed = list(pool.map(lambda u: _process_isolated(u, tc, cfg), units))
+    errors = [error for _, error in processed if error]
+    done = [(u, item) for u, (item, _) in zip(units, processed) if item is not None]
 
     # Split before CoT generation: test items never receive a CoT.
-    split_units = [u for u, fails in zip(units, failing) if fails and u.module_names]
-    if split_units:
-        result.split_plan = ds.split(split_units, cfg.seed, cfg.split_fraction)
-    else:
-        empty = tuple(ds.SplitBin(label, (), ()) for label in ds.BIN_LABELS)
-        result.split_plan = ds.SplitPlan(cfg.seed, empty)
-
-    for unit, item in zip(units, items):
-        assignment = result.split_plan.unit_assignment(unit) or "train"
+    split_plan = ds.split(
+        [
+            u
+            for u, item in done
+            if u.module_names and any(m.verify_status == "assertion_failed" for m in item.mutants)
+        ],
+        cfg.seed,
+        cfg.split_fraction,
+    )
+    for unit, item in done:
+        assignment = split_plan.unit_assignment(unit) or "train"
         for mut in item.mutants:
             mut.assignment = assignment
-            if assignment == "test" or mut.verify_status != "assertion_failed":
+            if mut.held_out or mut.verify_status != "assertion_failed":
                 continue
             rec = mut.record
-            mut.cot_reply = tc.llm_call(
-                LlmRequest(
-                    task="cot",
-                    prompt_text=COT_PROMPT.format(
-                        spec=item.spec,
-                        code=mut.buggy_sv_code,
-                        log=mut.log,
-                        line=rec.line,
-                        buggy_line=rec.mutated_snippet,
-                    ),
-                    nonce=f"{unit.id}:{rec.line}:{rec.rng_seed}",
-                )
-            ).text
-
-    bundle = ds.build_records(items, {u.id for u in units})
-    result.pt = bundle.pt
-    result.bug = bundle.bug
-    result.svabug = bundle.svabug
-    result.drops = bundle.drops
-    result.errors.extend(bundle.errors)
-    result.cot_stats = {
-        "total": bundle.cot_total,
-        "correct": bundle.cot_correct,
-        "unparseable": bundle.cot_unparseable,
-    }
-
-    # Benchmark cases from the reserved 10%; the index counts the unit's
-    # assertion failures.
-    for unit, item, fails in zip(units, items, failing):
-        for idx, mut in enumerate(fails):
-            if mut.held_out:
-                result.eval_cases.append(
-                    EvalCase(
-                        id=f"{unit.id}#m{idx}",
-                        source="machine",
-                        spec=item.spec,
-                        buggy_sv_code=mut.buggy_sv_code,
-                        log=mut.log,
-                        golden=mut.golden,
-                        bug_type=mut.record.bug_type,
-                        length_bin=ds.length_bin(max(1, unit.line_count)),
-                    )
+            request = LlmRequest(
+                task="cot",
+                prompt_text=COT_PROMPT.format(
+                    spec=item.spec,
+                    code=mut.buggy_sv_code,
+                    log=mut.log,
+                    line=rec.line,
+                    buggy_line=rec.mutated_snippet,
+                ),
+                nonce=f"{unit.id}:{rec.line}:{rec.rng_seed}",
+            )
+            try:
+                mut.cot_reply = tc.llm_call(request).text
+            except AssertForgeError as exc:
+                errors.append(
+                    {"unit_id": unit.id, "line": rec.line, "stage": "cot", "error": str(exc)}
                 )
 
-    result.counts = _distribution_counts(units, failing, result)
-    return result
-
-
-def _distribution_counts(units, failing, result: AugmentResult) -> dict:
-    """Counts of SVA-Bug and benchmark entries per length interval and bug type."""
-
-    def empty() -> dict:
-        return {
-            "by_interval": {label: 0 for label in ds.BIN_LABELS},
-            "by_bug_type": {b: 0 for b in BUG_TYPE_ORDER},
-        }
-
-    svabug_counts = empty()
-    eval_counts = empty()
-    for unit, fails in zip(units, failing):
-        interval = ds.BIN_LABELS[ds.length_bin(max(1, unit.line_count))]
-        for mut in fails:
-            target = eval_counts if mut.held_out else svabug_counts
-            target["by_interval"][interval] += 1
-            target["by_bug_type"][mut.record.bug_type.relation] += 1
-            target["by_bug_type"][mut.record.bug_type.syntactic] += 1
-    return {
-        "families": {
-            "pt": len(result.pt),
-            "bug": len(result.bug),
-            "svabug": len(result.svabug),
-            "eval": len(result.eval_cases),
-        },
-        "svabug": svabug_counts,
-        "eval": eval_counts,
-    }
+    bundle = ds.build_records([item for _, item in done], {u.id for u in units})
+    bundle.split_plan = split_plan
+    bundle.errors = errors + bundle.errors
+    return bundle
 
 
 def render_counts_table(counts: dict) -> str:
@@ -361,10 +297,10 @@ def render_counts_table(counts: dict) -> str:
         ["SVA-Eval"] + [str(counts["eval"]["by_interval"][b]) for b in ds.BIN_LABELS],
     ]
     lines += _render_rows(header, rows)
-    header = ["Bug Type"] + list(BUG_TYPE_ORDER)
+    header = ["Bug Type"] + list(ds.BUG_TYPE_ORDER)
     rows = [
-        ["SVA-Bug"] + [str(counts["svabug"]["by_bug_type"][b]) for b in BUG_TYPE_ORDER],
-        ["SVA-Eval"] + [str(counts["eval"]["by_bug_type"][b]) for b in BUG_TYPE_ORDER],
+        ["SVA-Bug"] + [str(counts["svabug"]["by_bug_type"][b]) for b in ds.BUG_TYPE_ORDER],
+        ["SVA-Eval"] + [str(counts["eval"]["by_bug_type"][b]) for b in ds.BUG_TYPE_ORDER],
     ]
     lines += _render_rows(header, rows)
     return "\n".join(lines)

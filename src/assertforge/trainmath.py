@@ -6,8 +6,9 @@ The three losses are:
   supervised tuning  L = -sum_i sum_t ln P(y_t | y_<t, x)     (x is masked)
   preference (DPO)   L = mean_i -ln sigmoid(beta * (log-ratio(p) - log-ratio(n)))
 
-No neural network is involved: a provider only has to answer next-token and
-teacher-forced sequence probabilities. A deterministic bigram-softmax toy
+No neural network is involved: a provider only has to answer teacher-forced
+sequence probabilities, and ``nll`` and ``dpo_term`` compute the losses from
+probabilities given directly. A deterministic bigram-softmax toy
 provider ships for gradient checking.
 """
 
@@ -26,10 +27,6 @@ from .textutil import normalize_line
 class TokenProbProvider(Protocol):
     """Abstract capability: token probabilities under some model."""
 
-    def next_prob(self, context: Sequence[Hashable], token: Hashable) -> float:
-        """P(token | context), in (0, 1]."""
-        ...
-
     def sequence_probs(
         self, x: Sequence[Hashable], y: Sequence[Hashable]
     ) -> list[float]:
@@ -44,6 +41,22 @@ def _checked_logs(probs: Iterable[float]) -> list[float]:
             raise ZeroProbabilityError(f"token probability {p} is not positive")
         logs.append(math.log(p))
     return logs
+
+
+def nll(prob_lists: Iterable[Sequence[float]], reduction: str = "sum") -> float:
+    """Negative log-likelihood of every token probability in ``prob_lists``:
+    the provider-free core of ``pt_loss`` and ``sft_loss``."""
+    if reduction not in ("sum", "mean"):
+        raise DomainError(f"unknown reduction: {reduction!r}")
+    total = 0.0
+    terms = 0
+    for probs in prob_lists:
+        logs = _checked_logs(probs)
+        total -= sum(logs)
+        terms += len(logs)
+    if reduction == "mean":
+        return total / terms if terms else 0.0
+    return total
 
 
 def pt_loss(
@@ -68,17 +81,7 @@ def sft_loss(
 
     Only y tokens contribute loss terms; x supplies conditioning context.
     """
-    if reduction not in ("sum", "mean"):
-        raise DomainError(f"unknown reduction: {reduction!r}")
-    total = 0.0
-    terms = 0
-    for x, y in pairs:
-        logs = _checked_logs(provider.sequence_probs(x, y))
-        total -= sum(logs)
-        terms += len(logs)
-    if reduction == "mean":
-        return total / terms if terms else 0.0
-    return total
+    return nll((provider.sequence_probs(x, y) for x, y in pairs), reduction)
 
 
 def _sequence_logprob(provider: TokenProbProvider, x, y) -> float:
@@ -88,6 +91,15 @@ def _sequence_logprob(provider: TokenProbProvider, x, y) -> float:
 def _softplus(z: float) -> float:
     # log(1 + exp(z)) without overflow
     return max(z, 0.0) + math.log1p(math.exp(-abs(z)))
+
+
+def dpo_term(
+    policy_p: float, ref_p: float, policy_n: float, ref_n: float, beta: float = 0.1
+) -> float:
+    """One triple's preference loss from its four sequence log-probabilities:
+    -ln sigmoid(beta * [(policy_p - ref_p) - (policy_n - ref_n)])."""
+    margin = policy_p - ref_p - (policy_n - ref_n)
+    return _softplus(-beta * margin)  # == -ln sigmoid(beta * margin)
 
 
 def dpo_loss(
@@ -105,12 +117,13 @@ def dpo_loss(
         raise DomainError("dpo_loss needs at least one triple")
     total = 0.0
     for x, p, n in triples:
-        margin = (
-            _sequence_logprob(policy, x, p)
-            - _sequence_logprob(reference, x, p)
-            - (_sequence_logprob(policy, x, n) - _sequence_logprob(reference, x, n))
+        total += dpo_term(
+            _sequence_logprob(policy, x, p),
+            _sequence_logprob(reference, x, p),
+            _sequence_logprob(policy, x, n),
+            _sequence_logprob(reference, x, n),
+            beta,
         )
-        total += _softplus(-beta * margin)  # == -ln sigmoid(beta * margin)
     return total / len(triples)
 
 
@@ -187,36 +200,20 @@ def build_triples(cases: Iterable[ChallengingCase]) -> list[PreferenceTriple]:
 
 
 class ExplicitProvider:
-    """Probabilities looked up from an explicit table; for oracles and the CLI.
+    """Probabilities looked up from an explicit table; for oracles.
 
     ``seq_table`` maps (tuple(x), tuple(y)) -> per-token probability list.
-    ``next_table`` maps (tuple(context), token) -> probability.
     """
 
-    def __init__(
-        self,
-        seq_table: Mapping[tuple[tuple, tuple], Sequence[float]] | None = None,
-        next_table: Mapping[tuple[tuple, Hashable], float] | None = None,
-    ):
+    def __init__(self, seq_table: Mapping[tuple[tuple, tuple], Sequence[float]] | None = None):
         self._seq = {k: list(v) for k, v in (seq_table or {}).items()}
-        self._next = dict(next_table or {})
-
-    def next_prob(self, context, token) -> float:
-        try:
-            return self._next[(tuple(context), token)]
-        except KeyError:
-            raise DomainError(f"no probability recorded for {(tuple(context), token)}")
 
     def sequence_probs(self, x, y) -> list[float]:
         key = (tuple(x), tuple(y))
-        if key in self._seq:
+        try:
             return list(self._seq[key])
-        context = list(x)
-        probs = []
-        for tok in y:
-            probs.append(self.next_prob(context, tok))
-            context.append(tok)
-        return probs
+        except KeyError:
+            raise DomainError(f"no probabilities recorded for {key}")
 
 
 class BigramSoftmaxProvider:

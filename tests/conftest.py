@@ -44,7 +44,7 @@ def mock_toolchain(corpus_units):
 
 # Seed and frozen goldens for the hermetic CLI end-to-end runs.
 E2E_SEED = 20240817
-E2E_GOLDEN_FAMILY_COUNTS = {"pt": 2, "bug": 46, "svabug": 27, "eval": 2}
+E2E_GOLDEN_FAMILY_COUNTS = {"pt": 2, "bug": 45, "svabug": 27, "eval": 2}
 E2E_GOLDEN_C_VECTOR = [20, 0, 20, 20, 20, 11, 0]
 E2E_GOLDEN_CHALLENGING = 3
 E2E_GOLDEN_TRIPLES = 6

@@ -10,6 +10,7 @@ at seed 20240817 and pinned here.
 
 import hashlib
 import json
+import re
 
 import pytest
 from click.testing import CliRunner
@@ -147,11 +148,11 @@ def _body_digest(path):
 # augment data path shows up here even when the family counts stay the same.
 AUGMENT_BODY_DIGESTS = {
     "pt.jsonl": "2db475dc26df8c10c4830b506c23f68e75209d2aecf77c424e19caa2f41adb2a",
-    "bug.jsonl": "eaf22cac9da0ab5908822c32e6d7a927f0520e969cde03d99de1532d10706bb2",
+    "bug.jsonl": "61618b06496cf094b3ad2822666730ba1302591a2599862a73c484882c6ad5ce",
     "svabug.jsonl": "d4ed02789c309b76fa88e253c1f2a62b8e2e5f98b00045e9ed6505430c335aec",
     "sva_eval_machine.jsonl": "5af6e6d4c1fd4debcf2874d4ef2bc949eb86dbcd589c457e850cff1c2bf380ef",
     "split_plan.json": "d852a9bac32d8864f4a69f9864f95ec6b7518d3a8159e12478540dc674b9e7d4",
-    "augment_report.json": "0a45a56e346f256e532f5767f65333a4c967d82d748466b7d7191fbcba757dc7",
+    "augment_report.json": "7741a489d673e480c55dd440b58e0bb44336f37bd0e187b35175df5b3d078e13",
 }
 EVAL_BODY_DIGESTS = {
     "report.json": "4d2fba324f1f235d3729fb7b216fdbd1a30f19b232556ce6dc6f0b8a70020177",
@@ -200,6 +201,18 @@ def test_augment_cli_schemas(cli_env, tmp_path):
     for b in plan["bins"]:
         assert set(b) == {"interval", "train", "test"}
         assert not (set(b["train"]) & set(b["test"]))
+
+
+def test_augment_cli_no_training_record_from_a_test_module(cli_env, tmp_path):
+    out = tmp_path / "out"
+    _run_augment(cli_env, out)
+    plan = json.loads((out / "split_plan.json").read_text())
+    test_modules = {m for b in plan["bins"] for m in b["test"]}
+    assert test_modules, "fixture seed should hold out at least one module"
+    rows = read_records(out / "bug.jsonl") + read_records(out / "svabug.jsonl")
+    modules = [re.search(r"\bmodule\s+(\w+)", r.get("buggy_code") or r["buggy_sv_code"])[1]
+               for r in rows]
+    assert not test_modules & set(modules)
 
 
 def test_augment_cli_missing_manifest(cli_env, tmp_path):
@@ -282,6 +295,32 @@ def test_eval_cli_rejects_bad_ks_before_any_call(cli_env, tmp_path, extra, confi
     lines = res.output.strip().splitlines()
     assert len(lines) == 1 and lines[0].startswith(f"Error: {message}")
     assert not report.exists()
+
+
+def test_eval_cli_parallel_matches_serial(cli_env, tmp_path):
+    outputs = {}
+    for workers in (1, 4):
+        report = tmp_path / f"report_{workers}.json"
+        results = tmp_path / f"results_{workers}.jsonl"
+        res = invoke("eval", cli_env["benchmark"], "--config", cli_env["config"], "--out", report,
+                     "--results", results, "--parallel", workers)
+        assert res.exit_code == 0, res.output
+        outputs[workers] = (report.read_bytes(), results.read_bytes())
+    assert outputs[4] == outputs[1]
+
+
+@pytest.mark.parametrize("workers", ["0", "-1"])
+def test_augment_and_eval_reject_a_parallel_below_one(cli_env, tmp_path, workers):
+    for args in (["augment", "--manifest", tmp_path / "none.jsonl"],
+                 ["eval", cli_env["benchmark"]]):
+        res = invoke(*args, "--config", cli_env["config"], "--parallel", workers)
+        assert res.exit_code == 2
+        assert "--parallel" in res.output
+    config = tmp_path / "bad.cfg"
+    config.write_text(cli_env["config"].read_text() + f"parallel = {workers}\n")
+    res = invoke("eval", cli_env["benchmark"], "--config", config)
+    assert res.exit_code == 1
+    assert "parallel must be >= 1" in res.output
 
 
 def test_augment_cli_rejects_unknown_bug_source(cli_env, tmp_path):
@@ -405,6 +444,38 @@ def test_losses_cli_worked_examples(tmp_path):
     assert doc["pt_loss"] == pytest.approx(2.0794415416798357, abs=1e-10)
     assert doc["sft_loss"] == pytest.approx(0.6931471805599453, abs=1e-10)
     assert doc["dpo_loss"] == pytest.approx(0.60459, abs=1e-4)
+
+
+# The README's three example rows; outputs pinned exactly, taken from the
+# provider-table implementation the CLI used before it computed from the
+# probability lists directly.
+README_LOSS_ROWS = [
+    {"kind": "pt", "token_probs": [0.5, 0.25]},
+    {"kind": "sft", "token_probs": [0.5]},
+    {"kind": "dpo", "policy_p": 0.8, "ref_p": 0.5, "policy_n": 0.1, "ref_n": 0.4},
+]
+
+
+@pytest.mark.parametrize(
+    "extra, losses",
+    [
+        ([], (2.0794415416798357, 0.6931471805599453, 0.6046334137118602)),
+        (["--reduction", "mean", "--beta", "0.5"],
+         (1.0397207708399179, 0.6931471805599453, 0.333098485862447)),
+    ],
+    ids=["defaults", "mean-beta-0.5"],
+)
+def test_losses_cli_pinned_readme_rows(tmp_path, extra, losses):
+    probs = tmp_path / "probs.jsonl"
+    ds.write_jsonl(README_LOSS_ROWS, probs)
+    res = invoke("losses", probs, *extra)
+    assert res.exit_code == 0, res.output
+    doc = json.loads(res.output)
+    del doc["meta"]
+    assert doc == {
+        "counts": {"pt": 1, "sft": 1, "dpo": 1},
+        **dict(zip(("pt_loss", "sft_loss", "dpo_loss"), losses)),
+    }
 
 
 def test_losses_cli_unknown_kind(tmp_path):

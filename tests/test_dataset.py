@@ -276,9 +276,50 @@ def test_build_records_cot_attachment():
     without = [r for r in bundle.svabug if not r.step_by_step]
     assert len(with_cot) == 1 and with_cot[0].cot == "flip it back"
     assert len(without) == 1 and without[0].cot is None
-    assert bundle.cot_total == 2
-    assert bundle.cot_correct == 1
-    assert bundle.cot_unparseable == 1
+    assert bundle.cot_stats["total"] == 2
+    assert bundle.cot_stats["correct"] == 1
+    assert bundle.cot_stats["unparseable"] == 1
+
+
+def test_build_records_routes_a_held_out_unit_to_cases_only():
+    code = "module b;\ny = 0;\nendmodule"
+
+    def mutant(mutated, compile_status, verify_status=None):
+        return MutantItem(
+            record=_bug(2, "y = 0;", mutated),
+            compile_status=compile_status,
+            verify_status=verify_status,
+            buggy_code=code.replace("y = 0;", mutated),
+            buggy_sv_code=code.replace("endmodule", "assert(y == 0);\nendmodule"),
+            log="FAIL",
+            assignment="test",
+        )
+
+    item = PipelineItem(
+        unit_id="b",
+        compile_status="ok",
+        code=code,
+        spec="s",
+        mutants=[
+            mutant("y = 1;", "ok", "assertion_failed"),
+            mutant("y = 2;", "ok", "proven"),
+            mutant("y = ;", "syntax_error"),
+            mutant("y = 3;", "ok", "assertion_failed"),
+            mutant("y = 4;", "ok", "tool_error"),
+        ],
+    )
+    bundle = build_records([item], corpus_ids={"b"})
+    assert [c.id for c in bundle.eval_cases] == ["b#m0", "b#m1"]
+    assert all(c.source == "machine" and c.length_bin == 0 for c in bundle.eval_cases)
+    assert bundle.bug == [] and bundle.svabug == [] and bundle.pt == []
+    assert [d["line"] for d in bundle.drops] == [2]
+    assert [e["outcome"] for e in bundle.errors] == ["error:verify_tool_error"]
+    assert bundle.counts["families"] == {"pt": 0, "bug": 0, "svabug": 0, "eval": 2}
+    assert bundle.counts["eval"]["by_interval"]["(0,50]"] == 2
+    assert bundle.counts["eval"]["by_bug_type"]["Value"] == 2
+    assert bundle.counts["eval"]["by_bug_type"]["Direct"] == 2
+    assert sum(bundle.counts["svabug"]["by_interval"].values()) == 0
+    assert bundle.cot_stats == {"total": 0, "correct": 0, "unparseable": 0}
 
 
 def test_build_records_unknown_unit():

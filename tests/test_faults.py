@@ -1,0 +1,119 @@
+"""Fault injection through the CLI: one unit's `sva` call and one CoT call
+fail in transport. The run must report exactly those two items as errors,
+write every output, and exit 1. The oracle is a clean run over the same
+manifest without the failing unit: the faulty run must match it record for
+record, except that the failed CoT's mutant is an SVA-Bug record without a
+CoT.
+"""
+
+import functools
+import json
+
+from click.testing import CliRunner
+
+from assertforge import cli
+from assertforge import dataset as ds
+from assertforge.errors import TransportFailure
+from assertforge.toolchain import Toolchain
+from conftest import E2E_SEED
+from fixture_corpus import CORPUS_FILES
+from mockbackends import fake_compile, fake_llm, make_fake_verify
+
+SVA_FAILING_UNIT = "core/counter.v"
+
+
+def _augment(monkeypatch, tmp_path, manifest_rows, llm_backend, tag):
+    out = tmp_path / tag
+    out.mkdir()
+    manifest = out / "manifest.jsonl"
+    ds.write_jsonl(manifest_rows, manifest)
+    config = tmp_path / "faults.cfg"
+    config.write_text(f"seed = {E2E_SEED}\nmutations.per_unit = 3\n", encoding="utf-8")
+    monkeypatch.setattr(
+        cli,
+        "Toolchain",
+        functools.partial(
+            Toolchain,
+            compile_backend=fake_compile,
+            verify_backend=make_fake_verify(set(CORPUS_FILES.values())),
+            llm_backend=llm_backend,
+        ),
+    )
+    res = CliRunner().invoke(
+        cli.main,
+        ["augment", "--config", str(config), "--manifest", str(manifest), "--out-dir", str(out)],
+        catch_exceptions=False,
+    )
+    return res, out
+
+
+def _rows(path):
+    return ds.strip_meta_header(ds.read_jsonl(path))[1]
+
+
+def test_augment_isolates_a_failing_unit_and_a_failing_cot(cli_env, monkeypatch, tmp_path):
+    res_f = CliRunner().invoke(
+        cli.main, ["filter", "--corpus-dir", str(cli_env["corpus"]), "--out-dir", str(tmp_path)]
+    )
+    assert res_f.exit_code == 0, res_f.output
+    manifest = _rows(tmp_path / "manifest.jsonl")
+    assert SVA_FAILING_UNIT in {r["id"] for r in manifest}
+
+    cot_prompts = {}
+
+    def recording_llm(req):
+        if req.task == "cot" and req.nonce:
+            cot_prompts[req.nonce] = req.prompt_text
+        return fake_llm(req)
+
+    without_unit = [r for r in manifest if r["id"] != SVA_FAILING_UNIT]
+    clean, clean_out = _augment(monkeypatch, tmp_path, without_unit, recording_llm, "clean")
+    assert clean.exit_code == 0, clean.output
+    clean_svabug = _rows(clean_out / "svabug.jsonl")
+    # Fail the CoT of a mutant whose clean CoT was kept, so the loss shows.
+    failing_nonce, failing_code = next(
+        (nonce, row["buggy_sv_code"])
+        for row in clean_svabug
+        if row["cot"] is not None
+        for nonce, prompt in cot_prompts.items()
+        if row["buggy_sv_code"] in prompt
+    )
+    failing_text = CORPUS_FILES[SVA_FAILING_UNIT]
+
+    def flaky_llm(req):
+        if req.task == "sva" and failing_text in req.prompt_text:
+            raise TransportFailure("injected sva failure")
+        if req.task == "cot" and req.nonce == failing_nonce:
+            raise TransportFailure("injected cot failure")
+        return fake_llm(req)
+
+    faulty, faulty_out = _augment(monkeypatch, tmp_path, manifest, flaky_llm, "faulty")
+    assert faulty.exit_code == 1
+    errors = json.loads(faulty.stderr)["errors"]
+    cot_unit, cot_line, _ = failing_nonce.split(":")
+    assert [{k: v for k, v in e.items() if k != "error"} for e in errors] == [
+        {"unit_id": SVA_FAILING_UNIT, "stage": "unit"},
+        {"unit_id": cot_unit, "line": int(cot_line), "stage": "cot"},
+    ]
+    assert "task=sva" in errors[0]["error"] and "injected sva failure" in errors[0]["error"]
+    assert "task=cot" in errors[1]["error"] and "injected cot failure" in errors[1]["error"]
+    report = json.loads((faulty_out / "augment_report.json").read_text())
+    assert report["errors"] == errors
+
+    for name in ("pt.jsonl", "bug.jsonl", "sva_eval_machine.jsonl"):
+        assert _rows(faulty_out / name) == _rows(clean_out / name), name
+    assert _split_bins(faulty_out) == _split_bins(clean_out)
+    expected_svabug = [
+        {**row, "step_by_step": False, "cot": None} if row["buggy_sv_code"] == failing_code
+        else row
+        for row in clean_svabug
+    ]
+    assert _rows(faulty_out / "svabug.jsonl") == expected_svabug
+    clean_report = json.loads((clean_out / "augment_report.json").read_text())
+    assert report["counts"] == clean_report["counts"]
+    assert report["cot"]["total"] == clean_report["cot"]["total"] - 1
+
+
+def _split_bins(out):
+    return json.loads((out / "split_plan.json").read_text())["bins"]
+
