@@ -12,6 +12,7 @@ import json
 import math
 import sys
 from concurrent.futures import ThreadPoolExecutor
+from dataclasses import replace
 from pathlib import Path
 
 import click
@@ -20,18 +21,21 @@ from . import __version__
 from . import dataset as ds
 from . import evalharness as ev
 from . import trainmath as tm
-from .config import PipelineConfig, parse_ks
+from .config import TOOL_FIELDS, PipelineConfig, parse_config_file, parse_ks
 from .corpus import SourceUnit, filter_units, load_corpus_dir
 from .errors import AssertForgeError, DomainError, SchemaError
 from .pipeline import render_counts_table, run_augment
 from .toolchain import Toolchain
 
 
-def _load_config(path: str | None) -> PipelineConfig:
-    if path is None:
-        return PipelineConfig.from_mapping({})
+def _load_config(path: str | None, **flags) -> PipelineConfig:
+    """The config file with the given flags (those not None) in place of their
+    fields; flag and file values pass the same checks."""
+    given = {k: v for k, v in flags.items() if v is not None}
     try:
-        return PipelineConfig.from_file(path)
+        cfg = PipelineConfig.from_mapping({} if path is None else parse_config_file(path))
+        tools = replace(cfg.tools, **{k: given.pop(k) for k in TOOL_FIELDS & given.keys()})
+        return replace(cfg, tools=tools, **given)
     except (FileNotFoundError, DomainError) as exc:
         raise click.ClickException(str(exc))
 
@@ -62,11 +66,10 @@ def main():
 @click.option("--out-dir", type=click.Path(), default=None, help="Overrides out.dir.")
 def filter_cmd(config_path, corpus_dir, out_dir):
     """Apply the stage-1 filter rules and write the report plus manifest."""
-    cfg = _load_config(config_path)
-    corpus_dir = corpus_dir or cfg.corpus_dir
-    out = Path(out_dir or cfg.out_dir)
+    cfg = _load_config(config_path, corpus_dir=corpus_dir, out_dir=out_dir)
+    out = Path(cfg.out_dir)
     try:
-        units = load_corpus_dir(corpus_dir)
+        units = load_corpus_dir(cfg.corpus_dir)
     except FileNotFoundError as exc:
         raise click.ClickException(str(exc))
     accepted, rows = filter_units(units)
@@ -84,6 +87,10 @@ def _load_manifest_units(manifest: Path) -> tuple[list[SourceUnit], list[dict]]:
     units, errors = [], []
     _, rows = ds.strip_meta_header(ds.read_jsonl(manifest))
     for row in rows:
+        if not isinstance(row.get("path"), str) or not isinstance(row.get("id"), str):
+            errors.append({"unit_id": row.get("id"), "stage": "load",
+                           "error": "manifest row needs string fields path and id"})
+            continue
         p = Path(row["path"])
         if not p.is_file():
             errors.append({"unit_id": row["id"], "stage": "load", "error": f"missing file: {p}"})
@@ -99,17 +106,14 @@ def _load_manifest_units(manifest: Path) -> tuple[list[SourceUnit], list[dict]]:
 @click.option("--manifest", type=click.Path(), default=None, help="Defaults to out.dir/manifest.jsonl.")
 @click.option("--out-dir", type=click.Path(), default=None)
 @click.option("--parallel", type=click.IntRange(min=1), default=None)
-@click.option("--keep-temp", is_flag=True, default=False)
+@click.option("--keep-temp", is_flag=True, default=None)
 def augment(config_path, manifest, out_dir, parallel, keep_temp):
     """Generate the pt/bug/svabug datasets, split plan, and benchmark cases."""
-    cfg = _load_config(config_path)
-    out = Path(out_dir or cfg.out_dir)
+    cfg = _load_config(config_path, keep_temp=keep_temp, out_dir=out_dir, parallel=parallel)
+    out = Path(cfg.out_dir)
     manifest = Path(manifest or (out / "manifest.jsonl"))
     if not manifest.is_file():
         raise click.ClickException(f"manifest not found: {manifest}")
-    if keep_temp:
-        cfg.tools.keep_temp = True
-    cfg.parallel = parallel or cfg.parallel
     units, load_errors = _load_manifest_units(manifest)
     result = run_augment(units, Toolchain(cfg.tools), cfg)
     result.errors = load_errors + result.errors
@@ -157,16 +161,11 @@ def augment(config_path, manifest, out_dir, parallel, keep_temp):
 def eval_cmd(benchmark, config_path, out_path, results_path, csv_path, n_target,
              ks_text, mode, line_only, parallel):
     """Benchmark the configured solver over an EvalCase JSONL file."""
-    cfg = _load_config(config_path)
-    n_target = n_target or cfg.eval_n
     try:
-        ks = parse_ks(ks_text, "--k") if ks_text else cfg.eval_ks
+        ks = parse_ks(ks_text, "--k") if ks_text else None
     except DomainError as exc:
         raise click.ClickException(str(exc))
-    if n_target < max(ks):
-        raise click.ClickException(f"--n {n_target} must be >= every k in {ks}")
-    mode = mode or cfg.eval_mode
-    workers = parallel or cfg.parallel
+    cfg = _load_config(config_path, eval_n=n_target, eval_ks=ks, eval_mode=mode, parallel=parallel)
     tc = Toolchain(cfg.tools)
 
     try:
@@ -184,20 +183,20 @@ def eval_cmd(benchmark, config_path, out_path, results_path, csv_path, n_target,
             return ev.judge(
                 resp,
                 case.golden,
-                mode,
+                cfg.eval_mode,
                 line_only=line_only,
-                toolchain=tc if mode == "reverify" else None,
-                buggy_code=case.buggy_sv_code if mode == "reverify" else None,
+                toolchain=tc,
+                buggy_code=case.buggy_sv_code,
             )
 
         return ev.collect_responses(
-            case, tc.llm_call, n_target=n_target, judge_fn=judge_fn
+            case, tc.llm_call, n_target=cfg.eval_n, judge_fn=judge_fn
         )
 
     # Leaving the pool waits for every case, so this thread wakes once, not
     # once per case: at one worker, waking per case added 15-20% to eval's
     # wall time on a 2-core VM.
-    with ThreadPoolExecutor(max_workers=workers) as pool:
+    with ThreadPoolExecutor(max_workers=cfg.parallel) as pool:
         futures = [(c, pool.submit(run_case, c)) for c in cases]
     results = []
     for case, fut in futures:
@@ -209,7 +208,7 @@ def eval_cmd(benchmark, config_path, out_path, results_path, csv_path, n_target,
 
     header = _header(cfg)
     if results:
-        report = ev.aggregate(results, cases, ks=ks, n_target=n_target)
+        report = ev.aggregate(results, cases, ks=cfg.eval_ks, n_target=cfg.eval_n)
         doc = {"meta": header, **report.to_json()}
         Path(out_path).write_text(json.dumps(doc, indent=2) + "\n", encoding="utf-8")
         if csv_path:
@@ -231,7 +230,7 @@ def eval_cmd(benchmark, config_path, out_path, results_path, csv_path, n_target,
                 results_path,
                 header=header,
             )
-        for k in ks:
+        for k in cfg.eval_ks:
             click.echo(f"pass@{k} = {report.overall[k]:.4f}")
     elif not errors:
         raise click.ClickException("no results produced")
@@ -244,10 +243,11 @@ def eval_cmd(benchmark, config_path, out_path, results_path, csv_path, n_target,
               help="The EvalCase JSONL the results were produced from.")
 @click.option("--config", "config_path", type=click.Path(), default=None)
 @click.option("--out", "out_path", type=click.Path(), default="triples.jsonl")
-@click.option("--n", "n_expected", type=int, default=20)
+@click.option("--n", "n_expected", type=int, default=None, help="Defaults to eval.n.")
 def dpo_prep(results_file, benchmark, config_path, out_path, n_expected):
     """Select challenging cases from eval results and emit preference triples."""
     cfg = _load_config(config_path)
+    n_expected = cfg.eval_n if n_expected is None else n_expected
     _, case_rows = ds.strip_meta_header(ds.read_jsonl(benchmark))
     _, result_rows = ds.strip_meta_header(ds.read_jsonl(results_file))
 

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 from .errors import DomainError
@@ -40,18 +40,28 @@ def parse_config_file(path: str | Path) -> dict[str, str]:
     return mapping
 
 
-def _get_int(m: dict, key: str, default: int) -> int:
+def _int(text: str, key: str) -> int:
     try:
-        return int(m.get(key, default))
+        return int(text)
     except ValueError as exc:
-        raise DomainError(f"config {key} must be an integer") from exc
+        raise DomainError(f"config {key} must be an integer, got {text!r}") from exc
 
 
-def _get_float(m: dict, key: str, default: float) -> float:
+def _float(text: str, key: str) -> float:
     try:
-        return float(m.get(key, default))
+        return float(text)
     except ValueError as exc:
-        raise DomainError(f"config {key} must be a number") from exc
+        raise DomainError(f"config {key} must be a number, got {text!r}") from exc
+
+
+def _bool(text: str, key: str) -> bool:
+    if text.lower() not in ("1", "true", "yes", "0", "false", "no"):
+        raise DomainError(f"config {key} must be 1, true, yes, 0, false or no, got {text!r}")
+    return text.lower() in ("1", "true", "yes")
+
+
+def _text(text: str, key: str) -> str:
+    return text
 
 
 def parse_ks(text: str, source: str = "eval.ks") -> tuple[int, ...]:
@@ -63,6 +73,40 @@ def parse_ks(text: str, source: str = "eval.ks") -> tuple[int, ...]:
     if not ks or ks[0] < 1:
         raise DomainError(f"{source} must name one or more ks, each >= 1, got {text!r}")
     return ks
+
+
+# Every config key, the field it sets and how its text is read. A key that is
+# not listed is an error; a listed key left out keeps its field's default.
+_KEYS = {
+    "corpus.dir": ("corpus_dir", _text),
+    "out.dir": ("out_dir", _text),
+    "seed": ("seed", _int),
+    "split.fraction": ("split_fraction", _float),
+    "mutations.per_unit": ("mutations_per_unit", _int),
+    "bugs.source": ("bug_source", _text),
+    "eval.n": ("eval_n", _int),
+    "eval.ks": ("eval_ks", parse_ks),
+    "eval.mode": ("eval_mode", _text),
+    "parallel": ("parallel", _int),
+    # ToolSettings fields
+    "compiler.cmd": ("compiler_cmd", _text),
+    "verifier.cmd": ("verifier_cmd", _text),
+    "verifier.depth": ("verifier_depth", _int),
+    "verifier.pass_re": ("pass_re", _text),
+    "verifier.fail_re": ("fail_re", _text),
+    "verifier.unknown_re": ("unknown_re", _text),
+    "verifier.step_re": ("step_re", _text),
+    "llm.url": ("llm_url", _text),
+    "llm.cmd": ("llm_cmd", _text),
+    "llm.credential_env": ("llm_credential_env", _text),
+    "llm.temperature": ("llm_temperature", _float),
+    "mock.dir": ("mock_dir", _text),
+    "mock.mode": ("mock_mode", _text),
+    "keep_temp": ("keep_temp", _bool),
+    "scratch.dir": ("scratch_dir", _text),
+    "tool.timeout": ("timeout_s", _float),
+}
+TOOL_FIELDS = {f.name for f in fields(ToolSettings)}
 
 
 @dataclass
@@ -84,7 +128,7 @@ class PipelineConfig:
         if not (0.0 < self.split_fraction < 1.0):
             raise DomainError("split.fraction must lie in (0, 1)")
         if self.eval_n < max(self.eval_ks):
-            raise DomainError("eval.n must be >= every k")
+            raise DomainError(f"eval.n ({self.eval_n}) must be >= every k in {list(self.eval_ks)}")
         if self.eval_mode not in ("textual", "reverify"):
             raise DomainError(f"unknown eval mode: {self.eval_mode!r}")
         if self.parallel < 1:
@@ -99,39 +143,12 @@ class PipelineConfig:
 
     @classmethod
     def from_mapping(cls, m: dict[str, str]) -> "PipelineConfig":
-        tools = ToolSettings(
-            compiler_cmd=m.get("compiler.cmd"),
-            verifier_cmd=m.get("verifier.cmd"),
-            verifier_depth=_get_int(m, "verifier.depth", 20),
-            llm_url=m.get("llm.url"),
-            llm_cmd=m.get("llm.cmd"),
-            llm_credential_env=m.get("llm.credential_env"),
-            llm_temperature=_get_float(m, "llm.temperature", 0.2),
-            mock_dir=m.get("mock.dir"),
-            mock_mode=m.get("mock.mode", "replay" if m.get("mock.dir") else "off"),
-            keep_temp=m.get("keep_temp", "false").lower() in ("1", "true", "yes"),
-            scratch_dir=m.get("scratch.dir"),
-            timeout_s=_get_float(m, "tool.timeout", 60.0),
-            pass_re=m.get("verifier.pass_re", ToolSettings.pass_re),
-            fail_re=m.get("verifier.fail_re", ToolSettings.fail_re),
-            unknown_re=m.get("verifier.unknown_re", ToolSettings.unknown_re),
-            step_re=m.get("verifier.step_re", ToolSettings.step_re),
-        )
-        return cls(
-            corpus_dir=m.get("corpus.dir", "."),
-            out_dir=m.get("out.dir", "out"),
-            seed=_get_int(m, "seed", 0),
-            split_fraction=_get_float(m, "split.fraction", 0.9),
-            mutations_per_unit=_get_int(m, "mutations.per_unit", 3),
-            bug_source=m.get("bugs.source", "engine"),
-            eval_n=_get_int(m, "eval.n", 20),
-            eval_ks=parse_ks(m.get("eval.ks", "1,5")),
-            eval_mode=m.get("eval.mode", "textual"),
-            parallel=_get_int(m, "parallel", 1),
-            tools=tools,
-            raw=dict(m),
-        )
-
-    @classmethod
-    def from_file(cls, path: str | Path) -> "PipelineConfig":
-        return cls.from_mapping(parse_config_file(path))
+        """The config of a key-value mapping; a DomainError names a bad key."""
+        unknown = sorted(m.keys() - _KEYS.keys())
+        if unknown:
+            raise DomainError(f"unknown config key: {', '.join(unknown)}")
+        values = {name: parse(m[key], key) for key, (name, parse) in _KEYS.items() if key in m}
+        tools = {name: values.pop(name) for name in TOOL_FIELDS & values.keys()}
+        if tools.get("mock_dir"):
+            tools.setdefault("mock_mode", "replay")  # a cache directory alone means replay
+        return cls(**values, tools=ToolSettings(**tools), raw=dict(m))

@@ -13,20 +13,6 @@ import re
 from dataclasses import dataclass
 from pathlib import Path
 
-TOKEN_KINDS = frozenset(
-    {
-        "keyword",
-        "identifier",
-        "number",
-        "operator",
-        "punctuation",
-        "string",
-        "comment",
-        "whitespace",
-        "other",
-    }
-)
-
 # IEEE 1364-2005 Annex B reserved words.
 VERILOG_2005_KEYWORDS = frozenset(
     """

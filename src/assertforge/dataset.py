@@ -61,10 +61,6 @@ class PtRecord:
     def to_json(self) -> dict:
         return {"code": self.code, "spec": self.spec, "analysis": self.analysis}
 
-    @classmethod
-    def from_json(cls, obj: dict) -> "PtRecord":
-        return cls(obj["code"], obj["spec"], obj["analysis"])
-
 
 @dataclass(frozen=True)
 class BugRecord:
@@ -86,10 +82,6 @@ class BugRecord:
             "buggy_line": self.buggy_line,
             "corrected_line": self.corrected_line,
         }
-
-    @classmethod
-    def from_json(cls, obj: dict) -> "BugRecord":
-        return cls(obj["spec"], obj["buggy_code"], obj["buggy_line"], obj["corrected_line"])
 
 
 @dataclass(frozen=True)
@@ -118,18 +110,6 @@ class SvaBugRecord:
             "corrected_line": self.corrected_line,
             "cot": self.cot,
         }
-
-    @classmethod
-    def from_json(cls, obj: dict) -> "SvaBugRecord":
-        return cls(
-            obj["spec"],
-            obj["buggy_sv_code"],
-            obj["log"],
-            obj["step_by_step"],
-            obj["buggy_line"],
-            obj["corrected_line"],
-            obj.get("cot"),
-        )
 
 
 @dataclass(frozen=True)
@@ -183,6 +163,8 @@ class EvalCase:
             lb = obj.get("length_bin")
             if lb is None:
                 lb = length_bin(max(1, len(code.splitlines())))
+            elif type(lb) is not int:  # bool is an int subclass, and not a bin
+                raise SchemaError(f"eval case length_bin must be an integer, got {lb!r}")
             return cls(
                 id=obj["id"],
                 source=obj["source"],
@@ -310,15 +292,6 @@ def validate_cot(cot_text: str, golden: GoldenSolution) -> str:
 
 # ---------------------------------------------------------------------------
 # Routing and record building
-
-ROUTE_OUTCOMES = (
-    "pt",
-    "bug",
-    "svabug",
-    "drop:mutant_syntax_error",
-    "error:compile_tool_error",
-    "error:verify_tool_error",
-)
 
 
 def route_unit(compile_status: str) -> str:

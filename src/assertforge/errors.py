@@ -40,7 +40,7 @@ class AttemptsExhausted(AssertForgeError):
 
 
 class TransportFailure(AssertForgeError):
-    """One LLM transport attempt failed; retried internally up to max_attempts."""
+    """One LLM transport attempt failed; an LLM call makes up to three attempts."""
 
 
 class ReverifyUnavailable(AssertForgeError):

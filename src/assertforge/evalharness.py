@@ -139,7 +139,6 @@ def collect_responses(
     case: EvalCase,
     solver: Callable[[LlmRequest], object],
     n_target: int = 20,
-    max_rounds: int | None = None,
     judge_fn: Callable[[ModelResponse], str] | None = None,
 ) -> CaseResult:
     """Query the solver until ``n_target`` valid-JSON responses are collected.
@@ -147,18 +146,16 @@ def collect_responses(
     Invalid responses are kept in the result (verdict "invalid") but do not
     count toward n. Each call carries a distinct nonce so record/replay mocks
     key repeated draws separately. Raises InsufficientValidResponses when
-    ``max_rounds`` solver calls (default 3 * n_target) were not enough.
+    3 * n_target solver calls were not enough.
     """
     if n_target < 1:
         raise DomainError("n_target must be positive")
-    if max_rounds is None:
-        max_rounds = 3 * n_target
     if judge_fn is None:
         judge_fn = lambda resp: judge(resp, case.golden)  # noqa: E731
     responses: list[tuple[ModelResponse, str]] = []
     valid = correct = invalid = 0
     calls = 0
-    while valid < n_target and calls < max_rounds:
+    while valid < n_target and calls < 3 * n_target:
         req = LlmRequest(
             task="solve",
             prompt_text=solve_prompt(case, invalid),

@@ -232,12 +232,11 @@ def _process_isolated(
 
 
 def run_augment(
-    units: list[SourceUnit], tc: Toolchain, cfg: PipelineConfig | None = None
+    units: list[SourceUnit], tc: Toolchain, cfg: PipelineConfig
 ) -> ds.RecordBundle:
     """Run the pipeline over ``units``. Reads ``seed``, ``mutations_per_unit``,
     ``split_fraction``, ``parallel`` and ``bug_source`` from ``cfg``; the
     verifier depth is the toolchain's own."""
-    cfg = cfg or PipelineConfig()
     with ThreadPoolExecutor(max_workers=cfg.parallel) as pool:
         processed = list(pool.map(lambda u: _process_isolated(u, tc, cfg), units))
     errors = [error for _, error in processed if error]

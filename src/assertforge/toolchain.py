@@ -21,11 +21,12 @@ import shutil
 import subprocess
 import tempfile
 import threading
-from dataclasses import asdict, dataclass, replace as dc_replace
+import urllib.error
+import urllib.request
+from dataclasses import asdict, dataclass
+from http.client import HTTPException
 from pathlib import Path
 from typing import Callable, TypeVar
-
-import requests
 
 from .errors import (
     AttemptsExhausted,
@@ -37,6 +38,7 @@ from .errors import (
 COMPILE_STATUSES = ("ok", "syntax_error", "tool_error")
 VERIFY_STATUSES = ("proven", "assertion_failed", "inconclusive", "tool_error")
 LLM_TASKS = frozenset({"spec", "bugs", "sva", "cot", "solve"})
+LLM_MAX_ATTEMPTS = 3  # transport attempts per LLM call
 
 T = TypeVar("T")
 
@@ -68,18 +70,12 @@ class VerifyOutcome:
 class LlmRequest:
     task: str
     prompt_text: str
-    temperature: float | None = None  # None -> configured default (0.2)
-    max_attempts: int = 3
     # Distinguishes repeated draws of the same prompt in the replay cache.
     nonce: str = ""
 
     def __post_init__(self):
         if self.task not in LLM_TASKS:
             raise ValueError(f"unknown llm task: {self.task!r}")
-        if self.temperature is not None and not (0.0 <= self.temperature <= 2.0):
-            raise ValueError("temperature must lie in [0, 2]")
-        if self.max_attempts < 1:
-            raise ValueError("max_attempts must be positive")
 
 
 @dataclass(frozen=True)
@@ -90,8 +86,8 @@ class LlmReply:
 
 @dataclass
 class ToolSettings:
-    """Configuration for the three adapters. All fields optional; missing
-    tools surface as tool_error / endpoint errors rather than crashes."""
+    """Configuration for the three adapters. All fields optional; missing tools
+    surface as tool_error or endpoint errors, unusable values as DomainError."""
 
     compiler_cmd: str | None = None
     verifier_cmd: str | None = None
@@ -112,7 +108,18 @@ class ToolSettings:
 
     def __post_init__(self):
         if self.mock_mode not in ("off", "replay", "record"):
-            raise ValueError(f"unknown mock mode: {self.mock_mode!r}")
+            raise DomainError(f"mock.mode must be off, replay or record, got {self.mock_mode!r}")
+        if not 0.0 <= self.llm_temperature <= 2.0:
+            raise DomainError(f"llm.temperature must lie in [0, 2], got {self.llm_temperature}")
+        if self.verifier_depth < 1:
+            raise DomainError(f"verifier.depth must be >= 1, got {self.verifier_depth}")
+        for name in ("pass_re", "fail_re", "unknown_re", "step_re"):
+            try:
+                re.compile(getattr(self, name))
+            except re.error as exc:
+                raise DomainError(f"verifier.{name} is not a regular expression: {exc}") from exc
+        if re.compile(self.step_re).groups < 1:
+            raise DomainError("verifier.step_re needs a group that captures the failing step")
 
 
 def request_digest(payload: dict) -> str:
@@ -245,12 +252,10 @@ class Toolchain:
 
     # -- verifier -----------------------------------------------------------
 
-    def formal_verify(self, source_with_sva: str, depth: int | None = None) -> VerifyOutcome:
+    def formal_verify(self, source_with_sva: str) -> VerifyOutcome:
         if not re.search(r"\bassert\b", source_with_sva):
             raise DomainError("source contains no assertion")
-        depth = depth if depth is not None else self.settings.verifier_depth
-        if depth < 1:
-            raise DomainError("depth must be positive")
+        depth = self.settings.verifier_depth
         return self._cached(
             {"kind": "verify", "source": source_with_sva, "depth": depth},
             lambda: self._verify_raw(source_with_sva, depth),
@@ -286,39 +291,36 @@ class Toolchain:
     # -- LLM ----------------------------------------------------------------
 
     def llm_call(self, req: LlmRequest) -> LlmReply:
-        temperature = (
-            req.temperature if req.temperature is not None else self.settings.llm_temperature
-        )
-        effective = dc_replace(req, temperature=temperature)
         payload = {
             "kind": "llm",
-            "task": effective.task,
-            "prompt_text": effective.prompt_text,
-            "temperature": effective.temperature,
-            "nonce": effective.nonce,
+            "task": req.task,
+            "prompt_text": req.prompt_text,
+            "temperature": self.settings.llm_temperature,
+            "nonce": req.nonce,
         }
         return self._cached(
             payload,
-            lambda: self._llm_attempts(effective),
+            lambda: self._llm_attempts(req),
             lambda resp: LlmReply(resp["text"], resp.get("attempt_index", 1)),
             _raise_unreachable,
         )
 
     def _llm_attempts(self, req: LlmRequest) -> LlmReply:
         last_failure: Exception | None = None
-        for attempt in range(1, req.max_attempts + 1):
+        for attempt in range(1, LLM_MAX_ATTEMPTS + 1):
             try:
                 return LlmReply(self._llm_raw(req), attempt)
             except TransportFailure as exc:
                 last_failure = exc
         raise AttemptsExhausted(
-            f"{req.max_attempts} attempts failed for task={req.task}: {last_failure}"
+            f"{LLM_MAX_ATTEMPTS} attempts failed for task={req.task}: {last_failure}"
         )
 
     def _llm_raw(self, req: LlmRequest) -> str:
         if self._llm_backend is not None:
             return self._llm_backend(req)
-        body = {"task": req.task, "prompt": req.prompt_text, "temperature": req.temperature}
+        temperature = self.settings.llm_temperature
+        body = {"task": req.task, "prompt": req.prompt_text, "temperature": temperature}
         if self.settings.llm_cmd:
             try:
                 proc = subprocess.run(
@@ -334,26 +336,28 @@ class Toolchain:
                 raise TransportFailure(f"llm command exited {proc.returncode}: {proc.stderr}")
             return proc.stdout.rstrip("\n")
         if self.settings.llm_url:
-            headers = {}
+            headers = {"Content-Type": "application/json"}
             if self.settings.llm_credential_env:
                 cred = os.environ.get(self.settings.llm_credential_env, "")
                 if cred:
                     headers["Authorization"] = f"Bearer {cred}"
             try:
-                resp = requests.post(
-                    self.settings.llm_url,
-                    json=body,
-                    headers=headers,
-                    timeout=self.settings.timeout_s,
+                request = urllib.request.Request(
+                    self.settings.llm_url, json.dumps(body).encode(), headers
                 )
-            except requests.RequestException as exc:
+                with urllib.request.urlopen(request, timeout=self.settings.timeout_s) as resp:
+                    raw = resp.read()
+            except urllib.error.HTTPError as exc:  # 400 or above, or a redirect not followed
+                raise TransportFailure(f"endpoint returned {exc.code}") from exc
+            except (OSError, HTTPException, ValueError) as exc:
                 raise TransportFailure(str(exc)) from exc
-            if resp.status_code >= 400:
-                raise TransportFailure(f"endpoint returned {resp.status_code}")
             try:
-                return resp.json()["text"]
-            except (ValueError, KeyError) as exc:
+                reply = json.loads(raw)
+            except ValueError as exc:
                 raise TransportFailure(f"malformed endpoint reply: {exc}") from exc
+            if not isinstance(reply, dict) or not isinstance(reply.get("text"), str):
+                raise TransportFailure("malformed endpoint reply: not a JSON object with a text")
+            return reply["text"]
         raise EndpointUnreachable("no LLM endpoint configured")
 
     # -- subprocess plumbing --------------------------------------------------

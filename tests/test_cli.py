@@ -16,6 +16,7 @@ import pytest
 from click.testing import CliRunner
 
 from assertforge import dataset as ds
+from assertforge import cli
 from assertforge import evalharness as ev
 from assertforge.cli import main
 from conftest import (
@@ -332,6 +333,65 @@ def test_augment_cli_rejects_unknown_bug_source(cli_env, tmp_path):
     assert "bugs.source must be engine or llm" in res.output
 
 
+@pytest.mark.parametrize(
+    "config_line, key",
+    [
+        ("llm.temperature = 5", "llm.temperature"),
+        ("verifier.depth = 0", "verifier.depth"),
+        ("mock.mode = replya", "mock.mode"),
+        ("mutation.per_unit = 9", "mutation.per_unit"),
+        ("keep_temp = on", "keep_temp"),
+        ("verifier.pass_re = (", "verifier.pass_re"),
+        ("verifier.step_re = step", "verifier.step_re"),
+    ],
+    ids=["temperature", "depth", "mock-mode", "unknown-key", "keep-temp", "pass-re", "step-re"],
+)
+def test_unusable_setting_stops_augment_before_any_call(
+    cli_env, tmp_path, monkeypatch, config_line, key
+):
+    out = tmp_path / "out"
+    assert invoke("filter", "--config", cli_env["config"], "--out-dir", out).exit_code == 0
+    config = tmp_path / "bad.cfg"
+    config.write_text(cli_env["config"].read_text() + config_line + "\n")
+    monkeypatch.setattr(cli, "Toolchain", lambda *a, **k: pytest.fail("a Toolchain was built"))
+    res = invoke("augment", "--config", config, "--out-dir", out)
+    assert res.exit_code == 1
+    lines = res.output.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("Error: ") and key in lines[0]
+    assert not (out / "pt.jsonl").exists()
+
+
+def test_eval_cli_n_flag_is_checked_against_the_ks(cli_env, tmp_path):
+    report = tmp_path / "report.json"
+    res = invoke("eval", cli_env["benchmark"], "--config", cli_env["config"], "--out", report,
+                 "--n", "0")
+    assert res.exit_code == 1
+    assert res.output.strip().splitlines() == ["Error: eval.n (0) must be >= every k in [1, 5]"]
+    assert not report.exists()
+
+
+@pytest.mark.parametrize("bad_bin", ["0", True, 1.0], ids=["string", "bool", "float"])
+def test_non_integer_length_bin_is_a_schema_error(cli_env, tmp_path, bad_bin):
+    _, results_path = _run_eval(cli_env, tmp_path, "bins")
+    bench_rows = read_records(cli_env["benchmark"])
+    benchmark = tmp_path / "benchmark.jsonl"
+    ds.write_jsonl(bench_rows + [{**bench_rows[0], "id": "bad-bin", "length_bin": bad_bin}],
+                   benchmark)
+    res = invoke("eval", benchmark, "--config", cli_env["config"], "--out", tmp_path / "r.json")
+    assert res.exit_code == 1
+    lines = res.output.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("Error: invalid benchmark file: ")
+    assert "length_bin" in lines[0]
+
+    triples_path = tmp_path / "triples.jsonl"
+    res = invoke("dpo-prep", results_path, "--benchmark", benchmark, "--out", triples_path)
+    assert res.exit_code == 1
+    errors = json.loads(res.stderr)["errors"]
+    assert [e["case_id"] for e in errors] == ["bad-bin"]
+    assert "length_bin" in errors[0]["error"]
+    assert len(read_records(triples_path)) == GOLDEN_TRIPLES
+
+
 # -- dpo-prep ----------------------------------------------------------------------
 
 
@@ -423,6 +483,24 @@ def test_dpo_prep_malformed_benchmark_row_is_an_error(cli_env, tmp_path):
     assert [e["case_id"] for e in errors] == ["x"]
     assert "buggy_sv_code" in errors[0]["error"]
     assert len(read_records(triples_path)) == GOLDEN_TRIPLES
+
+
+def test_dpo_prep_n_defaults_to_eval_n(cli_env, tmp_path):
+    config = tmp_path / "n10.cfg"
+    config.write_text(cli_env["config"].read_text() + "eval.n = 10\n")
+    results = tmp_path / "results.jsonl"
+    res = invoke("eval", cli_env["benchmark"], "--config", config, "--out",
+                 tmp_path / "report.json", "--results", results)
+    assert res.exit_code == 0, res.output
+    assert {r["n"] for r in read_records(results)} == {10}
+    outputs = []
+    for extra in ([], ["--n", "10"]):
+        triples = tmp_path / f"triples{len(extra)}.jsonl"
+        res = invoke("dpo-prep", results, "--benchmark", cli_env["benchmark"], "--config", config,
+                     "--out", triples, *extra)
+        assert res.exit_code == 0, res.output
+        outputs.append(read_records(triples))
+    assert outputs[0] == outputs[1] != []
 
 
 # -- losses -------------------------------------------------------------------------

@@ -235,7 +235,7 @@ def test_collect_alternating_garbage():
 def test_collect_always_garbage_insufficient():
     case = make_case()
     with pytest.raises(InsufficientValidResponses) as err:
-        collect_responses(case, scripted_solver(["nope"] * 100), n_target=20, max_rounds=60)
+        collect_responses(case, scripted_solver(["nope"] * 100), n_target=20)
     assert err.value.collected == 0
     assert len(err.value.result.responses) == 60
 

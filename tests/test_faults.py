@@ -1,9 +1,10 @@
-"""Fault injection through the CLI: one unit's `sva` call and one CoT call
-fail in transport. The run must report exactly those two items as errors,
-write every output, and exit 1. The oracle is a clean run over the same
-manifest without the failing unit: the faulty run must match it record for
-record, except that the failed CoT's mutant is an SVA-Bug record without a
-CoT.
+"""Fault injection through the CLI. In `augment`, one unit's `sva` call and
+one CoT call fail in transport, or two manifest rows cannot be loaded; in
+`eval`, every draw of two chosen cases fails in transport. Each run must
+report exactly the injected items as errors, write every output, and exit 1.
+The oracle is a clean run without the failing items: the faulty run must
+match it record for record, except that a failed CoT's mutant is an SVA-Bug
+record without a CoT.
 """
 
 import functools
@@ -117,3 +118,56 @@ def test_augment_isolates_a_failing_unit_and_a_failing_cot(cli_env, monkeypatch,
 def _split_bins(out):
     return json.loads((out / "split_plan.json").read_text())["bins"]
 
+
+
+def test_augment_reports_a_manifest_row_without_path_or_id(cli_env, monkeypatch, tmp_path):
+    res_f = CliRunner().invoke(
+        cli.main, ["filter", "--corpus-dir", str(cli_env["corpus"]), "--out-dir", str(tmp_path)]
+    )
+    assert res_f.exit_code == 0, res_f.output
+    manifest = _rows(tmp_path / "manifest.jsonl")
+    clean, clean_out = _augment(monkeypatch, tmp_path, manifest, fake_llm, "clean")
+    assert clean.exit_code == 0, clean.output
+
+    broken = manifest[:2] + [{"id": "no-path"}, {"path": manifest[0]["path"]}] + manifest[2:]
+    faulty, faulty_out = _augment(monkeypatch, tmp_path, broken, fake_llm, "faulty")
+    assert faulty.exit_code == 1
+    errors = json.loads(faulty.stderr)["errors"]
+    assert [(e["unit_id"], e["stage"]) for e in errors] == [("no-path", "load"), (None, "load")]
+    for name in ("pt.jsonl", "bug.jsonl", "svabug.jsonl", "sva_eval_machine.jsonl"):
+        assert _rows(faulty_out / name) == _rows(clean_out / name), name
+
+
+def _eval(monkeypatch, tmp_path, benchmark, llm_backend, tag):
+    config = tmp_path / "eval.cfg"
+    config.write_text("eval.n = 20\neval.ks = 1,5\n", encoding="utf-8")
+    monkeypatch.setattr(cli, "Toolchain", functools.partial(Toolchain, llm_backend=llm_backend))
+    report, results = tmp_path / f"{tag}.json", tmp_path / f"{tag}.jsonl"
+    res = CliRunner().invoke(
+        cli.main,
+        ["eval", str(benchmark), "--config", str(config), "--out", str(report),
+         "--results", str(results)],
+        catch_exceptions=False,
+    )
+    return res, report, results
+
+
+def test_eval_isolates_failing_cases(cli_env, monkeypatch, tmp_path):
+    case_ids = [r["id"] for r in _rows(cli_env["benchmark"])]
+    failing = [case_ids[0], case_ids[-1]]
+
+    def flaky_llm(req):
+        if req.nonce.rpartition(":")[0] in failing:
+            raise TransportFailure("injected solve failure")
+        return fake_llm(req)
+
+    clean, _, clean_results = _eval(monkeypatch, tmp_path, cli_env["benchmark"], fake_llm, "clean")
+    assert clean.exit_code == 0, clean.output
+    faulty, report, results = _eval(monkeypatch, tmp_path, cli_env["benchmark"], flaky_llm, "bad")
+    assert faulty.exit_code == 1
+    errors = json.loads(faulty.stderr)["errors"]
+    assert [(e["case_id"], e["stage"]) for e in errors] == [(i, "collect") for i in failing]
+    assert all("injected solve failure" in e["error"] for e in errors)
+    assert _rows(results) == [r for r in _rows(clean_results) if r["case_id"] not in failing]
+    doc = json.loads(report.read_text())
+    assert doc["case_count"] == sum(doc["histogram"]) == len(case_ids) - 2

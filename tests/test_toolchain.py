@@ -1,5 +1,7 @@
+import http.server
 import json
 import sys
+import threading
 
 import pytest
 
@@ -101,9 +103,13 @@ def test_verify_subprocess_with_depth(tmp_path):
         "print(f'violated at step 3')\n"
     )
     tc = Toolchain(
-        ToolSettings(verifier_cmd=f"{PY} {script} {{file}} {{depth}}", scratch_dir=str(tmp_path))
+        ToolSettings(
+            verifier_cmd=f"{PY} {script} {{file}} {{depth}}",
+            verifier_depth=17,
+            scratch_dir=str(tmp_path),
+        )
     )
-    out = tc.formal_verify("assert(x);", depth=17)
+    out = tc.formal_verify("assert(x);")
     assert out.status == "assertion_failed"
     assert "depth 17" in out.log_text
     assert out.failing_step == 3
@@ -113,7 +119,7 @@ def test_llm_request_validation():
     with pytest.raises(ValueError):
         LlmRequest(task="unknown", prompt_text="p")
     with pytest.raises(ValueError):
-        LlmRequest(task="solve", prompt_text="p", temperature=3.0)
+        ToolSettings(llm_temperature=3.0)
 
 
 def test_llm_call_mock_reply():
@@ -123,17 +129,11 @@ def test_llm_call_mock_reply():
 
 
 def test_llm_temperature_default_applied():
-    seen = {}
-
-    def backend(req):
-        seen["temperature"] = req.temperature
-        return "ok"
-
-    tc = Toolchain(llm_backend=backend)
-    tc.llm_call(LlmRequest(task="solve", prompt_text="p"))
-    assert seen["temperature"] == 0.2
-    tc.llm_call(LlmRequest(task="solve", prompt_text="p", temperature=0.9))
-    assert seen["temperature"] == 0.9
+    echo = f"{PY} -c \"import sys,json; print(json.load(sys.stdin)['temperature'])\""
+    tc = Toolchain(ToolSettings(llm_cmd=echo))
+    assert tc.llm_call(LlmRequest(task="solve", prompt_text="p")).text == "0.2"
+    tc = Toolchain(ToolSettings(llm_cmd=echo, llm_temperature=0.9))
+    assert tc.llm_call(LlmRequest(task="solve", prompt_text="p")).text == "0.9"
 
 
 def test_llm_retries_then_succeeds():
@@ -146,7 +146,7 @@ def test_llm_retries_then_succeeds():
         return "finally"
 
     tc = Toolchain(llm_backend=flaky)
-    reply = tc.llm_call(LlmRequest(task="spec", prompt_text="p", max_attempts=3))
+    reply = tc.llm_call(LlmRequest(task="spec", prompt_text="p"))
     assert reply.text == "finally" and reply.attempt_index == 3
 
 
@@ -156,7 +156,7 @@ def test_llm_attempts_exhausted():
 
     tc = Toolchain(llm_backend=always_fail)
     with pytest.raises(AttemptsExhausted):
-        tc.llm_call(LlmRequest(task="spec", prompt_text="p", max_attempts=3))
+        tc.llm_call(LlmRequest(task="spec", prompt_text="p"))
 
 
 def test_llm_unconfigured_raises():
@@ -170,6 +170,71 @@ def test_llm_cmd_backend(tmp_path):
     tc = Toolchain(ToolSettings(llm_cmd=echo))
     reply = tc.llm_call(LlmRequest(task="sva", prompt_text="p"))
     assert reply.text == "got:sva"
+
+
+class _ScriptedEndpoint(http.server.BaseHTTPRequestHandler):
+    """Answers each POST with the server's (status, body) and records the
+    request's headers and JSON body."""
+
+    def do_POST(self):
+        body = json.loads(self.rfile.read(int(self.headers["Content-Length"])))
+        self.server.seen.append((dict(self.headers), body))
+        status, reply = self.server.reply
+        payload = json.dumps(reply).encode()
+        self.send_response(status)
+        self.send_header("Content-Length", str(len(payload)))
+        self.end_headers()
+        self.wfile.write(payload)
+
+    def log_message(self, *args):
+        pass
+
+
+@pytest.fixture()
+def endpoint():
+    server = http.server.HTTPServer(("127.0.0.1", 0), _ScriptedEndpoint)
+    server.seen = []
+    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread.start()
+    yield server
+    server.shutdown()
+    server.server_close()
+    thread.join(timeout=5)
+    assert not thread.is_alive()
+
+
+def _url_toolchain(server, monkeypatch):
+    monkeypatch.setenv("ASSERTFORGE_TEST_KEY", "sekrit")
+    url = f"http://127.0.0.1:{server.server_address[1]}/v1/complete"
+    return Toolchain(
+        ToolSettings(llm_url=url, llm_credential_env="ASSERTFORGE_TEST_KEY",
+                     llm_temperature=0.7, timeout_s=5)
+    )
+
+
+def test_llm_url_reply(endpoint, monkeypatch):
+    endpoint.reply = (200, {"text": "hello"})
+    reply = _url_toolchain(endpoint, monkeypatch).llm_call(LlmRequest(task="spec", prompt_text="p"))
+    assert reply == LlmReply("hello", 1)
+    [(headers, body)] = endpoint.seen
+    assert headers["Authorization"] == "Bearer sekrit"
+    assert body == {"task": "spec", "prompt": "p", "temperature": 0.7}
+
+
+def test_llm_url_error_status_exhausts_attempts(endpoint, monkeypatch):
+    endpoint.reply = (503, {"text": "busy"})
+    tc = _url_toolchain(endpoint, monkeypatch)
+    with pytest.raises(AttemptsExhausted, match="endpoint returned 503"):
+        tc.llm_call(LlmRequest(task="spec", prompt_text="p"))
+    assert len(endpoint.seen) == 3
+
+
+def test_llm_url_reply_that_is_not_an_object_is_a_transport_failure(endpoint, monkeypatch):
+    endpoint.reply = (200, ["x"])
+    tc = _url_toolchain(endpoint, monkeypatch)
+    with pytest.raises(AttemptsExhausted, match="malformed endpoint reply"):
+        tc.llm_call(LlmRequest(task="spec", prompt_text="p"))
+    assert len(endpoint.seen) == 3
 
 
 def test_verify_direct_mutant_fixture_classification():
@@ -197,7 +262,7 @@ def test_verify_direct_mutant_fixture_classification():
 
 
 def test_record_then_replay_identical(tmp_path):
-    settings = ToolSettings(mock_dir=str(tmp_path / "cache"))
+    settings = ToolSettings(mock_dir=str(tmp_path / "cache"), verifier_depth=5)
     recorder = Toolchain(
         ToolSettings(**{**settings.__dict__, "mock_mode": "record"}),
         compile_backend=lambda s: CompileOutcome("syntax_error", "diag"),
@@ -207,34 +272,36 @@ def test_record_then_replay_identical(tmp_path):
     src = "module m; endmodule"
     sva = "assert(a);"
     c1 = recorder.compile_check(src)
-    v1 = recorder.formal_verify(sva, depth=5)
+    v1 = recorder.formal_verify(sva)
     l1 = recorder.llm_call(LlmRequest(task="cot", prompt_text="p", nonce="n1"))
 
     replayer = Toolchain(ToolSettings(**{**settings.__dict__, "mock_mode": "replay"}))
     assert replayer.compile_check(src) == c1
-    assert replayer.formal_verify(sva, depth=5) == v1
+    assert replayer.formal_verify(sva) == v1
     assert replayer.llm_call(LlmRequest(task="cot", prompt_text="p", nonce="n1")) == l1
 
 
 def test_replay_miss_behaviour(tmp_path):
     cache = ReplayCache(tmp_path / "cache", mode="record")
-    tc = Toolchain(ToolSettings(mock_dir=str(tmp_path / "cache"), mock_mode="replay"))
+    tc = Toolchain(
+        ToolSettings(mock_dir=str(tmp_path / "cache"), mock_mode="replay", verifier_depth=3)
+    )
     assert tc.compile_check("nothing recorded").status == "tool_error"
-    assert tc.formal_verify("assert(x);", depth=3).status == "tool_error"
+    assert tc.formal_verify("assert(x);").status == "tool_error"
     with pytest.raises(EndpointUnreachable):
         tc.llm_call(LlmRequest(task="spec", prompt_text="missing"))
 
 
 def test_replay_malformed_entry_is_a_miss(tmp_path):
     recorder = Toolchain(
-        ToolSettings(mock_dir=str(tmp_path / "cache"), mock_mode="record"),
+        ToolSettings(mock_dir=str(tmp_path / "cache"), mock_mode="record", verifier_depth=3),
         compile_backend=lambda s: CompileOutcome("ok", ""),
         verify_backend=lambda s, d: VerifyOutcome("proven", "PASS"),
         llm_backend=lambda r: "recorded text",
     )
     req = LlmRequest(task="spec", prompt_text="p")
     recorder.compile_check("module m; endmodule")
-    recorder.formal_verify("assert(x);", depth=3)
+    recorder.formal_verify("assert(x);")
     recorder.llm_call(req)
     entries = sorted((tmp_path / "cache").iterdir())
     assert len(entries) == 3
@@ -245,9 +312,11 @@ def test_replay_malformed_entry_is_a_miss(tmp_path):
         cache.get(entries[0].stem)
     assert cache.get("0" * 64) is None
 
-    tc = Toolchain(ToolSettings(mock_dir=str(tmp_path / "cache"), mock_mode="replay"))
+    tc = Toolchain(
+        ToolSettings(mock_dir=str(tmp_path / "cache"), mock_mode="replay", verifier_depth=3)
+    )
     compiled = tc.compile_check("module m; endmodule")
-    verified = tc.formal_verify("assert(x);", depth=3)
+    verified = tc.formal_verify("assert(x);")
     assert compiled.status == verified.status == "tool_error"
     keys = {e.stem for e in entries}
     for text in (compiled.stderr_text, verified.log_text):
