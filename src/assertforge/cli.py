@@ -48,6 +48,15 @@ def _header(cfg: PipelineConfig) -> dict:
     }
 
 
+def _read_rows(path, what: str) -> list[dict]:
+    """The rows of a JSONL input after its metadata header; a line that is not
+    a JSON object is a one-line error naming ``what``."""
+    try:
+        return ds.strip_meta_header(ds.read_jsonl(path))[1]
+    except SchemaError as exc:
+        raise click.ClickException(f"invalid {what}: {exc}")
+
+
 def _finish(errors: list[dict]) -> None:
     if errors:
         click.echo(json.dumps({"errors": errors}), err=True)
@@ -85,8 +94,7 @@ def filter_cmd(config_path, corpus_dir, out_dir):
 
 def _load_manifest_units(manifest: Path) -> tuple[list[SourceUnit], list[dict]]:
     units, errors = [], []
-    _, rows = ds.strip_meta_header(ds.read_jsonl(manifest))
-    for row in rows:
+    for row in _read_rows(manifest, "manifest"):
         if not isinstance(row.get("path"), str) or not isinstance(row.get("id"), str):
             errors.append({"unit_id": row.get("id"), "stage": "load",
                            "error": "manifest row needs string fields path and id"})
@@ -168,8 +176,8 @@ def eval_cmd(benchmark, config_path, out_path, results_path, csv_path, n_target,
     cfg = _load_config(config_path, eval_n=n_target, eval_ks=ks, eval_mode=mode, parallel=parallel)
     tc = Toolchain(cfg.tools)
 
+    rows = _read_rows(benchmark, "benchmark file")
     try:
-        _, rows = ds.strip_meta_header(ds.read_jsonl(benchmark))
         cases = [ev.EvalCase.from_json(r) for r in rows]
     except (SchemaError, ValueError) as exc:
         raise click.ClickException(f"invalid benchmark file: {exc}")
@@ -248,8 +256,8 @@ def dpo_prep(results_file, benchmark, config_path, out_path, n_expected):
     """Select challenging cases from eval results and emit preference triples."""
     cfg = _load_config(config_path)
     n_expected = cfg.eval_n if n_expected is None else n_expected
-    _, case_rows = ds.strip_meta_header(ds.read_jsonl(benchmark))
-    _, result_rows = ds.strip_meta_header(ds.read_jsonl(results_file))
+    case_rows = _read_rows(benchmark, "benchmark file")
+    result_rows = _read_rows(results_file, "results file")
 
     errors: list[dict] = []
     cases = {}
@@ -339,7 +347,7 @@ def losses(probs_file, config_path, beta, reduction):
     and the losses come from the other rows.
     """
     cfg = _load_config(config_path)
-    _, rows = ds.strip_meta_header(ds.read_jsonl(probs_file))
+    rows = _read_rows(probs_file, "probabilities file")
     pt_samples, sft_pairs, dpo_rows = [], [], []
     errors: list[dict] = []
     for i, row in enumerate(rows, start=1):

@@ -19,6 +19,7 @@ import hashlib
 import json
 from dataclasses import dataclass, field, fields
 from pathlib import Path
+from urllib.parse import urlsplit
 
 from .errors import DomainError
 from .toolchain import ToolSettings
@@ -64,6 +65,16 @@ def _text(text: str, key: str) -> str:
     return text
 
 
+def _url(text: str, key: str) -> str:
+    try:
+        parts = urlsplit(text)
+        if parts.scheme in ("http", "https") and parts.hostname:
+            return text
+    except ValueError:  # e.g. an unclosed IPv6 bracket
+        pass
+    raise DomainError(f"config {key} must be an http or https URL with a host, got {text!r}")
+
+
 def parse_ks(text: str, source: str = "eval.ks") -> tuple[int, ...]:
     """Sorted distinct ks from a comma-separated list; each k must be >= 1."""
     try:
@@ -96,7 +107,7 @@ _KEYS = {
     "verifier.fail_re": ("fail_re", _text),
     "verifier.unknown_re": ("unknown_re", _text),
     "verifier.step_re": ("step_re", _text),
-    "llm.url": ("llm_url", _text),
+    "llm.url": ("llm_url", _url),
     "llm.cmd": ("llm_cmd", _text),
     "llm.credential_env": ("llm_credential_env", _text),
     "llm.temperature": ("llm_temperature", _float),

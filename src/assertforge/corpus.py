@@ -3,7 +3,9 @@
 The lexer is token-level only (no grammar): every byte of the input lands in
 exactly one token, so concatenating the lexemes reproduces the file. That
 round-trip property is what makes single-line mutation and deduplication safe
-without a full parser.
+without a full parser. It makes one ``finditer`` pass over a master pattern,
+an ordered alternation of one named group per token rule, and emits plain
+``Token`` tuples; a unit is lexed once and mutation reuses its tokens.
 """
 
 from __future__ import annotations
@@ -12,6 +14,7 @@ import hashlib
 import re
 from dataclasses import dataclass
 from pathlib import Path
+from typing import NamedTuple
 
 # IEEE 1364-2005 Annex B reserved words.
 VERILOG_2005_KEYWORDS = frozenset(
@@ -99,32 +102,33 @@ _OPERATORS = (
     "?",
 )
 
-# Ordered scanner: first pattern that matches at the cursor wins.
-_PATTERNS: tuple[tuple[str, re.Pattern[str]], ...] = (
-    ("whitespace", re.compile(r"[ \t\r\n\f\v]+")),
-    ("comment", re.compile(r"//[^\n]*|/\*.*?\*/|/\*.*", re.DOTALL)),
-    ("string", re.compile(r'"(?:[^"\\\n]|\\.)*"?', re.DOTALL)),
-    ("number", re.compile(r"(?:\d[\d_]*)?'[sS]?[bBoOdDhH][0-9a-fA-FxXzZ?_]+")),
-    (
-        "number",
-        re.compile(r"\d[\d_]*\.\d[\d_]*(?:[eE][+-]?\d[\d_]*)?|\d[\d_]*(?:[eE][+-]?\d[\d_]*)?"),
-    ),
-    ("identifier", re.compile(r"\\[^ \t\r\n\f\v]+")),  # escaped identifier
-    ("other", re.compile(r"`[A-Za-z_][A-Za-z0-9_$]*")),  # compiler directive
-    ("other", re.compile(r"\$[A-Za-z_][A-Za-z0-9_$]*")),  # system task/function
-    ("identifier", re.compile(r"[A-Za-z_][A-Za-z0-9_$]*")),
-    ("operator", re.compile("|".join(re.escape(op) for op in _OPERATORS))),
-    ("punctuation", re.compile(r"[()\[\]{};,.:@#']")),
-    ("other", re.compile(r"[\s\S]")),
+# Ordered scanner: one named group per entry, joined into a single
+# alternation, so the first entry that matches at the cursor wins.
+_PATTERNS: tuple[tuple[str, str], ...] = (
+    ("whitespace", r"[ \t\r\n\f\v]+"),
+    ("comment", r"//[^\n]*|/\*.*?\*/|/\*.*"),
+    ("string", r'"(?:[^"\\\n]|\\.)*"?'),
+    ("number", r"(?:\d[\d_]*)?'[sS]?[bBoOdDhH][0-9a-fA-FxXzZ?_]+"),
+    ("number", r"\d[\d_]*\.\d[\d_]*(?:[eE][+-]?\d[\d_]*)?|\d[\d_]*(?:[eE][+-]?\d[\d_]*)?"),
+    ("identifier", r"\\[^ \t\r\n\f\v]+"),  # escaped identifier
+    ("other", r"`[A-Za-z_][A-Za-z0-9_$]*"),  # compiler directive
+    ("other", r"\$[A-Za-z_][A-Za-z0-9_$]*"),  # system task/function
+    ("identifier", r"[A-Za-z_][A-Za-z0-9_$]*"),
+    ("operator", "|".join(re.escape(op) for op in _OPERATORS)),
+    ("punctuation", r"[()\[\]{};,.:@#']"),
+    ("other", r"[\s\S]"),
 )
+_MASTER = re.compile(
+    "|".join(f"(?P<g{i}>{rx})" for i, (_, rx) in enumerate(_PATTERNS)), re.DOTALL
+)
+_KIND_OF_GROUP = {f"g{i}": kind for i, (kind, _) in enumerate(_PATTERNS)}
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     kind: str
     text: str
     line: int  # 1-based
-    col: int  # 1-based
+    col: int  # 1-based, counted from the start of the token's line
 
 
 @dataclass(frozen=True)
@@ -147,26 +151,19 @@ def tokenize(text: str) -> tuple[Token, ...]:
     Concatenating the returned lexemes reproduces ``text`` byte for byte.
     Unknown bytes become single-character "other" tokens.
     """
-    tokens: list[Token] = []
-    pos, line, col = 0, 1, 1
-    n = len(text)
-    while pos < n:
-        for kind, rx in _PATTERNS:
-            m = rx.match(text, pos)
-            if m:
-                break
+    tokens = []
+    line, line_start = 1, 0
+    for m in _MASTER.finditer(text):
+        kind = _KIND_OF_GROUP[m.lastgroup]
         lexeme = m.group()
+        start = m.start()
         if kind == "identifier" and lexeme in KEYWORDS:
             kind = "keyword"
-        tokens.append(Token(kind, lexeme, line, col))
-        newlines = lexeme.count("\n")
-        if newlines:
-            line += newlines
-            col = len(lexeme) - lexeme.rfind("\n")
-        else:
-            col += len(lexeme)
-        pos = m.end()
-    return tuple(tokens)
+        tokens.append((kind, lexeme, line, start - line_start + 1))
+        if "\n" in lexeme:
+            line += lexeme.count("\n")
+            line_start = start + lexeme.rfind("\n") + 1
+    return tuple(map(Token._make, tokens))
 
 
 def significant(tokens) -> list[Token]:
@@ -174,23 +171,17 @@ def significant(tokens) -> list[Token]:
     return [t for t in tokens if t.kind not in ("whitespace", "comment")]
 
 
-def _module_names(tokens) -> tuple[str, ...]:
+def _module_names(sig: list[Token]) -> tuple[str, ...]:
     names: list[str] = []
-    sig = significant(tokens)
     for i, t in enumerate(sig[:-1]):
         if t.kind == "keyword" and t.text == "module" and sig[i + 1].kind == "identifier":
             names.append(sig[i + 1].text)
     return tuple(names)
 
 
-def _dedup_key(tokens) -> str:
-    h = hashlib.sha256()
-    for t in significant(tokens):
-        h.update(t.kind.encode())
-        h.update(b"\x00")
-        h.update(t.text.encode())
-        h.update(b"\x01")
-    return h.hexdigest()
+def _dedup_key(sig: list[Token]) -> str:
+    blob = "".join(f"{t.kind}\x00{t.text}\x01" for t in sig)
+    return hashlib.sha256(blob.encode()).hexdigest()
 
 
 @dataclass(frozen=True)
@@ -204,18 +195,21 @@ class SourceUnit:
     module_names: tuple[str, ...]
     line_count: int
     dedup_key: str
+    has_functional_logic: bool
 
     @classmethod
     def from_text(cls, unit_id: str, text: str, path: str = "") -> "SourceUnit":
         tokens = tokenize(text)
+        sig = significant(tokens)
         return cls(
             id=unit_id,
             path=path,
             text=text,
             tokens=tokens,
-            module_names=_module_names(tokens),
+            module_names=_module_names(sig),
             line_count=len(text.splitlines()),
-            dedup_key=_dedup_key(tokens),
+            dedup_key=_dedup_key(sig),
+            has_functional_logic=_has_functional_logic(sig),
         )
 
 
@@ -283,8 +277,7 @@ def _has_instantiation(sig: list[Token]) -> bool:
     return False
 
 
-def _has_functional_logic(tokens) -> bool:
-    sig = significant(tokens)
+def _has_functional_logic(sig: list[Token]) -> bool:
     for i, t in enumerate(sig):
         if t.kind == "keyword":
             if t.text in _FUNCTIONAL_KEYWORDS:
@@ -306,7 +299,7 @@ def classify_rejection(unit: SourceUnit) -> RejectionReason | None:
         return RejectionReason(
             "missing_module_boundary", f"missing keyword(s): {', '.join(missing)}"
         )
-    if not _has_functional_logic(unit.tokens):
+    if not unit.has_functional_logic:
         return RejectionReason(
             "no_functional_logic",
             "no procedural block, control flow, computing assign, or instantiation",

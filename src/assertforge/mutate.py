@@ -18,8 +18,10 @@ seed indexes into the deterministically ordered list of legal rewrites.
 from __future__ import annotations
 
 import re
+from bisect import bisect_left, bisect_right
 from collections.abc import Iterator
 from dataclasses import dataclass, replace as dc_replace
+from operator import attrgetter
 
 from .corpus import SourceUnit, Token, significant, tokenize
 from .errors import DomainError, NoAlternativeError, ParseFailure
@@ -168,9 +170,8 @@ def _match_paren(tokens, open_idx) -> int | None:
     return None
 
 
-def _analyze_line(line_text: str) -> _LineInfo:
-    tokens = significant(tokenize(line_text))
-
+def _analyze_tokens(tokens: list[Token]) -> _LineInfo:
+    """Structure of one line, given its significant tokens."""
     # Condition spans: if/case(…), and event controls @(...).
     cond_spans: list[tuple[str, int, int]] = []
     for i, t in enumerate(tokens):
@@ -233,6 +234,15 @@ def _analyze_line(line_text: str) -> _LineInfo:
             rhs.append(t)
 
     return _LineInfo(tokens, assign_idx, lhs_idents, rhs, cond_spans)
+
+
+_LINE = attrgetter("line")
+
+
+def _line_tokens(unit: SourceUnit, line: int) -> list[Token]:
+    """Significant tokens that start on ``line``, sliced from the unit's stream."""
+    lo = bisect_left(unit.tokens, line, key=_LINE)
+    return significant(unit.tokens[lo : bisect_right(unit.tokens, line, lo, key=_LINE)])
 
 
 def _replace_token(line: str, tok: Token, new_text: str) -> str:
@@ -435,7 +445,8 @@ def enumerate_sites(unit: SourceUnit) -> list[tuple[int, tuple[str, ...]]]:
 
     A kind is listed only when at least one legal rewrite exists for it, so
     every returned pair is a valid apply_mutation target. Each line is
-    analysed once, and a kind is decided by its first rewrite.
+    analysed once, from its run of the unit's tokens, and a kind is decided
+    by its first rewrite.
     """
     tainted = _tainted_lines(unit)
     pool = _identifier_pool(unit)
@@ -443,7 +454,7 @@ def enumerate_sites(unit: SourceUnit) -> list[tuple[int, tuple[str, ...]]]:
     for ln, line_text in enumerate(unit.text.split("\n"), start=1):
         if ln in tainted or not line_text.strip():
             continue
-        info = _analyze_line(line_text)
+        info = _analyze_tokens(_line_tokens(unit, ln))
         kinds = tuple(
             k
             for k in SYNTACTIC_KINDS
@@ -456,7 +467,7 @@ def enumerate_sites(unit: SourceUnit) -> list[tuple[int, tuple[str, ...]]]:
 
 def assigned_targets(line_text: str) -> frozenset[str] | None:
     """Names a line assigns to; None when the line holds no assignment."""
-    info = _analyze_line(line_text)
+    info = _analyze_tokens(significant(tokenize(line_text)))
     if info.assign_idx is None:
         return None
     return frozenset(t.text for t in info.lhs_idents)
@@ -515,6 +526,8 @@ def apply_mutation(unit: SourceUnit, line: int, kind: str, seed: int) -> Mutatio
     """Produce the seed-selected mutation of ``kind`` on ``line``.
 
     Raises NoAlternativeError when the site admits no legal distinct rewrite.
+    The line's tokens come from the unit's stream, so text inside a comment
+    or string that spans lines is never rewritten.
     """
     lines = unit.text.split("\n")
     if not (1 <= line <= len(lines)):
@@ -522,7 +535,7 @@ def apply_mutation(unit: SourceUnit, line: int, kind: str, seed: int) -> Mutatio
     if kind not in SYNTACTIC_KINDS:
         raise DomainError(f"unknown mutation kind: {kind!r}")
     original = lines[line - 1]
-    info = _analyze_line(original)
+    info = _analyze_tokens(_line_tokens(unit, line))
     pool = _identifier_pool(unit) if kind in _POOL_KINDS else []
     alts = list(_alternatives(original, info, kind, pool))
     if not alts:

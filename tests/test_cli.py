@@ -343,8 +343,11 @@ def test_augment_cli_rejects_unknown_bug_source(cli_env, tmp_path):
         ("keep_temp = on", "keep_temp"),
         ("verifier.pass_re = (", "verifier.pass_re"),
         ("verifier.step_re = step", "verifier.step_re"),
+        ("llm.url = example", "llm.url"),
+        ("llm.url = http://[::1", "llm.url"),
     ],
-    ids=["temperature", "depth", "mock-mode", "unknown-key", "keep-temp", "pass-re", "step-re"],
+    ids=["temperature", "depth", "mock-mode", "unknown-key", "keep-temp", "pass-re", "step-re",
+         "llm-url", "llm-url-bracket"],
 )
 def test_unusable_setting_stops_augment_before_any_call(
     cli_env, tmp_path, monkeypatch, config_line, key
@@ -359,6 +362,50 @@ def test_unusable_setting_stops_augment_before_any_call(
     lines = res.output.strip().splitlines()
     assert len(lines) == 1 and lines[0].startswith("Error: ") and key in lines[0]
     assert not (out / "pt.jsonl").exists()
+
+
+def _with_bad_line(path, rows, bad="not json"):
+    ds.write_jsonl(rows, path)
+    with open(path, "a", encoding="utf-8") as fh:
+        fh.write(bad + "\n")
+    return path
+
+
+@pytest.mark.parametrize(
+    "command, what",
+    [
+        ("augment", "manifest"),
+        ("dpo-prep-benchmark", "benchmark file"),
+        ("dpo-prep-results", "results file"),
+        ("losses", "probabilities file"),
+    ],
+    ids=["augment", "dpo-prep-benchmark", "dpo-prep-results", "losses"],
+)
+def test_a_jsonl_input_line_that_is_not_json_is_a_one_line_error(
+    cli_env, tmp_path, monkeypatch, command, what
+):
+    monkeypatch.setattr(cli, "Toolchain", lambda *a, **k: pytest.fail("a Toolchain was built"))
+    if command == "augment":
+        manifest = _with_bad_line(tmp_path / "manifest.jsonl", [{"id": "u", "path": "u.v"}])
+        args = ["augment", "--config", cli_env["config"], "--out-dir", tmp_path,
+                "--manifest", manifest]
+    elif command == "losses":
+        probs = _with_bad_line(tmp_path / "probs.jsonl", [{"kind": "pt", "token_probs": [0.5]}],
+                               bad="{bad")
+        args = ["losses", probs]
+    else:
+        good = tmp_path / "good.jsonl"
+        ds.write_jsonl([{"case_id": "x", "responses": []}], good)
+        bad = _with_bad_line(tmp_path / "bad.jsonl", [{"id": "x"}])
+        if command == "dpo-prep-benchmark":
+            args = ["dpo-prep", good, "--benchmark", bad]
+        else:
+            args = ["dpo-prep", bad, "--benchmark", cli_env["benchmark"]]
+        args += ["--out", tmp_path / "triples.jsonl"]
+    res = invoke(*args)
+    assert res.exit_code == 1
+    lines = res.output.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith(f"Error: invalid {what}: line 2: "), res.output
 
 
 def test_eval_cli_n_flag_is_checked_against_the_ks(cli_env, tmp_path):

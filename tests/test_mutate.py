@@ -113,6 +113,18 @@ def test_no_alternative_raises():
         apply_mutation(unit("out = a;"), 1, "Value", 0)
 
 
+def test_multi_line_comment_and_string_text_is_never_mutated():
+    # Lines 2-3 sit inside or close a block comment, line 5 continues a
+    # string. enumerate_sites leaves them out, and apply_mutation finds no
+    # code tokens on them to rewrite, though their text looks like code.
+    u = unit('x = a;\n/* y = b | c;\n   z = d + 1; */\ns = "one \\\n t = e & f";\n')
+    assert [ln for ln, _ in enumerate_sites(u)] == [1]
+    for line in (2, 3, 5):
+        for kind in ("Var", "Value", "Op", "Cond", "Non_cond"):
+            with pytest.raises(NoAlternativeError):
+                apply_mutation(u, line, kind, 0)
+
+
 def test_mutation_record_rejects_identity():
     with pytest.raises(ValueError):
         MutationRecord("u", 1, "x = a;", "x = a;", BugType("Op"), frozenset(), 0)
@@ -264,7 +276,7 @@ def test_seeded_batch_single_line_and_reproducible(accepted_units):
 # -- rework guard ------------------------------------------------------------
 
 
-def test_enumerate_sites_lexes_each_line_once_and_pools_once(monkeypatch, corpus_units):
+def test_mutation_lexes_only_the_mutated_line(monkeypatch, corpus_units):
     import assertforge.mutate as m
 
     calls = {"tokenize": 0, "pool": 0}
@@ -279,16 +291,10 @@ def test_enumerate_sites_lexes_each_line_once_and_pools_once(monkeypatch, corpus
     monkeypatch.setattr(m, "tokenize", counting("tokenize", m.tokenize))
     monkeypatch.setattr(m, "_identifier_pool", counting("pool", m._identifier_pool))
     for u in corpus_units:
-        tainted = set()
-        for t in u.tokens:
-            if t.kind in ("comment", "string") and "\n" in t.text:
-                tainted.update(range(t.line, t.line + t.text.count("\n") + 1))
-        candidates = sum(
-            1
-            for ln, text in enumerate(u.text.split("\n"), start=1)
-            if text.strip() and ln not in tainted
-        )
         calls.update(tokenize=0, pool=0)
-        enumerate_sites(u)
-        assert calls["tokenize"] <= candidates, u.id
-        assert calls["pool"] == 1, u.id
+        sites = enumerate_sites(u)
+        assert calls == {"tokenize": 0, "pool": 1}, u.id
+        for line, kinds in sites:
+            calls["tokenize"] = 0
+            apply_mutation(u, line, kinds[0], 0)
+            assert calls["tokenize"] == 1, (u.id, line)  # the mutated line alone
