@@ -81,15 +81,12 @@ def filter_cmd(config_path, corpus_dir, out_dir):
         units = load_corpus_dir(cfg.corpus_dir)
     except FileNotFoundError as exc:
         raise click.ClickException(str(exc))
-    accepted, rows = filter_units(units)
+    rows = filter_units(units)
+    accepted = [{"id": r["id"], "path": r["path"]} for r in rows if r["status"] == "accepted"]
     header = _header(cfg)
     ds.write_jsonl(rows, out / "filter_report.jsonl", header=header)
-    ds.write_jsonl(
-        [{"id": u.id, "path": u.path} for u in accepted],
-        out / "manifest.jsonl",
-        header=header,
-    )
-    click.echo(f"{len(accepted)} of {len(units)} files accepted -> {out / 'manifest.jsonl'}")
+    ds.write_jsonl(accepted, out / "manifest.jsonl", header=header)
+    click.echo(f"{len(accepted)} of {len(rows)} files accepted -> {out / 'manifest.jsonl'}")
 
 
 def _load_manifest_units(manifest: Path) -> tuple[list[SourceUnit], list[dict]]:

@@ -6,6 +6,11 @@ round-trip property is what makes single-line mutation and deduplication safe
 without a full parser. It makes one ``finditer`` pass over a master pattern,
 an ordered alternation of one named group per token rule, and emits plain
 ``Token`` tuples; a unit is lexed once and mutation reuses its tokens.
+
+Filtering streams: ``load_corpus_dir`` reads and lexes one file per step and
+``filter_units`` judges each unit as it arrives, keeping only the dedup keys
+and the report rows, so memory is bounded by the largest file plus the
+report.
 """
 
 from __future__ import annotations
@@ -14,7 +19,7 @@ import hashlib
 import re
 from dataclasses import dataclass
 from pathlib import Path
-from typing import NamedTuple
+from typing import Iterable, Iterator, NamedTuple
 
 # IEEE 1364-2005 Annex B reserved words.
 VERILOG_2005_KEYWORDS = frozenset(
@@ -291,7 +296,7 @@ def classify_rejection(unit: SourceUnit) -> RejectionReason | None:
     """Apply the script-level filter rules to one unit.
 
     Returns None when the unit is accepted. Duplicate detection is the
-    caller's job (see dedup); syntax checking is the compiler adapter's.
+    caller's job (see filter_units); syntax checking is the compiler adapter's.
     """
     kw = {t.text for t in unit.tokens if t.kind == "keyword"}
     if "module" not in kw or "endmodule" not in kw:
@@ -307,27 +312,13 @@ def classify_rejection(unit: SourceUnit) -> RejectionReason | None:
     return None
 
 
-def dedup(units: list[SourceUnit]):
-    """Drop later units whose normalized token stream repeats an earlier one.
+def load_corpus_dir(root: str | Path) -> Iterator[SourceUnit]:
+    """Every *.v / *.sv under ``root`` (recursive), sorted by relative path.
 
-    Returns (kept, rejected) where rejected is a list of
-    (unit, RejectionReason(code="duplicate")) pairs. Order is preserved.
+    The directory is checked and listed at the call, so a missing ``root``
+    raises FileNotFoundError there; each file is read and lexed only when the
+    iterator reaches it.
     """
-    kept: list[SourceUnit] = []
-    rejected: list[tuple[SourceUnit, RejectionReason]] = []
-    first_by_key: dict[str, SourceUnit] = {}
-    for u in units:
-        prior = first_by_key.get(u.dedup_key)
-        if prior is None:
-            first_by_key[u.dedup_key] = u
-            kept.append(u)
-        else:
-            rejected.append((u, RejectionReason("duplicate", f"duplicate of {prior.id}")))
-    return kept, rejected
-
-
-def load_corpus_dir(root: str | Path) -> list[SourceUnit]:
-    """Read every *.v / *.sv under ``root`` (recursive), sorted by relative path."""
     root = Path(root)
     if not root.is_dir():
         raise FileNotFoundError(f"corpus directory not found: {root}")
@@ -335,33 +326,34 @@ def load_corpus_dir(root: str | Path) -> list[SourceUnit]:
         (p for p in root.rglob("*") if p.is_file() and p.suffix in (".v", ".sv")),
         key=lambda p: p.relative_to(root).as_posix(),
     )
-    units = []
-    for p in paths:
-        rel = p.relative_to(root).as_posix()
-        text = p.read_text(encoding="utf-8", errors="replace")
-        units.append(SourceUnit.from_text(rel, text, path=str(p)))
-    return units
+    return (
+        SourceUnit.from_text(
+            p.relative_to(root).as_posix(),
+            p.read_text(encoding="utf-8", errors="replace"),
+            path=str(p),
+        )
+        for p in paths
+    )
 
 
-def filter_units(units: list[SourceUnit]):
-    """Run classify_rejection then dedup over a corpus.
+def filter_units(units: Iterable[SourceUnit]) -> list[dict]:
+    """Judge each unit once, in order: ``classify_rejection``, then dedup.
 
-    Returns (accepted, rows) where rows is the filter report, one dict per
-    input unit in input order: {"id", "path", "status", "detail"}.
+    A unit that passes the rules is a duplicate when an earlier survivor has
+    the same dedup key; the first one wins. Returns the filter report, one
+    row per unit: {"id", "path", "status", "detail"}. No unit is kept, so a
+    stream of units is filtered in the memory of one.
     """
-    verdicts: dict[str, RejectionReason | None] = {}
-    survivors: list[SourceUnit] = []
-    for u in units:
-        reason = classify_rejection(u)
-        verdicts[u.id] = reason
-        if reason is None:
-            survivors.append(u)
-    accepted, dup_rejected = dedup(survivors)
-    for u, reason in dup_rejected:
-        verdicts[u.id] = reason
+    first_by_key: dict[str, str] = {}
     rows = []
     for u in units:
-        reason = verdicts[u.id]
+        reason = classify_rejection(u)
+        if reason is None:
+            prior = first_by_key.get(u.dedup_key)
+            if prior is None:
+                first_by_key[u.dedup_key] = u.id
+            else:
+                reason = RejectionReason("duplicate", f"duplicate of {prior}")
         rows.append(
             {
                 "id": u.id,
@@ -370,4 +362,5 @@ def filter_units(units: list[SourceUnit]):
                 "detail": "" if reason is None else reason.detail,
             }
         )
-    return accepted, rows
+        del u  # free this unit before the next one is read
+    return rows

@@ -283,20 +283,26 @@ def _op_alternatives(line: str, info: _LineInfo) -> Iterator[str]:
 _BASED_RE = re.compile(r"(\d[\d_]*)?('[sS]?)([bBoOdDhH])([0-9a-fA-FxXzZ?_]+)")
 
 
-def _literal_variants(text: str) -> list[str]:
+def _literal_variants(text: str) -> Iterator[str]:
+    """Lazily, in order, the rewrites of a number literal other than itself."""
+    return (v for v in _literal_rewrites(text) if v != text)
+
+
+def _literal_rewrites(text: str) -> Iterator[str]:
+    """A based literal with one bit flipped, digit by digit; a decimal one
+    (based or plain, real included) moved by +1, then by -1 when positive."""
     m = _BASED_RE.fullmatch(text)
     if m:
         size = m.group(1) or ""
         tick = m.group(2)
         base = m.group(3)
         digits = m.group(4).replace("_", "")
-        variants: list[str] = []
         bl = base.lower()
         if bl == "b":
             for i, ch in enumerate(digits):
                 if ch in "01":
                     flipped = digits[:i] + ("1" if ch == "0" else "0") + digits[i + 1 :]
-                    variants.append(size + tick + base + flipped)
+                    yield size + tick + base + flipped
         elif bl in ("h", "o"):
             width = 4 if bl == "h" else 3
             for i, ch in enumerate(digits):
@@ -309,26 +315,23 @@ def _literal_variants(text: str) -> list[str]:
                     nd = format(nv, "x" if bl == "h" else "o")
                     if ch.isupper():
                         nd = nd.upper()
-                    variants.append(size + tick + base + digits[:i] + nd + digits[i + 1 :])
-        else:  # decimal base
-            clean = digits
-            if clean.isdigit():
-                n = int(clean)
-                variants.append(size + tick + base + str(n + 1))
-                if n > 0:
-                    variants.append(size + tick + base + str(n - 1))
-        return [v for v in variants if v != text]
+                    yield size + tick + base + digits[:i] + nd + digits[i + 1 :]
+        elif digits.isdigit():  # decimal base
+            n = int(digits)
+            yield size + tick + base + str(n + 1)
+            if n > 0:
+                yield size + tick + base + str(n - 1)
+        return
     # Plain decimal / real: bump the leading integer part by +/-1.
     m = re.match(r"\d+", text.replace("_", ""))
     if not m:
-        return []
+        return
     head = m.group()
     rest = text.replace("_", "")[len(head) :]
     n = int(head)
-    out = [str(n + 1) + rest]
+    yield str(n + 1) + rest
     if n > 0:
-        out.append(str(n - 1) + rest)
-    return [v for v in out if v != text]
+        yield str(n - 1) + rest
 
 
 def _value_alternatives(line: str, tokens: list[Token]) -> Iterator[str]:

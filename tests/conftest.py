@@ -21,13 +21,18 @@ def corpus_dir(tmp_path_factory) -> Path:
 
 @pytest.fixture(scope="session")
 def corpus_units(corpus_dir):
-    return load_corpus_dir(corpus_dir)
+    return list(load_corpus_dir(corpus_dir))
+
+
+def select_accepted(units, rows):
+    """The units whose filter report row says accepted, in order."""
+    accepted = {r["id"] for r in rows if r["status"] == "accepted"}
+    return [u for u in units if u.id in accepted]
 
 
 @pytest.fixture(scope="session")
 def accepted_units(corpus_units):
-    accepted, _ = filter_units(corpus_units)
-    return accepted
+    return select_accepted(corpus_units, filter_units(corpus_units))
 
 
 @pytest.fixture()
@@ -63,8 +68,8 @@ def cli_env(tmp_path_factory):
     corpus = write_corpus(base / "corpus")
     mock_dir = base / "mocks"
 
-    units = load_corpus_dir(corpus)
-    accepted, _ = filter_units(units)
+    units = list(load_corpus_dir(corpus))
+    accepted = select_accepted(units, filter_units(units))
     recorder = Toolchain(
         ToolSettings(mock_dir=str(mock_dir), mock_mode="record"),
         compile_backend=fake_compile,

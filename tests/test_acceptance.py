@@ -32,6 +32,7 @@ from conftest import (
     E2E_GOLDEN_FAMILY_COUNTS,
     E2E_GOLDEN_TRIPLES,
 )
+from toyprovider import BigramSoftmaxProvider
 
 
 def report(name: str, ok: bool, detail: str = ""):
@@ -171,21 +172,21 @@ def test_criterion_gradient_checks():
     worst = 0.0
     for _ in range(100):
         logits = rng.standard_normal((vocab + 1, vocab))
-        prov = tm.BigramSoftmaxProvider(logits)
+        prov = BigramSoftmaxProvider(logits)
         samples = _seqs(rng, vocab, 2)
         pairs = [(_seqs(rng, vocab, 1)[0], _seqs(rng, vocab, 1)[0]) for _ in range(2)]
         x, p, n = _seqs(rng, vocab, 3)
         triples = [(x, p, n)]
-        ref = tm.BigramSoftmaxProvider(rng.standard_normal((vocab + 1, vocab)))
+        ref = BigramSoftmaxProvider(rng.standard_normal((vocab + 1, vocab)))
 
         checks = [
             (prov.pt_loss_grad(samples),
-             _central_diff(lambda L: tm.pt_loss(tm.BigramSoftmaxProvider(L), samples), logits)),
+             _central_diff(lambda L: tm.pt_loss(BigramSoftmaxProvider(L), samples), logits)),
             (prov.sft_loss_grad(pairs),
-             _central_diff(lambda L: tm.sft_loss(tm.BigramSoftmaxProvider(L), pairs), logits)),
+             _central_diff(lambda L: tm.sft_loss(BigramSoftmaxProvider(L), pairs), logits)),
             (prov.dpo_loss_grad(ref, triples, beta=0.1),
              _central_diff(
-                 lambda L: tm.dpo_loss(tm.BigramSoftmaxProvider(L), ref, triples, beta=0.1),
+                 lambda L: tm.dpo_loss(BigramSoftmaxProvider(L), ref, triples, beta=0.1),
                  logits,
              )),
         ]

@@ -10,11 +10,16 @@ at seed 20240817 and pinned here.
 
 import hashlib
 import json
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
 
+import assertforge
 from assertforge import dataset as ds
 from assertforge import cli
 from assertforge import evalharness as ev
@@ -25,7 +30,7 @@ from conftest import (
     E2E_GOLDEN_FAMILY_COUNTS as GOLDEN_FAMILY_COUNTS,
     E2E_GOLDEN_TRIPLES as GOLDEN_TRIPLES,
 )
-from fixture_corpus import EXPECTED_ACCEPTED
+from fixture_corpus import CORPUS_FILES, EXPECTED_ACCEPTED
 
 
 def invoke(*args):
@@ -159,6 +164,57 @@ EVAL_BODY_DIGESTS = {
     "report.json": "4d2fba324f1f235d3729fb7b216fdbd1a30f19b232556ce6dc6f0b8a70020177",
     "results.jsonl": "41e08021579425a681c6903adc4002bc15146a5b772162957c9f4adf6258c7f4",
 }
+
+
+# A small corpus of duplicates: a byte copy, a comment variant and a
+# whitespace variant of one module, a copy of a rejected file (rejected for
+# its own reason, not as a duplicate), and a commented copy whose original
+# sorts first in a subdirectory.
+_DUP_BASE = (
+    "module acc (input clk, input [3:0] d, output reg [3:0] q);\n"
+    "  always @(posedge clk) q <= q + d;\nendmodule\n"
+)
+_DUP_TIEOFF = "module tie (output x);\n  assign x = 1'b0;\nendmodule\n"
+_DUP_SUB = "module inv (input a, output y);\n  assign y = ~a;\nendmodule\n"
+DUP_CORPUS = {
+    "a_base.v": _DUP_BASE,
+    "b_copy.v": _DUP_BASE,
+    "c_commented.sv": "// accumulator\n" + _DUP_BASE.replace("q + d;", "q + d; /* wraps */"),
+    "d_respaced.v": _DUP_BASE.replace("  ", "\t").replace(" + ", "+"),
+    "e_tieoff.v": _DUP_TIEOFF,
+    "f_tieoff_copy.v": _DUP_TIEOFF,
+    "g_open.v": "module open (input a);\n",
+    "notes.txt": _DUP_BASE,
+    "sub/a_first.v": _DUP_SUB,
+    "sub/z_copy.v": "/* inverter */\n" + _DUP_SUB.replace("~a;", "~a; // negate"),
+}
+
+# Pinned from the fixture corpus and DUP_CORPUS, filtered with a relative
+# corpus path so the `path` fields do not depend on the temp directory.
+FILTER_BODY_DIGESTS = {
+    "fixture": {
+        "filter_report.jsonl": "1b6bc5c4d721f22f1e78afd1c2a33d87256a0cc83a76af942a0ae1f8207788d0",
+        "manifest.jsonl": "abca4d8ca384d01eb678b5f893cbc18268bce917657e50c29b81f2d9c4b6a2df",
+    },
+    "dups": {
+        "filter_report.jsonl": "2c34bc0b5911ad2e447e087506b6f3f9d9ad52282235990505a7701b593e2d94",
+        "manifest.jsonl": "b3472d0404fb03285d060a22c7977a236eaeff165dbd031672cb48d6a2fb17ed",
+    },
+}
+
+
+@pytest.mark.parametrize("corpus", sorted(FILTER_BODY_DIGESTS))
+def test_filter_cli_pinned_digests(tmp_path, monkeypatch, corpus):
+    files = CORPUS_FILES if corpus == "fixture" else DUP_CORPUS
+    for rel, text in files.items():
+        p = tmp_path / "corpus" / rel
+        p.parent.mkdir(parents=True, exist_ok=True)
+        p.write_text(text, encoding="utf-8")
+    monkeypatch.chdir(tmp_path)
+    res = invoke("filter", "--corpus-dir", "corpus", "--out-dir", "out")
+    assert res.exit_code == 0, res.output
+    got = {n: _body_digest(tmp_path / "out" / n) for n in FILTER_BODY_DIGESTS[corpus]}
+    assert got == FILTER_BODY_DIGESTS[corpus]
 
 
 @pytest.mark.parametrize("parallel", [1, 4])
@@ -634,3 +690,16 @@ def test_losses_cli_malformed_rows_are_errors(tmp_path):
     errors = json.loads(res.stderr)["errors"]
     assert [e["row"] for e in errors] == [1, 3, 4, 5, 6]
     assert "ref_n" in errors[3]["error"] and "ref_n" in errors[4]["error"]
+
+
+# -- imports ------------------------------------------------------------------
+
+
+def test_cli_import_does_not_load_numpy():
+    src = str(Path(assertforge.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    code = "import sys, assertforge.cli; print('numpy' in sys.modules)"
+    done = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True
+    )
+    assert done.stdout.strip() == "False"

@@ -1,16 +1,19 @@
 import random
 import re
+import weakref
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from assertforge.corpus import (
     SourceUnit,
     classify_rejection,
-    dedup,
     filter_units,
+    load_corpus_dir,
     tokenize,
 )
+from conftest import select_accepted
 from fixture_corpus import CORPUS_FILES, EXPECTED_ACCEPTED, EXPECTED_REJECTED
 
 
@@ -127,12 +130,21 @@ def test_classify_is_deterministic(corpus_units):
         assert classify_rejection(u) == classify_rejection(u)
 
 
+def _kept_and_rejected(rows):
+    """(accepted ids, [(id, status)] of the rest) from filter report rows."""
+    kept = [r["id"] for r in rows if r["status"] == "accepted"]
+    rejected = [(r["id"], r["status"]) for r in rows if r["status"] != "accepted"]
+    return kept, rejected
+
+
 def test_dedup_byte_identical():
     a = SourceUnit.from_text("a", "module m; always @(x) y = x; endmodule")
     b = SourceUnit.from_text("b", "module m; always @(x) y = x; endmodule")
-    kept, rejected = dedup([a, b])
-    assert [u.id for u in kept] == ["a"]
-    assert [(u.id, r.code) for u, r in rejected] == [("b", "duplicate")]
+    rows = filter_units([a, b])
+    kept, rejected = _kept_and_rejected(rows)
+    assert kept == ["a"]
+    assert rejected == [("b", "duplicate")]
+    assert rows[1]["detail"] == "duplicate of a"
 
 
 def _strip_comments_ws(text):
@@ -148,33 +160,61 @@ def test_dedup_comment_only_difference():
     assert _strip_comments_ws(plain) == _strip_comments_ws(commented)
     a = SourceUnit.from_text("a", plain)
     b = SourceUnit.from_text("b", commented)
-    kept, rejected = dedup([a, b])
-    assert [u.id for u in kept] == ["a"]
-    assert rejected[0][1].code == "duplicate"
+    kept, rejected = _kept_and_rejected(filter_units([a, b]))
+    assert kept == ["a"]
+    assert rejected[0][1] == "duplicate"
 
 
 def test_dedup_distinct_modules_kept():
     a = SourceUnit.from_text("a", "module m; always @(x) y = x; endmodule")
     b = SourceUnit.from_text("b", "module n; always @(x) z = x; endmodule")
-    kept, rejected = dedup([a, b])
+    kept, rejected = _kept_and_rejected(filter_units([a, b]))
     assert len(kept) == 2 and not rejected
 
 
 def test_dedup_idempotent(corpus_units):
-    kept, _ = dedup(corpus_units)
-    kept2, rejected2 = dedup(kept)
+    kept = select_accepted(corpus_units, filter_units(corpus_units))
+    rows2 = filter_units(kept)
+    kept2 = select_accepted(kept, rows2)
+    _, rejected2 = _kept_and_rejected(rows2)
     assert kept2 == kept and not rejected2
 
 
 def test_filter_units_fixture_expectations(corpus_units):
-    accepted, rows = filter_units(corpus_units)
+    rows = filter_units(corpus_units)
     by_id = {r["id"]: r for r in rows}
     for uid, code in EXPECTED_REJECTED.items():
         assert by_id[uid]["status"] == code, uid
     for uid in EXPECTED_ACCEPTED:
         assert by_id[uid]["status"] == "accepted", uid
-    assert {u.id for u in accepted} == set(EXPECTED_ACCEPTED)
+    assert {r["id"] for r in rows if r["status"] == "accepted"} == set(EXPECTED_ACCEPTED)
     assert set(rows[0]) == {"id", "path", "status", "detail"}
+
+
+def test_filter_units_frees_each_unit_before_reading_the_next(corpus_units):
+    texts = [u.text for u in corpus_units]
+    refs = []
+    alive_when_next_asked = []
+
+    def tracked(unit):
+        refs.append(weakref.ref(unit))
+        return unit
+
+    def stream():
+        for i, text in enumerate(texts):
+            if refs:
+                alive_when_next_asked.append(refs[-1]() is not None)
+            yield tracked(SourceUnit.from_text(f"u{i}", text))
+
+    rows = filter_units(stream())
+    assert len(rows) == len(texts)
+    assert alive_when_next_asked == [False] * (len(texts) - 1)
+    assert refs[-1]() is None
+
+
+def test_load_corpus_dir_missing_dir_raises_before_iteration(tmp_path):
+    with pytest.raises(FileNotFoundError, match="corpus directory not found"):
+        load_corpus_dir(tmp_path / "nope")
 
 
 def test_source_unit_invariants(corpus_units):

@@ -7,7 +7,6 @@ import pytest
 
 from assertforge.errors import DomainError, ZeroProbabilityError
 from assertforge.trainmath import (
-    BigramSoftmaxProvider,
     ChallengingCase,
     ExplicitProvider,
     PreferenceTriple,
@@ -17,6 +16,7 @@ from assertforge.trainmath import (
     select_challenging,
     sft_loss,
 )
+from toyprovider import BigramSoftmaxProvider
 
 mp.mp.dps = 50
 
