@@ -124,11 +124,9 @@ def augment(config_path, manifest, out_dir, parallel, keep_temp):
     result.errors = load_errors + result.errors
 
     header = _header(cfg)
-    ds.write_jsonl([r.to_json() for r in result.pt], out / "pt.jsonl", header=header)
-    ds.write_jsonl([r.to_json() for r in result.bug], out / "bug.jsonl", header=header)
-    ds.write_jsonl(
-        [r.to_json() for r in result.svabug], out / "svabug.jsonl", header=header
-    )
+    ds.write_jsonl(result.pt, out / "pt.jsonl", header=header)
+    ds.write_jsonl(result.bug, out / "bug.jsonl", header=header)
+    ds.write_jsonl(result.svabug, out / "svabug.jsonl", header=header)
     ds.write_jsonl(
         [c.to_json() for c in result.eval_cases],
         out / "sva_eval_machine.jsonl",
@@ -242,6 +240,11 @@ def eval_cmd(benchmark, config_path, out_path, results_path, csv_path, n_target,
     _finish(errors)
 
 
+def _is_response(r) -> bool:
+    return (isinstance(r, dict) and isinstance(r.get("raw_text"), str)
+            and isinstance(r.get("valid_json"), bool) and isinstance(r.get("verdict"), str))
+
+
 @main.command("dpo-prep")
 @click.argument("results_file", type=click.Path(exists=True))
 @click.option("--benchmark", type=click.Path(exists=True), required=True,
@@ -268,6 +271,9 @@ def dpo_prep(results_file, benchmark, config_path, out_path, n_expected):
     judged_entries = []
     for row in result_rows:
         case_id = row.get("case_id")
+        if not isinstance(case_id, str):
+            errors.append({"case_id": case_id, "error": "results row needs a string case_id"})
+            continue
         case = cases.get(case_id)
         if case is None:
             errors.append({"case_id": case_id, "error": "unknown case id"})
@@ -275,7 +281,11 @@ def dpo_prep(results_file, benchmark, config_path, out_path, n_expected):
         if not isinstance(row.get("responses"), list):
             errors.append({"case_id": case_id, "error": "results row has no responses list"})
             continue
-        valid = [r for r in row["responses"] if r.get("valid_json")]
+        if not all(map(_is_response, row["responses"])):
+            errors.append({"case_id": case_id, "error": "each response needs string raw_text, "
+                           "boolean valid_json and string verdict"})
+            continue
+        valid = [r for r in row["responses"] if r["valid_json"]]
         if len(valid) != n_expected:
             errors.append(
                 {
@@ -298,7 +308,7 @@ def dpo_prep(results_file, benchmark, config_path, out_path, n_expected):
 
     challenging = tm.select_challenging(judged_entries, n_expected=n_expected)
     triples = tm.build_triples(challenging)
-    ds.write_jsonl([t.to_json() for t in triples], out_path, header=_header(cfg))
+    ds.write_jsonl(triples, out_path, header=_header(cfg))
     click.echo(
         f"{len(challenging)} challenging cases -> {len(triples)} triples -> {out_path}"
     )

@@ -47,69 +47,7 @@ def length_bin(line_count: int) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Record families
-
-
-@dataclass(frozen=True)
-class PtRecord:
-    """A failed-compilation source with its spec and syntax-error analysis."""
-
-    code: str
-    spec: str
-    analysis: str
-
-    def to_json(self) -> dict:
-        return {"code": self.code, "spec": self.spec, "analysis": self.analysis}
-
-
-@dataclass(frozen=True)
-class BugRecord:
-    """A bug that compiled but never tripped the assertion."""
-
-    spec: str
-    buggy_code: str
-    buggy_line: str
-    corrected_line: str
-
-    def __post_init__(self):
-        if self.buggy_line not in self.buggy_code.split("\n"):
-            raise ValueError("buggy_line must appear verbatim in buggy_code")
-
-    def to_json(self) -> dict:
-        return {
-            "spec": self.spec,
-            "buggy_code": self.buggy_code,
-            "buggy_line": self.buggy_line,
-            "corrected_line": self.corrected_line,
-        }
-
-
-@dataclass(frozen=True)
-class SvaBugRecord:
-    """A bug/SVA pair whose verification failed, optionally with a validated CoT."""
-
-    spec: str
-    buggy_sv_code: str
-    log: str
-    step_by_step: bool
-    buggy_line: str
-    corrected_line: str
-    cot: str | None = None
-
-    def __post_init__(self):
-        if self.step_by_step != (self.cot is not None):
-            raise ValueError("step_by_step must hold exactly when a CoT is present")
-
-    def to_json(self) -> dict:
-        return {
-            "spec": self.spec,
-            "buggy_sv_code": self.buggy_sv_code,
-            "log": self.log,
-            "step_by_step": self.step_by_step,
-            "buggy_line": self.buggy_line,
-            "corrected_line": self.corrected_line,
-            "cot": self.cot,
-        }
+# Benchmark cases
 
 
 @dataclass(frozen=True)
@@ -119,6 +57,11 @@ class GoldenSolution:
     buggy_line: str
     corrected_line: str
     line_no: int = 0
+
+
+# Checked in this order, so a row missing its code says so first.
+_CASE_TEXT_FIELDS = ("buggy_sv_code", "id", "source", "spec", "log", "golden_buggy_line",
+                     "golden_corrected_line", "bug_syntactic", "bug_relation")
 
 
 @dataclass(frozen=True)
@@ -158,27 +101,28 @@ class EvalCase:
 
     @classmethod
     def from_json(cls, obj: dict) -> "EvalCase":
-        try:
-            code = obj["buggy_sv_code"]
-            lb = obj.get("length_bin")
-            if lb is None:
-                lb = length_bin(max(1, len(code.splitlines())))
-            elif type(lb) is not int:  # bool is an int subclass, and not a bin
-                raise SchemaError(f"eval case length_bin must be an integer, got {lb!r}")
-            return cls(
-                id=obj["id"],
-                source=obj["source"],
-                spec=obj["spec"],
-                buggy_sv_code=code,
-                log=obj["log"],
-                golden=GoldenSolution(
-                    obj["golden_buggy_line"], obj["golden_corrected_line"]
-                ),
-                bug_type=BugType(obj["bug_syntactic"], obj["bug_relation"]),
-                length_bin=lb,
-            )
-        except KeyError as exc:
-            raise SchemaError(f"eval case missing field {exc}") from exc
+        for name in _CASE_TEXT_FIELDS:
+            if name not in obj:
+                raise SchemaError(f"eval case missing field {name!r}")
+            if not isinstance(obj[name], str):
+                raise SchemaError(
+                    f"eval case {name} must be a string, got {type(obj[name]).__name__}"
+                )
+        lb = obj.get("length_bin")
+        if lb is None:
+            lb = length_bin(max(1, len(obj["buggy_sv_code"].splitlines())))
+        elif type(lb) is not int:  # bool is an int subclass, and not a bin
+            raise SchemaError(f"eval case length_bin must be an integer, got {lb!r}")
+        return cls(
+            id=obj["id"],
+            source=obj["source"],
+            spec=obj["spec"],
+            buggy_sv_code=obj["buggy_sv_code"],
+            log=obj["log"],
+            golden=GoldenSolution(obj["golden_buggy_line"], obj["golden_corrected_line"]),
+            bug_type=BugType(obj["bug_syntactic"], obj["bug_relation"]),
+            length_bin=lb,
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -219,16 +163,6 @@ class SplitPlan:
                 for b in self.bins
             ],
         }
-
-    @classmethod
-    def from_json(cls, obj: dict) -> "SplitPlan":
-        return cls(
-            obj["seed"],
-            tuple(
-                SplitBin(b["interval"], tuple(b["train"]), tuple(b["test"]))
-                for b in obj["bins"]
-            ),
-        )
 
 
 def _round_half_up(fraction: Fraction, n: int) -> int:
@@ -363,11 +297,13 @@ class PipelineItem:
 
 @dataclass
 class RecordBundle:
-    """Everything ``build_records`` routed, and the counts over it."""
+    """Everything ``build_records`` routed, and the counts over it. The
+    ``pt``/``bug``/``svabug`` rows are the JSONL objects as written, keys in
+    schema order."""
 
-    pt: list[PtRecord] = field(default_factory=list)
-    bug: list[BugRecord] = field(default_factory=list)
-    svabug: list[SvaBugRecord] = field(default_factory=list)
+    pt: list[dict] = field(default_factory=list)
+    bug: list[dict] = field(default_factory=list)
+    svabug: list[dict] = field(default_factory=list)
     eval_cases: list[EvalCase] = field(default_factory=list)
     drops: list[dict] = field(default_factory=list)
     errors: list[dict] = field(default_factory=list)
@@ -404,7 +340,7 @@ def build_records(items: Iterable[PipelineItem], corpus_ids: set[str]) -> Record
             raise InconsistentProvenance(f"unknown unit id: {item.unit_id}")
         outcome = route_unit(item.compile_status)
         if outcome == "pt":
-            bundle.pt.append(PtRecord(item.code, item.spec, item.analysis))
+            bundle.pt.append({"code": item.code, "spec": item.spec, "analysis": item.analysis})
             continue
         if outcome != "proceed":
             bundle.errors.append({"unit_id": item.unit_id, "outcome": outcome})
@@ -445,22 +381,25 @@ def build_records(items: Iterable[PipelineItem], corpus_ids: set[str]) -> Record
                         cot["correct"] += 1
                         cot_text = parsed["cot"] or ""
                 bundle.svabug.append(
-                    SvaBugRecord(
-                        spec=item.spec,
-                        buggy_sv_code=mut.buggy_sv_code,
-                        log=mut.log,
-                        step_by_step=cot_text is not None,
-                        buggy_line=golden.buggy_line,
-                        corrected_line=golden.corrected_line,
-                        cot=cot_text,
-                    )
+                    {
+                        "spec": item.spec,
+                        "buggy_sv_code": mut.buggy_sv_code,
+                        "log": mut.log,
+                        "step_by_step": cot_text is not None,
+                        "buggy_line": golden.buggy_line,
+                        "corrected_line": golden.corrected_line,
+                        "cot": cot_text,
+                    }
                 )
             elif routed == "bug":
                 if not mut.held_out:
                     bundle.bug.append(
-                        BugRecord(
-                            item.spec, mut.buggy_code, golden.buggy_line, golden.corrected_line
-                        )
+                        {
+                            "spec": item.spec,
+                            "buggy_code": mut.buggy_code,
+                            "buggy_line": golden.buggy_line,
+                            "corrected_line": golden.corrected_line,
+                        }
                     )
             elif routed.startswith("drop:"):
                 bundle.drops.append(

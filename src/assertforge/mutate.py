@@ -80,33 +80,6 @@ class MutationRecord:
         lines[self.line - 1] = self.mutated_snippet
         return "\n".join(lines)
 
-    def to_json(self) -> dict:
-        obj = {
-            "unit_id": self.unit_id,
-            "line": self.line,
-            "original": self.original_snippet,
-            "mutated": self.mutated_snippet,
-            "syntactic": self.bug_type.syntactic,
-            "relation": self.bug_type.relation,
-            "seed": self.rng_seed,
-        }
-        if self.detail:
-            obj["detail"] = self.detail
-        return obj
-
-    @classmethod
-    def from_json(cls, obj: dict) -> "MutationRecord":
-        return cls(
-            unit_id=obj["unit_id"],
-            line=obj["line"],
-            original_snippet=obj["original"],
-            mutated_snippet=obj["mutated"],
-            bug_type=BugType(obj["syntactic"], obj.get("relation", "Unknown")),
-            lhs_targets=frozenset(obj.get("lhs_targets", ())),
-            rng_seed=obj["seed"],
-            detail=obj.get("detail", ""),
-        )
-
 
 def extract_referenced_signals(sva_text: str) -> frozenset[str]:
     """Identifiers referenced by an assertion, minus keywords and system tasks."""

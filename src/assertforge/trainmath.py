@@ -15,8 +15,7 @@ analytic gradients of a bigram-softmax toy provider (``tests/toyprovider.py``).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Hashable, Iterable, Mapping, Protocol, Sequence
+from typing import Hashable, Iterable, Mapping, NamedTuple, Protocol, Sequence
 
 from .errors import DomainError, ZeroProbabilityError
 from .textutil import normalize_line
@@ -129,29 +128,13 @@ def dpo_loss(
 # Challenging-case selection and preference triples
 
 
-@dataclass(frozen=True)
-class PreferenceTriple:
-    x: str
-    p: str
-    n: str
+class ChallengingCase(NamedTuple):
+    """A question, its correct answer, and the distinct incorrect replies
+    (at least one, none equal to the answer under ``normalize_line``)."""
 
-    def __post_init__(self):
-        if normalize_line(self.p) == normalize_line(self.n):
-            raise ValueError("preferred and negative responses must differ")
-
-    def to_json(self) -> dict:
-        return {"x": self.x, "p": self.p, "n": self.n}
-
-
-@dataclass(frozen=True)
-class ChallengingCase:
     x: str
     p: str
     negatives: tuple[str, ...]
-
-    def __post_init__(self):
-        if not (1 <= len(self.negatives) <= 20):
-            raise ValueError("a challenging case carries 1..20 negatives")
 
 
 def select_challenging(
@@ -160,7 +143,8 @@ def select_challenging(
 ) -> list[ChallengingCase]:
     """Keep entries with at least one incorrect verdict among their responses.
 
-    Each entry is (question, correct answer, [(response text, verdict)] * 20).
+    Each entry is (question, correct answer, n_expected (response text,
+    verdict) pairs).
     Negatives are the distinct incorrect response texts (normalized dedup,
     first-seen order). Responses whose text collapses onto the correct answer
     are skipped; an entry whose negatives all collapse is excluded.
@@ -186,11 +170,10 @@ def select_challenging(
     return out
 
 
-def build_triples(cases: Iterable[ChallengingCase]) -> list[PreferenceTriple]:
-    """One triple per (case, negative), preserving case and negative order."""
-    return [
-        PreferenceTriple(case.x, case.p, neg) for case in cases for neg in case.negatives
-    ]
+def build_triples(cases: Iterable[ChallengingCase]) -> list[dict]:
+    """One ``{"x", "p", "n"}`` row per (case, negative), preserving case and
+    negative order."""
+    return [{"x": case.x, "p": case.p, "n": neg} for case in cases for neg in case.negatives]
 
 
 # ---------------------------------------------------------------------------

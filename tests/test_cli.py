@@ -14,10 +14,13 @@ import os
 import re
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import assertforge
 from assertforge import dataset as ds
@@ -604,6 +607,147 @@ def test_dpo_prep_n_defaults_to_eval_n(cli_env, tmp_path):
         assert res.exit_code == 0, res.output
         outputs.append(read_records(triples))
     assert outputs[0] == outputs[1] != []
+
+
+def test_dpo_prep_n_above_twenty_keeps_every_distinct_negative(cli_env, tmp_path):
+    wrong = [
+        {"raw_text": json.dumps({"buggy_line": f"out <= in + {i};", "fix": "out <= in;"}),
+         "valid_json": True, "verdict": "incorrect"}
+        for i in range(25)
+    ]
+    results = tmp_path / "results.jsonl"
+    ds.write_jsonl([{"case_id": "human/incr-bug", "n": 25, "c": 0, "responses": wrong}], results)
+    triples_path = tmp_path / "triples.jsonl"
+    res = invoke("dpo-prep", results, "--benchmark", cli_env["benchmark"], "--out", triples_path,
+                 "--n", "25")
+    assert res.exit_code == 0, res.output
+    assert [t["n"] for t in read_records(triples_path)] == [r["raw_text"] for r in wrong]
+
+
+@pytest.fixture(scope="module")
+def eval_rows(cli_env, tmp_path_factory):
+    """The benchmark rows and the results rows of one eval run over them."""
+    _, results_path = _run_eval(cli_env, tmp_path_factory.mktemp("eval_rows"), "rows")
+    return read_records(cli_env["benchmark"]), read_records(results_path)
+
+
+@pytest.mark.parametrize(
+    "breakage",
+    [
+        lambda row: {**row, "responses": ["x"]},
+        lambda row: {**row, "responses": [{k: v for k, v in r.items() if k != "raw_text"}
+                                          for r in row["responses"]]},
+        lambda row: {**row, "responses": [{**r, "valid_json": "yes"} for r in row["responses"]]},
+        lambda row: {**row, "case_id": [row["case_id"]]},
+    ],
+    ids=["response-not-an-object", "response-without-raw-text", "valid-json-not-a-boolean",
+         "case-id-a-list"],
+)
+def test_dpo_prep_malformed_results_row_is_a_row_error(cli_env, eval_rows, tmp_path, breakage):
+    _, rows = eval_rows
+    assert rows[0]["c"] == GOLDEN_C_VECTOR[0] == 20  # so the other rows give every triple
+    bad = breakage(rows[0])
+    results = tmp_path / "results.jsonl"
+    ds.write_jsonl([bad] + rows[1:], results)
+    triples_path = tmp_path / "triples.jsonl"
+    res = invoke("dpo-prep", results, "--benchmark", cli_env["benchmark"], "--out", triples_path)
+    assert res.exit_code == 1
+    errors = json.loads(res.stderr)["errors"]
+    assert len(errors) == 1 and errors[0]["case_id"] == bad["case_id"]
+    assert len(read_records(triples_path)) == GOLDEN_TRIPLES
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [("buggy_sv_code", 5), ("golden_buggy_line", 7), ("id", ["c1"]), ("bug_relation", None)],
+    ids=["code-an-integer", "golden-line-an-integer", "id-a-list", "relation-null"],
+)
+def test_non_string_case_field_is_a_schema_error(cli_env, eval_rows, tmp_path, field, value):
+    bench_rows, results = eval_rows
+    bad = {**bench_rows[0], "id": "bad-field", field: value}
+    del bad["length_bin"]  # so a non-string code must fail before its lines are counted
+    benchmark = tmp_path / "benchmark.jsonl"
+    ds.write_jsonl(bench_rows + [bad], benchmark)
+    res = invoke("eval", benchmark, "--config", cli_env["config"], "--out", tmp_path / "r.json")
+    assert res.exit_code == 1
+    lines = res.output.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("Error: invalid benchmark file: ")
+    assert field in lines[0]
+
+    results_path = tmp_path / "results.jsonl"
+    ds.write_jsonl(results, results_path)
+    triples_path = tmp_path / "triples.jsonl"
+    res = invoke("dpo-prep", results_path, "--benchmark", benchmark, "--out", triples_path)
+    assert res.exit_code == 1
+    errors = json.loads(res.stderr)["errors"]
+    assert [e["case_id"] for e in errors] == [bad["id"]]
+    assert field in errors[0]["error"]
+    assert len(read_records(triples_path)) == GOLDEN_TRIPLES
+
+
+# -- malformed input rows ---------------------------------------------------------
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-2, 30) | st.floats(-1, 1) | st.text(max_size=3),
+    lambda inner: st.lists(inner, max_size=2) | st.dictionaries(st.text(max_size=3), inner,
+                                                                max_size=2),
+    max_leaves=3,
+)
+
+
+@st.composite
+def mangled(draw, obj):
+    """``obj`` with one key given another JSON value, dropped or added, or a
+    JSON value that is not an object in its place."""
+    how = draw(st.sampled_from(("retype", "drop", "add", "replace")))
+    if how == "replace":
+        return draw(JSON_VALUES.filter(lambda v: not isinstance(v, dict)))
+    obj = dict(obj)
+    if how == "add":
+        obj[draw(st.text(max_size=6))] = draw(JSON_VALUES)
+        return obj
+    key = draw(st.sampled_from(sorted(obj)))
+    if how == "drop":
+        del obj[key]
+    else:
+        obj[key] = draw(JSON_VALUES)
+    return obj
+
+
+@settings(max_examples=40, derandomize=True, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_malformed_eval_and_dpo_prep_rows_end_in_an_error_not_a_traceback(cli_env, eval_rows,
+                                                                          data):
+    bench_rows, result_rows = eval_rows
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        if data.draw(st.booleans(), label="eval"):
+            ds.write_jsonl([data.draw(mangled(bench_rows[0]))], tmp / "benchmark.jsonl")
+            args = ["eval", tmp / "benchmark.jsonl", "--config", cli_env["config"],
+                    "--out", tmp / "report.json"]
+        else:
+            row = result_rows[GOLDEN_C_VECTOR.index(11)]
+            if data.draw(st.booleans(), label="whole row"):
+                row = data.draw(mangled(row))
+            else:
+                responses = list(row["responses"])
+                i = data.draw(st.integers(0, len(responses) - 1))
+                responses[i] = data.draw(mangled(responses[i]))
+                row = {**row, "responses": responses}
+            ds.write_jsonl([row], tmp / "results.jsonl")
+            args = ["dpo-prep", tmp / "results.jsonl", "--benchmark", cli_env["benchmark"],
+                    "--out", tmp / "triples.jsonl"]
+        res = invoke(*args)
+    assert res.exit_code in (0, 1, 2)
+    assert "Traceback" not in res.stderr
+    if res.exit_code == 1:
+        lines = res.stderr.strip().splitlines()
+        if lines[-1].startswith("Error: "):
+            assert len(lines) == 1
+        else:
+            errors = json.loads(lines[-1])["errors"]
+            assert errors and all(isinstance(e, dict) and e["error"] for e in errors)
 
 
 # -- losses -------------------------------------------------------------------------

@@ -159,22 +159,6 @@ def test_lhs_targets_empty_flagged():
     assert rec.detail != ""
 
 
-def test_mutation_record_wire_format():
-    rec = apply_mutation(unit("out = a | b;", uid="w"), 1, "Op", 0)
-    obj = rec.to_json()
-    assert list(obj) == [
-        "unit_id",
-        "line",
-        "original",
-        "mutated",
-        "syntactic",
-        "relation",
-        "seed",
-    ]
-    back = MutationRecord.from_json(obj)
-    assert (back.unit_id, back.line, back.mutated_snippet) == ("w", 1, rec.mutated_snippet)
-
-
 # -- classify_relation -------------------------------------------------------
 
 TABLE_ASSERTION = AssertionSpec.from_text("assert(out == in);", 99)

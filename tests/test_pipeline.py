@@ -34,10 +34,10 @@ def test_run_augment_families_nonempty(accepted_units, mock_toolchain):
     assert not res.errors
     # step_by_step biconditional over every emitted record
     for rec in res.svabug:
-        assert rec.step_by_step == (rec.cot is not None)
+        assert rec["step_by_step"] == (rec["cot"] is not None)
     # logs on svabug records come from failing verification runs
     for rec in res.svabug:
-        assert "FAIL" in rec.log
+        assert "FAIL" in rec["log"]
 
 
 def test_run_augment_all_proven_empty_svabug(accepted_units, corpus_units):
@@ -78,8 +78,8 @@ def test_run_augment_parallel_matches_serial(accepted_units, corpus_units):
 
     serial = run_augment(accepted_units, make_tc(), PipelineConfig(seed=3, parallel=1))
     parallel = run_augment(accepted_units, make_tc(), PipelineConfig(seed=3, parallel=4))
-    assert [r.to_json() for r in serial.svabug] == [r.to_json() for r in parallel.svabug]
-    assert [r.to_json() for r in serial.bug] == [r.to_json() for r in parallel.bug]
+    assert serial.svabug == parallel.svabug
+    assert serial.bug == parallel.bug
     assert serial.counts == parallel.counts
 
 

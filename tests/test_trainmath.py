@@ -9,7 +9,6 @@ from assertforge.errors import DomainError, ZeroProbabilityError
 from assertforge.trainmath import (
     ChallengingCase,
     ExplicitProvider,
-    PreferenceTriple,
     build_triples,
     dpo_loss,
     pt_loss,
@@ -315,20 +314,10 @@ def test_build_triples_counts():
         ChallengingCase("q2", "p2", ("n4",)),
     ]
     triples = build_triples(cases)
-    assert [(t.x, t.n) for t in triples] == [
+    assert [(t["x"], t["n"]) for t in triples] == [
         ("q1", "n1"),
         ("q1", "n2"),
         ("q1", "n3"),
         ("q2", "n4"),
     ]
     assert build_triples([]) == []
-
-
-def test_preference_triple_invariant():
-    with pytest.raises(ValueError):
-        PreferenceTriple("x", "same;", "same ;")
-
-
-def test_challenging_case_invariant():
-    with pytest.raises(ValueError):
-        ChallengingCase("x", "p", ())
