@@ -169,8 +169,6 @@ def eval_cmd(benchmark, config_path, out_path, results_path, csv_path, n_target,
     except DomainError as exc:
         raise click.ClickException(str(exc))
     cfg = _load_config(config_path, eval_n=n_target, eval_ks=ks, eval_mode=mode, parallel=parallel)
-    tc = Toolchain(cfg.tools)
-
     rows = _read_rows(benchmark, "benchmark file")
     try:
         cases = [ev.EvalCase.from_json(r) for r in rows]
@@ -178,6 +176,7 @@ def eval_cmd(benchmark, config_path, out_path, results_path, csv_path, n_target,
         raise click.ClickException(f"invalid benchmark file: {exc}")
     if not cases:
         raise click.ClickException("benchmark file holds no cases")
+    tc = Toolchain(cfg.tools)
 
     errors: list[dict] = []
 

@@ -1,11 +1,11 @@
 """Dataset assembly: the three record families, the machine benchmark cases,
 CoT validation, and the length-binned 90/10 module-name split.
 
-Routing happens once, in ``build_records``: it is a total function of
-(compile status, verify status, split assignment), and every injected bug
-lands in exactly one family, one benchmark case, or one documented drop or
-error. The same pass counts what it routed. JSONL field names are part of the
-external contract and must not drift.
+A unit's outcome is decided once, in ``pipeline._process_unit``, and a
+mutant's once, in ``build_records``: every injected bug lands in exactly one
+family, one benchmark case, or one documented drop or error. The same pass
+counts what it routed. JSONL field names are part of the external contract
+and must not drift.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from pathlib import Path
 from typing import Iterable
 
 from .corpus import SourceUnit
-from .errors import DomainError, InconsistentProvenance, SchemaError
+from .errors import DomainError, SchemaError
 from .mutate import BugType, MutationRecord
 from .textutil import normalize_line, parse_solution_reply
 
@@ -56,7 +56,6 @@ class GoldenSolution:
 
     buggy_line: str
     corrected_line: str
-    line_no: int = 0
 
 
 # Checked in this order, so a row missing its code says so first.
@@ -225,44 +224,13 @@ def validate_cot(cot_text: str, golden: GoldenSolution) -> str:
 
 
 # ---------------------------------------------------------------------------
-# Routing and record building
-
-
-def route_unit(compile_status: str) -> str:
-    """Stage-1 routing of a whole unit: pt, proceed, or a documented error."""
-    if compile_status == "syntax_error":
-        return "pt"
-    if compile_status == "ok":
-        return "proceed"
-    if compile_status == "tool_error":
-        return "error:compile_tool_error"
-    raise DomainError(f"unknown compile status: {compile_status!r}")
-
-
-def route_mutant(compile_status: str, verify_status: str | None) -> str:
-    """Stage-2 routing of one injected bug. Total over the status product."""
-    if compile_status == "tool_error":
-        return "error:compile_tool_error"
-    if compile_status == "syntax_error":
-        # The compiler eliminates syntactically broken bugs before verification.
-        return "drop:mutant_syntax_error"
-    if compile_status == "ok":
-        if verify_status == "assertion_failed":
-            return "svabug"
-        if verify_status in ("proven", "inconclusive"):
-            return "bug"
-        if verify_status == "tool_error":
-            return "error:verify_tool_error"
-        raise DomainError(f"unknown verify status: {verify_status!r}")
-    raise DomainError(f"unknown compile status: {compile_status!r}")
+# Record building
 
 
 @dataclass
 class MutantItem:
-    """One injected bug with its tool outcomes and split assignment, ready for
-    routing. A test-assigned bug is held out of the training families: it
-    becomes a benchmark case when it trips the assertion, and nothing when it
-    does not."""
+    """One injected bug with its tool outcomes, ready for routing. ``log`` is
+    the output of the last tool that ran on it."""
 
     record: MutationRecord
     compile_status: str
@@ -270,29 +238,25 @@ class MutantItem:
     buggy_code: str = ""  # mutant source without the assertion
     buggy_sv_code: str = ""  # mutant source with the assertion inserted
     log: str = ""
-    assignment: str = "train"  # train | test, from the unit's module name
     cot_reply: str | None = None  # raw Stage-3 reply; None when not generated
 
     @property
     def golden(self) -> GoldenSolution:
-        rec = self.record
-        return GoldenSolution(rec.mutated_snippet, rec.original_snippet, rec.line)
-
-    @property
-    def held_out(self) -> bool:
-        return self.assignment == "test"
+        return GoldenSolution(self.record.mutated_snippet, self.record.original_snippet)
 
 
 @dataclass
 class PipelineItem:
-    """Everything Stage 1 and 2 produced for one unit."""
+    """Everything Stage 1 and 2 produced for one unit. A held-out (test-split)
+    unit's mutants stay out of the training families."""
 
     unit_id: str
-    compile_status: str
+    compile_status: str  # ok | syntax_error
     code: str = ""
     spec: str = ""
     analysis: str = ""
     mutants: list[MutantItem] = field(default_factory=list)
+    held_out: bool = False
 
 
 @dataclass
@@ -321,78 +285,45 @@ def _empty_counts() -> dict:
     }
 
 
-def build_records(items: Iterable[PipelineItem], corpus_ids: set[str]) -> RecordBundle:
+def build_records(items: Iterable[PipelineItem]) -> RecordBundle:
     """Route pipeline items into the three families and the benchmark cases,
     validate CoTs, and count SVA-Bug records and cases per length interval
     and bug type.
 
-    A held-out mutant that trips the assertion becomes a benchmark case with
-    id ``{unit_id}#m{i}``, where i counts the unit's assertion failures; its
-    other outcomes become drops or errors, never records. Raises
-    InconsistentProvenance when an item references a unit id absent from
-    ``corpus_ids``.
+    Each mutant is routed on its own compile and verify statuses. A held-out
+    unit's assertion failures become benchmark cases with id
+    ``{unit_id}#m{i}``, where i counts the unit's assertion failures; its
+    other outcomes become drops or errors, never records. An unknown status
+    raises DomainError.
     """
     bundle = RecordBundle()
     sides = {"svabug": _empty_counts(), "eval": _empty_counts()}
     cot = bundle.cot_stats
     for item in items:
-        if item.unit_id not in corpus_ids:
-            raise InconsistentProvenance(f"unknown unit id: {item.unit_id}")
-        outcome = route_unit(item.compile_status)
-        if outcome == "pt":
+        if item.compile_status == "syntax_error":
             bundle.pt.append({"code": item.code, "spec": item.spec, "analysis": item.analysis})
             continue
-        if outcome != "proceed":
-            bundle.errors.append({"unit_id": item.unit_id, "outcome": outcome})
-            continue
+        if item.compile_status != "ok":
+            raise DomainError(f"unknown unit compile status: {item.compile_status!r}")
         bin_index = length_bin(max(1, len(item.code.splitlines())))
         failures = 0
         for mut in item.mutants:
-            routed = route_mutant(mut.compile_status, mut.verify_status)
+            where = {"unit_id": item.unit_id, "line": mut.record.line}
+            if mut.compile_status == "syntax_error":
+                # The compiler eliminates syntactically broken bugs before verification.
+                bundle.drops.append({**where, "outcome": "drop:mutant_syntax_error"})
+                continue
+            if mut.compile_status == "tool_error":
+                bundle.errors.append({**where, "stage": "compile", "error": mut.log})
+                continue
+            if mut.compile_status != "ok":
+                raise DomainError(f"unknown compile status: {mut.compile_status!r}")
+            if mut.verify_status == "tool_error":
+                bundle.errors.append({**where, "stage": "verify", "error": mut.log})
+                continue
             golden = mut.golden
-            if routed == "svabug":
-                bug_type = mut.record.bug_type
-                side = sides["eval" if mut.held_out else "svabug"]
-                side["by_interval"][BIN_LABELS[bin_index]] += 1
-                side["by_bug_type"][bug_type.relation] += 1
-                side["by_bug_type"][bug_type.syntactic] += 1
-                failures += 1
-                if mut.held_out:
-                    bundle.eval_cases.append(
-                        EvalCase(
-                            id=f"{item.unit_id}#m{failures - 1}",
-                            source="machine",
-                            spec=item.spec,
-                            buggy_sv_code=mut.buggy_sv_code,
-                            log=mut.log,
-                            golden=golden,
-                            bug_type=bug_type,
-                            length_bin=bin_index,
-                        )
-                    )
-                    continue
-                cot_text = None
-                if mut.cot_reply is not None:
-                    cot["total"] += 1
-                    parsed = parse_solution_reply(mut.cot_reply)
-                    if parsed is None:
-                        cot["unparseable"] += 1
-                    elif validate_cot(mut.cot_reply, golden) == "correct":
-                        cot["correct"] += 1
-                        cot_text = parsed["cot"] or ""
-                bundle.svabug.append(
-                    {
-                        "spec": item.spec,
-                        "buggy_sv_code": mut.buggy_sv_code,
-                        "log": mut.log,
-                        "step_by_step": cot_text is not None,
-                        "buggy_line": golden.buggy_line,
-                        "corrected_line": golden.corrected_line,
-                        "cot": cot_text,
-                    }
-                )
-            elif routed == "bug":
-                if not mut.held_out:
+            if mut.verify_status in ("proven", "inconclusive"):
+                if not item.held_out:
                     bundle.bug.append(
                         {
                             "spec": item.spec,
@@ -401,14 +332,49 @@ def build_records(items: Iterable[PipelineItem], corpus_ids: set[str]) -> Record
                             "corrected_line": golden.corrected_line,
                         }
                     )
-            elif routed.startswith("drop:"):
-                bundle.drops.append(
-                    {"unit_id": item.unit_id, "line": golden.line_no, "outcome": routed}
+                continue
+            if mut.verify_status != "assertion_failed":
+                raise DomainError(f"unknown verify status: {mut.verify_status!r}")
+            bug_type = mut.record.bug_type
+            side = sides["eval" if item.held_out else "svabug"]
+            side["by_interval"][BIN_LABELS[bin_index]] += 1
+            side["by_bug_type"][bug_type.relation] += 1
+            side["by_bug_type"][bug_type.syntactic] += 1
+            failures += 1
+            if item.held_out:
+                bundle.eval_cases.append(
+                    EvalCase(
+                        id=f"{item.unit_id}#m{failures - 1}",
+                        source="machine",
+                        spec=item.spec,
+                        buggy_sv_code=mut.buggy_sv_code,
+                        log=mut.log,
+                        golden=golden,
+                        bug_type=bug_type,
+                        length_bin=bin_index,
+                    )
                 )
-            else:
-                bundle.errors.append(
-                    {"unit_id": item.unit_id, "line": golden.line_no, "outcome": routed}
-                )
+                continue
+            cot_text = None
+            if mut.cot_reply is not None:
+                cot["total"] += 1
+                parsed = parse_solution_reply(mut.cot_reply)
+                if parsed is None:
+                    cot["unparseable"] += 1
+                elif validate_cot(mut.cot_reply, golden) == "correct":
+                    cot["correct"] += 1
+                    cot_text = parsed["cot"] or ""
+            bundle.svabug.append(
+                {
+                    "spec": item.spec,
+                    "buggy_sv_code": mut.buggy_sv_code,
+                    "log": mut.log,
+                    "step_by_step": cot_text is not None,
+                    "buggy_line": golden.buggy_line,
+                    "corrected_line": golden.corrected_line,
+                    "cot": cot_text,
+                }
+            )
     bundle.counts = {
         "families": {
             "pt": len(bundle.pt),
@@ -437,15 +403,18 @@ def write_jsonl(records: Iterable[dict], path: str | Path, header: dict | None =
 
 
 def read_jsonl(path: str | Path) -> list[dict]:
-    """Parse a JSONL file; malformed input raises SchemaError with its line."""
+    """Parse a JSONL file; malformed input, including a line that is not
+    UTF-8, raises SchemaError with its line."""
     path = Path(path)
     if not path.is_file():
         raise SchemaError(f"no such file: {path}")
     rows = []
-    with path.open("r", encoding="utf-8") as fh:
+    with path.open("rb") as fh:
         for lineno, raw in enumerate(fh, start=1):
             try:
-                obj = json.loads(raw)
+                obj = json.loads(raw.decode("utf-8"))
+            except UnicodeDecodeError as exc:
+                raise SchemaError(f"not UTF-8 at byte {exc.start}", line=lineno) from exc
             except json.JSONDecodeError as exc:
                 raise SchemaError(f"malformed JSON: {exc.msg}", line=lineno) from exc
             if not isinstance(obj, dict):

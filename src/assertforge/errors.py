@@ -47,10 +47,6 @@ class ReverifyUnavailable(AssertForgeError):
     """Judge mode 'reverify' was requested but no verifier is configured."""
 
 
-class InconsistentProvenance(AssertForgeError):
-    """A pipeline item references a unit that is not part of the corpus."""
-
-
 class InsufficientValidResponses(AssertForgeError):
     """Response collection ended before reaching the target count.
 

@@ -62,7 +62,6 @@ class MutationRecord:
     bug_type: BugType
     lhs_targets: frozenset[str]
     rng_seed: int
-    detail: str = ""
 
     def __post_init__(self):
         if self.original_snippet == self.mutated_snippet:
@@ -449,7 +448,7 @@ def assigned_targets(line_text: str) -> frozenset[str] | None:
     return frozenset(t.text for t in info.lhs_idents)
 
 
-def _governed_targets(unit: SourceUnit, line_no: int, info: _LineInfo):
+def _governed_targets(unit: SourceUnit, line_no: int, info: _LineInfo) -> frozenset[str]:
     """Assignment targets governed by the condition on ``line_no``.
 
     Used when the mutated line itself assigns nothing (e.g. a bare `if` or an
@@ -457,11 +456,11 @@ def _governed_targets(unit: SourceUnit, line_no: int, info: _LineInfo):
     begin/end block, that follows.
     """
     if not info.cond_spans:
-        return frozenset(), "no condition span found"
+        return frozenset()
     close_tok = info.tokens[info.cond_spans[0][2]]
     toks = [t for t in significant(unit.tokens) if (t.line, t.col) > (line_no, close_tok.col)]
     if not toks:
-        return frozenset(), "no governed statement found"
+        return frozenset()
     # Bound the region: begin/end block or single statement up to ';'.
     region: list[Token] = []
     if toks[0].kind == "keyword" and toks[0].text == "begin":
@@ -493,9 +492,7 @@ def _governed_targets(unit: SourceUnit, line_no: int, info: _LineInfo):
                 elif region[j].kind == "identifier" and bracket == 0:
                     targets.add(region[j].text)
                 j -= 1
-    if targets:
-        return frozenset(targets), ""
-    return frozenset(), "no assignment governed by mutated condition"
+    return frozenset(targets)
 
 
 def apply_mutation(unit: SourceUnit, line: int, kind: str, seed: int) -> MutationRecord:
@@ -519,11 +516,10 @@ def apply_mutation(unit: SourceUnit, line: int, kind: str, seed: int) -> Mutatio
     mutated = alts[seed % len(alts)]
 
     targets = assigned_targets(mutated)
-    detail = ""
     if targets is None:
         # Condition-only lines: the affected signals are the ones assigned in
         # the governed statement/block, which lives on the unchanged lines.
-        targets, detail = _governed_targets(unit, line, info)
+        targets = _governed_targets(unit, line, info)
     return MutationRecord(
         unit_id=unit.id,
         line=line,
@@ -532,7 +528,6 @@ def apply_mutation(unit: SourceUnit, line: int, kind: str, seed: int) -> Mutatio
         bug_type=BugType(kind, "Unknown"),
         lhs_targets=targets,
         rng_seed=seed,
-        detail=detail,
     )
 
 

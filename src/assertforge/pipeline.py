@@ -4,9 +4,10 @@ together to produce the three dataset families plus benchmark cases.
 Per unit: syntax check (failures become pretraining records), spec and
 assertion generation, deterministic bug injection, mutant compilation and
 verification. Each injected bug is one ``dataset.MutantItem`` from then on.
-The train/test split assigns every mutant its unit's side, and CoT generation
-skips the mutants that side holds out, so no test item ever receives a CoT.
-Routing happens once, in ``dataset.build_records``, which turns each mutant
+A unit's outcome is decided once, in ``_process_unit``: its item or the one
+error that stopped it. The split marks each item held out or not, and CoT
+generation skips held-out items, so no test item ever receives a CoT. A
+mutant's outcome is decided once, in ``dataset.build_records``, which turns it
 into a record, a benchmark case, a drop or an error and counts the result.
 """
 
@@ -127,7 +128,6 @@ def llm_bug_candidates(
                 bug_type=mutate.BugType("Non_cond", "Unknown"),
                 lhs_targets=mutate.assigned_targets(mutated) or frozenset(),
                 rng_seed=_derive_seed(base_seed, unit.id, "llm", i),
-                detail="llm-generated bug",
             )
         )
     return records
@@ -163,12 +163,12 @@ def engine_bug_candidates(
 
 def _process_unit(
     unit: SourceUnit, tc: Toolchain, cfg: PipelineConfig
-) -> tuple[ds.PipelineItem, dict | None]:
-    """Stages 1 and 2 for one unit: the item, plus the error that cut it short."""
+) -> tuple[ds.PipelineItem | None, dict | None]:
+    """Stages 1 and 2 for one unit: its item, or the one error that stopped it."""
     compile_outcome = tc.compile_check(unit.text)
-    item = ds.PipelineItem(unit.id, compile_outcome.status, code=unit.text)
     if compile_outcome.status == "tool_error":
-        return item, {"unit_id": unit.id, "stage": "compile", "error": compile_outcome.stderr_text}
+        return None, {"unit_id": unit.id, "stage": "compile", "error": compile_outcome.stderr_text}
+    item = ds.PipelineItem(unit.id, compile_outcome.status, code=unit.text)
     item.spec = tc.llm_call(
         LlmRequest(task="spec", prompt_text=SPEC_PROMPT.format(code=unit.text))
     ).text
@@ -193,10 +193,10 @@ def _process_unit(
         with_sva, at_line = insert_assertion(unit.text, sva_text)
         assertion = AssertionSpec.from_text(sva_text, at_line)
     except (ParseFailure, AssertForgeError) as exc:
-        return item, {"unit_id": unit.id, "stage": "sva", "error": str(exc)}
+        return None, {"unit_id": unit.id, "stage": "sva", "error": str(exc)}
     baseline = tc.formal_verify(with_sva)
     if baseline.status != "proven":
-        return item, {
+        return None, {
             "unit_id": unit.id,
             "stage": "sva_validation",
             "error": f"assertion not proven on original design: {baseline.status}",
@@ -209,7 +209,8 @@ def _process_unit(
     for rec in records:
         rec = mutate.with_relation(rec, assertion)
         buggy = rec.apply_to(unit.text)
-        mut = ds.MutantItem(rec, tc.compile_check(buggy).status, buggy_code=buggy)
+        compiled = tc.compile_check(buggy)
+        mut = ds.MutantItem(rec, compiled.status, buggy_code=buggy, log=compiled.stderr_text)
         item.mutants.append(mut)
         if mut.compile_status != "ok":
             continue
@@ -253,10 +254,9 @@ def run_augment(
         cfg.split_fraction,
     )
     for unit, item in done:
-        assignment = split_plan.unit_assignment(unit) or "train"
+        item.held_out = split_plan.unit_assignment(unit) == "test"
         for mut in item.mutants:
-            mut.assignment = assignment
-            if mut.held_out or mut.verify_status != "assertion_failed":
+            if item.held_out or mut.verify_status != "assertion_failed":
                 continue
             rec = mut.record
             request = LlmRequest(
@@ -277,7 +277,7 @@ def run_augment(
                     {"unit_id": unit.id, "line": rec.line, "stage": "cot", "error": str(exc)}
                 )
 
-    bundle = ds.build_records([item for _, item in done], {u.id for u in units})
+    bundle = ds.build_records([item for _, item in done])
     bundle.split_plan = split_plan
     bundle.errors = errors + bundle.errors
     return bundle

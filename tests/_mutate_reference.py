@@ -450,5 +450,4 @@ def apply_mutation(unit: SourceUnit, line: int, kind: str, seed: int) -> Mutatio
         bug_type=BugType(kind, "Unknown"),
         lhs_targets=targets,
         rng_seed=seed,
-        detail=detail,
     )

@@ -406,42 +406,44 @@ def test_criterion_hermetic_end_to_end(cli_env, tmp_path):
 # -- 8. Routing totality ---------------------------------------------------------------------
 
 
+def _routed(compile_status, verify_status, held_out):
+    code = "module m;\ny = 0;\nendmodule"
+    rec = MutationRecord("m", 2, "y = 0;", "y = 1;", BugType("Value", "Direct"), frozenset(), 0)
+    mut = ds.MutantItem(rec, compile_status, verify_status, buggy_code=code, buggy_sv_code=code)
+    item = ds.PipelineItem("m", "ok", code=code, spec="s", mutants=[mut], held_out=held_out)
+    bundle = ds.build_records([item])
+    outputs = (bundle.pt, bundle.bug, bundle.svabug, bundle.eval_cases, bundle.drops, bundle.errors)
+    return sum(map(len, outputs))
+
+
 def test_criterion_routing_totality():
-    families = {"pt", "bug", "svabug"}
-    documented = {
-        "proceed",
-        "drop:mutant_syntax_error",
-        "error:compile_tool_error",
-        "error:verify_tool_error",
-    }
     ok = True
     detail = ""
     rng = random.Random(11)
     compile_statuses = ["ok", "syntax_error", "tool_error"]
     verify_statuses = ["proven", "assertion_failed", "inconclusive", "tool_error", None]
-    for c in compile_statuses:
-        out = ds.route_unit(c)
-        if out not in families | documented:
-            ok, detail = False, f"route_unit({c}) -> {out}"
-    for c in compile_statuses:
-        for v in verify_statuses:
-            try:
-                out = ds.route_mutant(c, v)
-            except DomainError:
-                # ok+missing-verify is rejected, not silently routed
-                if not (c == "ok" and v is None):
-                    ok, detail = False, f"route_mutant({c},{v}) raised unexpectedly"
-                continue
-            if out not in families | documented - {"proceed"}:
-                ok, detail = False, f"route_mutant({c},{v}) -> {out}"
+    for c, v, held_out in itertools.product(compile_statuses, verify_statuses, (False, True)):
+        try:
+            landed = _routed(c, v, held_out)
+        except DomainError:
+            # ok+missing-verify is rejected, not silently routed
+            if not (c == "ok" and v is None):
+                ok, detail = False, f"build_records({c},{v}) raised unexpectedly"
+            continue
+        # A held-out bug that never trips the assertion is the one outcome
+        # with no output.
+        silent = held_out and c == "ok" and v in ("proven", "inconclusive")
+        if landed != (0 if silent else 1):
+            ok, detail = False, f"build_records({c},{v},held_out={held_out}) -> {landed} outputs"
     # fuzz unknown statuses: always rejected loudly
     for _ in range(100):
         bogus = f"status{rng.randrange(1000)}"
-        try:
-            ds.route_mutant(bogus, "proven")
-            ok, detail = False, f"accepted unknown status {bogus}"
-        except DomainError:
-            pass
+        for c, v in ((bogus, "proven"), ("ok", bogus)):
+            try:
+                _routed(c, v, False)
+                ok, detail = False, f"accepted unknown status {bogus}"
+            except DomainError:
+                pass
     report("routing totality over (compile x verify) statuses", ok, detail)
 
 
@@ -472,7 +474,7 @@ def test_criterion_report_shape():
                     spec="s",
                     buggy_sv_code="module m;\nassert(x);\nendmodule",
                     log="FAIL",
-                    golden=ds.GoldenSolution("a;", "b;", 1),
+                    golden=ds.GoldenSolution("a;", "b;"),
                     bug_type=BugType(syn, rel),
                     length_bin=lb,
                 )

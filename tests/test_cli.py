@@ -404,9 +404,10 @@ def test_augment_cli_rejects_unknown_bug_source(cli_env, tmp_path):
         ("verifier.step_re = step", "verifier.step_re"),
         ("llm.url = example", "llm.url"),
         ("llm.url = http://[::1", "llm.url"),
+        ("seed = \udcff", "not UTF-8"),  # the byte 0xff
     ],
     ids=["temperature", "depth", "mock-mode", "unknown-key", "keep-temp", "pass-re", "step-re",
-         "llm-url", "llm-url-bracket"],
+         "llm-url", "llm-url-bracket", "non-utf8"],
 )
 def test_unusable_setting_stops_augment_before_any_call(
     cli_env, tmp_path, monkeypatch, config_line, key
@@ -414,7 +415,8 @@ def test_unusable_setting_stops_augment_before_any_call(
     out = tmp_path / "out"
     assert invoke("filter", "--config", cli_env["config"], "--out-dir", out).exit_code == 0
     config = tmp_path / "bad.cfg"
-    config.write_text(cli_env["config"].read_text() + config_line + "\n")
+    text = cli_env["config"].read_text() + config_line + "\n"
+    config.write_bytes(text.encode("utf-8", "surrogateescape"))
     monkeypatch.setattr(cli, "Toolchain", lambda *a, **k: pytest.fail("a Toolchain was built"))
     res = invoke("augment", "--config", config, "--out-dir", out)
     assert res.exit_code == 1
@@ -423,10 +425,10 @@ def test_unusable_setting_stops_augment_before_any_call(
     assert not (out / "pt.jsonl").exists()
 
 
-def _with_bad_line(path, rows, bad="not json"):
+def _with_bad_line(path, rows, bad):
     ds.write_jsonl(rows, path)
-    with open(path, "a", encoding="utf-8") as fh:
-        fh.write(bad + "\n")
+    with open(path, "ab") as fh:
+        fh.write(bad + b"\n")
     return path
 
 
@@ -437,34 +439,42 @@ def _with_bad_line(path, rows, bad="not json"):
         ("dpo-prep-benchmark", "benchmark file"),
         ("dpo-prep-results", "results file"),
         ("losses", "probabilities file"),
+        ("eval", "benchmark file"),
     ],
-    ids=["augment", "dpo-prep-benchmark", "dpo-prep-results", "losses"],
+    ids=["augment", "dpo-prep-benchmark", "dpo-prep-results", "losses", "eval"],
 )
 def test_a_jsonl_input_line_that_is_not_json_is_a_one_line_error(
     cli_env, tmp_path, monkeypatch, command, what
 ):
     monkeypatch.setattr(cli, "Toolchain", lambda *a, **k: pytest.fail("a Toolchain was built"))
-    if command == "augment":
-        manifest = _with_bad_line(tmp_path / "manifest.jsonl", [{"id": "u", "path": "u.v"}])
-        args = ["augment", "--config", cli_env["config"], "--out-dir", tmp_path,
-                "--manifest", manifest]
-    elif command == "losses":
-        probs = _with_bad_line(tmp_path / "probs.jsonl", [{"kind": "pt", "token_probs": [0.5]}],
-                               bad="{bad")
-        args = ["losses", probs]
-    else:
-        good = tmp_path / "good.jsonl"
-        ds.write_jsonl([{"case_id": "x", "responses": []}], good)
-        bad = _with_bad_line(tmp_path / "bad.jsonl", [{"id": "x"}])
-        if command == "dpo-prep-benchmark":
-            args = ["dpo-prep", good, "--benchmark", bad]
+    not_json = b"{bad" if command == "losses" else b"not json"
+    for bad in (not_json, b'{"id": "\xff"}'):  # the second line is not UTF-8
+        if command == "augment":
+            manifest = _with_bad_line(tmp_path / "manifest.jsonl", [{"id": "u", "path": "u.v"}],
+                                      bad)
+            args = ["augment", "--config", cli_env["config"], "--out-dir", tmp_path,
+                    "--manifest", manifest]
+        elif command == "losses":
+            probs = _with_bad_line(tmp_path / "probs.jsonl",
+                                   [{"kind": "pt", "token_probs": [0.5]}], bad)
+            args = ["losses", probs]
+        elif command == "eval":
+            benchmark = _with_bad_line(tmp_path / "bad.jsonl", [{"id": "x"}], bad)
+            args = ["eval", benchmark, "--out", tmp_path / "report.json"]
         else:
-            args = ["dpo-prep", bad, "--benchmark", cli_env["benchmark"]]
-        args += ["--out", tmp_path / "triples.jsonl"]
-    res = invoke(*args)
-    assert res.exit_code == 1
-    lines = res.output.strip().splitlines()
-    assert len(lines) == 1 and lines[0].startswith(f"Error: invalid {what}: line 2: "), res.output
+            good = tmp_path / "good.jsonl"
+            ds.write_jsonl([{"case_id": "x", "responses": []}], good)
+            bad_file = _with_bad_line(tmp_path / "bad.jsonl", [{"id": "x"}], bad)
+            if command == "dpo-prep-benchmark":
+                args = ["dpo-prep", good, "--benchmark", bad_file]
+            else:
+                args = ["dpo-prep", bad_file, "--benchmark", cli_env["benchmark"]]
+            args += ["--out", tmp_path / "triples.jsonl"]
+        res = invoke(*args)
+        assert res.exit_code == 1
+        lines = res.output.strip().splitlines()
+        assert len(lines) == 1, res.output
+        assert lines[0].startswith(f"Error: invalid {what}: line 2: "), res.output
 
 
 def test_eval_cli_n_flag_is_checked_against_the_ks(cli_env, tmp_path):

@@ -1,4 +1,3 @@
-import itertools
 import json
 import random
 
@@ -12,14 +11,12 @@ from assertforge.dataset import (
     build_records,
     length_bin,
     read_jsonl,
-    route_mutant,
-    route_unit,
     split,
     strip_meta_header,
     validate_cot,
     write_jsonl,
 )
-from assertforge.errors import DomainError, InconsistentProvenance, SchemaError
+from assertforge.errors import DomainError, SchemaError
 from assertforge.mutate import BugType, MutationRecord
 from assertforge.textutil import normalize_line, normalize_line_loose
 
@@ -117,7 +114,7 @@ def test_split_unit_follows_first_module():
 
 # -- validate_cot -----------------------------------------------------------------
 
-GOLDEN = GoldenSolution("out <= in + 1;", "out <= in;", 3)
+GOLDEN = GoldenSolution("out <= in + 1;", "out <= in;")
 
 
 def reply(buggy, fix, cot="because"):
@@ -152,45 +149,66 @@ def test_normalization_strengths_differ():
 # -- routing ----------------------------------------------------------------------
 
 
-def test_route_unit_cases():
-    assert route_unit("syntax_error") == "pt"
-    assert route_unit("ok") == "proceed"
-    assert route_unit("tool_error") == "error:compile_tool_error"
-    with pytest.raises(DomainError):
-        route_unit("weird")
+VERIFY_STATUSES = ("proven", "assertion_failed", "inconclusive", "tool_error", None)
+OUTPUTS = ("pt", "bug", "svabug", "eval_cases", "drops", "errors")
+
+# Where one mutant lands, by (compile, verify) status, on a train unit and on a
+# held-out unit. None is no output at all: a held-out bug that never trips the
+# assertion becomes nothing.
+LANDS = {
+    ("ok", "assertion_failed"): ("svabug", "eval_cases"),
+    ("ok", "proven"): ("bug", None),
+    ("ok", "inconclusive"): ("bug", None),
+    ("ok", "tool_error"): ("errors", "errors"),
+    **{("syntax_error", v): ("drops", "drops") for v in VERIFY_STATUSES},
+    **{("tool_error", v): ("errors", "errors") for v in VERIFY_STATUSES},
+}
 
 
-def test_route_mutant_table():
-    assert route_mutant("ok", "assertion_failed") == "svabug"
-    assert route_mutant("ok", "proven") == "bug"
-    assert route_mutant("ok", "inconclusive") == "bug"
-    assert route_mutant("ok", "tool_error") == "error:verify_tool_error"
-    assert route_mutant("syntax_error", None) == "drop:mutant_syntax_error"
-    assert route_mutant("tool_error", None) == "error:compile_tool_error"
+def _one_mutant_unit(compile_status, verify_status, held_out=False, unit_status="ok"):
+    code = "module b;\ny = 0;\nendmodule"
+    mut = MutantItem(
+        record=_bug(2, "y = 0;", "y = 1;"),
+        compile_status=compile_status,
+        verify_status=verify_status,
+        buggy_code=code.replace("y = 0;", "y = 1;"),
+        buggy_sv_code=code.replace("endmodule", "assert(y == 0);\nendmodule"),
+        log="tool output",
+    )
+    return PipelineItem("b", unit_status, code=code, spec="s", mutants=[mut], held_out=held_out)
 
 
-def test_route_totality_fuzz():
-    compile_statuses = ["ok", "syntax_error", "tool_error"]
-    verify_statuses = ["proven", "assertion_failed", "inconclusive", "tool_error", None]
-    families = {"pt", "bug", "svabug"}
-    documented = {
-        "drop:mutant_syntax_error",
-        "error:compile_tool_error",
-        "error:verify_tool_error",
-    }
-    for c in compile_statuses:
-        assert route_unit(c) in families | documented | {"proceed"}
-        for v in verify_statuses:
-            if c == "ok" and v is None:
-                with pytest.raises(DomainError):
-                    route_mutant(c, v)
-                continue
-            out = route_mutant(c, v)
-            assert out in families | documented
-    # Unknown statuses are rejected, not silently routed.
-    for c, v in itertools.product(["bogus"], verify_statuses):
+def test_build_records_status_table():
+    for (c, v), sides in LANDS.items():
+        for held_out, expected in zip((False, True), sides):
+            bundle = build_records([_one_mutant_unit(c, v, held_out)])
+            landed = {name: len(getattr(bundle, name)) for name in OUTPUTS}
+            assert landed == {name: int(name == expected) for name in OUTPUTS}, (c, v, held_out)
+            where = {"unit_id": "b", "line": 2}
+            if expected == "drops":
+                assert bundle.drops == [{**where, "outcome": "drop:mutant_syntax_error"}]
+            if expected == "errors":
+                stage = "compile" if c == "tool_error" else "verify"
+                assert bundle.errors == [{**where, "stage": stage, "error": "tool output"}]
+
+
+def test_build_records_rejects_unknown_statuses():
+    for c, v in [("ok", None), ("ok", "bogus"), ("bogus", "proven"), ("bogus", None)]:
+        for held_out in (False, True):
+            with pytest.raises(DomainError):
+                build_records([_one_mutant_unit(c, v, held_out)])
+
+
+def test_build_records_unit_statuses():
+    pt_unit = PipelineItem("a", "syntax_error", code="x", spec="s", analysis="why")
+    bundle = build_records([pt_unit])
+    assert bundle.pt == [{"code": "x", "spec": "s", "analysis": "why"}]
+    assert bundle.counts["families"] == {"pt": 1, "bug": 0, "svabug": 0, "eval": 0}
+    # A unit the compiler could not judge is an error of _process_unit and
+    # never reaches routing.
+    for status in ("tool_error", "bogus"):
         with pytest.raises(DomainError):
-            route_mutant(c, v)
+            build_records([_one_mutant_unit("ok", "proven", unit_status=status)])
 
 
 def _bug(line_no, original, mutated):
@@ -228,7 +246,7 @@ def test_build_records_routing(mock_toolchain):
             ],
         ),
     ]
-    bundle = build_records(items, corpus_ids={"a", "b"})
+    bundle = build_records(items)
     assert len(bundle.pt) == 1 and len(bundle.svabug) == 1 and len(bundle.bug) == 1
     assert len(bundle.drops) == 1
     assert bundle.svabug[0]["step_by_step"] is False and bundle.svabug[0]["cot"] is None
@@ -261,7 +279,7 @@ def test_build_records_cot_attachment():
             ),
         ],
     )
-    bundle = build_records([item], corpus_ids={"b"})
+    bundle = build_records([item])
     with_cot = [r for r in bundle.svabug if r["step_by_step"]]
     without = [r for r in bundle.svabug if not r["step_by_step"]]
     assert len(with_cot) == 1 and with_cot[0]["cot"] == "flip it back"
@@ -282,7 +300,6 @@ def test_build_records_routes_a_held_out_unit_to_cases_only():
             buggy_code=code.replace("y = 0;", mutated),
             buggy_sv_code=code.replace("endmodule", "assert(y == 0);\nendmodule"),
             log="FAIL",
-            assignment="test",
         )
 
     item = PipelineItem(
@@ -297,24 +314,20 @@ def test_build_records_routes_a_held_out_unit_to_cases_only():
             mutant("y = 3;", "ok", "assertion_failed"),
             mutant("y = 4;", "ok", "tool_error"),
         ],
+        held_out=True,
     )
-    bundle = build_records([item], corpus_ids={"b"})
+    bundle = build_records([item])
     assert [c.id for c in bundle.eval_cases] == ["b#m0", "b#m1"]
     assert all(c.source == "machine" and c.length_bin == 0 for c in bundle.eval_cases)
     assert bundle.bug == [] and bundle.svabug == [] and bundle.pt == []
     assert [d["line"] for d in bundle.drops] == [2]
-    assert [e["outcome"] for e in bundle.errors] == ["error:verify_tool_error"]
+    assert bundle.errors == [{"unit_id": "b", "line": 2, "stage": "verify", "error": "FAIL"}]
     assert bundle.counts["families"] == {"pt": 0, "bug": 0, "svabug": 0, "eval": 2}
     assert bundle.counts["eval"]["by_interval"]["(0,50]"] == 2
     assert bundle.counts["eval"]["by_bug_type"]["Value"] == 2
     assert bundle.counts["eval"]["by_bug_type"]["Direct"] == 2
     assert sum(bundle.counts["svabug"]["by_interval"].values()) == 0
     assert bundle.cot_stats == {"total": 0, "correct": 0, "unparseable": 0}
-
-
-def test_build_records_unknown_unit():
-    with pytest.raises(InconsistentProvenance):
-        build_records([PipelineItem(unit_id="ghost", compile_status="ok")], corpus_ids={"a"})
 
 
 # -- jsonl ------------------------------------------------------------------------

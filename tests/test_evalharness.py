@@ -48,7 +48,7 @@ def make_case(cid="case-1", source="machine", syntactic="Op", relation="Direct",
         spec="spec",
         buggy_sv_code="module m;\nout = a & b;\nassert(out == c);\nendmodule",
         log="FAIL step 1",
-        golden=GoldenSolution("out = a & b;", "out = a | b;", 2),
+        golden=GoldenSolution("out = a & b;", "out = a | b;"),
         bug_type=BugType(syntactic, relation),
         length_bin=lb,
     )
@@ -125,7 +125,7 @@ def resp(buggy, fix, cot="why"):
     return ModelResponse.from_raw(json.dumps({"buggy_line": buggy, "fix": fix, "cot": cot}))
 
 
-GOLDEN = GoldenSolution("out <= in + 1;", "out <= in;", 3)
+GOLDEN = GoldenSolution("out <= in + 1;", "out <= in;")
 
 
 def test_from_raw_extracts_json_once(monkeypatch):
@@ -371,13 +371,7 @@ def test_aggregate_n_below_k_rejected():
 
 def test_eval_case_json_roundtrip():
     case = make_case("rt")
-    back = EvalCase.from_json(case.to_json())
-    # The wire format carries no golden line number.
-    import dataclasses
-
-    assert back == dataclasses.replace(
-        case, golden=dataclasses.replace(case.golden, line_no=0)
-    )
+    assert EvalCase.from_json(case.to_json()) == case
 
 
 def test_report_json_shape():

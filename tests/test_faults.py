@@ -1,7 +1,8 @@
 """Fault injection through the CLI. In `augment`, one unit's `sva` call and
-one CoT call fail in transport, or two manifest rows cannot be loaded; in
-`eval`, every draw of two chosen cases fails in transport. Each run must
-report exactly the injected items as errors, write every output, and exit 1.
+one CoT call fail in transport, two manifest rows cannot be loaded, or the
+compiler or verifier reports a tool error; in `eval`, every draw of two
+chosen cases fails in transport. Each run must report exactly the injected
+items as errors, once each, write every output, and exit 1.
 The oracle is a clean run without the failing items: the faulty run must
 match it record for record, except that a failed CoT's mutant is an SVA-Bug
 record without a CoT.
@@ -14,16 +15,19 @@ from click.testing import CliRunner
 
 from assertforge import cli
 from assertforge import dataset as ds
+from assertforge.corpus import SourceUnit
 from assertforge.errors import TransportFailure
-from assertforge.toolchain import Toolchain
+from assertforge.pipeline import engine_bug_candidates
+from assertforge.toolchain import CompileOutcome, Toolchain, VerifyOutcome
 from conftest import E2E_SEED
 from fixture_corpus import CORPUS_FILES
-from mockbackends import fake_compile, fake_llm, make_fake_verify
+from mockbackends import fake_compile, fake_llm, make_fake_verify, strip_assert_lines
 
 SVA_FAILING_UNIT = "core/counter.v"
 
 
-def _augment(monkeypatch, tmp_path, manifest_rows, llm_backend, tag):
+def _augment(monkeypatch, tmp_path, manifest_rows, llm_backend, tag,
+             compile_backend=fake_compile, verify_backend=None):
     out = tmp_path / tag
     out.mkdir()
     manifest = out / "manifest.jsonl"
@@ -35,8 +39,8 @@ def _augment(monkeypatch, tmp_path, manifest_rows, llm_backend, tag):
         "Toolchain",
         functools.partial(
             Toolchain,
-            compile_backend=fake_compile,
-            verify_backend=make_fake_verify(set(CORPUS_FILES.values())),
+            compile_backend=compile_backend,
+            verify_backend=verify_backend or make_fake_verify(set(CORPUS_FILES.values())),
             llm_backend=llm_backend,
         ),
     )
@@ -136,6 +140,52 @@ def test_augment_reports_a_manifest_row_without_path_or_id(cli_env, monkeypatch,
     assert [(e["unit_id"], e["stage"]) for e in errors] == [("no-path", "load"), (None, "load")]
     for name in ("pt.jsonl", "bug.jsonl", "svabug.jsonl", "sva_eval_machine.jsonl"):
         assert _rows(faulty_out / name) == _rows(clean_out / name), name
+
+
+def test_augment_reports_each_tool_error_once(cli_env, monkeypatch, tmp_path):
+    res_f = CliRunner().invoke(
+        cli.main, ["filter", "--corpus-dir", str(cli_env["corpus"]), "--out-dir", str(tmp_path)]
+    )
+    assert res_f.exit_code == 0, res_f.output
+    manifest = _rows(tmp_path / "manifest.jsonl")
+    text = CORPUS_FILES[SVA_FAILING_UNIT]
+
+    # Case 1: the compiler fails on the unit's own source.
+    def broken_compile(source):
+        if source == text:
+            return CompileOutcome("tool_error", "compiler crashed")
+        return fake_compile(source)
+
+    res, out = _augment(monkeypatch, tmp_path, manifest, fake_llm, "compile",
+                        compile_backend=broken_compile)
+    assert res.exit_code == 1
+    errors = json.loads(res.stderr)["errors"]
+    assert errors == [{"unit_id": SVA_FAILING_UNIT, "stage": "compile", "error": "compiler crashed"}]
+    assert json.loads((out / "augment_report.json").read_text())["errors"] == errors
+
+    # Case 2: the verifier fails on every mutant of the unit that compiles.
+    unit = SourceUnit.from_text(SVA_FAILING_UNIT, text)
+    compiled = [
+        rec for rec in engine_bug_candidates(unit, 3, E2E_SEED)
+        if fake_compile(rec.apply_to(text)).status == "ok"
+    ]
+    assert compiled
+    failing = {strip_assert_lines(rec.apply_to(text)) for rec in compiled}
+    fake_verify = make_fake_verify(set(CORPUS_FILES.values()))
+
+    def broken_verify(source, depth):
+        if strip_assert_lines(source) in failing:
+            return VerifyOutcome("tool_error", "verifier crashed")
+        return fake_verify(source, depth)
+
+    res, _ = _augment(monkeypatch, tmp_path, manifest, fake_llm, "verify",
+                      verify_backend=broken_verify)
+    assert res.exit_code == 1
+    assert json.loads(res.stderr)["errors"] == [
+        {"unit_id": SVA_FAILING_UNIT, "line": rec.line, "stage": "verify",
+         "error": "verifier crashed"}
+        for rec in compiled
+    ]
 
 
 def _eval(monkeypatch, tmp_path, benchmark, llm_backend, tag):

@@ -62,7 +62,7 @@ def test_run_augment_verifier_down_reports_items(accepted_units):
     res = run_augment(accepted_units, tc, PipelineConfig(seed=1))
     assert res.svabug == [] and res.bug == []
     assert res.errors
-    assert all("error" in e or "outcome" in e for e in res.errors)
+    assert all("stage" in e and "error" in e for e in res.errors)
 
 
 def test_run_augment_parallel_matches_serial(accepted_units, corpus_units):
@@ -99,7 +99,6 @@ def test_llm_bug_path_single_line(mock_toolchain, accepted_units):
     records = llm_bug_candidates(mock_toolchain, u, 2, base_seed=9)
     assert records
     for rec in records:
-        assert rec.detail == "llm-generated bug"
         mutated = rec.apply_to(u.text)
         diffs = [
             i
