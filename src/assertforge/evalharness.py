@@ -104,10 +104,11 @@ def judge(
     line_ok = normalize_line_loose(response.parsed["buggy_line"]) == normalize_line_loose(
         golden.buggy_line
     )
-    fix_ok = normalize_line_loose(response.parsed["fix"]) == normalize_line_loose(
-        golden.corrected_line
+    textual = line_ok and (
+        line_only
+        or normalize_line_loose(response.parsed["fix"])
+        == normalize_line_loose(golden.corrected_line)
     )
-    textual = line_ok and (line_only or fix_ok)
     if mode == "textual":
         return "correct" if textual else "incorrect"
     if toolchain is None or not toolchain.has_verifier:

@@ -12,6 +12,7 @@ a particular compiler or verifier.
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import json
 import os
@@ -122,16 +123,24 @@ class ToolSettings:
             raise DomainError("verifier.step_re needs a group that captures the failing step")
 
 
+# One shared C encoder; json.dumps would build a new one on every call.
+_CANONICAL = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
+
+
 def request_digest(payload: dict) -> str:
     """Stable content key for one adapter request."""
-    canon = json.dumps(payload, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(canon.encode()).hexdigest()
+    return hashlib.sha256(_CANONICAL.encode(payload).encode()).hexdigest()
 
 
 class ReplayCache:
-    """Digest-keyed store of adapter outcomes, one JSON file per request.
+    """Digest-keyed store of adapter outcomes, one ``<key>.json`` file per
+    request holding compact sorted-key JSON ``{"request", "response"}``.
 
-    Safe for concurrent readers; writes are serialized and atomic.
+    Safe for concurrent readers. Each write is atomic: it is staged under a
+    random ``.tmp`` name that no other writer, in this process or another,
+    can hold, then moved onto ``<key>.json`` with ``os.replace``, so a reader
+    sees the old entry or the new one, never part of one. Writes through one
+    instance are also serialized by its lock.
     """
 
     def __init__(self, directory: str | Path, mode: str = "replay"):
@@ -139,29 +148,33 @@ class ReplayCache:
             raise ValueError(f"unknown cache mode: {mode!r}")
         self.dir = Path(directory)
         self.mode = mode
+        self._prefix = os.path.join(directory, "")
         self._write_lock = threading.Lock()
         if mode == "record":
             self.dir.mkdir(parents=True, exist_ok=True)
 
-    def _path(self, key: str) -> Path:
-        return self.dir / f"{key}.json"
-
     def get(self, key: str) -> dict | None:
         """The stored entry, or None when there is none. An entry that is not
-        valid JSON raises ValueError."""
-        p = self._path(key)
-        if not p.is_file():
+        valid UTF-8 JSON raises ValueError."""
+        try:
+            with open(self._prefix + key + ".json", "rb") as f:
+                data = f.read()
+        except (FileNotFoundError, IsADirectoryError):
             return None
-        return json.loads(p.read_text(encoding="utf-8"))
+        return json.loads(data.decode("utf-8"))
 
     def put(self, key: str, request: dict, response: dict) -> None:
-        payload = json.dumps(
-            {"request": request, "response": response}, indent=2, sort_keys=True
-        )
+        data = _CANONICAL.encode({"request": request, "response": response}).encode()
+        tmp = f"{self._prefix}{key}.{os.urandom(8).hex()}.tmp"
         with self._write_lock:
-            tmp = self._path(key).with_suffix(".tmp")
-            tmp.write_text(payload, encoding="utf-8")
-            os.replace(tmp, self._path(key))
+            try:
+                with open(tmp, "xb") as f:
+                    f.write(data)
+                os.replace(tmp, self._prefix + key + ".json")
+            except BaseException:
+                with contextlib.suppress(OSError):
+                    os.unlink(tmp)
+                raise
 
 
 class Toolchain:

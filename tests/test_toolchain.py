@@ -1,5 +1,6 @@
 import http.server
 import json
+import os
 import sys
 import threading
 
@@ -324,6 +325,54 @@ def test_replay_malformed_entry_is_a_miss(tmp_path):
         assert any(key in text for key in keys)
     with pytest.raises(EndpointUnreachable, match="malformed replay cache entry"):
         tc.llm_call(req)
+
+
+def test_replay_directory_at_entry_is_a_miss(tmp_path):
+    key = request_digest({"kind": "compile", "source": "module m; endmodule"})
+    (tmp_path / f"{key}.json").mkdir()
+    assert ReplayCache(tmp_path).get(key) is None
+    tc = Toolchain(ToolSettings(mock_dir=str(tmp_path), mock_mode="replay"))
+    outcome = tc.compile_check("module m; endmodule")
+    assert outcome == CompileOutcome("tool_error", f"replay cache miss: {key}")
+
+
+@pytest.mark.parametrize("content", [b"", b'{"response": {"status": "ok", "stderr_text": "\xff"}}'])
+def test_replay_empty_or_non_utf8_entry_is_a_malformed_miss(tmp_path, content):
+    key = request_digest({"kind": "compile", "source": "module m; endmodule"})
+    (tmp_path / f"{key}.json").write_bytes(content)
+    with pytest.raises(ValueError):
+        ReplayCache(tmp_path).get(key)
+    tc = Toolchain(ToolSettings(mock_dir=str(tmp_path), mock_mode="replay"))
+    outcome = tc.compile_check("module m; endmodule")
+    assert outcome.status == "tool_error"
+    assert outcome.stderr_text.startswith("malformed replay cache entry")
+    assert outcome.stderr_text.endswith(key)
+
+
+def test_two_writers_on_one_dir_do_not_collide(tmp_path, monkeypatch):
+    first = ReplayCache(tmp_path, mode="record")
+    second = ReplayCache(tmp_path, mode="record")
+    real_replace = os.replace
+
+    def second_put_inside_first_replace(src, dst):
+        monkeypatch.setattr(os, "replace", real_replace)
+        second.put("k", {"by": "second"}, {"n": 2})
+        real_replace(src, dst)
+
+    monkeypatch.setattr(os, "replace", second_put_inside_first_replace)
+    first.put("k", {"by": "first"}, {"n": 1})
+    assert [p.name for p in tmp_path.iterdir()] == ["k.json"]
+    assert first.get("k") == {"request": {"by": "first"}, "response": {"n": 1}}
+
+
+def test_failed_put_leaves_no_staging_file(tmp_path, monkeypatch):
+    def full_disk(src, dst):
+        raise OSError("no space left on device")
+
+    monkeypatch.setattr(os, "replace", full_disk)
+    with pytest.raises(OSError, match="no space"):
+        ReplayCache(tmp_path, mode="record").put("k", {}, {})
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_has_verifier_truth_table(tmp_path):
