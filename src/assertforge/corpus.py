@@ -2,12 +2,15 @@
 
 The lexer is token-level only (no grammar): every byte of the input lands in
 exactly one token, so concatenating the lexemes reproduces the file. That
-round-trip property is what makes single-line mutation and deduplication safe
-without a full parser. It makes one ``finditer`` pass over a master pattern,
-an ordered alternation of one named group per token rule, and emits plain
-``Token`` tuples; a unit is lexed once and mutation reuses its tokens.
+round-trip property is what makes single-line mutation safe without a full
+parser. One scanner, a ``finditer`` pass over a master pattern (an ordered
+alternation of one group per token rule), has two consumers: ``tokenize``
+builds the lossless stream of ``Token`` tuples, and the fingerprint scan keeps
+only the ``(kind, text)`` pairs of significant tokens. A ``SourceUnit`` runs
+each once, on first use: the filter reads only the fingerprint and never
+builds a ``Token``, and mutation reads the lossless stream.
 
-Filtering streams: ``load_corpus_dir`` reads and lexes one file per step and
+Filtering streams: ``load_corpus_dir`` reads one file per step and
 ``filter_units`` judges each unit as it arrives, keeping only the dedup keys
 and the report rows, so memory is bounded by the largest file plus the
 report.
@@ -18,6 +21,8 @@ from __future__ import annotations
 import hashlib
 import re
 from dataclasses import dataclass
+from functools import cached_property
+from operator import attrgetter
 from pathlib import Path
 from typing import Iterable, Iterator, NamedTuple
 
@@ -107,8 +112,9 @@ _OPERATORS = (
     "?",
 )
 
-# Ordered scanner: one named group per entry, joined into a single
-# alternation, so the first entry that matches at the cursor wins.
+# Ordered scanner: one group per entry, joined into a single alternation, so
+# the first entry that matches at the cursor wins. Group i + 1 is entry i, and
+# the first two entries are the trivia the fingerprint skips.
 _PATTERNS: tuple[tuple[str, str], ...] = (
     ("whitespace", r"[ \t\r\n\f\v]+"),
     ("comment", r"//[^\n]*|/\*.*?\*/|/\*.*"),
@@ -123,10 +129,9 @@ _PATTERNS: tuple[tuple[str, str], ...] = (
     ("punctuation", r"[()\[\]{};,.:@#']"),
     ("other", r"[\s\S]"),
 )
-_MASTER = re.compile(
-    "|".join(f"(?P<g{i}>{rx})" for i, (_, rx) in enumerate(_PATTERNS)), re.DOTALL
-)
-_KIND_OF_GROUP = {f"g{i}": kind for i, (kind, _) in enumerate(_PATTERNS)}
+_MASTER = re.compile("|".join(f"({rx})" for _, rx in _PATTERNS), re.DOTALL)
+_KIND_OF_GROUP = (None, *(kind for kind, _ in _PATTERNS))  # by ``m.lastindex``
+_LAST_TRIVIA_GROUP = 2
 
 
 class Token(NamedTuple):
@@ -159,7 +164,7 @@ def tokenize(text: str) -> tuple[Token, ...]:
     tokens = []
     line, line_start = 1, 0
     for m in _MASTER.finditer(text):
-        kind = _KIND_OF_GROUP[m.lastgroup]
+        kind = _KIND_OF_GROUP[m.lastindex]
         lexeme = m.group()
         start = m.start()
         if kind == "identifier" and lexeme in KEYWORDS:
@@ -176,46 +181,77 @@ def significant(tokens) -> list[Token]:
     return [t for t in tokens if t.kind not in ("whitespace", "comment")]
 
 
-def _module_names(sig: list[Token]) -> tuple[str, ...]:
-    names: list[str] = []
-    for i, t in enumerate(sig[:-1]):
-        if t.kind == "keyword" and t.text == "module" and sig[i + 1].kind == "identifier":
-            names.append(sig[i + 1].text)
-    return tuple(names)
+def _significant_pairs(text: str) -> list[tuple[str, str]]:
+    """``(kind, text)`` of each token ``significant(tokenize(text))`` holds,
+    from the same scan but without positions or ``Token`` objects."""
+    pairs = []
+    for m in _MASTER.finditer(text):
+        group = m.lastindex
+        if group > _LAST_TRIVIA_GROUP:
+            kind, lexeme = _KIND_OF_GROUP[group], m.group()
+            if kind == "identifier" and lexeme in KEYWORDS:
+                kind = "keyword"
+            pairs.append((kind, lexeme))
+    return pairs
 
 
-def _dedup_key(sig: list[Token]) -> str:
-    blob = "".join(f"{t.kind}\x00{t.text}\x01" for t in sig)
+class Fingerprint(NamedTuple):
+    """What the filter and the split read of a unit."""
+
+    module_names: tuple[str, ...]
+    keywords: frozenset[str]
+    dedup_key: str
+    has_functional_logic: bool
+
+
+def _module_names(sig: list[tuple[str, str]]) -> tuple[str, ...]:
+    adjacent = zip(sig, sig[1:])
+    return tuple(b[1] for a, b in adjacent if a == ("keyword", "module") and b[0] == "identifier")
+
+
+def _dedup_key(sig: list[tuple[str, str]]) -> str:
+    blob = "".join([f"{kind}\x00{text}\x01" for kind, text in sig])
     return hashlib.sha256(blob.encode()).hexdigest()
+
+
+def _fingerprint(sig: list[tuple[str, str]]) -> Fingerprint:
+    keywords = frozenset(text for kind, text in sig if kind == "keyword")
+    return Fingerprint(
+        _module_names(sig), keywords, _dedup_key(sig), _has_functional_logic(sig, keywords)
+    )
 
 
 @dataclass(frozen=True)
 class SourceUnit:
-    """One Verilog file, tokenized and fingerprinted."""
+    """One Verilog file. Its fingerprint and its lossless token stream are
+    each computed once, on first use: the filter reads only the fingerprint,
+    and mutation reads the tokens."""
 
     id: str
     path: str
     text: str
-    tokens: tuple[Token, ...]
-    module_names: tuple[str, ...]
-    line_count: int
-    dedup_key: str
-    has_functional_logic: bool
 
     @classmethod
     def from_text(cls, unit_id: str, text: str, path: str = "") -> "SourceUnit":
-        tokens = tokenize(text)
-        sig = significant(tokens)
-        return cls(
-            id=unit_id,
-            path=path,
-            text=text,
-            tokens=tokens,
-            module_names=_module_names(sig),
-            line_count=len(text.splitlines()),
-            dedup_key=_dedup_key(sig),
-            has_functional_logic=_has_functional_logic(sig),
-        )
+        return cls(id=unit_id, path=path, text=text)
+
+    @cached_property
+    def tokens(self) -> tuple[Token, ...]:
+        return tokenize(self.text)
+
+    @cached_property
+    def fingerprint(self) -> Fingerprint:
+        if "tokens" in self.__dict__:  # already lexed: no second scan
+            return _fingerprint([t[:2] for t in significant(self.tokens)])
+        return _fingerprint(_significant_pairs(self.text))
+
+    module_names = property(attrgetter("fingerprint.module_names"))
+    dedup_key = property(attrgetter("fingerprint.dedup_key"))
+    has_functional_logic = property(attrgetter("fingerprint.has_functional_logic"))
+
+    @property
+    def line_count(self) -> int:
+        return len(self.text.splitlines())
 
 
 # Keywords whose presence marks a file as containing functional logic.
@@ -245,7 +281,7 @@ _GATE_PRIMITIVES = frozenset(
 )
 
 
-def _assign_is_functional(sig: list[Token], assign_idx: int) -> bool:
+def _assign_is_functional(sig: list[tuple[str, str]], assign_idx: int) -> bool:
     """True when the continuous assignment's RHS is more than wiring/constant.
 
     An `assign` whose RHS holds an operator or two identifiers computes
@@ -253,42 +289,36 @@ def _assign_is_functional(sig: list[Token], assign_idx: int) -> bool:
     """
     # Find '=' after the assign keyword, then scan the RHS up to ';'.
     i = assign_idx + 1
-    while i < len(sig) and not (sig[i].kind == "operator" and sig[i].text == "="):
+    while i < len(sig) and sig[i] != ("operator", "="):
         i += 1
     ops = 0
     idents = 0
-    i += 1
-    while i < len(sig) and sig[i].text != ";":
-        t = sig[i]
-        if t.kind == "operator":
+    for kind, text in sig[i + 1 :]:
+        if text == ";":
+            break
+        if kind == "operator":
             ops += 1
-        elif t.kind == "identifier":
+        elif kind == "identifier":
             idents += 1
-        i += 1
     return ops >= 1 or idents >= 2
 
 
-def _has_instantiation(sig: list[Token]) -> bool:
-    for i in range(len(sig) - 2):
-        a, b, c = sig[i], sig[i + 1], sig[i + 2]
-        if a.kind == "identifier":
-            if b.kind == "identifier" and c.text == "(":
+def _has_instantiation(sig: list[tuple[str, str]]) -> bool:
+    for (a_kind, a_text), (b_kind, b_text), (_, c_text) in zip(sig, sig[1:], sig[2:]):
+        if a_kind == "identifier":
+            if c_text == "(" and (b_kind == "identifier" or b_text == "#"):
                 return True
-            if b.text == "#" and c.text == "(":
-                return True
-        if a.kind == "keyword" and a.text in _GATE_PRIMITIVES:
-            if b.text == "(" or (b.kind == "identifier" and c.text == "("):
+        elif a_kind == "keyword" and a_text in _GATE_PRIMITIVES:
+            if b_text == "(" or (b_kind == "identifier" and c_text == "("):
                 return True
     return False
 
 
-def _has_functional_logic(sig: list[Token]) -> bool:
-    for i, t in enumerate(sig):
-        if t.kind == "keyword":
-            if t.text in _FUNCTIONAL_KEYWORDS:
-                return True
-            if t.text == "assign" and _assign_is_functional(sig, i):
-                return True
+def _has_functional_logic(sig: list[tuple[str, str]], keywords: frozenset[str]) -> bool:
+    if not keywords.isdisjoint(_FUNCTIONAL_KEYWORDS):
+        return True
+    if any(p == ("keyword", "assign") and _assign_is_functional(sig, i) for i, p in enumerate(sig)):
+        return True
     return _has_instantiation(sig)
 
 
@@ -298,7 +328,7 @@ def classify_rejection(unit: SourceUnit) -> RejectionReason | None:
     Returns None when the unit is accepted. Duplicate detection is the
     caller's job (see filter_units); syntax checking is the compiler adapter's.
     """
-    kw = {t.text for t in unit.tokens if t.kind == "keyword"}
+    kw = unit.fingerprint.keywords
     if "module" not in kw or "endmodule" not in kw:
         missing = [w for w in ("module", "endmodule") if w not in kw]
         return RejectionReason(
@@ -316,8 +346,8 @@ def load_corpus_dir(root: str | Path) -> Iterator[SourceUnit]:
     """Every *.v / *.sv under ``root`` (recursive), sorted by relative path.
 
     The directory is checked and listed at the call, so a missing ``root``
-    raises FileNotFoundError there; each file is read and lexed only when the
-    iterator reaches it.
+    raises FileNotFoundError there; each file is read only when the iterator
+    reaches it.
     """
     root = Path(root)
     if not root.is_dir():

@@ -208,19 +208,20 @@ def split(units: list[SourceUnit], seed: int, fraction: float = 0.9) -> SplitPla
 # CoT validation
 
 
-def validate_cot(cot_text: str, golden: GoldenSolution) -> str:
-    """'correct' when the reply's buggy line and fix both match the golden
+def _matches_golden(parsed: dict, golden: GoldenSolution) -> bool:
+    """Whether a parsed reply's buggy line and fix both match the golden
     solution under trim/collapse-whitespace/drop-semicolon normalization."""
+    return normalize_line(parsed["buggy_line"]) == normalize_line(golden.buggy_line) and (
+        normalize_line(parsed["fix"]) == normalize_line(golden.corrected_line)
+    )
+
+
+def validate_cot(cot_text: str, golden: GoldenSolution) -> str:
+    """'correct' when the reply parses and matches the golden solution."""
     if not cot_text:
         raise DomainError("empty CoT text")
     parsed = parse_solution_reply(cot_text)
-    if parsed is None:
-        return "incorrect"
-    if normalize_line(parsed["buggy_line"]) == normalize_line(golden.buggy_line) and (
-        normalize_line(parsed["fix"]) == normalize_line(golden.corrected_line)
-    ):
-        return "correct"
-    return "incorrect"
+    return "correct" if parsed is not None and _matches_golden(parsed, golden) else "incorrect"
 
 
 # ---------------------------------------------------------------------------
@@ -361,7 +362,7 @@ def build_records(items: Iterable[PipelineItem]) -> RecordBundle:
                 parsed = parse_solution_reply(mut.cot_reply)
                 if parsed is None:
                     cot["unparseable"] += 1
-                elif validate_cot(mut.cot_reply, golden) == "correct":
+                elif _matches_golden(parsed, golden):
                     cot["correct"] += 1
                     cot_text = parsed["cot"] or ""
             bundle.svabug.append(

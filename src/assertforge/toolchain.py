@@ -361,6 +361,7 @@ class Toolchain:
                 with urllib.request.urlopen(request, timeout=self.settings.timeout_s) as resp:
                     raw = resp.read()
             except urllib.error.HTTPError as exc:  # 400 or above, or a redirect not followed
+                exc.close()  # it holds the response and its socket
                 raise TransportFailure(f"endpoint returned {exc.code}") from exc
             except (OSError, HTTPException, ValueError) as exc:
                 raise TransportFailure(str(exc)) from exc

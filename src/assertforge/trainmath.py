@@ -15,7 +15,7 @@ analytic gradients of a bigram-softmax toy provider (``tests/toyprovider.py``).
 from __future__ import annotations
 
 import math
-from typing import Hashable, Iterable, Mapping, NamedTuple, Protocol, Sequence
+from typing import Hashable, Iterable, NamedTuple, Protocol, Sequence
 
 from .errors import DomainError, ZeroProbabilityError
 from .textutil import normalize_line
@@ -174,24 +174,3 @@ def build_triples(cases: Iterable[ChallengingCase]) -> list[dict]:
     """One ``{"x", "p", "n"}`` row per (case, negative), preserving case and
     negative order."""
     return [{"x": case.x, "p": case.p, "n": neg} for case in cases for neg in case.negatives]
-
-
-# ---------------------------------------------------------------------------
-# Providers
-
-
-class ExplicitProvider:
-    """Probabilities looked up from an explicit table; for oracles.
-
-    ``seq_table`` maps (tuple(x), tuple(y)) -> per-token probability list.
-    """
-
-    def __init__(self, seq_table: Mapping[tuple[tuple, tuple], Sequence[float]] | None = None):
-        self._seq = {k: list(v) for k, v in (seq_table or {}).items()}
-
-    def sequence_probs(self, x, y) -> list[float]:
-        key = (tuple(x), tuple(y))
-        try:
-            return list(self._seq[key])
-        except KeyError:
-            raise DomainError(f"no probabilities recorded for {key}")

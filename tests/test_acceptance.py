@@ -32,7 +32,7 @@ from conftest import (
     E2E_GOLDEN_FAMILY_COUNTS,
     E2E_GOLDEN_TRIPLES,
 )
-from toyprovider import BigramSoftmaxProvider
+from toyprovider import BigramSoftmaxProvider, ExplicitProvider
 
 
 def report(name: str, ok: bool, detail: str = ""):
@@ -110,13 +110,13 @@ def test_criterion_loss_oracles():
     # pt/sft vs direct high-precision summation, 1e-10
     for _ in range(30):
         probs = [rng.uniform(0.05, 1.0) for _ in range(rng.randrange(1, 8))]
-        provider = tm.ExplicitProvider(seq_table={((), ("s",)): probs})
+        provider = ExplicitProvider(seq_table={((), ("s",)): probs})
         got = tm.pt_loss(provider, [("s",)])
         oracle = float(-sum(mp.log(mp.mpf(str(p))) for p in probs))
         if abs(got - oracle) > 1e-10:
             ok = False
             detail.append(f"pt err {abs(got - oracle):.2e}")
-        provider = tm.ExplicitProvider(seq_table={(("x",), ("y",)): probs})
+        provider = ExplicitProvider(seq_table={(("x",), ("y",)): probs})
         got = tm.sft_loss(provider, [(("x",), ("y",))])
         if abs(got - oracle) > 1e-10:
             ok = False
@@ -125,7 +125,7 @@ def test_criterion_loss_oracles():
     # dpo at identical policies = ln 2 +- 1e-12
     for _ in range(30):
         pp, pn = rng.uniform(0.01, 0.99), rng.uniform(0.01, 0.99)
-        policy = tm.ExplicitProvider(
+        policy = ExplicitProvider(
             seq_table={(("x",), ("p",)): [pp], (("x",), ("n",)): [pn]}
         )
         loss = tm.dpo_loss(policy, policy, [(("x",), ("p",), ("n",))], beta=0.1)
@@ -134,8 +134,8 @@ def test_criterion_loss_oracles():
             detail.append(f"ln2 err {abs(loss - math.log(2)):.2e}")
 
     # worked dpo example ~ 0.60459 +- 1e-4
-    policy = tm.ExplicitProvider(seq_table={(("x",), ("p",)): [0.8], (("x",), ("n",)): [0.1]})
-    reference = tm.ExplicitProvider(seq_table={(("x",), ("p",)): [0.5], (("x",), ("n",)): [0.4]})
+    policy = ExplicitProvider(seq_table={(("x",), ("p",)): [0.8], (("x",), ("n",)): [0.1]})
+    reference = ExplicitProvider(seq_table={(("x",), ("p",)): [0.5], (("x",), ("n",)): [0.4]})
     worked = tm.dpo_loss(policy, reference, [(("x",), ("p",), ("n",))], beta=0.1)
     if abs(worked - 0.60459) > 1e-4:
         ok = False

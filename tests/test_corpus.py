@@ -212,6 +212,21 @@ def test_filter_units_frees_each_unit_before_reading_the_next(corpus_units):
     assert refs[-1]() is None
 
 
+def test_filter_never_lexes(monkeypatch, corpus_dir):
+    import assertforge.corpus as c
+
+    lexed = []
+    real = c.tokenize
+
+    def counting(text):
+        lexed.append(text)
+        return real(text)
+
+    monkeypatch.setattr(c, "tokenize", counting)
+    rows = filter_units(load_corpus_dir(corpus_dir))
+    assert len(rows) > 1 and lexed == []
+
+
 def test_load_corpus_dir_missing_dir_raises_before_iteration(tmp_path):
     with pytest.raises(FileNotFoundError, match="corpus directory not found"):
         load_corpus_dir(tmp_path / "nope")

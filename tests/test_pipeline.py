@@ -1,3 +1,5 @@
+import collections
+
 from assertforge.config import PipelineConfig
 from assertforge.corpus import SourceUnit
 from assertforge.pipeline import (
@@ -119,3 +121,25 @@ def test_run_augment_with_llm_bug_source(accepted_units, mock_toolchain):
     res = run_augment(accepted_units, mock_toolchain, cfg)
     assert not res.errors
     assert res.bug or res.svabug
+
+
+def test_augment_lexes_a_unit_once_and_only_when_it_reaches_mutation(
+    monkeypatch, accepted_units, mock_toolchain
+):
+    import assertforge.corpus as c
+
+    lexed = collections.Counter()
+    real = c.tokenize
+
+    def counting(text):
+        lexed[text] += 1
+        return real(text)
+
+    monkeypatch.setattr(c, "tokenize", counting)
+    units = [SourceUnit.from_text(u.id, u.text, u.path) for u in accepted_units]
+    res = run_augment(units, mock_toolchain, PipelineConfig(seed=20240817, parallel=4))
+    assert res.svabug and not res.errors
+    compiled = {u.text for u in units if fake_compile(u.text).status == "ok"}
+    assert len(compiled) < len(units)  # some unit fails its compile check
+    assert set(lexed) == compiled
+    assert set(lexed.values()) == {1}

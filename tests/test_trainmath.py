@@ -8,14 +8,13 @@ import pytest
 from assertforge.errors import DomainError, ZeroProbabilityError
 from assertforge.trainmath import (
     ChallengingCase,
-    ExplicitProvider,
     build_triples,
     dpo_loss,
     pt_loss,
     select_challenging,
     sft_loss,
 )
-from toyprovider import BigramSoftmaxProvider
+from toyprovider import BigramSoftmaxProvider, ExplicitProvider
 
 mp.mp.dps = 50
 

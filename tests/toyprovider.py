@@ -1,19 +1,37 @@
-"""Bigram-softmax toy provider with analytic loss gradients.
+"""Probability providers for the tests of ``assertforge.trainmath``.
 
-A test helper: the gradient checks compare its gradients of the three
-training losses in ``assertforge.trainmath`` with central differences. It
-keeps numpy, a test dependency, out of the package.
+``ExplicitProvider`` answers from a table, for oracle checks of the losses.
+``BigramSoftmaxProvider`` has analytic loss gradients: the gradient checks
+compare them with central differences. It keeps numpy, a test dependency,
+out of the package.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
 from assertforge.errors import DomainError
 from assertforge.trainmath import TokenProbProvider
+
+
+class ExplicitProvider:
+    """Probabilities looked up from an explicit table; for oracles.
+
+    ``seq_table`` maps (tuple(x), tuple(y)) -> per-token probability list.
+    """
+
+    def __init__(self, seq_table: Mapping[tuple[tuple, tuple], Sequence[float]] | None = None):
+        self._seq = {k: list(v) for k, v in (seq_table or {}).items()}
+
+    def sequence_probs(self, x, y) -> list[float]:
+        key = (tuple(x), tuple(y))
+        try:
+            return list(self._seq[key])
+        except KeyError:
+            raise DomainError(f"no probabilities recorded for {key}")
 
 
 def _logprob(provider: TokenProbProvider, x, y) -> float:
