@@ -241,8 +241,6 @@ class SourceUnit:
 
     @cached_property
     def fingerprint(self) -> Fingerprint:
-        if "tokens" in self.__dict__:  # already lexed: no second scan
-            return _fingerprint([t[:2] for t in significant(self.tokens)])
         return _fingerprint(_significant_pairs(self.text))
 
     module_names = property(attrgetter("fingerprint.module_names"))
@@ -293,13 +291,14 @@ def _assign_is_functional(sig: list[tuple[str, str]], assign_idx: int) -> bool:
         i += 1
     ops = 0
     idents = 0
-    for kind, text in sig[i + 1 :]:
-        if text == ";":
-            break
+    i += 1
+    while i < len(sig) and sig[i][1] != ";":
+        kind = sig[i][0]
         if kind == "operator":
             ops += 1
         elif kind == "identifier":
             idents += 1
+        i += 1
     return ops >= 1 or idents >= 2
 
 

@@ -3,10 +3,10 @@ lossless token stream it replaces.
 
 ``_fingerprint_reference`` computes a unit's module names, keyword set, dedup
 key and logic flag the way they were computed before the filter stopped
-lexing. ``SourceUnit.fingerprint`` must equal it whether it comes from the
-scan (the unit was never lexed) or from the unit's tokens (mutation lexed it
-first), on the fixture corpus, the duplicate corpus of the CLI tests, the
-lexer edge cases and Hypothesis-generated text.
+lexing. ``SourceUnit.fingerprint`` must equal it, never lex the unit, and
+be the same when mutation lexed the unit first, on the fixture corpus, the
+duplicate corpus of the CLI tests, the lexer edge cases and
+Hypothesis-generated text.
 """
 
 from __future__ import annotations
@@ -45,6 +45,10 @@ FINGERPRINT_EDGE_CASES = {
     "module name after a comment": "module /* c */ top // d\n(input a); endmodule",
     "gate primitive and instantiation": "module g; and (y, a, b); sub #(2) u (.a(a)); endmodule",
     "wiring assign only": "module w(input a, output y); assign y = a; assign z = 1'b0; endmodule",
+    "wiring netlist": "module n;\n"
+    + "".join(f"assign w{i} = x{i};\nINV u{i} (.A(w{i}), .Y(x{i + 1}));\n" for i in range(50))
+    + "endmodule\n",
+    "assign with no semicolon": "module m; assign y = a endmodule",
 }
 
 
