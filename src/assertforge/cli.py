@@ -40,6 +40,14 @@ def _load_config(path: str | None, **flags) -> PipelineConfig:
         raise click.ClickException(str(exc))
 
 
+def _toolchain(cfg: PipelineConfig) -> Toolchain:
+    """The configured toolchain; an unusable ``mock.dir`` is a one-line error."""
+    try:
+        return Toolchain(cfg.tools)
+    except DomainError as exc:
+        raise click.ClickException(str(exc))
+
+
 def _header(cfg: PipelineConfig) -> dict:
     return {
         "tool_version": __version__,
@@ -120,7 +128,7 @@ def augment(config_path, manifest, out_dir, parallel, keep_temp):
     if not manifest.is_file():
         raise click.ClickException(f"manifest not found: {manifest}")
     units, load_errors = _load_manifest_units(manifest)
-    result = run_augment(units, Toolchain(cfg.tools), cfg)
+    result = run_augment(units, _toolchain(cfg), cfg)
     result.errors = load_errors + result.errors
 
     header = _header(cfg)
@@ -176,7 +184,7 @@ def eval_cmd(benchmark, config_path, out_path, results_path, csv_path, n_target,
         raise click.ClickException(f"invalid benchmark file: {exc}")
     if not cases:
         raise click.ClickException("benchmark file holds no cases")
-    tc = Toolchain(cfg.tools)
+    tc = _toolchain(cfg)
 
     errors: list[dict] = []
 

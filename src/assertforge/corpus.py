@@ -8,7 +8,9 @@ alternation of one group per token rule), has two consumers: ``tokenize``
 builds the lossless stream of ``Token`` tuples, and the fingerprint scan keeps
 only the ``(kind, text)`` pairs of significant tokens. A ``SourceUnit`` runs
 each once, on first use: the filter reads only the fingerprint and never
-builds a ``Token``, and mutation reads the lossless stream.
+builds a ``Token``. Mutation reads the lossless stream of a copy of the unit
+that it makes for each ``engine_bug_candidates`` call, so a unit's stream is
+lexed once per call and freed when the call returns.
 
 Filtering streams: ``load_corpus_dir`` reads one file per step and
 ``filter_units`` judges each unit as it arrives, keeping only the dedup keys
@@ -162,6 +164,7 @@ def tokenize(text: str) -> tuple[Token, ...]:
     Unknown bytes become single-character "other" tokens.
     """
     tokens = []
+    new_token = tuple.__new__  # what Token._make calls, without its checks
     line, line_start = 1, 0
     for m in _MASTER.finditer(text):
         kind = _KIND_OF_GROUP[m.lastindex]
@@ -169,11 +172,11 @@ def tokenize(text: str) -> tuple[Token, ...]:
         start = m.start()
         if kind == "identifier" and lexeme in KEYWORDS:
             kind = "keyword"
-        tokens.append((kind, lexeme, line, start - line_start + 1))
+        tokens.append(new_token(Token, (kind, lexeme, line, start - line_start + 1)))
         if "\n" in lexeme:
             line += lexeme.count("\n")
             line_start = start + lexeme.rfind("\n") + 1
-    return tuple(map(Token._make, tokens))
+    return tuple(tokens)
 
 
 def significant(tokens) -> list[Token]:
@@ -225,7 +228,8 @@ def _fingerprint(sig: list[tuple[str, str]]) -> Fingerprint:
 class SourceUnit:
     """One Verilog file. Its fingerprint and its lossless token stream are
     each computed once, on first use: the filter reads only the fingerprint,
-    and mutation reads the tokens."""
+    and mutation reads the tokens of a short-lived copy, so the units that
+    ``augment`` keeps never hold their tokens."""
 
     id: str
     path: str

@@ -137,6 +137,9 @@ def engine_bug_candidates(
     unit: SourceUnit, count: int, base_seed: int
 ) -> list[MutationRecord]:
     """Deterministic rule-based bugs: seed-chosen sites and rewrites."""
+    # Mutate a copy: its cached tokens serve every call below and are freed
+    # on return, so augment holds one token stream per worker, not per unit.
+    unit = SourceUnit.from_text(unit.id, unit.text, unit.path)
     sites = mutate.enumerate_sites(unit)
     flat = [(line, kind) for line, kinds in sites for kind in kinds]
     if not flat:

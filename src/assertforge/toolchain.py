@@ -15,6 +15,7 @@ from __future__ import annotations
 import contextlib
 import hashlib
 import json
+import math
 import os
 import re
 import shlex
@@ -114,6 +115,13 @@ class ToolSettings:
             raise DomainError(f"llm.temperature must lie in [0, 2], got {self.llm_temperature}")
         if self.verifier_depth < 1:
             raise DomainError(f"verifier.depth must be >= 1, got {self.verifier_depth}")
+        if not 0 < self.timeout_s < math.inf:
+            raise DomainError(f"tool.timeout must be a positive number, got {self.timeout_s}")
+        for name in ("compiler_cmd", "verifier_cmd", "llm_cmd"):
+            try:
+                shlex.split(getattr(self, name) or "")
+            except ValueError as exc:  # an unclosed quote
+                raise DomainError(f"{name.replace('_', '.')} is not a command line: {exc}") from exc
         for name in ("pass_re", "fail_re", "unknown_re", "step_re"):
             try:
                 re.compile(getattr(self, name))
@@ -150,8 +158,13 @@ class ReplayCache:
         self.mode = mode
         self._prefix = os.path.join(directory, "")
         self._write_lock = threading.Lock()
+        if self.dir.exists() and not self.dir.is_dir():
+            raise DomainError(f"mock.dir {directory} is not a directory")
         if mode == "record":
-            self.dir.mkdir(parents=True, exist_ok=True)
+            try:
+                self.dir.mkdir(parents=True, exist_ok=True)
+            except OSError as exc:
+                raise DomainError(f"mock.dir {directory} cannot be created: {exc}") from exc
 
     def get(self, key: str) -> dict | None:
         """The stored entry, or None when there is none. An entry that is not
@@ -159,7 +172,7 @@ class ReplayCache:
         try:
             with open(self._prefix + key + ".json", "rb") as f:
                 data = f.read()
-        except (FileNotFoundError, IsADirectoryError):
+        except (FileNotFoundError, IsADirectoryError, NotADirectoryError):
             return None
         return json.loads(data.decode("utf-8"))
 
@@ -382,8 +395,9 @@ class Toolchain:
         Returns (returncode, stdout, stderr); returncode None means the tool
         could not be spawned or timed out.
         """
-        scratch = tempfile.mkdtemp(prefix="assertforge-", dir=self.settings.scratch_dir)
+        scratch = None
         try:
+            scratch = tempfile.mkdtemp(prefix="assertforge-", dir=self.settings.scratch_dir)
             src_path = Path(scratch) / "input.sv"
             src_path.write_text(source, encoding="utf-8")
             args = []
@@ -392,20 +406,19 @@ class Toolchain:
                 if depth is not None:
                     arg = arg.replace("{depth}", str(depth))
                 args.append(arg)
-            try:
-                proc = subprocess.run(
-                    args,
-                    capture_output=True,
-                    text=True,
-                    timeout=self.settings.timeout_s,
-                    cwd=scratch,
-                )
-            except (OSError, subprocess.TimeoutExpired) as exc:
-                return None, "", f"tool spawn failed: {exc}"
-            return proc.returncode, proc.stdout, proc.stderr
+            proc = subprocess.run(
+                args,
+                capture_output=True,
+                text=True,
+                timeout=self.settings.timeout_s,
+                cwd=scratch,
+            )
+        except (OSError, subprocess.TimeoutExpired) as exc:
+            return None, "", f"tool spawn failed: {exc}"
         finally:
-            if not self.settings.keep_temp:
+            if scratch is not None and not self.settings.keep_temp:
                 shutil.rmtree(scratch, ignore_errors=True)
+        return proc.returncode, proc.stdout, proc.stderr
 
 
 def _raise_unreachable(message: str) -> LlmReply:

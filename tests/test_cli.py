@@ -8,6 +8,7 @@ Frozen goldens (counts, c-vector) were computed once from the fixture corpus
 at seed 20240817 and pinned here.
 """
 
+import functools
 import hashlib
 import json
 import os
@@ -27,7 +28,9 @@ from assertforge import dataset as ds
 from assertforge import cli
 from assertforge import evalharness as ev
 from assertforge.cli import main
+from assertforge.toolchain import Toolchain
 from conftest import (
+    E2E_SEED,
     E2E_GOLDEN_C_VECTOR as GOLDEN_C_VECTOR,
     E2E_GOLDEN_CHALLENGING as GOLDEN_CHALLENGING,
     E2E_GOLDEN_FAMILY_COUNTS as GOLDEN_FAMILY_COUNTS,
@@ -405,9 +408,11 @@ def test_augment_cli_rejects_unknown_bug_source(cli_env, tmp_path):
         ("llm.url = example", "llm.url"),
         ("llm.url = http://[::1", "llm.url"),
         ("seed = \udcff", "not UTF-8"),  # the byte 0xff
+        ("tool.timeout = 0", "tool.timeout"),
+        ("compiler.cmd = 'iverilog {file}", "compiler.cmd"),
     ],
     ids=["temperature", "depth", "mock-mode", "unknown-key", "keep-temp", "pass-re", "step-re",
-         "llm-url", "llm-url-bracket", "non-utf8"],
+         "llm-url", "llm-url-bracket", "non-utf8", "timeout", "compiler-cmd"],
 )
 def test_unusable_setting_stops_augment_before_any_call(
     cli_env, tmp_path, monkeypatch, config_line, key
@@ -475,6 +480,97 @@ def test_a_jsonl_input_line_that_is_not_json_is_a_one_line_error(
         lines = res.output.strip().splitlines()
         assert len(lines) == 1, res.output
         assert lines[0].startswith(f"Error: invalid {what}: line 2: "), res.output
+
+
+@pytest.fixture(scope="module")
+def manifest(cli_env, tmp_path_factory):
+    out = tmp_path_factory.mktemp("manifest")
+    assert invoke("filter", "--config", cli_env["config"], "--out-dir", out).exit_code == 0
+    return out / "manifest.jsonl"
+
+
+def _tool_command(command, cli_env, manifest, config, out):
+    if command == "augment":
+        return ["augment", "--config", config, "--manifest", manifest, "--out-dir", out]
+    return ["eval", cli_env["benchmark"], "--config", config, "--out", out / "report.json"]
+
+
+@pytest.mark.parametrize("mode", ["record", "replay"])
+@pytest.mark.parametrize("command", ["augment", "eval"])
+def test_a_mock_dir_that_is_a_file_is_a_one_line_error(
+    cli_env, manifest, tmp_path, monkeypatch, command, mode
+):
+    not_a_dir = tmp_path / "mocks"
+    not_a_dir.write_text("")
+    config = tmp_path / "mock.cfg"
+    config.write_text(f"mock.dir = {not_a_dir}\nmock.mode = {mode}\n")
+
+    def no_call(*args):
+        pytest.fail("a tool was called")
+
+    monkeypatch.setattr(cli, "Toolchain", functools.partial(
+        Toolchain, compile_backend=no_call, verify_backend=no_call, llm_backend=no_call))
+    out = tmp_path / "out"
+    out.mkdir()
+    res = invoke(*_tool_command(command, cli_env, manifest, config, out))
+    assert res.exit_code == 1
+    assert res.output.splitlines() == [f"Error: mock.dir {not_a_dir} is not a directory"]
+    assert list(out.iterdir()) == [] and not_a_dir.read_text() == ""
+
+
+def test_a_missing_scratch_dir_is_one_tool_error_per_unit(manifest, tmp_path):
+    config = tmp_path / "scratch.cfg"
+    config.write_text(f"seed = {E2E_SEED}\ncompiler.cmd = no-such-compiler {{file}}\n"
+                      f"scratch.dir = {tmp_path / 'missing'}\n")
+    out = tmp_path / "out"
+    res = invoke("augment", "--config", config, "--manifest", manifest, "--out-dir", out)
+    assert res.exit_code == 1
+    errors = json.loads(res.stderr)["errors"]
+    assert [e["unit_id"] for e in errors] == [r["id"] for r in read_records(manifest)]
+    for e in errors:
+        assert e["stage"] == "compile" and e["error"].startswith("tool spawn failed: "), e
+    assert all((out / name).is_file() for name in AUGMENT_OUTPUTS)
+
+
+@settings(max_examples=200, derandomize=True, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(
+    command=st.sampled_from(("augment", "eval")),
+    compiler_cmd=st.sampled_from(("no-such-compiler {file}", "'no-such-compiler {file}")),
+    mock_dir=st.sampled_from(("missing", "file", "directory")),
+    mock_mode=st.sampled_from(("off", "replay", "record", "replya")),
+    scratch_dir=st.sampled_from(("missing", "file")),
+    timeout=st.sampled_from(("-1", "0", "0.5", "60", "nan", "inf")),
+    depth=st.sampled_from(("-1", "0", "1", "20")),
+)
+def test_bad_tool_settings_end_in_an_error_not_a_traceback(
+    cli_env, manifest, command, compiler_cmd, mock_dir, mock_mode, scratch_dir, timeout, depth
+):
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        (tmp / "file").write_text("")
+        (tmp / "directory").mkdir()
+        config = tmp / "tools.cfg"
+        config.write_text(
+            f"seed = {E2E_SEED}\n"
+            f"compiler.cmd = {compiler_cmd}\n"
+            f"mock.dir = {tmp / ('no-mocks' if mock_dir == 'missing' else mock_dir)}\n"
+            f"mock.mode = {mock_mode}\n"
+            f"scratch.dir = {tmp / ('no-scratch' if scratch_dir == 'missing' else scratch_dir)}\n"
+            f"tool.timeout = {timeout}\n"
+            f"verifier.depth = {depth}\n"
+        )
+        out = tmp / "out"
+        res = invoke(*_tool_command(command, cli_env, manifest, config, out))
+    assert res.exit_code in (0, 1, 2)
+    assert "Traceback" not in res.stderr
+    if res.exit_code == 1:
+        lines = res.stderr.strip().splitlines()
+        if lines[-1].startswith("Error: "):
+            assert len(lines) == 1
+        else:
+            errors = json.loads(lines[-1])["errors"]
+            assert errors and all(isinstance(e, dict) and e["error"] for e in errors)
 
 
 def test_eval_cli_n_flag_is_checked_against_the_ks(cli_env, tmp_path):

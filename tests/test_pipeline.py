@@ -1,5 +1,7 @@
 import collections
 
+import pytest
+
 from assertforge.config import PipelineConfig
 from assertforge.corpus import SourceUnit
 from assertforge.pipeline import (
@@ -143,3 +145,11 @@ def test_augment_lexes_a_unit_once_and_only_when_it_reaches_mutation(
     assert len(compiled) < len(units)  # some unit fails its compile check
     assert set(lexed) == compiled
     assert set(lexed.values()) == {1}
+
+
+@pytest.mark.parametrize("parallel", [1, 4])
+def test_augment_leaves_no_unit_holding_its_tokens(accepted_units, mock_toolchain, parallel):
+    units = [SourceUnit.from_text(u.id, u.text, u.path) for u in accepted_units]
+    res = run_augment(units, mock_toolchain, PipelineConfig(seed=20240817, parallel=parallel))
+    assert res.svabug and not res.errors
+    assert [u.id for u in units if "tokens" in vars(u)] == []

@@ -63,6 +63,22 @@ def test_compile_scratch_cleanup(tmp_path):
     assert len(list(tmp_path.iterdir())) == 1
 
 
+@pytest.mark.parametrize("scratch", ["missing", "file"])
+def test_an_unusable_scratch_dir_is_a_tool_error(tmp_path, scratch):
+    (tmp_path / "file").write_text("")
+    tc = Toolchain(ToolSettings(compiler_cmd=f'{PY} -c "pass"',
+                                scratch_dir=str(tmp_path / scratch)))
+    out = tc.compile_check("module m; endmodule")
+    assert out.status == "tool_error" and out.stderr_text.startswith("tool spawn failed: ")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["file"]
+
+
+@pytest.mark.parametrize("timeout", [0, -1, float("nan"), float("inf")])
+def test_a_timeout_that_is_not_a_positive_number_is_rejected(timeout):
+    with pytest.raises(DomainError, match="tool.timeout must be a positive number"):
+        ToolSettings(timeout_s=timeout)
+
+
 def test_verify_requires_assertion():
     tc = Toolchain(verify_backend=lambda s, d: VerifyOutcome("proven", "PASS"))
     with pytest.raises(DomainError):
@@ -373,6 +389,22 @@ def test_failed_put_leaves_no_staging_file(tmp_path, monkeypatch):
     with pytest.raises(OSError, match="no space"):
         ReplayCache(tmp_path, mode="record").put("k", {}, {})
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("mode", ["record", "replay"])
+def test_a_cache_dir_that_is_a_file_is_rejected(tmp_path, mode):
+    not_a_dir = tmp_path / "cache"
+    not_a_dir.write_text("")
+    with pytest.raises(DomainError, match=f"mock.dir {not_a_dir} is not a directory"):
+        Toolchain(ToolSettings(mock_dir=str(not_a_dir), mock_mode=mode))
+
+
+def test_a_cache_dir_under_a_file_misses_in_replay(tmp_path):
+    (tmp_path / "file").write_text("")
+    tc = Toolchain(ToolSettings(mock_dir=str(tmp_path / "file" / "cache"), mock_mode="replay"))
+    assert tc.compile_check("module m; endmodule").status == "tool_error"
+    with pytest.raises(DomainError, match="cannot be created"):
+        ReplayCache(tmp_path / "file" / "cache", mode="record")
 
 
 def test_has_verifier_truth_table(tmp_path):
