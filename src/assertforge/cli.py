@@ -100,17 +100,19 @@ def filter_cmd(config_path, corpus_dir, out_dir):
 def _load_manifest_units(manifest: Path) -> tuple[list[SourceUnit], list[dict]]:
     units, errors = [], []
     for row in _read_rows(manifest, "manifest"):
-        if not isinstance(row.get("path"), str) or not isinstance(row.get("id"), str):
-            errors.append({"unit_id": row.get("id"), "stage": "load",
-                           "error": "manifest row needs string fields path and id"})
+        error = ds.row_error(row, ds.MANIFEST_ROW, "manifest row")
+        if error is not None:
+            errors.append({"unit_id": row.get("id"), "stage": "load", "error": error})
             continue
         p = Path(row["path"])
-        if not p.is_file():
-            errors.append({"unit_id": row["id"], "stage": "load", "error": f"missing file: {p}"})
+        try:
+            if not p.is_file():
+                raise FileNotFoundError(f"missing file: {p}")
+            text = p.read_text(encoding="utf-8", errors="replace")
+        except OSError as exc:  # also a name too long for the file system
+            errors.append({"unit_id": row["id"], "stage": "load", "error": str(exc)})
             continue
-        units.append(
-            SourceUnit.from_text(row["id"], p.read_text(encoding="utf-8", errors="replace"), str(p))
-        )
+        units.append(SourceUnit.from_text(row["id"], text, str(p)))
     return units, errors
 
 
@@ -247,11 +249,6 @@ def eval_cmd(benchmark, config_path, out_path, results_path, csv_path, n_target,
     _finish(errors)
 
 
-def _is_response(r) -> bool:
-    return (isinstance(r, dict) and isinstance(r.get("raw_text"), str)
-            and isinstance(r.get("valid_json"), bool) and isinstance(r.get("verdict"), str))
-
-
 @main.command("dpo-prep")
 @click.argument("results_file", type=click.Path(exists=True))
 @click.option("--benchmark", type=click.Path(exists=True), required=True,
@@ -278,20 +275,13 @@ def dpo_prep(results_file, benchmark, config_path, out_path, n_expected):
     judged_entries = []
     for row in result_rows:
         case_id = row.get("case_id")
-        if not isinstance(case_id, str):
-            errors.append({"case_id": case_id, "error": "results row needs a string case_id"})
+        error = ds.row_error(row, ds.RESULTS_ROW, "results row")
+        if error is None and case_id not in cases:
+            error = "unknown case id"
+        if error is not None:
+            errors.append({"case_id": case_id, "error": error})
             continue
-        case = cases.get(case_id)
-        if case is None:
-            errors.append({"case_id": case_id, "error": "unknown case id"})
-            continue
-        if not isinstance(row.get("responses"), list):
-            errors.append({"case_id": case_id, "error": "results row has no responses list"})
-            continue
-        if not all(map(_is_response, row["responses"])):
-            errors.append({"case_id": case_id, "error": "each response needs string raw_text, "
-                           "boolean valid_json and string verdict"})
-            continue
+        case = cases[case_id]
         valid = [r for r in row["responses"] if r["valid_json"]]
         if len(valid) != n_expected:
             errors.append(
@@ -322,29 +312,6 @@ def dpo_prep(results_file, benchmark, config_path, out_path, n_expected):
     _finish(errors)
 
 
-_DPO_FIELDS = ("policy_p", "ref_p", "policy_n", "ref_n")
-
-
-def _is_prob(p) -> bool:
-    return isinstance(p, (int, float)) and not isinstance(p, bool) and 0 < p <= 1
-
-
-def _checked_loss_row(row: dict) -> str:
-    """The row's kind; SchemaError unless it carries that kind's probabilities."""
-    kind = row.get("kind")
-    if kind in ("pt", "sft"):
-        probs = row.get("token_probs")
-        if not isinstance(probs, list) or not all(map(_is_prob, probs)):
-            raise SchemaError(f"{kind} row needs token_probs, a list of probabilities in (0, 1]")
-    elif kind == "dpo":
-        bad = [f for f in _DPO_FIELDS if not _is_prob(row.get(f))]
-        if bad:
-            raise SchemaError(f"dpo row needs probabilities in (0, 1] for {', '.join(bad)}")
-    else:
-        raise SchemaError(f"unknown kind {kind!r}")
-    return kind
-
-
 @main.command()
 @click.argument("probs_file", type=click.Path(exists=True))
 @click.option("--config", "config_path", type=click.Path(), default=None)
@@ -365,10 +332,11 @@ def losses(probs_file, config_path, beta, reduction):
     pt_samples, sft_pairs, dpo_rows = [], [], []
     errors: list[dict] = []
     for i, row in enumerate(rows, start=1):
-        try:
-            kind = _checked_loss_row(row)
-        except SchemaError as exc:
-            errors.append({"row": i, "error": str(exc)})
+        kind = row.get("kind")
+        fields = ds.LOSS_ROWS.get(kind) if isinstance(kind, str) else None
+        error = ds.row_error(row, fields, f"{kind} row") if fields else f"unknown kind {kind!r}"
+        if error is not None:
+            errors.append({"row": i, "error": error})
             continue
         if kind == "pt":
             pt_samples.append(row["token_probs"])
@@ -383,7 +351,8 @@ def losses(probs_file, config_path, beta, reduction):
     if sft_pairs:
         out["sft_loss"] = tm.nll(sft_pairs, reduction)
     if dpo_rows:
-        terms = [tm.dpo_term(*(math.log(row[f]) for f in _DPO_FIELDS), beta) for row in dpo_rows]
+        terms = [tm.dpo_term(*map(math.log, map(row.get, ds.LOSS_ROWS["dpo"])), beta)
+                 for row in dpo_rows]
         out["dpo_loss"] = sum(terms, 0.0) / len(terms)
     click.echo(json.dumps(out, indent=2))
     _finish(errors)

@@ -1,5 +1,6 @@
-"""Dataset assembly: the three record families, the machine benchmark cases,
-CoT validation, and the length-binned 90/10 module-name split.
+"""Dataset assembly: the JSONL input row formats, the three record families,
+the machine benchmark cases, CoT validation, and the length-binned 90/10
+module-name split.
 
 A unit's outcome is decided once, in ``pipeline._process_unit``, and a
 mutant's once, in ``build_records``: every injected bug lands in exactly one
@@ -47,6 +48,46 @@ def length_bin(line_count: int) -> int:
 
 
 # ---------------------------------------------------------------------------
+# Input rows: one table per JSONL input, its fields in checking order, each a
+# JSON type, PROB, a list of one such entry, or a table for objects in a list.
+
+PROB = "probability in (0, 1]"
+_TYPE_NAMES = {str: "string", bool: "boolean", PROB: PROB}
+
+MANIFEST_ROW = {"path": str, "id": str}
+# A row missing its code says so first.
+CASE_ROW = dict.fromkeys(("buggy_sv_code", "id", "source", "spec", "log", "golden_buggy_line",
+                          "golden_corrected_line", "bug_syntactic", "bug_relation"), str)
+RESULTS_ROW = {"case_id": str, "responses": [{"raw_text": str, "valid_json": bool, "verdict": str}]}
+LOSS_ROWS = {"pt": {"token_probs": [PROB]}, "sft": {"token_probs": [PROB]},
+             "dpo": dict.fromkeys(("policy_p", "ref_p", "policy_n", "ref_n"), PROB)}
+
+
+def row_error(row: dict, fields: dict, what: str) -> str | None:
+    """``"<what> has no <field> <type>"`` for the first field of ``row`` that
+    ``fields`` does not admit, or None. An entry of a list field is named
+    ``field[i]``, and a field of an object in a list ``field[i].name``."""
+    error = _type_error(row, fields, "")
+    return None if error is None else f"{what} has no {error}"
+
+
+def _type_error(value, kind, name: str) -> str | None:
+    if isinstance(kind, dict):
+        if type(value) is not dict:
+            return f"{name} object"
+        errors = (_type_error(value.get(f), k, f"{name}.{f}" if name else f)
+                  for f, k in kind.items())
+    elif isinstance(kind, list):
+        if type(value) is not list:
+            return f"{name} list"
+        errors = (_type_error(entry, kind[0], f"{name}[{i}]") for i, entry in enumerate(value))
+    else:  # bool is an int subclass, and not a probability
+        ok = type(value) in (int, float) and 0 < value <= 1 if kind is PROB else type(value) is kind
+        return None if ok else f"{name} {_TYPE_NAMES[kind]}"
+    return next(filter(None, errors), None)
+
+
+# ---------------------------------------------------------------------------
 # Benchmark cases
 
 
@@ -56,11 +97,6 @@ class GoldenSolution:
 
     buggy_line: str
     corrected_line: str
-
-
-# Checked in this order, so a row missing its code says so first.
-_CASE_TEXT_FIELDS = ("buggy_sv_code", "id", "source", "spec", "log", "golden_buggy_line",
-                     "golden_corrected_line", "bug_syntactic", "bug_relation")
 
 
 @dataclass(frozen=True)
@@ -100,13 +136,9 @@ class EvalCase:
 
     @classmethod
     def from_json(cls, obj: dict) -> "EvalCase":
-        for name in _CASE_TEXT_FIELDS:
-            if name not in obj:
-                raise SchemaError(f"eval case missing field {name!r}")
-            if not isinstance(obj[name], str):
-                raise SchemaError(
-                    f"eval case {name} must be a string, got {type(obj[name]).__name__}"
-                )
+        error = row_error(obj, CASE_ROW, "eval case")
+        if error is not None:
+            raise SchemaError(error)
         lb = obj.get("length_bin")
         if lb is None:
             lb = length_bin(max(1, len(obj["buggy_sv_code"].splitlines())))
@@ -214,14 +246,6 @@ def _matches_golden(parsed: dict, golden: GoldenSolution) -> bool:
     return normalize_line(parsed["buggy_line"]) == normalize_line(golden.buggy_line) and (
         normalize_line(parsed["fix"]) == normalize_line(golden.corrected_line)
     )
-
-
-def validate_cot(cot_text: str, golden: GoldenSolution) -> str:
-    """'correct' when the reply parses and matches the golden solution."""
-    if not cot_text:
-        raise DomainError("empty CoT text")
-    parsed = parse_solution_reply(cot_text)
-    return "correct" if parsed is not None and _matches_golden(parsed, golden) else "incorrect"
 
 
 # ---------------------------------------------------------------------------
@@ -416,8 +440,9 @@ def read_jsonl(path: str | Path) -> list[dict]:
                 obj = json.loads(raw.decode("utf-8"))
             except UnicodeDecodeError as exc:
                 raise SchemaError(f"not UTF-8 at byte {exc.start}", line=lineno) from exc
-            except json.JSONDecodeError as exc:
-                raise SchemaError(f"malformed JSON: {exc.msg}", line=lineno) from exc
+            except (ValueError, RecursionError) as exc:  # too many digits, or too deep
+                raise SchemaError(f"malformed JSON: {getattr(exc, 'msg', exc)}",
+                                  line=lineno) from exc
             if not isinstance(obj, dict):
                 raise SchemaError("record is not a JSON object", line=lineno)
             rows.append(obj)

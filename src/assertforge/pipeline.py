@@ -110,7 +110,7 @@ def llm_bug_candidates(
             obj = json.loads(reply.text)
             line_no = int(obj["line"])
             mutated = str(obj["mutated"])
-        except (ValueError, KeyError, TypeError):
+        except (ValueError, KeyError, TypeError, OverflowError, RecursionError):
             continue
         lines = unit.text.split("\n")
         if not (1 <= line_no <= len(lines)) or "\n" in mutated:

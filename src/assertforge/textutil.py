@@ -44,7 +44,7 @@ def extract_json_object(text: str) -> dict | None:
     for cand in candidates:
         try:
             obj = json.loads(cand)
-        except (json.JSONDecodeError, ValueError):
+        except (ValueError, RecursionError):
             continue
         if isinstance(obj, dict):
             return obj

@@ -168,7 +168,7 @@ class ReplayCache:
 
     def get(self, key: str) -> dict | None:
         """The stored entry, or None when there is none. An entry that is not
-        valid UTF-8 JSON raises ValueError."""
+        valid UTF-8 JSON raises ValueError or RecursionError."""
         try:
             with open(self._prefix + key + ".json", "rb") as f:
                 data = f.read()
@@ -245,7 +245,7 @@ class Toolchain:
                 if hit is not None:
                     return decode(hit["response"])
                 reason = "replay cache miss"
-            except (ValueError, KeyError, TypeError) as exc:
+            except (ValueError, KeyError, TypeError, RecursionError) as exc:
                 reason = f"malformed replay cache entry ({exc})"
             return miss(f"{reason}: {key}")
         outcome = live()
@@ -380,7 +380,7 @@ class Toolchain:
                 raise TransportFailure(str(exc)) from exc
             try:
                 reply = json.loads(raw)
-            except ValueError as exc:
+            except (ValueError, RecursionError) as exc:
                 raise TransportFailure(f"malformed endpoint reply: {exc}") from exc
             if not isinstance(reply, dict) or not isinstance(reply.get("text"), str):
                 raise TransportFailure("malformed endpoint reply: not a JSON object with a text")

@@ -453,7 +453,8 @@ def test_a_jsonl_input_line_that_is_not_json_is_a_one_line_error(
 ):
     monkeypatch.setattr(cli, "Toolchain", lambda *a, **k: pytest.fail("a Toolchain was built"))
     not_json = b"{bad" if command == "losses" else b"not json"
-    for bad in (not_json, b'{"id": "\xff"}'):  # the second line is not UTF-8
+    # Not JSON; not UTF-8 (the byte 0xff); an integer json refuses; nested too deep.
+    for bad in (not_json, b'{"id": "\xff"}', b'{"id": ' + b"1" * 5000 + b"}", b"[" * 200_000):
         if command == "augment":
             manifest = _with_bad_line(tmp_path / "manifest.jsonl", [{"id": "u", "path": "u.v"}],
                                       bad)
@@ -480,6 +481,16 @@ def test_a_jsonl_input_line_that_is_not_json_is_a_one_line_error(
         lines = res.output.strip().splitlines()
         assert len(lines) == 1, res.output
         assert lines[0].startswith(f"Error: invalid {what}: line 2: "), res.output
+
+
+def test_a_manifest_path_too_long_for_the_file_system_is_a_load_error(tmp_path):
+    manifest = tmp_path / "manifest.jsonl"
+    ds.write_jsonl([{"id": "long", "path": "x" * 5000}], manifest)
+    res = invoke("augment", "--manifest", manifest, "--out-dir", tmp_path / "out")
+    assert res.exit_code == 1
+    [error] = json.loads(res.stderr)["errors"]
+    assert error["unit_id"] == "long" and error["stage"] == "load"
+    assert "File name too long" in error["error"]
 
 
 @pytest.fixture(scope="module")
@@ -845,6 +856,12 @@ def test_malformed_eval_and_dpo_prep_rows_end_in_an_error_not_a_traceback(cli_en
             args = ["dpo-prep", tmp / "results.jsonl", "--benchmark", cli_env["benchmark"],
                     "--out", tmp / "triples.jsonl"]
         res = invoke(*args)
+    assert_ends_in_an_error_not_a_traceback(res)
+
+
+def assert_ends_in_an_error_not_a_traceback(res):
+    """Exit 0, 1 or 2, no traceback, and exit 1 with one ``Error:`` line or a
+    JSON error list."""
     assert res.exit_code in (0, 1, 2)
     assert "Traceback" not in res.stderr
     if res.exit_code == 1:
@@ -854,6 +871,157 @@ def test_malformed_eval_and_dpo_prep_rows_end_in_an_error_not_a_traceback(cli_en
         else:
             errors = json.loads(lines[-1])["errors"]
             assert errors and all(isinstance(e, dict) and e["error"] for e in errors)
+
+
+def wrong_value(kind):
+    """JSON values that a table entry of ``kind`` does not admit: another
+    type, and for a probability also numbers outside (0, 1]."""
+    if isinstance(kind, (list, dict)):
+        return JSON_VALUES.filter(lambda v: type(v) is not type(kind))
+    if kind == ds.PROB:
+        return st.sampled_from((0, -0.5, 1.5, 10**400)) | JSON_VALUES.filter(
+            lambda v: type(v) not in (int, float))
+    return JSON_VALUES.filter(lambda v: type(v) is not kind)
+
+
+def corruptions(draw, row, fields, prefix=""):
+    """(broken copy of ``row``, name of the broken field) for every field of
+    the table ``fields``: dropped, given another type, and for a list one
+    entry given another type, or for a list of objects, corrupted in turn."""
+    broken = []
+    for name, kind in fields.items():
+        path = prefix + name
+        broken.append(({k: v for k, v in row.items() if k != name}, path))
+        broken.append(({**row, name: draw(wrong_value(kind))}, path))
+        if isinstance(kind, list):
+            entries = row[name]
+            i = draw(st.integers(0, len(entries) - 1))
+            bad_entries = [(draw(wrong_value(kind[0])), f"{path}[{i}]")]
+            if isinstance(kind[0], dict):
+                bad_entries += corruptions(draw, entries[i], kind[0], f"{path}[{i}].")
+            for bad, bad_path in bad_entries:
+                broken.append(({**row, name: entries[:i] + [bad] + entries[i + 1:]}, bad_path))
+    return broken
+
+
+@st.composite
+def garbage_jsonl(draw, row):
+    """The bytes of a JSONL input whose rows look like ``row``, with its last
+    line made into one no table admits: empty file, truncated line, binary,
+    or a huge or deeply nested value in one field."""
+    how = draw(st.sampled_from(("empty", "truncated", "binary", "huge", "deep")))
+    if how == "empty":
+        return b""
+    good = json.dumps(row).encode()
+    if how == "truncated":
+        return good + b"\n" + good[:draw(st.integers(0, len(good) - 1))]
+    if how == "binary":
+        return good + b"\n" + draw(st.binary(min_size=1, max_size=40))
+    if how == "huge":
+        value = draw(st.sampled_from((b"9" * 4300, b"9" * 4301, b'"' + b"x" * 10**6 + b'"',
+                                      b"[" + b"0.5," * 100_000 + b"0.5]")))
+    else:
+        depth = draw(st.sampled_from((3, 500, 950, 200_000)))
+        value = b"[" * depth + b"]" * depth
+    slot = b'"\\u0000slot"'
+    bad = json.dumps({**row, draw(st.sampled_from(sorted(row))): "\x00slot"}).encode()
+    return good + b"\n" + bad.replace(slot, value) + b"\n"
+
+
+@settings(max_examples=20, derandomize=True, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture, HealthCheck.too_slow])
+@given(data=st.data())
+def test_every_table_field_corrupted_is_an_error_that_names_it(cli_env, eval_rows, data):
+    bench_rows, result_rows = eval_rows
+    draw = data.draw
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        (tmp / "u.v").write_text("module u (input a, output y);\n  assign y = ~a;\nendmodule\n")
+
+        def has_no(error, path):
+            return f" has no {path} " in error
+
+        # losses: every other row still counts.
+        bad_rows = [(broken, path) for row in README_LOSS_ROWS
+                    for broken, path in corruptions(draw, row, ds.LOSS_ROWS[row["kind"]])]
+        for row in README_LOSS_ROWS:  # the key to the tables
+            bad_rows.append(({k: v for k, v in row.items() if k != "kind"}, "kind"))
+            other_kind = draw(JSON_VALUES.filter(lambda v: v not in tuple(ds.LOSS_ROWS)))
+            bad_rows.append(({**row, "kind": other_kind}, "kind"))
+        ds.write_jsonl(README_LOSS_ROWS + [row for row, _ in bad_rows], tmp / "probs.jsonl")
+        res = invoke("losses", tmp / "probs.jsonl")
+        assert res.exit_code == 1
+        assert json.loads(res.stdout)["counts"] == {"pt": 1, "sft": 1, "dpo": 1}
+        errors = json.loads(res.stderr)["errors"]
+        assert [e["row"] for e in errors] == list(range(4, 4 + len(bad_rows)))
+        for e, (_, path) in zip(errors, bad_rows):
+            assert (path == "kind" and "unknown kind" in e["error"]) or has_no(e["error"], path)
+
+        # dpo-prep: per-row errors for benchmark and results rows alike.
+        bad_cases = corruptions(draw, bench_rows[0], ds.CASE_ROW)
+        bad_results = corruptions(draw, result_rows[GOLDEN_C_VECTOR.index(11)], ds.RESULTS_ROW)
+        ds.write_jsonl(bench_rows + [row for row, _ in bad_cases], tmp / "benchmark.jsonl")
+        ds.write_jsonl(result_rows + [row for row, _ in bad_results], tmp / "results.jsonl")
+        res = invoke("dpo-prep", tmp / "results.jsonl", "--benchmark", tmp / "benchmark.jsonl",
+                     "--out", tmp / "triples.jsonl")
+        assert res.exit_code == 1
+        assert f"{GOLDEN_CHALLENGING} challenging cases" in res.stdout
+        assert len(read_records(tmp / "triples.jsonl")) == GOLDEN_TRIPLES
+        errors = json.loads(res.stderr)["errors"]
+        assert len(errors) == len(bad_cases) + len(bad_results)
+        for e, (_, path) in zip(errors, bad_cases + bad_results):
+            assert has_no(e["error"], path), (e, path)
+
+        # eval: one line for the first bad case row.
+        for row, path in bad_cases:
+            ds.write_jsonl([row], tmp / "case.jsonl")
+            res = invoke("eval", tmp / "case.jsonl", "--out", tmp / "report.json")
+            assert res.exit_code == 1
+            [line] = res.output.strip().splitlines()
+            assert line.startswith("Error: invalid benchmark file: ") and has_no(line, path)
+
+        # augment: a load error per bad manifest row.
+        bad_units = corruptions(draw, {"id": "u", "path": str(tmp / "u.v")}, ds.MANIFEST_ROW)
+        ds.write_jsonl([row for row, _ in bad_units], tmp / "manifest.jsonl")
+        res = invoke("augment", "--manifest", tmp / "manifest.jsonl", "--out-dir", tmp / "out")
+        assert res.exit_code == 1
+        errors = json.loads(res.stderr)["errors"]
+        assert len(errors) == len(bad_units)
+        for e, (_, path) in zip(errors, bad_units):
+            assert e["stage"] == "load" and has_no(e["error"], path)
+
+        # Any input: empty, truncated, binary, huge or deeply nested.
+        command = draw(st.sampled_from(("augment", "dpo-prep-benchmark", "dpo-prep-results",
+                                        "losses", "eval")))
+        row = {"augment": {"id": "u", "path": str(tmp / "u.v")},
+               "dpo-prep-benchmark": bench_rows[0], "dpo-prep-results": result_rows[0],
+               "losses": README_LOSS_ROWS[draw(st.integers(0, 2))], "eval": bench_rows[0]}
+        garbage = tmp / "garbage.jsonl"
+        garbage.write_bytes(draw(garbage_jsonl(row[command])))
+        args = {"augment": ["augment", "--manifest", garbage, "--out-dir", tmp / "out"],
+                "dpo-prep-benchmark": ["dpo-prep", tmp / "results.jsonl", "--benchmark", garbage],
+                "dpo-prep-results": ["dpo-prep", garbage, "--benchmark", cli_env["benchmark"]],
+                "losses": ["losses", garbage],
+                "eval": ["eval", garbage, "--config", cli_env["config"]]}[command]
+        if command.startswith(("dpo-prep", "eval")):
+            args += ["--out", tmp / "out.json"]
+        assert_ends_in_an_error_not_a_traceback(invoke(*args))
+
+        # filter: binary, non-UTF-8 and empty sources beside a good one.
+        corpus = tmp / "corpus"
+        corpus.mkdir()
+        good = (tmp / "u.v").read_bytes()
+        at = draw(st.integers(0, len(good)))
+        (corpus / "good.v").write_bytes(good)
+        (corpus / "binary.v").write_bytes(draw(st.binary(max_size=200)))
+        (corpus / "latin.sv").write_bytes(good[:at] + bytes([draw(st.integers(0x80, 0xff))])
+                                          + good[at:])
+        (corpus / "empty.v").write_bytes(b"")
+        res = invoke("filter", "--corpus-dir", corpus, "--out-dir", tmp / "filtered")
+        assert res.exit_code == 0 and "Traceback" not in res.stderr
+        report = read_records(tmp / "filtered" / "filter_report.jsonl")
+        assert [r["id"] for r in report] == ["binary.v", "empty.v", "good.v", "latin.sv"]
+        assert "good.v" in {r["id"] for r in read_records(tmp / "filtered" / "manifest.jsonl")}
 
 
 # -- losses -------------------------------------------------------------------------

@@ -13,7 +13,6 @@ from assertforge.dataset import (
     read_jsonl,
     split,
     strip_meta_header,
-    validate_cot,
     write_jsonl,
 )
 from assertforge.errors import DomainError, SchemaError
@@ -112,7 +111,7 @@ def test_split_unit_follows_first_module():
     assert plan.unit_assignment(u) == plan.assignment_of("alpha")
 
 
-# -- validate_cot -----------------------------------------------------------------
+# -- CoT validation ---------------------------------------------------------------
 
 GOLDEN = GoldenSolution("out <= in + 1;", "out <= in;")
 
@@ -121,24 +120,48 @@ def reply(buggy, fix, cot="because"):
     return json.dumps({"buggy_line": buggy, "fix": fix, "cot": cot})
 
 
+def cot_outcome(cot_reply):
+    """``build_records``' CoT counts and the ``svabug`` row's ``cot`` for one
+    assertion failure on GOLDEN with the given CoT reply."""
+    code = "module m;\nout <= in;\nendmodule"
+    mut = MutantItem(
+        record=MutationRecord("m", 2, GOLDEN.corrected_line, GOLDEN.buggy_line,
+                              BugType("Op", "Direct"), frozenset(), rng_seed=0),
+        compile_status="ok",
+        verify_status="assertion_failed",
+        buggy_sv_code=code.replace("in;", "in + 1;"),
+        log="FAIL",
+        cot_reply=cot_reply,
+    )
+    bundle = build_records([PipelineItem("m", "ok", code=code, spec="s", mutants=[mut])])
+    [row] = bundle.svabug
+    assert row["step_by_step"] is (row["cot"] is not None)
+    return bundle.cot_stats, row["cot"]
+
+
+CORRECT = ({"total": 1, "correct": 1, "unparseable": 0}, "because")
+INCORRECT = ({"total": 1, "correct": 0, "unparseable": 0}, None)
+
+
 def test_cot_exact_match_correct():
-    assert validate_cot(reply("out <= in + 1;", "out <= in;"), GOLDEN) == "correct"
+    assert cot_outcome(reply("out <= in + 1;", "out <= in;")) == CORRECT
 
 
 def test_cot_wrong_line_incorrect():
-    assert validate_cot(reply("out <= in - 1;", "out <= in;"), GOLDEN) == "incorrect"
+    assert cot_outcome(reply("out <= in - 1;", "out <= in;")) == INCORRECT
 
 
 def test_cot_whitespace_noise_strict():
     # Collapse-only normalization keeps "in+1" distinct from "in + 1".
     assert normalize_line("  out <= in+1 ;") != normalize_line("out <= in + 1;")
-    assert validate_cot(reply("  out <= in+1 ;", "out <= in;"), GOLDEN) == "incorrect"
+    assert cot_outcome(reply("  out <= in+1 ;", "out <= in;")) == INCORRECT
     # Pure run-collapsing and semicolon noise is tolerated.
-    assert validate_cot(reply("  out  <=  in + 1 ;", "out <= in;"), GOLDEN) == "correct"
+    assert cot_outcome(reply("  out  <=  in + 1 ;", "out <= in;")) == CORRECT
 
 
 def test_cot_unparseable_incorrect():
-    assert validate_cot("the bug is on line 3", GOLDEN) == "incorrect"
+    assert cot_outcome("the bug is on line 3") == (
+        {"total": 1, "correct": 0, "unparseable": 1}, None)
 
 
 def test_normalization_strengths_differ():
@@ -353,6 +376,16 @@ def test_jsonl_malformed_line_number(tmp_path):
     p = tmp_path / "bad.jsonl"
     p.write_text('{"ok": 1}\n{oops\n{"ok": 2}\n')
     with pytest.raises(SchemaError) as err:
+        read_jsonl(p)
+    assert err.value.line == 2
+
+
+@pytest.mark.parametrize("bad", ['{"a": ' + "1" * 5000 + "}", "[" * 200_000],
+                         ids=["integer-over-4300-digits", "nested-too-deep"])
+def test_jsonl_value_json_cannot_decode_is_malformed(tmp_path, bad):
+    p = tmp_path / "bad.jsonl"
+    p.write_text('{"ok": 1}\n' + bad + "\n")
+    with pytest.raises(SchemaError, match="^line 2: malformed JSON: ") as err:
         read_jsonl(p)
     assert err.value.line == 2
 

@@ -232,6 +232,14 @@ def test_collect_alternating_garbage():
     assert sum(1 for _, v in result.responses if v == "invalid") == 20
 
 
+def test_collect_a_reply_nested_too_deep_is_invalid():
+    case = make_case()
+    texts = ["[" * 200_000, VALID] * 20
+    result = collect_responses(case, scripted_solver(texts), n_target=20)
+    assert result.n == 20 and result.c == 20
+    assert sum(1 for _, v in result.responses if v == "invalid") == 20
+
+
 def test_collect_always_garbage_insufficient():
     case = make_case()
     with pytest.raises(InsufficientValidResponses) as err:

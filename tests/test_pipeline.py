@@ -118,6 +118,14 @@ def test_llm_bug_path_rejects_bad_replies():
     assert llm_bug_candidates(tc, u, 2, base_seed=1) == []
 
 
+@pytest.mark.parametrize("reply", ["[" * 200_000, '{"line": 1e400, "mutated": "y = 1;"}'],
+                         ids=["nested-too-deep", "infinite-line"])
+def test_llm_bug_path_skips_a_reply_it_cannot_read(reply):
+    u = SourceUnit.from_text("t", "module m;\nalways @(*) y = x;\nendmodule")
+    tc = Toolchain(llm_backend=lambda req: reply)
+    assert llm_bug_candidates(tc, u, 2, base_seed=1) == []
+
+
 def test_run_augment_with_llm_bug_source(accepted_units, mock_toolchain):
     cfg = PipelineConfig(seed=5, bug_source="llm", mutations_per_unit=2)
     res = run_augment(accepted_units, mock_toolchain, cfg)

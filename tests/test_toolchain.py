@@ -197,7 +197,7 @@ class _ScriptedEndpoint(http.server.BaseHTTPRequestHandler):
         body = json.loads(self.rfile.read(int(self.headers["Content-Length"])))
         self.server.seen.append((dict(self.headers), body))
         status, reply = self.server.reply
-        payload = json.dumps(reply).encode()
+        payload = reply if isinstance(reply, bytes) else json.dumps(reply).encode()
         self.send_response(status)
         self.send_header("Content-Length", str(len(payload)))
         self.end_headers()
@@ -248,6 +248,14 @@ def test_llm_url_error_status_exhausts_attempts(endpoint, monkeypatch):
 
 def test_llm_url_reply_that_is_not_an_object_is_a_transport_failure(endpoint, monkeypatch):
     endpoint.reply = (200, ["x"])
+    tc = _url_toolchain(endpoint, monkeypatch)
+    with pytest.raises(AttemptsExhausted, match="malformed endpoint reply"):
+        tc.llm_call(LlmRequest(task="spec", prompt_text="p"))
+    assert len(endpoint.seen) == 3
+
+
+def test_llm_url_reply_nested_too_deep_is_a_transport_failure(endpoint, monkeypatch):
+    endpoint.reply = (200, b"[" * 200_000)
     tc = _url_toolchain(endpoint, monkeypatch)
     with pytest.raises(AttemptsExhausted, match="malformed endpoint reply"):
         tc.llm_call(LlmRequest(task="spec", prompt_text="p"))
@@ -358,6 +366,16 @@ def test_replay_empty_or_non_utf8_entry_is_a_malformed_miss(tmp_path, content):
     (tmp_path / f"{key}.json").write_bytes(content)
     with pytest.raises(ValueError):
         ReplayCache(tmp_path).get(key)
+    tc = Toolchain(ToolSettings(mock_dir=str(tmp_path), mock_mode="replay"))
+    outcome = tc.compile_check("module m; endmodule")
+    assert outcome.status == "tool_error"
+    assert outcome.stderr_text.startswith("malformed replay cache entry")
+    assert outcome.stderr_text.endswith(key)
+
+
+def test_replay_entry_nested_too_deep_is_a_malformed_miss(tmp_path):
+    key = request_digest({"kind": "compile", "source": "module m; endmodule"})
+    (tmp_path / f"{key}.json").write_bytes(b'{"response": ' + b"[" * 200_000)
     tc = Toolchain(ToolSettings(mock_dir=str(tmp_path), mock_mode="replay"))
     outcome = tc.compile_check("module m; endmodule")
     assert outcome.status == "tool_error"
