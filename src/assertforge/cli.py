@@ -179,9 +179,8 @@ def eval_cmd(benchmark, config_path, out_path, results_path, csv_path, n_target,
     except DomainError as exc:
         raise click.ClickException(str(exc))
     cfg = _load_config(config_path, eval_n=n_target, eval_ks=ks, eval_mode=mode, parallel=parallel)
-    rows = _read_rows(benchmark, "benchmark file")
     try:
-        cases = [ev.EvalCase.from_json(r) for r in rows]
+        cases = [ev.EvalCase.from_json(r) for r in _read_rows(benchmark, "benchmark file")]
     except (SchemaError, ValueError) as exc:
         raise click.ClickException(f"invalid benchmark file: {exc}")
     if not cases:
@@ -227,18 +226,8 @@ def eval_cmd(benchmark, config_path, out_path, results_path, csv_path, n_target,
             Path(csv_path).write_text(report.to_csv(), encoding="utf-8")
         if results_path:
             ds.write_jsonl(
-                [
-                    {
-                        "case_id": r.case_id,
-                        "n": r.n,
-                        "c": r.c,
-                        "responses": [
-                            {"raw_text": m.raw_text, "valid_json": m.valid_json, "verdict": v}
-                            for m, v in r.responses
-                        ],
-                    }
-                    for r in results
-                ],
+                ({"case_id": r.case_id, "n": r.n, "c": r.c,
+                  "responses": [j._asdict() for j in r.responses]} for r in results),
                 results_path,
                 header=header,
             )

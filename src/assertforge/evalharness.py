@@ -1,6 +1,10 @@
 """Benchmark harness: drive a solver over assertion-failure cases, judge the
 responses, compute pass@k exactly, and aggregate the report breakdowns.
 
+Each judged reply is kept as one ``Judged(raw_text, valid_json, verdict)``,
+which is also the response row of ``results.jsonl``; the parsed reply lives
+only until it is judged.
+
 pass@k follows the unbiased estimator 1 - C(n-c, k)/C(n, k), evaluated with
 exact integer arithmetic; C(m, k) is zero when m < k.
 """
@@ -10,7 +14,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 
 from .dataset import BIN_LABELS, BUG_TYPE_ORDER, EvalCase, GoldenSolution
 from .errors import (
@@ -57,12 +61,20 @@ class ModelResponse:
         return cls(raw_text=raw_text, parsed=solution_from_object(obj), valid_json=obj is not None)
 
 
+class Judged(NamedTuple):
+    """One judged reply; the fields are the results row's response keys."""
+
+    raw_text: str
+    valid_json: bool
+    verdict: str  # "correct", "incorrect" or "invalid"
+
+
 @dataclass(frozen=True)
 class CaseResult:
     case_id: str
     n: int  # valid responses collected
     c: int  # valid responses judged correct
-    responses: tuple[tuple[ModelResponse, str], ...]
+    responses: tuple[Judged, ...]
 
     def __post_init__(self):
         if not (0 <= self.c <= self.n):
@@ -144,16 +156,16 @@ def collect_responses(
 ) -> CaseResult:
     """Query the solver until ``n_target`` valid-JSON responses are collected.
 
-    Invalid responses are kept in the result (verdict "invalid") but do not
-    count toward n. Each call carries a distinct nonce so record/replay mocks
-    key repeated draws separately. Raises InsufficientValidResponses when
-    3 * n_target solver calls were not enough.
+    Each reply is kept as its ``Judged`` triple; invalid ones (verdict
+    "invalid") do not count toward n. Each call carries a distinct nonce so
+    record/replay mocks key repeated draws separately. Raises
+    InsufficientValidResponses when 3 * n_target solver calls were not enough.
     """
     if n_target < 1:
         raise DomainError("n_target must be positive")
     if judge_fn is None:
         judge_fn = lambda resp: judge(resp, case.golden)  # noqa: E731
-    responses: list[tuple[ModelResponse, str]] = []
+    responses: list[Judged] = []
     valid = correct = invalid = 0
     calls = 0
     while valid < n_target and calls < 3 * n_target:
@@ -168,12 +180,11 @@ def collect_responses(
         if resp.valid_json:
             valid += 1
             verdict = judge_fn(resp) if resp.parsed is not None else "incorrect"
-            if verdict == "correct":
-                correct += 1
-            responses.append((resp, verdict))
+            correct += verdict == "correct"
         else:
             invalid += 1
-            responses.append((resp, "invalid"))
+            verdict = "invalid"
+        responses.append(Judged(resp.raw_text, resp.valid_json, verdict))
     result = CaseResult(case.id, n=valid, c=correct, responses=tuple(responses))
     if valid < n_target:
         raise InsufficientValidResponses(case.id, valid, n_target, result)

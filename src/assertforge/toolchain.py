@@ -5,9 +5,10 @@ by a digest of its request and goes through one record/replay path
 (``Toolchain._cached``), which either records live outcomes into a
 ReplayCache or serves them back hermetically. In replay mode a missing or
 undecodable entry is a miss: ``tool_error`` for the compiler and verifier,
-``EndpointUnreachable`` for the LLM. Tool commands are user-configurable
-templates with {file} and {depth} placeholders; nothing here hard-depends on
-a particular compiler or verifier.
+``EndpointUnreachable`` for the LLM. In record mode a cache write that fails
+raises ``AssertForgeError`` naming the key. Tool commands are
+user-configurable templates with {file} and {depth} placeholders; nothing
+here hard-depends on a particular compiler or verifier.
 """
 
 from __future__ import annotations
@@ -31,6 +32,7 @@ from pathlib import Path
 from typing import Callable, TypeVar
 
 from .errors import (
+    AssertForgeError,
     AttemptsExhausted,
     DomainError,
     EndpointUnreachable,
@@ -234,7 +236,8 @@ class Toolchain:
 
         Replay mode answers from the cache only; a missing or undecodable
         entry goes to ``miss`` with a message naming the key. Otherwise
-        ``live`` runs, and record mode stores its outcome.
+        ``live`` runs, and record mode stores its outcome; an ``OSError``
+        from that write becomes an ``AssertForgeError`` naming the key.
         """
         if self.cache is None:
             return live()
@@ -249,7 +252,10 @@ class Toolchain:
                 reason = f"malformed replay cache entry ({exc})"
             return miss(f"{reason}: {key}")
         outcome = live()
-        self.cache.put(key, request, asdict(outcome))
+        try:
+            self.cache.put(key, request, asdict(outcome))
+        except OSError as exc:
+            raise AssertForgeError(f"replay cache write failed: {key}: {exc}") from exc
         return outcome
 
     # -- compiler -----------------------------------------------------------
@@ -327,7 +333,7 @@ class Toolchain:
         return self._cached(
             payload,
             lambda: self._llm_attempts(req),
-            lambda resp: LlmReply(resp["text"], resp.get("attempt_index", 1)),
+            _llm_reply,
             _raise_unreachable,
         )
 
@@ -419,6 +425,15 @@ class Toolchain:
             if scratch is not None and not self.settings.keep_temp:
                 shutil.rmtree(scratch, ignore_errors=True)
         return proc.returncode, proc.stdout, proc.stderr
+
+
+def _llm_reply(resp: dict) -> LlmReply:
+    """A stored LLM response; a text that is not a string or an attempt index
+    that is not an integer raises TypeError."""
+    text, attempt = resp["text"], resp.get("attempt_index", 1)
+    if not isinstance(text, str) or type(attempt) is not int:
+        raise TypeError("llm response needs a string text and an integer attempt_index")
+    return LlmReply(text, attempt)
 
 
 def _raise_unreachable(message: str) -> LlmReply:

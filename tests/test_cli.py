@@ -8,6 +8,7 @@ Frozen goldens (counts, c-vector) were computed once from the fixture corpus
 at seed 20240817 and pinned here.
 """
 
+import errno
 import functools
 import hashlib
 import json
@@ -37,6 +38,7 @@ from conftest import (
     E2E_GOLDEN_TRIPLES as GOLDEN_TRIPLES,
 )
 from fixture_corpus import CORPUS_FILES, EXPECTED_ACCEPTED
+from mockbackends import fake_compile, fake_llm, make_fake_verify
 
 
 def invoke(*args):
@@ -543,6 +545,43 @@ def test_a_missing_scratch_dir_is_one_tool_error_per_unit(manifest, tmp_path):
     assert all((out / name).is_file() for name in AUGMENT_OUTPUTS)
 
 
+@pytest.mark.parametrize("command", ["augment", "eval"])
+def test_a_failed_cache_write_is_one_item_error(cli_env, manifest, tmp_path, monkeypatch, command):
+    mocks = tmp_path / "mocks"
+    config = tmp_path / "record.cfg"
+    config.write_text(f"seed = {E2E_SEED}\nmutations.per_unit = 3\n"
+                      f"mock.dir = {mocks}\nmock.mode = record\n")
+    units = {r["id"]: Path(r["path"]).read_text() for r in read_records(manifest)}
+    monkeypatch.setattr(cli, "Toolchain", functools.partial(
+        Toolchain, compile_backend=fake_compile,
+        verify_backend=make_fake_verify(set(units.values())), llm_backend=fake_llm))
+    real_replace, writes = os.replace, []
+
+    def first_write_fails(src, dst):  # the disk is full for the first entry only
+        writes.append(dst)
+        if len(writes) == 1:
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+        real_replace(src, dst)
+
+    monkeypatch.setattr(os, "replace", first_write_fails)
+    out = tmp_path / "out"
+    out.mkdir()
+    res = invoke(*_tool_command(command, cli_env, manifest, config, out))
+    assert res.exit_code == 1 and "Traceback" not in res.stderr
+    [error] = json.loads(res.stderr)["errors"]
+    key = Path(writes[0]).stem
+    no_space = f"[Errno {errno.ENOSPC}] {os.strerror(errno.ENOSPC)}"
+    assert error["error"] == f"replay cache write failed: {key}: {no_space}"
+    if command == "augment":
+        assert error["unit_id"] == next(iter(units)) and error["stage"] == "unit"
+        assert all((out / name).is_file() for name in AUGMENT_OUTPUTS)
+    else:
+        first = read_records(cli_env["benchmark"])[0]["id"]
+        assert error["case_id"] == first and error["stage"] == "collect"
+        report = json.loads((out / "report.json").read_text())
+        assert report["case_count"] == len(GOLDEN_C_VECTOR) - 1
+
+
 @settings(max_examples=200, derandomize=True, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(
@@ -746,6 +785,12 @@ def eval_rows(cli_env, tmp_path_factory):
     """The benchmark rows and the results rows of one eval run over them."""
     _, results_path = _run_eval(cli_env, tmp_path_factory.mktemp("eval_rows"), "rows")
     return read_records(cli_env["benchmark"]), read_records(results_path)
+
+
+def test_every_results_row_eval_writes_passes_the_results_table(eval_rows):
+    _, rows = eval_rows
+    assert len(rows) == len(GOLDEN_C_VECTOR)
+    assert [ds.row_error(r, ds.RESULTS_ROW, "results row") for r in rows] == [None] * len(rows)
 
 
 @pytest.mark.parametrize(

@@ -1,14 +1,16 @@
+import gc
 import itertools
 import json
 import math
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from assertforge.dataset import GoldenSolution
+from assertforge.dataset import RESULTS_ROW, GoldenSolution
 from assertforge.errors import (
     DomainError,
     InsufficientValidResponses,
@@ -17,6 +19,7 @@ from assertforge.errors import (
 from assertforge.evalharness import (
     CaseResult,
     EvalCase,
+    Judged,
     ModelResponse,
     aggregate,
     collect_responses,
@@ -229,7 +232,7 @@ def test_collect_alternating_garbage():
     result = collect_responses(case, scripted_solver(texts), n_target=20)
     assert result.n == 20
     assert len(result.responses) == 40  # invalid responses retained
-    assert sum(1 for _, v in result.responses if v == "invalid") == 20
+    assert sum(1 for r in result.responses if r.verdict == "invalid") == 20
 
 
 def test_collect_a_reply_nested_too_deep_is_invalid():
@@ -237,7 +240,7 @@ def test_collect_a_reply_nested_too_deep_is_invalid():
     texts = ["[" * 200_000, VALID] * 20
     result = collect_responses(case, scripted_solver(texts), n_target=20)
     assert result.n == 20 and result.c == 20
-    assert sum(1 for _, v in result.responses if v == "invalid") == 20
+    assert sum(1 for r in result.responses if r.verdict == "invalid") == 20
 
 
 def test_collect_always_garbage_insufficient():
@@ -276,7 +279,31 @@ def test_collect_valid_json_missing_keys_counts_incorrect():
     texts = [json.dumps({"something": 1})] * 20
     result = collect_responses(make_case(), scripted_solver(texts), n_target=20)
     assert result.n == 20 and result.c == 0
-    assert all(v == "incorrect" for _, v in result.responses)
+    assert all(r.verdict == "incorrect" for r in result.responses)
+
+
+def test_collect_keeps_no_copy_of_the_replies():
+    """The result may hold the solver's reply texts, but nothing that grows
+    with them: no parsed copy of a reply outlives its verdict."""
+    cot = "c" * 10_000
+    texts = [json.dumps({"buggy_line": "out = a & b;", "fix": "out = a | b;", "cot": f"{cot}{i}"})
+             for i in range(40)]
+    solver = scripted_solver(texts)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        result = collect_responses(make_case(), solver, n_target=40)
+        gc.collect()
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert result.n == result.c == 40
+    assert held <= 0.1 * sum(map(len, texts))
+
+
+def test_judged_fields_are_the_results_row_response_keys():
+    assert Judged._fields == tuple(RESULTS_ROW["responses"][0])
 
 
 # -- aggregate ---------------------------------------------------------------------

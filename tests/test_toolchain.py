@@ -1,3 +1,4 @@
+import errno
 import http.server
 import json
 import os
@@ -7,6 +8,7 @@ import threading
 import pytest
 
 from assertforge.errors import (
+    AssertForgeError,
     AttemptsExhausted,
     DomainError,
     EndpointUnreachable,
@@ -381,6 +383,41 @@ def test_replay_entry_nested_too_deep_is_a_malformed_miss(tmp_path):
     assert outcome.status == "tool_error"
     assert outcome.stderr_text.startswith("malformed replay cache entry")
     assert outcome.stderr_text.endswith(key)
+
+
+@pytest.mark.parametrize(
+    "response",
+    [{"text": 5, "attempt_index": 1}, {"text": None}, {"text": ["t"]},
+     {"text": "t", "attempt_index": "1"}, {"text": "t", "attempt_index": True}, ["t", 1]],
+    ids=["int-text", "null-text", "list-text", "string-attempt", "bool-attempt", "list"],
+)
+def test_replay_llm_entry_of_the_wrong_type_is_a_malformed_miss(tmp_path, response):
+    req = LlmRequest(task="solve", prompt_text="p", nonce="c:0")
+    recorder = Toolchain(ToolSettings(mock_dir=str(tmp_path), mock_mode="record"),
+                         llm_backend=lambda r: "recorded text")
+    recorder.llm_call(req)
+    [entry] = tmp_path.iterdir()
+    doc = json.loads(entry.read_text())
+    entry.write_text(json.dumps({**doc, "response": response}))
+    tc = Toolchain(ToolSettings(mock_dir=str(tmp_path), mock_mode="replay"))
+    with pytest.raises(EndpointUnreachable, match="malformed replay cache entry") as err:
+        tc.llm_call(req)
+    assert str(err.value).endswith(entry.stem)
+
+
+def test_a_failed_cache_write_is_a_package_error_naming_the_key(tmp_path, monkeypatch):
+    def full_disk(src, dst):
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+    monkeypatch.setattr(os, "replace", full_disk)
+    tc = Toolchain(ToolSettings(mock_dir=str(tmp_path), mock_mode="record"),
+                   compile_backend=lambda s: CompileOutcome("ok", ""))
+    key = request_digest({"kind": "compile", "source": "module m; endmodule"})
+    with pytest.raises(AssertForgeError) as err:
+        tc.compile_check("module m; endmodule")
+    no_space = f"[Errno {errno.ENOSPC}] {os.strerror(errno.ENOSPC)}"
+    assert str(err.value) == f"replay cache write failed: {key}: {no_space}"
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_two_writers_on_one_dir_do_not_collide(tmp_path, monkeypatch):
