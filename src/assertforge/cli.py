@@ -12,7 +12,7 @@ import json
 import math
 import sys
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import replace
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import click
@@ -137,11 +137,7 @@ def augment(config_path, manifest, out_dir, parallel, keep_temp):
     ds.write_jsonl(result.pt, out / "pt.jsonl", header=header)
     ds.write_jsonl(result.bug, out / "bug.jsonl", header=header)
     ds.write_jsonl(result.svabug, out / "svabug.jsonl", header=header)
-    ds.write_jsonl(
-        [c.to_json() for c in result.eval_cases],
-        out / "sva_eval_machine.jsonl",
-        header=header,
-    )
+    ds.write_jsonl(map(asdict, result.eval_cases), out / "sva_eval_machine.jsonl", header=header)
     split_doc = {"meta": header, **result.split_plan.to_json()}
     (out / "split_plan.json").write_text(json.dumps(split_doc, indent=2) + "\n", encoding="utf-8")
     report = {
@@ -186,14 +182,19 @@ def eval_cmd(benchmark, config_path, out_path, results_path, csv_path, n_target,
     if not cases:
         raise click.ClickException("benchmark file holds no cases")
     tc = _toolchain(cfg)
+    if cfg.eval_mode == "reverify" and not tc.has_verifier:
+        raise click.ClickException(
+            "eval.mode = reverify needs a verifier: set verifier.cmd or mock.dir")
 
     errors: list[dict] = []
 
     def run_case(case: ev.EvalCase):
+        golden = case.golden
+
         def judge_fn(resp):
             return ev.judge(
                 resp,
-                case.golden,
+                golden,
                 cfg.eval_mode,
                 line_only=line_only,
                 toolchain=tc,
@@ -220,10 +221,10 @@ def eval_cmd(benchmark, config_path, out_path, results_path, csv_path, n_target,
     header = _header(cfg)
     if results:
         report = ev.aggregate(results, cases, ks=cfg.eval_ks, n_target=cfg.eval_n)
-        doc = {"meta": header, **report.to_json()}
+        doc = {"meta": header, **report}
         Path(out_path).write_text(json.dumps(doc, indent=2) + "\n", encoding="utf-8")
         if csv_path:
-            Path(csv_path).write_text(report.to_csv(), encoding="utf-8")
+            Path(csv_path).write_text(ev.report_csv(report), encoding="utf-8")
         if results_path:
             ds.write_jsonl(
                 ({"case_id": r.case_id, "n": r.n, "c": r.c,
@@ -232,7 +233,7 @@ def eval_cmd(benchmark, config_path, out_path, results_path, csv_path, n_target,
                 header=header,
             )
         for k in cfg.eval_ks:
-            click.echo(f"pass@{k} = {report.overall[k]:.4f}")
+            click.echo(f"pass@{k} = {report['overall'][f'pass@{k}']:.4f}")
     elif not errors:
         raise click.ClickException("no results produced")
     _finish(errors)
@@ -283,8 +284,8 @@ def dpo_prep(results_file, benchmark, config_path, out_path, n_expected):
         question = ev.solve_prompt(case)
         answer = json.dumps(
             {
-                "buggy_line": case.golden.buggy_line,
-                "fix": case.golden.corrected_line,
+                "buggy_line": case.golden_buggy_line,
+                "fix": case.golden_corrected_line,
                 "cot": None,
             }
         )

@@ -101,38 +101,31 @@ class GoldenSolution:
 
 @dataclass(frozen=True)
 class EvalCase:
-    """One benchmark case: a failing design, its log and the golden fix."""
+    """One benchmark case: a failing design, its log and the golden fix. The
+    fields are the case row's, in schema order."""
 
     id: str
     source: str  # machine | human
     spec: str
     buggy_sv_code: str
     log: str
-    golden: GoldenSolution
-    bug_type: BugType
+    golden_buggy_line: str
+    golden_corrected_line: str
+    bug_syntactic: str
+    bug_relation: str
     length_bin: int
 
     def __post_init__(self):
         if self.source not in SOURCES:
             raise ValueError(f"unknown case source: {self.source!r}")
-        if self.bug_type.relation == "Unknown":
+        if BugType(self.bug_syntactic, self.bug_relation).relation == "Unknown":
             raise ValueError("eval cases must carry a resolved Direct/Indirect relation")
         if not (0 <= self.length_bin <= 4):
             raise ValueError("length_bin must lie in 0..4")
 
-    def to_json(self) -> dict:
-        return {
-            "id": self.id,
-            "source": self.source,
-            "spec": self.spec,
-            "buggy_sv_code": self.buggy_sv_code,
-            "log": self.log,
-            "golden_buggy_line": self.golden.buggy_line,
-            "golden_corrected_line": self.golden.corrected_line,
-            "bug_syntactic": self.bug_type.syntactic,
-            "bug_relation": self.bug_type.relation,
-            "length_bin": self.length_bin,
-        }
+    @property
+    def golden(self) -> GoldenSolution:
+        return GoldenSolution(self.golden_buggy_line, self.golden_corrected_line)
 
     @classmethod
     def from_json(cls, obj: dict) -> "EvalCase":
@@ -144,16 +137,7 @@ class EvalCase:
             lb = length_bin(max(1, len(obj["buggy_sv_code"].splitlines())))
         elif type(lb) is not int:  # bool is an int subclass, and not a bin
             raise SchemaError(f"eval case length_bin must be an integer, got {lb!r}")
-        return cls(
-            id=obj["id"],
-            source=obj["source"],
-            spec=obj["spec"],
-            buggy_sv_code=obj["buggy_sv_code"],
-            log=obj["log"],
-            golden=GoldenSolution(obj["golden_buggy_line"], obj["golden_corrected_line"]),
-            bug_type=BugType(obj["bug_syntactic"], obj["bug_relation"]),
-            length_bin=lb,
-        )
+        return cls(**{f: obj[f] for f in CASE_ROW}, length_bin=lb)
 
 
 # ---------------------------------------------------------------------------
@@ -374,8 +358,10 @@ def build_records(items: Iterable[PipelineItem]) -> RecordBundle:
                         spec=item.spec,
                         buggy_sv_code=mut.buggy_sv_code,
                         log=mut.log,
-                        golden=golden,
-                        bug_type=bug_type,
+                        golden_buggy_line=golden.buggy_line,
+                        golden_corrected_line=golden.corrected_line,
+                        bug_syntactic=bug_type.syntactic,
+                        bug_relation=bug_type.relation,
                         length_bin=bin_index,
                     )
                 )

@@ -14,10 +14,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence
 
-from .dataset import BIN_LABELS, BUG_TYPE_ORDER, EvalCase, GoldenSolution
+from .dataset import BIN_LABELS, BUG_TYPE_ORDER, SOURCES, EvalCase, GoldenSolution
 from .errors import (
+    AssertForgeError,
     DomainError,
     InsufficientValidResponses,
     ReverifyUnavailable,
@@ -107,7 +108,8 @@ def judge(
     Textual mode compares whitespace-insensitively; both the buggy line and
     the fix must match (buggy line alone with ``line_only``). Reverify mode
     additionally applies the fix and requires the verifier to prove the
-    patched design.
+    patched design; a verifier ``tool_error`` raises AssertForgeError with
+    its log, since it says nothing about the reply.
     """
     if response.parsed is None:
         raise DomainError("judge requires a parsed response")
@@ -133,6 +135,8 @@ def judge(
     if patched is None:
         return "incorrect"
     outcome = toolchain.formal_verify(patched)
+    if outcome.status == "tool_error":
+        raise AssertForgeError(f"verifier tool error: {outcome.log_text}")
     return "correct" if outcome.status == "proven" else "incorrect"
 
 
@@ -191,61 +195,15 @@ def collect_responses(
     return result
 
 
-@dataclass(frozen=True)
-class PassAtKReport:
-    case_count: int
-    ks: tuple[int, ...]
-    overall: dict[int, float]
-    by_source: dict[str, dict[int, float]]
-    by_bug_type: dict[str, dict[int, float]]
-    by_length_bin: dict[str, dict[int, float]]
-    histogram: tuple[int, ...]
-
-    def to_json(self) -> dict:
-        def rates(m: Mapping[int, float]) -> dict:
-            return {f"pass@{k}": m[k] for k in self.ks}
-
-        return {
-            "case_count": self.case_count,
-            "ks": list(self.ks),
-            "overall": rates(self.overall),
-            "by_source": {s: rates(v) for s, v in self.by_source.items()},
-            "by_bug_type": {b: rates(v) for b, v in self.by_bug_type.items()},
-            "by_length_bin": {b: rates(v) for b, v in self.by_length_bin.items()},
-            "histogram": list(self.histogram),
-        }
-
-    def to_csv(self) -> str:
-        header = "table,key," + ",".join(f"pass@{k}" for k in self.ks)
-        lines = [header]
-
-        def emit(table: str, key: str, m: Mapping[int, float]):
-            lines.append(f"{table},{key}," + ",".join(f"{m[k]:.6f}" for k in self.ks))
-
-        emit("overall", "all", self.overall)
-        for s, v in self.by_source.items():
-            emit("source", s, v)
-        for b, v in self.by_bug_type.items():
-            emit("bug_type", b, v)
-        for b, v in self.by_length_bin.items():
-            emit("length_bin", b, v)
-        return "\n".join(lines) + "\n"
-
-
-def _mean_rates(results: Sequence[CaseResult], ks: Sequence[int]) -> dict[int, float]:
-    return {
-        k: sum(pass_at_k(r.n, r.c, k) for r in results) / len(results) for k in ks
-    }
-
-
 def aggregate(
     results: Sequence[CaseResult],
     cases: Iterable[EvalCase],
     ks: Sequence[int] = (1, 5),
     n_target: int = 20,
-) -> PassAtKReport:
-    """Fold per-case results into the report: overall and per-category rates
-    plus the histogram of c values (n_target + 1 buckets)."""
+) -> dict:
+    """Fold per-case results into the report document: overall and
+    per-category pass@k rates plus the histogram of c values (n_target + 1
+    buckets)."""
     results = list(results)
     if not results:
         raise DomainError("cannot aggregate an empty result list")
@@ -260,31 +218,33 @@ def aggregate(
         if r.c > n_target:
             raise DomainError(f"case {r.case_id}: c={r.c} exceeds histogram range")
 
-    groups_source: dict[str, list[CaseResult]] = {}
-    groups_bug: dict[str, list[CaseResult]] = {}
-    groups_bin: dict[str, list[CaseResult]] = {}
+    def rates(group: Sequence[CaseResult]) -> dict[str, float]:
+        return {f"pass@{k}": sum(pass_at_k(r.n, r.c, k) for r in group) / len(group) for k in ks}
+
+    groups: dict[tuple[str, str], list[CaseResult]] = {}
     histogram = [0] * (n_target + 1)
     for r in results:
         case = by_id[r.case_id]
-        groups_source.setdefault(case.source, []).append(r)
-        groups_bug.setdefault(case.bug_type.relation, []).append(r)
-        groups_bug.setdefault(case.bug_type.syntactic, []).append(r)
-        groups_bin.setdefault(BIN_LABELS[case.length_bin], []).append(r)
+        for key in (("by_source", case.source), ("by_bug_type", case.bug_relation),
+                    ("by_bug_type", case.bug_syntactic),
+                    ("by_length_bin", BIN_LABELS[case.length_bin])):
+            groups.setdefault(key, []).append(r)
         histogram[r.c] += 1
 
-    by_source = {s: _mean_rates(groups_source[s], ks) for s in sorted(groups_source)}
-    by_bug_type = {
-        b: _mean_rates(groups_bug[b], ks) for b in BUG_TYPE_ORDER if b in groups_bug
-    }
-    by_length_bin = {
-        b: _mean_rates(groups_bin[b], ks) for b in BIN_LABELS if b in groups_bin
-    }
-    return PassAtKReport(
-        case_count=len(results),
-        ks=ks,
-        overall=_mean_rates(results, ks),
-        by_source=by_source,
-        by_bug_type=by_bug_type,
-        by_length_bin=by_length_bin,
-        histogram=tuple(histogram),
-    )
+    report = {"case_count": len(results), "ks": list(ks), "overall": rates(results)}
+    for table, keys in (("by_source", sorted(SOURCES)), ("by_bug_type", BUG_TYPE_ORDER),
+                        ("by_length_bin", BIN_LABELS)):
+        report[table] = {key: rates(groups[table, key]) for key in keys if (table, key) in groups}
+    report["histogram"] = histogram
+    return report
+
+
+def report_csv(report: dict) -> str:
+    """The report's rates as CSV rows ``table,key,pass@k...``, overall first."""
+    names = [f"pass@{k}" for k in report["ks"]]
+    tables = {"overall": {"all": report["overall"]}, "source": report["by_source"],
+              "bug_type": report["by_bug_type"], "length_bin": report["by_length_bin"]}
+    lines = ["table,key," + ",".join(names)]
+    lines += [f"{table},{key}," + ",".join(f"{rates[name]:.6f}" for name in names)
+              for table, rows in tables.items() for key, rates in rows.items()]
+    return "\n".join(lines) + "\n"

@@ -55,6 +55,8 @@ class CompileOutcome:
     def __post_init__(self):
         if self.status not in COMPILE_STATUSES:
             raise ValueError(f"unknown compile status: {self.status!r}")
+        if type(self.stderr_text) is not str:
+            raise ValueError(f"stderr_text must be a string, got {self.stderr_text!r}")
 
 
 @dataclass(frozen=True)
@@ -66,6 +68,10 @@ class VerifyOutcome:
     def __post_init__(self):
         if self.status not in VERIFY_STATUSES:
             raise ValueError(f"unknown verify status: {self.status!r}")
+        if type(self.log_text) is not str:
+            raise ValueError(f"log_text must be a string, got {self.log_text!r}")
+        if self.failing_step is not None and type(self.failing_step) is not int:
+            raise ValueError(f"failing_step must be an integer, got {self.failing_step!r}")
         if self.failing_step is not None and self.status != "assertion_failed":
             raise ValueError("failing_step only accompanies assertion_failed")
 

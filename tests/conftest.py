@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 import pytest
@@ -81,7 +82,7 @@ def cli_env(tmp_path_factory):
     )
     assert not result.errors
 
-    bench_rows = [c.to_json() for c in result.eval_cases] + HUMAN_EVAL_CASES
+    bench_rows = [asdict(c) for c in result.eval_cases] + HUMAN_EVAL_CASES
     cases = [ev.EvalCase.from_json(r) for r in bench_rows]
     for case in cases:
         ev.collect_responses(case, recorder.llm_call, n_target=20)

@@ -474,26 +474,28 @@ def test_criterion_report_shape():
                     spec="s",
                     buggy_sv_code="module m;\nassert(x);\nendmodule",
                     log="FAIL",
-                    golden=ds.GoldenSolution("a;", "b;"),
-                    bug_type=BugType(syn, rel),
+                    golden_buggy_line="a;",
+                    golden_corrected_line="b;",
+                    bug_syntactic=syn,
+                    bug_relation=rel,
                     length_bin=lb,
                 )
             )
             results.append(ev.CaseResult(cid, 20, rng.randrange(21), ()))
     rep = ev.aggregate(results, cases, ks=(1, 5), n_target=20)
-    hist_ok = len(rep.histogram) == 21 and sum(rep.histogram) == len(cases)
-    bug_keys_ok = set(rep.by_bug_type) == set(ev.BUG_TYPE_ORDER)
-    bin_keys_ok = set(rep.by_length_bin) == set(ds.BIN_LABELS)
+    hist_ok = len(rep["histogram"]) == 21 and sum(rep["histogram"]) == len(cases)
+    bug_keys_ok = set(rep["by_bug_type"]) == set(ev.BUG_TYPE_ORDER)
+    bin_keys_ok = set(rep["by_length_bin"]) == set(ds.BIN_LABELS)
 
     # keys cover exactly what is present: drop a bin and a bug type
-    subset_results = [r for r, c in zip(results, cases) if c.length_bin != 2 and c.bug_type.syntactic != "Var"]
-    subset_cases = [c for c in cases if c.length_bin != 2 and c.bug_type.syntactic != "Var"]
+    subset_results = [r for r, c in zip(results, cases) if c.length_bin != 2 and c.bug_syntactic != "Var"]
+    subset_cases = [c for c in cases if c.length_bin != 2 and c.bug_syntactic != "Var"]
     rep2 = ev.aggregate(subset_results, subset_cases, ks=(1,), n_target=20)
     exact_ok = (
-        "(100,150]" not in rep2.by_length_bin and "Var" not in rep2.by_bug_type
+        "(100,150]" not in rep2["by_length_bin"] and "Var" not in rep2["by_bug_type"]
     )
     report(
         "report shape (21 buckets, 7 bug types, 5 bins; keys track input)",
         hist_ok and bug_keys_ok and bin_keys_ok and exact_ok,
-        f"histogram={sum(rep.histogram)}/{len(cases)}",
+        f"histogram={sum(rep['histogram'])}/{len(cases)}",
     )

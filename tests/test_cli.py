@@ -29,7 +29,7 @@ from assertforge import dataset as ds
 from assertforge import cli
 from assertforge import evalharness as ev
 from assertforge.cli import main
-from assertforge.toolchain import Toolchain
+from assertforge.toolchain import Toolchain, ToolSettings
 from conftest import (
     E2E_SEED,
     E2E_GOLDEN_C_VECTOR as GOLDEN_C_VECTOR,
@@ -37,7 +37,7 @@ from conftest import (
     E2E_GOLDEN_FAMILY_COUNTS as GOLDEN_FAMILY_COUNTS,
     E2E_GOLDEN_TRIPLES as GOLDEN_TRIPLES,
 )
-from fixture_corpus import CORPUS_FILES, EXPECTED_ACCEPTED
+from fixture_corpus import CORPUS_FILES, EXPECTED_ACCEPTED, HUMAN_EVAL_CASES
 from mockbackends import fake_compile, fake_llm, make_fake_verify
 
 
@@ -147,9 +147,12 @@ def test_augment_cli_byte_identical_runs(cli_env, tmp_path):
 
 def _body_digest(path):
     """sha256 of an output file without its metadata header or `meta` block,
-    which carry the config digest and so depend on where the config lives."""
+    which carry the config digest and so depend on where the config lives.
+    A CSV carries neither and is hashed whole."""
     text = path.read_text(encoding="utf-8")
-    if path.suffix == ".jsonl":
+    if path.suffix == ".csv":
+        body = text
+    elif path.suffix == ".jsonl":
         body = "".join(text.splitlines(keepends=True)[1:])
     else:
         doc = json.loads(text)
@@ -171,6 +174,7 @@ AUGMENT_BODY_DIGESTS = {
 EVAL_BODY_DIGESTS = {
     "report.json": "4d2fba324f1f235d3729fb7b216fdbd1a30f19b232556ce6dc6f0b8a70020177",
     "results.jsonl": "41e08021579425a681c6903adc4002bc15146a5b772162957c9f4adf6258c7f4",
+    "report.csv": "dacb40f5879b3641caab9204979000ec652695913bfdba77b83587b888d86d3a",
 }
 
 
@@ -237,7 +241,8 @@ def test_augment_cli_pinned_digests(cli_env, tmp_path, parallel):
 
 def test_eval_cli_pinned_digests(cli_env, tmp_path):
     report, results = _run_eval(cli_env, tmp_path, "pin")
-    got = {"report.json": _body_digest(report), "results.jsonl": _body_digest(results)}
+    got = {"report.json": _body_digest(report), "results.jsonl": _body_digest(results),
+           "report.csv": _body_digest(tmp_path / "report_pin.csv")}
     assert got == EVAL_BODY_DIGESTS
 
 
@@ -580,6 +585,64 @@ def test_a_failed_cache_write_is_one_item_error(cli_env, manifest, tmp_path, mon
         assert error["case_id"] == first and error["stage"] == "collect"
         report = json.loads((out / "report.json").read_text())
         assert report["case_count"] == len(GOLDEN_C_VECTOR) - 1
+
+
+def _golden_solver(calls):
+    """An LLM backend that answers each solve call with its case's golden fix
+    (the nonce is ``<case id>:<call>``) and logs the call in ``calls``."""
+    goldens = {r["id"]: r for r in HUMAN_EVAL_CASES}
+
+    def solve(req):
+        calls.append(req.nonce)
+        row = goldens[req.nonce.rsplit(":", 1)[0]]
+        return json.dumps({"buggy_line": row["golden_buggy_line"],
+                           "fix": row["golden_corrected_line"], "cot": None})
+
+    return solve
+
+
+@pytest.mark.parametrize("verifier", ["missing-command", "replay-miss"])
+def test_a_reverify_tool_error_is_one_case_error(tmp_path, monkeypatch, verifier):
+    ds.write_jsonl(HUMAN_EVAL_CASES, tmp_path / "bench.jsonl")
+    config = tmp_path / "eval.cfg"
+    if verifier == "missing-command":
+        monkeypatch.setattr(cli, "Toolchain", functools.partial(
+            Toolchain, llm_backend=_golden_solver([])))
+        config.write_text("verifier.cmd = /nonexistent/sby {file} {depth}\n")
+    else:  # the solve replies are recorded, the verify calls are not
+        recorder = Toolchain(ToolSettings(mock_dir=str(tmp_path / "mocks"), mock_mode="record"),
+                             llm_backend=_golden_solver([]))
+        for row in HUMAN_EVAL_CASES:
+            ev.collect_responses(ev.EvalCase.from_json(row), recorder.llm_call, n_target=2)
+        config.write_text(f"mock.dir = {tmp_path / 'mocks'}\nmock.mode = replay\n")
+    res = invoke("eval", tmp_path / "bench.jsonl", "--config", config, "--mode", "reverify",
+                 "--n", 2, "--k", 1, "--out", tmp_path / "report.json")
+    assert res.exit_code == 1 and "Traceback" not in res.stderr
+    assert "pass@1" not in res.stdout
+    errors = json.loads(res.stderr)["errors"]
+    assert [e["case_id"] for e in errors] == [r["id"] for r in HUMAN_EVAL_CASES]
+    want = "tool spawn failed" if verifier == "missing-command" else "replay cache miss"
+    for e in errors:
+        assert e["stage"] == "collect" and e["error"].startswith("verifier tool error: "), e
+        assert want in e["error"], e
+    assert not (tmp_path / "report.json").exists()
+
+
+@pytest.mark.parametrize("where", ["config", "flag"])
+def test_reverify_without_a_verifier_is_one_line_before_any_call(tmp_path, monkeypatch, where):
+    ds.write_jsonl(HUMAN_EVAL_CASES, tmp_path / "bench.jsonl")
+    calls = []
+    monkeypatch.setattr(cli, "Toolchain", functools.partial(
+        Toolchain, llm_backend=_golden_solver(calls)))
+    config = tmp_path / "eval.cfg"
+    config.write_text("eval.mode = reverify\n" if where == "config" else "")
+    mode = ["--mode", "reverify"] if where == "flag" else []
+    res = invoke("eval", tmp_path / "bench.jsonl", "--config", config, *mode,
+                 "--out", tmp_path / "report.json")
+    assert res.exit_code == 1 and calls == []
+    [line] = res.output.splitlines()
+    assert line.startswith("Error: eval.mode = reverify needs a verifier")
+    assert not (tmp_path / "report.json").exists()
 
 
 @settings(max_examples=200, derandomize=True, deadline=None,

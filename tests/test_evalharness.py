@@ -3,15 +3,19 @@ import itertools
 import json
 import math
 import random
+import re
 import tracemalloc
+from dataclasses import asdict, fields
+from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from assertforge.dataset import RESULTS_ROW, GoldenSolution
+from assertforge.dataset import CASE_ROW, RESULTS_ROW, SOURCES, GoldenSolution
 from assertforge.errors import (
+    AssertForgeError,
     DomainError,
     InsufficientValidResponses,
     ReverifyUnavailable,
@@ -25,9 +29,10 @@ from assertforge.evalharness import (
     collect_responses,
     judge,
     pass_at_k,
+    report_csv,
     solve_prompt,
 )
-from assertforge.mutate import BugType
+from assertforge.mutate import SYNTACTIC_KINDS
 from assertforge.toolchain import LlmReply, Toolchain, VerifyOutcome
 
 
@@ -51,8 +56,10 @@ def make_case(cid="case-1", source="machine", syntactic="Op", relation="Direct",
         spec="spec",
         buggy_sv_code="module m;\nout = a & b;\nassert(out == c);\nendmodule",
         log="FAIL step 1",
-        golden=GoldenSolution("out = a & b;", "out = a | b;"),
-        bug_type=BugType(syntactic, relation),
+        golden_buggy_line="out = a & b;",
+        golden_corrected_line="out = a | b;",
+        bug_syntactic=syntactic,
+        bug_relation=relation,
         length_bin=lb,
     )
 
@@ -191,6 +198,22 @@ def test_judge_reverify_applies_fix():
     assert "  out <= in;" in seen["source"].split("\n")
 
 
+REVERIFY_CODE = "module m;\nout <= in + 1;\nassert(out == in);\nendmodule"
+
+
+def test_judge_reverify_inconclusive_incorrect():
+    tc = Toolchain(verify_backend=lambda s, d: VerifyOutcome("inconclusive", "UNKNOWN"))
+    right = resp("out <= in + 1;", "out <= in;")
+    assert judge(right, GOLDEN, mode="reverify", toolchain=tc, buggy_code=REVERIFY_CODE) == "incorrect"
+
+
+def test_judge_reverify_tool_error_raises_with_the_log():
+    tc = Toolchain(verify_backend=lambda s, d: VerifyOutcome("tool_error", "sby: cannot start"))
+    with pytest.raises(AssertForgeError, match="sby: cannot start"):
+        judge(resp("out <= in + 1;", "out <= in;"), GOLDEN, mode="reverify", toolchain=tc,
+              buggy_code=REVERIFY_CODE)
+
+
 def test_judge_reverify_failing_proof_incorrect():
     tc = Toolchain(verify_backend=lambda s, d: VerifyOutcome("assertion_failed", "FAIL", 1))
     code = "module m;\nout <= in + 1;\nassert(out == in);\nendmodule"
@@ -317,15 +340,15 @@ def test_aggregate_two_cases_mean():
     cases = [make_case("a"), make_case("b")]
     results = [fabricated_result("a", 20, 20), fabricated_result("b", 20, 0)]
     report = aggregate(results, cases, ks=(1,))
-    assert report.overall[1] == pytest.approx(0.5)
+    assert report["overall"]["pass@1"] == pytest.approx(0.5)
 
 
 def test_aggregate_all_perfect():
     cases = [make_case(f"c{i}") for i in range(4)]
     results = [fabricated_result(f"c{i}", 20, 20) for i in range(4)]
     report = aggregate(results, cases, ks=(1, 5))
-    assert report.overall[1] == 1.0 and report.overall[5] == 1.0
-    assert report.histogram[20] == 4 and sum(report.histogram) == 4
+    assert report["overall"] == {"pass@1": 1.0, "pass@5": 1.0}
+    assert report["histogram"][20] == 4 and sum(report["histogram"]) == 4
 
 
 def test_aggregate_known_c_vector():
@@ -334,7 +357,7 @@ def test_aggregate_known_c_vector():
     results = [fabricated_result(f"c{i}", 20, c) for i, c in enumerate(cs)]
     report = aggregate(results, cases, ks=(5,))
     expected = sum(brute_force_pass_at_k(20, c, 5) for c in cs) / 4
-    assert report.overall[5] == pytest.approx(expected, abs=1e-12)
+    assert report["overall"]["pass@5"] == pytest.approx(expected, abs=1e-12)
 
 
 def test_aggregate_breakdowns_and_histogram():
@@ -349,14 +372,15 @@ def test_aggregate_breakdowns_and_histogram():
         fabricated_result("c", 20, 10),
     ]
     report = aggregate(results, cases, ks=(1,))
-    assert set(report.by_source) == {"machine", "human"}
-    assert report.by_source["machine"][1] == pytest.approx(0.5)
-    assert set(report.by_bug_type) == {"Direct", "Indirect", "Op", "Value", "Cond"}
-    assert report.by_bug_type["Direct"][1] == pytest.approx(0.75)
-    assert set(report.by_length_bin) == {"(0,50]", "(50,100]"}
-    assert len(report.histogram) == 21
-    assert sum(report.histogram) == 3
-    assert report.histogram[0] == 1 and report.histogram[10] == 1 and report.histogram[20] == 1
+    assert set(report["by_source"]) == {"machine", "human"}
+    assert report["by_source"]["machine"]["pass@1"] == pytest.approx(0.5)
+    assert set(report["by_bug_type"]) == {"Direct", "Indirect", "Op", "Value", "Cond"}
+    assert report["by_bug_type"]["Direct"]["pass@1"] == pytest.approx(0.75)
+    assert set(report["by_length_bin"]) == {"(0,50]", "(50,100]"}
+    hist = report["histogram"]
+    assert len(hist) == 21
+    assert sum(hist) == 3
+    assert hist[0] == 1 and hist[10] == 1 and hist[20] == 1
 
 
 def test_aggregate_permutation_invariant():
@@ -383,7 +407,7 @@ def test_perfect_solver_all_rates_one():
         )
         results.append(collect_responses(case, scripted_solver([golden_reply] * 20)))
     report = aggregate(results, cases, ks=(1, 5))
-    assert report.overall[1] == 1.0 and report.overall[5] == 1.0
+    assert report["overall"] == {"pass@1": 1.0, "pass@5": 1.0}
 
 
 def test_never_correct_solver_all_rates_zero():
@@ -391,7 +415,7 @@ def test_never_correct_solver_all_rates_zero():
     wrong = json.dumps({"buggy_line": "nothing;", "fix": "nothing;", "cot": "?"})
     results = [collect_responses(c, scripted_solver([wrong] * 20)) for c in cases]
     report = aggregate(results, cases, ks=(1, 5))
-    assert report.overall[1] == 0.0 and report.overall[5] == 0.0
+    assert report["overall"] == {"pass@1": 0.0, "pass@5": 0.0}
 
 
 def test_aggregate_empty_rejected():
@@ -406,12 +430,48 @@ def test_aggregate_n_below_k_rejected():
 
 def test_eval_case_json_roundtrip():
     case = make_case("rt")
-    assert EvalCase.from_json(case.to_json()) == case
+    assert EvalCase.from_json(asdict(case)) == case
+
+
+def test_eval_case_fields_are_the_readme_case_row():
+    readme = (Path(__file__).parent.parent / "README.md").read_text(encoding="utf-8")
+    [line] = [ln for ln in readme.splitlines() if ln.startswith("| benchmark cases |")]
+    readme_fields = re.findall(r"`(\w+)`", re.sub(r"\([^)]*\)", "", line))
+    names = [f.name for f in fields(EvalCase)]
+    assert names == readme_fields
+    assert set(names) == set(CASE_ROW) | {"length_bin"}
+
+
+_TEXT = st.text(max_size=30)
+
+
+@st.composite
+def case_rows(draw):
+    return {
+        "id": draw(_TEXT),
+        "source": draw(st.sampled_from(SOURCES)),
+        "spec": draw(_TEXT),
+        "buggy_sv_code": draw(_TEXT),
+        "log": draw(_TEXT),
+        "golden_buggy_line": draw(_TEXT),
+        "golden_corrected_line": draw(_TEXT),
+        "bug_syntactic": draw(st.sampled_from(SYNTACTIC_KINDS)),
+        "bug_relation": draw(st.sampled_from(("Direct", "Indirect"))),
+        "length_bin": draw(st.integers(0, 4)),
+    }
+
+
+@settings(max_examples=100, derandomize=True, deadline=None)
+@given(case_rows())
+def test_eval_case_is_its_row(row):
+    case = EvalCase.from_json(row)
+    assert asdict(case) == row
+    assert json.dumps(asdict(case)) == json.dumps(row)
+    assert case.golden == GoldenSolution(row["golden_buggy_line"], row["golden_corrected_line"])
 
 
 def test_report_json_shape():
-    report = aggregate([fabricated_result("a", 20, 10)], [make_case("a")], ks=(1, 5))
-    doc = report.to_json()
+    doc = aggregate([fabricated_result("a", 20, 10)], [make_case("a")], ks=(1, 5))
     assert set(doc) == {
         "case_count",
         "ks",
@@ -422,5 +482,5 @@ def test_report_json_shape():
         "histogram",
     }
     assert doc["overall"]["pass@1"] == pytest.approx(0.5)
-    csv = report.to_csv()
+    csv = report_csv(doc)
     assert csv.splitlines()[0] == "table,key,pass@1,pass@5"

@@ -405,6 +405,35 @@ def test_replay_llm_entry_of_the_wrong_type_is_a_malformed_miss(tmp_path, respon
     assert str(err.value).endswith(entry.stem)
 
 
+@pytest.mark.parametrize(
+    "kind, response",
+    [("compile", {"status": "ok", "stderr_text": 5}),
+     ("compile", {"status": "syntax_error", "stderr_text": None}),
+     ("verify", {"status": "assertion_failed", "log_text": 5, "failing_step": 2}),
+     ("verify", {"status": "proven", "log_text": ["PASS"]}),
+     ("verify", {"status": "assertion_failed", "log_text": "FAIL", "failing_step": "2"}),
+     ("verify", {"status": "assertion_failed", "log_text": "FAIL", "failing_step": True}),
+     ("verify", {"status": "assertion_failed", "log_text": "FAIL", "failing_step": 2.0})],
+    ids=["int-stderr", "null-stderr", "int-log", "list-log", "string-step", "bool-step",
+         "float-step"],
+)
+def test_replay_tool_entry_of_the_wrong_type_is_a_malformed_miss(tmp_path, kind, response):
+    source = "module m; assert(x); endmodule"
+    recorder = Toolchain(ToolSettings(mock_dir=str(tmp_path), mock_mode="record"),
+                         compile_backend=lambda s: CompileOutcome("ok", ""),
+                         verify_backend=lambda s, d: VerifyOutcome("proven", "PASS"))
+    call = {"compile": Toolchain.compile_check, "verify": Toolchain.formal_verify}[kind]
+    call(recorder, source)
+    [entry] = tmp_path.iterdir()
+    doc = json.loads(entry.read_text())
+    entry.write_text(json.dumps({**doc, "response": response}))
+    outcome = call(Toolchain(ToolSettings(mock_dir=str(tmp_path), mock_mode="replay")), source)
+    text = outcome.stderr_text if kind == "compile" else outcome.log_text
+    assert outcome.status == "tool_error"
+    assert text.startswith("malformed replay cache entry")
+    assert text.endswith(entry.stem)
+
+
 def test_a_failed_cache_write_is_a_package_error_naming_the_key(tmp_path, monkeypatch):
     def full_disk(src, dst):
         raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
