@@ -8,9 +8,9 @@ alternation of one group per token rule), has two consumers: ``tokenize``
 builds the lossless stream of ``Token`` tuples, and the fingerprint scan keeps
 only the ``(kind, text)`` pairs of significant tokens. A ``SourceUnit`` runs
 each once, on first use: the filter reads only the fingerprint and never
-builds a ``Token``. Mutation reads the lossless stream of a copy of the unit
-that it makes for each ``engine_bug_candidates`` call, so a unit's stream is
-lexed once per call and freed when the call returns.
+builds a ``Token``. ``augment`` lexes a short-lived copy of each unit it
+mutates and takes the split's module names from those tokens
+(``module_names_of``); only a unit it never lexes is fingerprint-scanned.
 
 Filtering streams: ``load_corpus_dir`` reads one file per step and
 ``filter_units`` judges each unit as it arrives, keeping only the dedup keys
@@ -24,6 +24,7 @@ import hashlib
 import re
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import pairwise
 from operator import attrgetter
 from pathlib import Path
 from typing import Iterable, Iterator, NamedTuple
@@ -134,6 +135,7 @@ _PATTERNS: tuple[tuple[str, str], ...] = (
 _MASTER = re.compile("|".join(f"({rx})" for _, rx in _PATTERNS), re.DOTALL)
 _KIND_OF_GROUP = (None, *(kind for kind, _ in _PATTERNS))  # by ``m.lastindex``
 _LAST_TRIVIA_GROUP = 2
+TRIVIA_KINDS = ("whitespace", "comment")  # the token kinds ``significant`` drops
 
 
 class Token(NamedTuple):
@@ -181,7 +183,7 @@ def tokenize(text: str) -> tuple[Token, ...]:
 
 def significant(tokens) -> list[Token]:
     """Tokens that carry syntax (everything but whitespace and comments)."""
-    return [t for t in tokens if t.kind not in ("whitespace", "comment")]
+    return [t for t in tokens if t.kind not in TRIVIA_KINDS]
 
 
 def _significant_pairs(text: str) -> list[tuple[str, str]]:
@@ -207,9 +209,14 @@ class Fingerprint(NamedTuple):
     has_functional_logic: bool
 
 
-def _module_names(sig: list[tuple[str, str]]) -> tuple[str, ...]:
-    adjacent = zip(sig, sig[1:])
-    return tuple(b[1] for a, b in adjacent if a == ("keyword", "module") and b[0] == "identifier")
+def _module_names(sig: Iterable) -> tuple[str, ...]:
+    pairs = pairwise(sig)  # of significant ``(kind, text)`` pairs or ``Token``s
+    return tuple(b[1] for a, b in pairs if a[1] == "module" and a[0] == "keyword" and b[0] == "identifier")
+
+
+def module_names_of(tokens: Iterable[Token]) -> tuple[str, ...]:
+    """``Fingerprint.module_names``, streamed from a lossless token stream."""
+    return _module_names(t for t in tokens if t.kind not in TRIVIA_KINDS)
 
 
 def _dedup_key(sig: list[tuple[str, str]]) -> str:
@@ -228,8 +235,8 @@ def _fingerprint(sig: list[tuple[str, str]]) -> Fingerprint:
 class SourceUnit:
     """One Verilog file. Its fingerprint and its lossless token stream are
     each computed once, on first use: the filter reads only the fingerprint,
-    and mutation reads the tokens of a short-lived copy, so the units that
-    ``augment`` keeps never hold their tokens."""
+    and ``augment`` lexes a short-lived copy, whose tokens give the mutations
+    and the split's module names, so the units it keeps hold neither."""
 
     id: str
     path: str

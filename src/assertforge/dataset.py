@@ -14,6 +14,7 @@ from __future__ import annotations
 import json
 import random
 from dataclasses import dataclass, field
+from functools import cached_property
 from fractions import Fraction
 from pathlib import Path
 from typing import Iterable
@@ -156,15 +157,16 @@ class SplitPlan:
     seed: int
     bins: tuple[SplitBin, ...]
 
-    def assignment_of(self, module_name: str) -> str | None:
-        for b in self.bins:
-            if module_name in b.train:
-                return "train"
-            if module_name in b.test:
-                return "test"
-        return None
+    @cached_property
+    def assignments(self) -> dict[str, str]:
+        """Module name -> side, built once. The first bin that holds a name
+        decides, train before test: later keys win, so bins go in reverse."""
+        return {n: side for b in self.bins[::-1] for side in ("test", "train") for n in getattr(b, side)}
 
-    def unit_assignment(self, unit: SourceUnit) -> str | None:
+    def assignment_of(self, module_name: str) -> str | None:
+        return self.assignments.get(module_name)
+
+    def unit_assignment(self, unit: SourceUnit | PipelineItem) -> str | None:
         """A unit follows its first module name's assignment."""
         if not unit.module_names:
             return None
@@ -180,25 +182,20 @@ class SplitPlan:
         }
 
 
-def _round_half_up(fraction: Fraction, n: int) -> int:
-    return int(fraction * n + Fraction(1, 2))
-
-
-def split(units: list[SourceUnit], seed: int, fraction: float = 0.9) -> SplitPlan:
+def split(units: Iterable[SourceUnit | PipelineItem], seed: int, fraction: float = 0.9) -> SplitPlan:
     """Per-bin 90/10 module-name split, reproducible from the seed.
 
     Module names are binned by their first unit's code length, sorted, shuffled
     with a bin-local seeded PRNG, and the first round-half-up(fraction * N)
-    go to train.
-    """
+    go to train. ``augment`` passes the ``PipelineItem``s that carry them."""
     if not (0.0 < fraction < 1.0):
         raise DomainError("split fraction must lie in (0, 1)")
     frac = Fraction(str(fraction))
     names_by_bin: list[list[str]] = [[] for _ in BIN_LABELS]
     placed: set[str] = set()
-    for u in units:
+    for i, u in enumerate(units):
         if not u.module_names:
-            raise DomainError(f"unit {u.id} has no module name")
+            raise DomainError(f"split unit {i} has no module name")
         b = length_bin(u.line_count)
         for name in u.module_names:
             if name not in placed:
@@ -209,7 +206,7 @@ def split(units: list[SourceUnit], seed: int, fraction: float = 0.9) -> SplitPla
         ordered = sorted(names)
         rng = random.Random(f"{seed}:{bi}")
         rng.shuffle(ordered)
-        k = _round_half_up(frac, len(ordered))
+        k = int(frac * len(ordered) + Fraction(1, 2))  # round half up
         bins.append(
             SplitBin(
                 interval=BIN_LABELS[bi],
@@ -266,6 +263,11 @@ class PipelineItem:
     analysis: str = ""
     mutants: list[MutantItem] = field(default_factory=list)
     held_out: bool = False
+    module_names: tuple[str, ...] = ()  # what the split reads of the unit
+
+    @property
+    def line_count(self) -> int:
+        return len(self.code.splitlines())
 
 
 @dataclass
@@ -314,7 +316,7 @@ def build_records(items: Iterable[PipelineItem]) -> RecordBundle:
             continue
         if item.compile_status != "ok":
             raise DomainError(f"unknown unit compile status: {item.compile_status!r}")
-        bin_index = length_bin(max(1, len(item.code.splitlines())))
+        bin_index = length_bin(max(1, item.line_count))
         failures = 0
         for mut in item.mutants:
             where = {"unit_id": item.unit_id, "line": mut.record.line}

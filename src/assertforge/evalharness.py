@@ -11,6 +11,8 @@ exact integer arithmetic; C(m, k) is zero when m < k.
 
 from __future__ import annotations
 
+import csv
+import io
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -244,7 +246,8 @@ def report_csv(report: dict) -> str:
     names = [f"pass@{k}" for k in report["ks"]]
     tables = {"overall": {"all": report["overall"]}, "source": report["by_source"],
               "bug_type": report["by_bug_type"], "length_bin": report["by_length_bin"]}
-    lines = ["table,key," + ",".join(names)]
-    lines += [f"{table},{key}," + ",".join(f"{rates[name]:.6f}" for name in names)
-              for table, rows in tables.items() for key, rates in rows.items()]
-    return "\n".join(lines) + "\n"
+    rows = [[table, key, *(f"{rates[name]:.6f}" for name in names)]
+            for table, group in tables.items() for key, rates in group.items()]
+    out = io.StringIO()
+    csv.writer(out, lineterminator="\n").writerows([["table", "key", *names], *rows])
+    return out.getvalue()

@@ -21,9 +21,10 @@ import re
 from bisect import bisect_left, bisect_right
 from collections.abc import Iterator
 from dataclasses import dataclass, replace as dc_replace
+from itertools import groupby
 from operator import attrgetter
 
-from .corpus import SourceUnit, Token, significant, tokenize
+from .corpus import TRIVIA_KINDS, SourceUnit, Token, significant, tokenize
 from .errors import DomainError, NoAlternativeError, ParseFailure
 
 SYNTACTIC_KINDS = ("Var", "Value", "Op", "Cond", "Non_cond")
@@ -37,6 +38,7 @@ OP_SWAP_CLASSES: tuple[tuple[str, ...], ...] = (
     ("<", ">", "<=", ">="),
     ("<<", ">>"),
 )
+_SWAPPABLE = frozenset(op for cls in OP_SWAP_CLASSES for op in cls)
 
 _IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_$]*")
 
@@ -159,8 +161,7 @@ def _analyze_tokens(tokens: list[Token]) -> _LineInfo:
             if close is not None:
                 cond_spans.append((label, i + 1, close))
 
-    def in_cond_span(i: int) -> bool:
-        return any(o <= i <= c for _, o, c in cond_spans)
+    in_cond = {i for _, o, c in cond_spans for i in range(o, c + 1)}
 
     # Assignment operator: first '=' or '<=' at parenthesis depth 0 preceded
     # by an identifier outside any condition span. Only parens gate the scan:
@@ -181,7 +182,7 @@ def _analyze_tokens(tokens: list[Token]) -> _LineInfo:
         ):
             assign_idx = i
             break
-        if t.kind == "identifier" and paren_depth == 0 and not in_cond_span(i):
+        if t.kind == "identifier" and paren_depth == 0 and i not in in_cond:
             seen_lhs_ident = True
 
     lhs_idents: list[Token] = []
@@ -193,7 +194,7 @@ def _analyze_tokens(tokens: list[Token]) -> _LineInfo:
                 bracket_depth += 1
             elif t.text == "]":
                 bracket_depth -= 1
-            elif t.kind == "identifier" and bracket_depth == 0 and not in_cond_span(i):
+            elif t.kind == "identifier" and bracket_depth == 0 and i not in in_cond:
                 lhs_idents.append(t)
         depth = 0
         for t in tokens[assign_idx + 1 :]:
@@ -208,13 +209,7 @@ def _analyze_tokens(tokens: list[Token]) -> _LineInfo:
     return _LineInfo(tokens, assign_idx, lhs_idents, rhs, cond_spans)
 
 
-_LINE = attrgetter("line")
-
-
-def _line_tokens(unit: SourceUnit, line: int) -> list[Token]:
-    """Significant tokens that start on ``line``, sliced from the unit's stream."""
-    lo = bisect_left(unit.tokens, line, key=_LINE)
-    return significant(unit.tokens[lo : bisect_right(unit.tokens, line, lo, key=_LINE)])
+_LINE, _KIND, _TEXT = attrgetter("line"), attrgetter("kind"), attrgetter("text")
 
 
 def _replace_token(line: str, tok: Token, new_text: str) -> str:
@@ -225,9 +220,9 @@ def _replace_token(line: str, tok: Token, new_text: str) -> str:
 # ---------------------------------------------------------------------------
 # Alternative rewrites per kind
 #
-# Each kind's rewrites come from a generator, in a fixed order: a site is
-# admissible as soon as the first rewrite appears, and apply_mutation lists
-# them all to index one with its seed.
+# Each kind's rewrites come from a generator, in a fixed order, and
+# apply_mutation lists them all to index one with its seed. A site admits a
+# kind when a first rewrite exists; only Cond's is built to find out.
 
 
 def _class_of(op_text: str) -> tuple[str, ...] | None:
@@ -246,10 +241,6 @@ def _op_swaps(line: str, tokens, classes=OP_SWAP_CLASSES) -> Iterator[str]:
             for repl in cls:
                 if repl != t.text:
                     yield _replace_token(line, t, repl)
-
-
-def _op_alternatives(line: str, info: _LineInfo) -> Iterator[str]:
-    return _op_swaps(line, (t for i, t in enumerate(info.tokens) if i != info.assign_idx))
 
 
 _BASED_RE = re.compile(r"(\d[\d_]*)?('[sS]?)([bBoOdDhH])([0-9a-fA-FxXzZ?_]+)")
@@ -385,14 +376,10 @@ def _non_cond_alternatives(line: str, info: _LineInfo, pool: list[str]) -> Itera
     yield from _op_swaps(line, info.rhs)
 
 
-# Kinds whose rewrites draw replacement names from the unit's identifier pool.
-_POOL_KINDS = ("Var", "Non_cond")
-
-
 def _alternatives(line_text: str, info: _LineInfo, kind: str, pool: list[str]) -> Iterator[str]:
     """Lazily, in order, the legal distinct rewrites of ``kind`` on a line."""
     if kind == "Op":
-        alts = _op_alternatives(line_text, info)
+        alts = _op_swaps(line_text, (t for i, t in enumerate(info.tokens) if i != info.assign_idx))
     elif kind == "Value":
         alts = _value_alternatives(line_text, info.tokens)
     elif kind == "Var":
@@ -415,28 +402,47 @@ def _tainted_lines(unit: SourceUnit) -> set[int]:
     return tainted
 
 
+def _has_variant(tokens) -> bool:
+    """A plain decimal or real always has a variant; a based literal is asked."""
+    return any(
+        t.kind == "number" and ("'" not in t.text or any(_literal_variants(t.text))) for t in tokens
+    )
+
+
+def _admissible_kinds(line_text: str, info: _LineInfo) -> tuple[str, ...]:
+    """The kinds with a rewrite on a line. A rewrite of any kind but ``Cond``
+    puts other text in one token's place, so a predicate decides it: ``Var``
+    needs a site token (the pool's ``input`` is no identifier's text)."""
+    toks, a, rhs = info.tokens, info.assign_idx, info.rhs
+    rhs_var = "identifier" in map(_KIND, rhs)
+    cond_var = any("identifier" in map(_KIND, info.cond_interior(s)) for s in info.cond_spans)
+    found = (
+        bool(info.lhs_idents) or rhs_var or cond_var,  # Var
+        _has_variant(toks),  # Value
+        # Op, not at the assignment; only the lexer's operator rule spells these
+        not _SWAPPABLE.isdisjoint(map(_TEXT, toks if a is None else toks[:a] + toks[a + 1 :])),
+        bool(info.cond_spans) and any(_alternatives(line_text, info, "Cond", [])),  # Cond
+        a is not None  # Non_cond
+        and (rhs_var or _has_variant(rhs) or not _SWAPPABLE.isdisjoint(map(_TEXT, rhs))),
+    )
+    return tuple(kind for kind, ok in zip(SYNTACTIC_KINDS, found) if ok)
+
+
 def enumerate_sites(unit: SourceUnit) -> list[tuple[int, tuple[str, ...]]]:
     """All (line, admissible mutation kinds) pairs for a unit.
 
     A kind is listed only when at least one legal rewrite exists for it, so
-    every returned pair is a valid apply_mutation target. Each line is
-    analysed once, from its run of the unit's tokens, and a kind is decided
-    by its first rewrite.
+    every returned pair is a valid apply_mutation target. One pass groups the
+    unit's significant tokens by line, and each line is analysed once.
     """
     tainted = _tainted_lines(unit)
-    pool = _identifier_pool(unit)
+    lines = unit.text.split("\n")
     sites = []
-    for ln, line_text in enumerate(unit.text.split("\n"), start=1):
-        if ln in tainted or not line_text.strip():
-            continue
-        info = _analyze_tokens(_line_tokens(unit, ln))
-        kinds = tuple(
-            k
-            for k in SYNTACTIC_KINDS
-            if next(_alternatives(line_text, info, k, pool), None) is not None
-        )
-        if kinds:
-            sites.append((ln, kinds))
+    for ln, run in groupby((t for t in unit.tokens if t.kind not in TRIVIA_KINDS), _LINE):
+        if ln not in tainted:
+            kinds = _admissible_kinds(lines[ln - 1], _analyze_tokens(list(run)))
+            if kinds:
+                sites.append((ln, kinds))
     return sites
 
 
@@ -508,8 +514,10 @@ def apply_mutation(unit: SourceUnit, line: int, kind: str, seed: int) -> Mutatio
     if kind not in SYNTACTIC_KINDS:
         raise DomainError(f"unknown mutation kind: {kind!r}")
     original = lines[line - 1]
-    info = _analyze_tokens(_line_tokens(unit, line))
-    pool = _identifier_pool(unit) if kind in _POOL_KINDS else []
+    lo = bisect_left(unit.tokens, line, key=_LINE)  # the tokens that start on the line
+    hi = bisect_right(unit.tokens, line, lo, key=_LINE)
+    info = _analyze_tokens(significant(unit.tokens[lo:hi]))
+    pool = _identifier_pool(unit) if kind in ("Var", "Non_cond") else []  # kinds that draw names
     alts = list(_alternatives(original, info, kind, pool))
     if not alts:
         raise NoAlternativeError(f"{unit.id}:{line} admits no {kind} mutation")

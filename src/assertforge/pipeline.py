@@ -5,10 +5,12 @@ Per unit: syntax check (failures become pretraining records), spec and
 assertion generation, deterministic bug injection, mutant compilation and
 verification. Each injected bug is one ``dataset.MutantItem`` from then on.
 A unit's outcome is decided once, in ``_process_unit``: its item or the one
-error that stopped it. The split marks each item held out or not, and CoT
-generation skips held-out items, so no test item ever receives a CoT. A
-mutant's outcome is decided once, in ``dataset.build_records``, which turns it
-into a record, a benchmark case, a drop or an error and counts the result.
+error that stopped it. The split reads each item's module names, taken from
+the unit's tokens when it was lexed for bug injection and from one fingerprint
+scan otherwise. It marks each item held out or not, and CoT generation skips
+held-out items, so no test item ever receives a CoT. A mutant's outcome is
+decided once, in ``dataset.build_records``, which turns it into a record, a
+benchmark case, a drop or an error and counts the result.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from concurrent.futures import ThreadPoolExecutor
 from . import dataset as ds
 from . import mutate
 from .config import PipelineConfig
-from .corpus import SourceUnit
+from .corpus import SourceUnit, module_names_of
 from .errors import AssertForgeError, NoAlternativeError, ParseFailure
 from .mutate import AssertionSpec, MutationRecord
 from .toolchain import LlmRequest, Toolchain
@@ -137,9 +139,6 @@ def engine_bug_candidates(
     unit: SourceUnit, count: int, base_seed: int
 ) -> list[MutationRecord]:
     """Deterministic rule-based bugs: seed-chosen sites and rewrites."""
-    # Mutate a copy: its cached tokens serve every call below and are freed
-    # on return, so augment holds one token stream per worker, not per unit.
-    unit = SourceUnit.from_text(unit.id, unit.text, unit.path)
     sites = mutate.enumerate_sites(unit)
     flat = [(line, kind) for line, kinds in sites for kind in kinds]
     if not flat:
@@ -184,6 +183,7 @@ def _process_unit(
                 ),
             )
         ).text
+        item.module_names = unit.module_names  # never lexed: one fingerprint scan
         return item, None
 
     sva_text = tc.llm_call(
@@ -206,9 +206,14 @@ def _process_unit(
         }
 
     if cfg.bug_source == "llm":
+        item.module_names = unit.module_names
         records = llm_bug_candidates(tc, unit, cfg.mutations_per_unit, cfg.seed)
     else:
-        records = engine_bug_candidates(unit, cfg.mutations_per_unit, cfg.seed)
+        # Lex a copy, freed before the mutants are checked: one stream per worker.
+        lexed = SourceUnit.from_text(unit.id, unit.text, unit.path)
+        item.module_names = module_names_of(lexed.tokens)
+        records = engine_bug_candidates(lexed, cfg.mutations_per_unit, cfg.seed)
+        del lexed
     for rec in records:
         rec = mutate.with_relation(rec, assertion)
         buggy = rec.apply_to(unit.text)
@@ -244,20 +249,13 @@ def run_augment(
     with ThreadPoolExecutor(max_workers=cfg.parallel) as pool:
         processed = list(pool.map(lambda u: _process_isolated(u, tc, cfg), units))
     errors = [error for _, error in processed if error]
-    done = [(u, item) for u, (item, _) in zip(units, processed) if item is not None]
+    done = [item for item, _ in processed if item is not None]
 
     # Split before CoT generation: test items never receive a CoT.
-    split_plan = ds.split(
-        [
-            u
-            for u, item in done
-            if u.module_names and any(m.verify_status == "assertion_failed" for m in item.mutants)
-        ],
-        cfg.seed,
-        cfg.split_fraction,
-    )
-    for unit, item in done:
-        item.held_out = split_plan.unit_assignment(unit) == "test"
+    failing = [i for i in done if any(m.verify_status == "assertion_failed" for m in i.mutants)]
+    split_plan = ds.split([i for i in failing if i.module_names], cfg.seed, cfg.split_fraction)
+    for item in done:
+        item.held_out = split_plan.unit_assignment(item) == "test"
         for mut in item.mutants:
             if item.held_out or mut.verify_status != "assertion_failed":
                 continue
@@ -271,16 +269,16 @@ def run_augment(
                     line=rec.line,
                     buggy_line=rec.mutated_snippet,
                 ),
-                nonce=f"{unit.id}:{rec.line}:{rec.rng_seed}",
+                nonce=f"{item.unit_id}:{rec.line}:{rec.rng_seed}",
             )
             try:
                 mut.cot_reply = tc.llm_call(request).text
             except AssertForgeError as exc:
                 errors.append(
-                    {"unit_id": unit.id, "line": rec.line, "stage": "cot", "error": str(exc)}
+                    {"unit_id": item.unit_id, "line": rec.line, "stage": "cot", "error": str(exc)}
                 )
 
-    bundle = ds.build_records([item for _, item in done])
+    bundle = ds.build_records(done)
     bundle.split_plan = split_plan
     bundle.errors = errors + bundle.errors
     return bundle

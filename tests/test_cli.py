@@ -174,7 +174,7 @@ AUGMENT_BODY_DIGESTS = {
 EVAL_BODY_DIGESTS = {
     "report.json": "4d2fba324f1f235d3729fb7b216fdbd1a30f19b232556ce6dc6f0b8a70020177",
     "results.jsonl": "41e08021579425a681c6903adc4002bc15146a5b772162957c9f4adf6258c7f4",
-    "report.csv": "dacb40f5879b3641caab9204979000ec652695913bfdba77b83587b888d86d3a",
+    "report.csv": "57a613de267c5d5d0e4b13a3477d9827f2abeec0dcb26274ae1009a57446bfa4",
 }
 
 

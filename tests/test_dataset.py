@@ -8,6 +8,8 @@ from assertforge.dataset import (
     GoldenSolution,
     MutantItem,
     PipelineItem,
+    SplitBin,
+    SplitPlan,
     build_records,
     length_bin,
     read_jsonl,
@@ -109,6 +111,37 @@ def test_split_unit_follows_first_module():
     u = SourceUnit.from_text("multi", text)
     plan = split([u], seed=3)
     assert plan.unit_assignment(u) == plan.assignment_of("alpha")
+
+
+def _per_bin_assignment(plan, name):
+    """The lookup the plan's name map replaced: first bin, train first."""
+    for b in plan.bins:
+        if name in b.train:
+            return "train"
+        if name in b.test:
+            return "test"
+    return None
+
+
+def test_split_plan_map_agrees_with_bins():
+    rng = random.Random(2024)
+    corpora = [
+        [synth_unit(f"m{i:02d}", 10) for i in range(10)],
+        [synth_unit("solo", 10)],
+        [synth_unit(f"m{i}", 10 + i) for i in range(30)],
+        [synth_unit(f"t_m{i}", rng.randrange(3, 260)) for i in range(40)],
+        [SourceUnit.from_text("multi", "module alpha;\nendmodule\nmodule beta;\nendmodule\n")],
+    ]
+    for units in corpora:
+        plan, fresh = split(units, seed=7), split(units, seed=7)
+        names = {n for b in plan.bins for n in b.train + b.test} | {"absent"}
+        for name in names:
+            assert plan.assignment_of(name) == _per_bin_assignment(plan, name), name
+        assert plan.assignments == {n: _per_bin_assignment(plan, n) for n in names - {"absent"}}
+        assert plan == fresh and plan.to_json() == fresh.to_json()  # the map is not state
+    # A name held by two bins, and on both sides of one, takes the first hit.
+    twice = SplitPlan(1, (SplitBin("a", ("x",), ("y",)), SplitBin("b", ("y",), ("x", "x"))))
+    assert {n: twice.assignment_of(n) for n in "xy"} == {"x": "train", "y": "test"}
 
 
 # -- CoT validation ---------------------------------------------------------------

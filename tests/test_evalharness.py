@@ -1,4 +1,6 @@
+import csv
 import gc
+import io
 import itertools
 import json
 import math
@@ -13,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from assertforge.dataset import CASE_ROW, RESULTS_ROW, SOURCES, GoldenSolution
+from assertforge.dataset import BIN_LABELS, CASE_ROW, RESULTS_ROW, SOURCES, GoldenSolution
 from assertforge.errors import (
     AssertForgeError,
     DomainError,
@@ -484,3 +486,12 @@ def test_report_json_shape():
     assert doc["overall"]["pass@1"] == pytest.approx(0.5)
     csv = report_csv(doc)
     assert csv.splitlines()[0] == "table,key,pass@1,pass@5"
+
+
+def test_report_csv_rows_parse_with_every_length_bin():
+    cases = [make_case(f"c{lb}", lb=lb) for lb in range(len(BIN_LABELS))]
+    results = [fabricated_result(f"c{lb}", 20, 4 * lb) for lb in range(len(BIN_LABELS))]
+    rows = list(csv.reader(io.StringIO(report_csv(aggregate(results, cases, ks=(1, 5))))))
+    header, body = rows[0], rows[1:]
+    assert all(len(row) == len(header) for row in body)
+    assert [row[1] for row in body if row[0] == "length_bin"] == list(BIN_LABELS)

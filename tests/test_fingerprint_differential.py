@@ -6,7 +6,8 @@ key and logic flag the way they were computed before the filter stopped
 lexing. ``SourceUnit.fingerprint`` must equal it, never lex the unit, and
 be the same when mutation lexed the unit first, on the fixture corpus, the
 duplicate corpus of the CLI tests, the lexer edge cases and
-Hypothesis-generated text.
+Hypothesis-generated text. The module names that ``augment`` takes from a
+lexed unit's token stream must equal the fingerprint's on the same inputs.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import _fingerprint_reference as ref
-from assertforge.corpus import SourceUnit
+from assertforge.corpus import SourceUnit, module_names_of
 from fixture_corpus import CORPUS_FILES
 from test_cli import DUP_CORPUS
 from test_lexer_differential import _CHARS, _FRAGMENTS, EDGE_CASES
@@ -30,6 +31,7 @@ def assert_same_as_reference(text: str, label: str = "") -> None:
     lexed = SourceUnit.from_text("lexed", text)
     assert "".join(t.text for t in lexed.tokens) == text, label  # lexed first
     assert tuple(lexed.fingerprint) == want, label
+    assert module_names_of(lexed.tokens) == scanned.fingerprint.module_names, label
 
 
 @pytest.mark.parametrize("corpus", ["fixture", "dups"])

@@ -2,12 +2,17 @@
 
 ``_mutate_reference`` is the enumeration as it was before each line was
 analysed once and each kind decided by its first rewrite. Sites and records
-must match it exactly on the fixture corpus, on wide pipeline modules, and on
-Hypothesis-generated modules.
+must match it exactly on the fixture corpus, on wide pipeline modules, on the
+benchmark's augment units and on Hypothesis-generated modules.
 """
 
 from __future__ import annotations
 
+import importlib
+import sys
+from pathlib import Path
+
+import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
@@ -50,6 +55,29 @@ def test_wide_modules_match_reference():
     for stages in (1, 9, 40):
         text = _wide_module(f"w{stages}", stages, extra="// trailing note")
         assert_same_as_reference(SourceUnit.from_text(f"wide{stages}", text))
+
+
+@pytest.fixture(scope="module")
+def bench_gen():
+    """``bench/gen.py``, imported read-only: no bytecode is written there."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(sys, "dont_write_bytecode", True)
+        mp.syspath_prepend(str(Path(__file__).resolve().parent.parent / "bench"))
+        yield importlib.import_module("gen")
+
+
+@pytest.mark.parametrize("seed", [1, 7])
+def test_bench_units_match_reference(bench_gen, seed):
+    # The reference is slow on these long units: every site list is compared,
+    # and the records of every fifth site, at a seed that varies by line.
+    for uid, text in bench_gen.units(seed, 40).texts.items():
+        unit = SourceUnit.from_text(uid, text)
+        sites = mutate.enumerate_sites(unit)
+        assert sites == ref.enumerate_sites(unit), uid
+        for line, kinds in sites[::5]:
+            for kind in kinds:
+                got = mutate.apply_mutation(unit, line, kind, line)
+                assert got == ref.apply_mutation(unit, line, kind, line), (uid, line, kind)
 
 
 # -- generated modules ---------------------------------------------------------

@@ -2,6 +2,7 @@ import collections
 
 import pytest
 
+from assertforge import corpus
 from assertforge.config import PipelineConfig
 from assertforge.corpus import SourceUnit
 from assertforge.pipeline import (
@@ -161,3 +162,30 @@ def test_augment_leaves_no_unit_holding_its_tokens(accepted_units, mock_toolchai
     res = run_augment(units, mock_toolchain, PipelineConfig(seed=20240817, parallel=parallel))
     assert res.svabug and not res.errors
     assert [u.id for u in units if "tokens" in vars(u)] == []
+
+
+@pytest.mark.parametrize("bug_source", ["engine", "llm"])
+def test_run_augment_scans_each_unit_once(accepted_units, mock_toolchain, monkeypatch, bug_source):
+    # The split's module names come from the mutation copy's tokens, so a unit
+    # on the engine path is lexed once and never fingerprint-scanned; a unit
+    # that is never lexed is scanned at most once.
+    lexed, scanned = collections.Counter(), collections.Counter()
+
+    def counting(counter, fn):
+        def wrapper(text):
+            counter[text] += 1
+            return fn(text)
+
+        return wrapper
+
+    monkeypatch.setattr(corpus, "tokenize", counting(lexed, corpus.tokenize))
+    monkeypatch.setattr(corpus, "_significant_pairs", counting(scanned, corpus._significant_pairs))
+    units = [SourceUnit.from_text(u.id, u.text, u.path) for u in accepted_units]  # nothing cached
+    res = run_augment(units, mock_toolchain, PipelineConfig(seed=5, bug_source=bug_source))
+    assert not res.errors and res.pt and res.svabug
+    never_compiled = {row["code"] for row in res.pt}
+    for u in units:
+        if bug_source == "llm" or u.text in never_compiled:
+            assert lexed[u.text] == 0 and scanned[u.text] <= 1, u.id
+        else:
+            assert lexed[u.text] == 1 and scanned[u.text] == 0, u.id
