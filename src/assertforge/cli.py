@@ -2,6 +2,9 @@
 
 Every output file starts with one metadata header object
 {"tool_version", "seed", "config_digest"} so provenance survives copies.
+``config_digest`` hashes every effective setting, flags included, except the
+paths, ``llm.credential_env``, ``parallel`` and ``keep_temp``, which cannot
+change an output byte.
 Exit code is 0 only when no per-item error occurred; otherwise the errors are
 written as JSON to stderr and the exit code is 1.
 """
@@ -12,7 +15,7 @@ import json
 import math
 import sys
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict, replace
+from dataclasses import asdict
 from pathlib import Path
 
 import click
@@ -21,7 +24,7 @@ from . import __version__
 from . import dataset as ds
 from . import evalharness as ev
 from . import trainmath as tm
-from .config import TOOL_FIELDS, PipelineConfig, parse_config_file, parse_ks
+from .config import PipelineConfig, parse_config_file, parse_ks
 from .corpus import SourceUnit, filter_units, load_corpus_dir
 from .errors import AssertForgeError, DomainError, SchemaError
 from .pipeline import render_counts_table, run_augment
@@ -31,11 +34,8 @@ from .toolchain import Toolchain
 def _load_config(path: str | None, **flags) -> PipelineConfig:
     """The config file with the given flags (those not None) in place of their
     fields; flag and file values pass the same checks."""
-    given = {k: v for k, v in flags.items() if v is not None}
     try:
-        cfg = PipelineConfig.from_mapping({} if path is None else parse_config_file(path))
-        tools = replace(cfg.tools, **{k: given.pop(k) for k in TOOL_FIELDS & given.keys()})
-        return replace(cfg, tools=tools, **given)
+        return PipelineConfig.from_mapping({} if path is None else parse_config_file(path), **flags)
     except (FileNotFoundError, DomainError) as exc:
         raise click.ClickException(str(exc))
 
@@ -112,7 +112,7 @@ def _load_manifest_units(manifest: Path) -> tuple[list[SourceUnit], list[dict]]:
         except OSError as exc:  # also a name too long for the file system
             errors.append({"unit_id": row["id"], "stage": "load", "error": str(exc)})
             continue
-        units.append(SourceUnit.from_text(row["id"], text, str(p)))
+        units.append(SourceUnit(id=row["id"], path=str(p), text=text))
     return units, errors
 
 
@@ -164,17 +164,18 @@ def augment(config_path, manifest, out_dir, parallel, keep_temp):
 @click.option("--n", "n_target", type=int, default=None)
 @click.option("--k", "ks_text", type=str, default=None, help="Comma-separated ks, e.g. 1,5.")
 @click.option("--mode", type=click.Choice(["textual", "reverify"]), default=None)
-@click.option("--line-only", is_flag=True, default=False,
-              help="Judge on the buggy line alone (paper-literal).")
+@click.option("--line-only", is_flag=True, default=None,
+              help="Overrides eval.line_only: judge on the buggy line alone (paper-literal).")
 @click.option("--parallel", type=click.IntRange(min=1), default=None)
 def eval_cmd(benchmark, config_path, out_path, results_path, csv_path, n_target,
              ks_text, mode, line_only, parallel):
     """Benchmark the configured solver over an EvalCase JSONL file."""
     try:
-        ks = parse_ks(ks_text, "--k") if ks_text else None
+        ks = None if ks_text is None else parse_ks(ks_text, "--k")
     except DomainError as exc:
         raise click.ClickException(str(exc))
-    cfg = _load_config(config_path, eval_n=n_target, eval_ks=ks, eval_mode=mode, parallel=parallel)
+    cfg = _load_config(config_path, eval_n=n_target, eval_ks=ks, eval_mode=mode,
+                       eval_line_only=line_only, parallel=parallel)
     try:
         cases = [ev.EvalCase.from_json(r) for r in _read_rows(benchmark, "benchmark file")]
     except (SchemaError, ValueError) as exc:
@@ -196,7 +197,7 @@ def eval_cmd(benchmark, config_path, out_path, results_path, csv_path, n_target,
                 resp,
                 golden,
                 cfg.eval_mode,
-                line_only=line_only,
+                line_only=cfg.eval_line_only,
                 toolchain=tc,
                 buggy_code=case.buggy_sv_code,
             )
@@ -245,11 +246,10 @@ def eval_cmd(benchmark, config_path, out_path, results_path, csv_path, n_target,
               help="The EvalCase JSONL the results were produced from.")
 @click.option("--config", "config_path", type=click.Path(), default=None)
 @click.option("--out", "out_path", type=click.Path(), default="triples.jsonl")
-@click.option("--n", "n_expected", type=int, default=None, help="Defaults to eval.n.")
+@click.option("--n", "n_expected", type=int, default=None, help="Overrides eval.n.")
 def dpo_prep(results_file, benchmark, config_path, out_path, n_expected):
     """Select challenging cases from eval results and emit preference triples."""
-    cfg = _load_config(config_path)
-    n_expected = cfg.eval_n if n_expected is None else n_expected
+    cfg = _load_config(config_path, eval_n=n_expected)
     case_rows = _read_rows(benchmark, "benchmark file")
     result_rows = _read_rows(results_file, "results file")
 
@@ -273,11 +273,11 @@ def dpo_prep(results_file, benchmark, config_path, out_path, n_expected):
             continue
         case = cases[case_id]
         valid = [r for r in row["responses"] if r["valid_json"]]
-        if len(valid) != n_expected:
+        if len(valid) != cfg.eval_n:
             errors.append(
                 {
                     "case_id": case_id,
-                    "error": f"expected {n_expected} valid responses, got {len(valid)}",
+                    "error": f"expected {cfg.eval_n} valid responses, got {len(valid)}",
                 }
             )
             continue
@@ -293,7 +293,7 @@ def dpo_prep(results_file, benchmark, config_path, out_path, n_expected):
             (question, answer, [(r["raw_text"], r["verdict"]) for r in valid])
         )
 
-    challenging = tm.select_challenging(judged_entries, n_expected=n_expected)
+    challenging = tm.select_challenging(judged_entries, n_expected=cfg.eval_n)
     triples = tm.build_triples(challenging)
     ds.write_jsonl(triples, out_path, header=_header(cfg))
     click.echo(
@@ -317,6 +317,8 @@ def losses(probs_file, config_path, beta, reduction):
     one whose probabilities are missing or outside (0, 1], is a per-row error
     and the losses come from the other rows.
     """
+    if not math.isfinite(beta):
+        raise click.ClickException(f"--beta must be a finite number, got {beta}")
     cfg = _load_config(config_path)
     rows = _read_rows(probs_file, "probabilities file")
     pt_samples, sft_pairs, dpo_rows = [], [], []

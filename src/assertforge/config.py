@@ -102,6 +102,7 @@ _KEYS = {
     "eval.n": ("eval_n", _int),
     "eval.ks": ("eval_ks", parse_ks),
     "eval.mode": ("eval_mode", _text),
+    "eval.line_only": ("eval_line_only", _bool),
     "parallel": ("parallel", _int),
     # ToolSettings fields
     "compiler.cmd": ("compiler_cmd", _text),
@@ -121,7 +122,11 @@ _KEYS = {
     "scratch.dir": ("scratch_dir", _text),
     "tool.timeout": ("timeout_s", _float),
 }
-TOOL_FIELDS = {f.name for f in fields(ToolSettings)}
+_TOOL_FIELDS = {f.name for f in fields(ToolSettings)}
+# Keys that cannot change an output byte: where files are read and written,
+# the name of the credential's variable, and how the work is scheduled.
+_NOT_DIGESTED = frozenset({"corpus.dir", "out.dir", "mock.dir", "scratch.dir",
+                           "llm.credential_env", "parallel", "keep_temp"})
 
 
 @dataclass
@@ -135,9 +140,9 @@ class PipelineConfig:
     eval_n: int = 20
     eval_ks: tuple[int, ...] = (1, 5)
     eval_mode: str = "textual"
+    eval_line_only: bool = False
     parallel: int = 1
     tools: ToolSettings = field(default_factory=ToolSettings)
-    raw: dict[str, str] = field(default_factory=dict)
 
     def __post_init__(self):
         if not (0.0 < self.split_fraction < 1.0):
@@ -153,17 +158,22 @@ class PipelineConfig:
 
     @property
     def config_digest(self) -> str:
-        canon = json.dumps(self.raw, sort_keys=True, separators=(",", ":"))
+        """Hash of the effective value of every key outside ``_NOT_DIGESTED``."""
+        values = {key: getattr(self.tools if name in _TOOL_FIELDS else self, name)
+                  for key, (name, _) in _KEYS.items() if key not in _NOT_DIGESTED}
+        canon = json.dumps(values, sort_keys=True, separators=(",", ":"))
         return hashlib.sha256(canon.encode()).hexdigest()[:16]
 
     @classmethod
-    def from_mapping(cls, m: dict[str, str]) -> "PipelineConfig":
-        """The config of a key-value mapping; a DomainError names a bad key."""
+    def from_mapping(cls, m: dict[str, str], **overrides) -> "PipelineConfig":
+        """The config of a key-value mapping, each override that is not None in
+        place of its field; both pass the same checks. A DomainError names a bad key."""
         unknown = sorted(m.keys() - _KEYS.keys())
         if unknown:
             raise DomainError(f"unknown config key: {', '.join(unknown)}")
         values = {name: parse(m[key], key) for key, (name, parse) in _KEYS.items() if key in m}
-        tools = {name: values.pop(name) for name in TOOL_FIELDS & values.keys()}
+        values.update((name, v) for name, v in overrides.items() if v is not None)
+        tools = {name: values.pop(name) for name in _TOOL_FIELDS & values.keys()}
         if tools.get("mock_dir"):
             tools.setdefault("mock_mode", "replay")  # a cache directory alone means replay
-        return cls(**values, tools=ToolSettings(**tools), raw=dict(m))
+        return cls(**values, tools=ToolSettings(**tools))

@@ -147,12 +147,10 @@ class Token(NamedTuple):
 
 @dataclass(frozen=True)
 class RejectionReason:
-    code: str  # missing_module_boundary | no_functional_logic | duplicate | syntax_error
+    code: str  # missing_module_boundary | no_functional_logic | duplicate
     detail: str = ""
 
-    REJECTION_CODES = frozenset(
-        {"missing_module_boundary", "no_functional_logic", "duplicate", "syntax_error"}
-    )
+    REJECTION_CODES = frozenset({"missing_module_boundary", "no_functional_logic", "duplicate"})
 
     def __post_init__(self):
         if self.code not in self.REJECTION_CODES:
@@ -241,10 +239,6 @@ class SourceUnit:
     id: str
     path: str
     text: str
-
-    @classmethod
-    def from_text(cls, unit_id: str, text: str, path: str = "") -> "SourceUnit":
-        return cls(id=unit_id, path=path, text=text)
 
     @cached_property
     def tokens(self) -> tuple[Token, ...]:
@@ -367,10 +361,10 @@ def load_corpus_dir(root: str | Path) -> Iterator[SourceUnit]:
         key=lambda p: p.relative_to(root).as_posix(),
     )
     return (
-        SourceUnit.from_text(
-            p.relative_to(root).as_posix(),
-            p.read_text(encoding="utf-8", errors="replace"),
+        SourceUnit(
+            id=p.relative_to(root).as_posix(),
             path=str(p),
+            text=p.read_text(encoding="utf-8", errors="replace"),
         )
         for p in paths
     )

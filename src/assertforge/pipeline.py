@@ -210,7 +210,7 @@ def _process_unit(
         records = llm_bug_candidates(tc, unit, cfg.mutations_per_unit, cfg.seed)
     else:
         # Lex a copy, freed before the mutants are checked: one stream per worker.
-        lexed = SourceUnit.from_text(unit.id, unit.text, unit.path)
+        lexed = SourceUnit(id=unit.id, path=unit.path, text=unit.text)
         item.module_names = module_names_of(lexed.tokens)
         records = engine_bug_candidates(lexed, cfg.mutations_per_unit, cfg.seed)
         del lexed

@@ -234,7 +234,7 @@ def test_criterion_mutation_single_line(accepted_units, corpus_units):
             break
 
     # The taxonomy's worked examples reproduced exactly.
-    op_unit = SourceUnit.from_text("tab1", "out = a | b;")
+    op_unit = SourceUnit(id="tab1", path="", text="out = a | b;")
     op_forms = {apply_mutation(op_unit, 1, "Op", s).mutated_snippet for s in range(8)}
     if "out = a & b;" not in op_forms:
         ok, detail = False, "operator swap | -> & not reachable"
@@ -271,7 +271,7 @@ def test_criterion_split_properties():
             text = "\n".join(
                 [f"module t{trial}_m{i};"] + [f"// {j}" for j in range(lines - 2)] + ["endmodule"]
             )
-            units.append(SourceUnit.from_text(f"t{trial}_u{i}", text))
+            units.append(SourceUnit(id=f"t{trial}_u{i}", path="", text=text))
         seed = rng.getrandbits(40)
         plan = ds.split(units, seed)
         if plan != ds.split(units, seed):

@@ -350,9 +350,10 @@ def test_eval_cli_bad_schema(cli_env, tmp_path):
     [
         (["--k", "x"], None, "--k must be comma-separated integers"),
         (["--k", "0", "--n", "1"], None, "--k must name one or more ks"),
+        (["--k", ""], None, "--k must name one or more ks"),
         ([], "eval.ks = 0", "eval.ks must name one or more ks"),
     ],
-    ids=["k-not-an-integer", "k-zero-flag", "k-zero-config"],
+    ids=["k-not-an-integer", "k-zero-flag", "k-empty-flag", "k-zero-config"],
 )
 def test_eval_cli_rejects_bad_ks_before_any_call(cli_env, tmp_path, extra, config_line, message):
     config = cli_env["config"]
@@ -695,6 +696,33 @@ def test_eval_cli_n_flag_is_checked_against_the_ks(cli_env, tmp_path):
     assert not report.exists()
 
 
+def test_eval_cli_header_digest_names_the_judging_rule(cli_env, tmp_path):
+    n10 = tmp_path / "n10.cfg"
+    n10.write_text(cli_env["config"].read_text() + "eval.n = 10\n")
+    config = cli_env["config"]
+    runs = {"default": (config, []), "n10-flag": (config, ["--n", "10"]),
+            "n20-flag": (config, ["--n", "20"]), "n10-key": (n10, []),
+            "line-only": (config, ["--line-only"])}
+    digests = {}
+    for name, (config, extra) in runs.items():
+        report = tmp_path / f"{name}.json"
+        res = invoke("eval", cli_env["benchmark"], "--config", config, "--out", report, *extra)
+        assert res.exit_code == 0, res.output
+        digests[name] = json.loads(report.read_text())["meta"]["config_digest"]
+    assert digests["n10-flag"] == digests["n10-key"] != digests["n20-flag"]
+    assert digests["n20-flag"] == digests["default"] != digests["line-only"]
+
+
+def test_eval_cli_n_flag_replaces_a_smaller_config_n_before_the_check(cli_env, tmp_path):
+    config = tmp_path / "n3.cfg"
+    config.write_text(cli_env["config"].read_text() + "eval.n = 3\n")
+    results = tmp_path / "results.jsonl"
+    res = invoke("eval", cli_env["benchmark"], "--config", config, "--out",
+                 tmp_path / "report.json", "--results", results, "--n", "20")
+    assert res.exit_code == 0, res.output
+    assert {r["n"] for r in read_records(results)} == {20}
+
+
 @pytest.mark.parametrize("bad_bin", ["0", True, 1.0], ids=["string", "bool", "float"])
 def test_non_integer_length_bin_is_a_schema_error(cli_env, tmp_path, bad_bin):
     _, results_path = _run_eval(cli_env, tmp_path, "bins")
@@ -826,6 +854,24 @@ def test_dpo_prep_n_defaults_to_eval_n(cli_env, tmp_path):
         assert res.exit_code == 0, res.output
         outputs.append(read_records(triples))
     assert outputs[0] == outputs[1] != []
+
+
+def test_dpo_prep_n_flag_is_checked_against_the_ks(cli_env, tmp_path):
+    config = tmp_path / "k1.cfg"
+    config.write_text(cli_env["config"].read_text() + "eval.ks = 1\n")
+    results = tmp_path / "results.jsonl"
+    res = invoke("eval", cli_env["benchmark"], "--config", config, "--out",
+                 tmp_path / "report.json", "--results", results, "--n", "3")
+    assert res.exit_code == 0, res.output
+    triples = tmp_path / "triples.jsonl"
+    args = ["dpo-prep", results, "--benchmark", cli_env["benchmark"], "--out", triples, "--n", "3"]
+    res = invoke(*args)
+    assert res.exit_code == 1
+    assert res.output.strip().splitlines() == ["Error: eval.n (3) must be >= every k in [1, 5]"]
+    assert not triples.exists()
+    res = invoke(*args, "--config", config)
+    assert res.exit_code == 0, res.output
+    assert triples.exists()
 
 
 def test_dpo_prep_n_above_twenty_keeps_every_distinct_negative(cli_env, tmp_path):
@@ -1183,6 +1229,17 @@ def test_losses_cli_pinned_readme_rows(tmp_path, extra, losses):
         "counts": {"pt": 1, "sft": 1, "dpo": 1},
         **dict(zip(("pt_loss", "sft_loss", "dpo_loss"), losses)),
     }
+
+
+@pytest.mark.parametrize("beta", ["nan", "inf", "-inf"])
+def test_losses_cli_rejects_a_beta_that_is_not_finite(tmp_path, beta):
+    probs = tmp_path / "probs.jsonl"
+    probs.write_text("not a JSON row\n")  # the check comes before any row is read
+    res = invoke("losses", probs, "--beta", beta)
+    assert res.exit_code == 1
+    assert res.output.strip().splitlines() == [
+        f"Error: --beta must be a finite number, got {float(beta)}"
+    ]
 
 
 def test_losses_cli_unknown_kind(tmp_path):

@@ -102,44 +102,44 @@ def test_roundtrip_comment_edge_cases():
 
 
 def test_extract_modules_single():
-    u = SourceUnit.from_text("t", "module adder; endmodule")
+    u = SourceUnit(id="t", path="", text="module adder; endmodule")
     assert list(u.module_names) == ["adder"]
 
 
 def test_extract_modules_two_in_order():
-    u = SourceUnit.from_text("t", "module a; endmodule\nmodule b; endmodule\n")
+    u = SourceUnit(id="t", path="", text="module a; endmodule\nmodule b; endmodule\n")
     assert list(u.module_names) == ["a", "b"]
 
 
 def test_extract_modules_none():
-    u = SourceUnit.from_text("t", "endmodule")
+    u = SourceUnit(id="t", path="", text="endmodule")
     assert list(u.module_names) == []
 
 
 def test_classify_constant_assign_rejected():
-    u = SourceUnit.from_text("t", "module m; assign x = 0; endmodule")
+    u = SourceUnit(id="t", path="", text="module m; assign x = 0; endmodule")
     reason = classify_rejection(u)
     assert reason is not None and reason.code == "no_functional_logic"
 
 
 def test_classify_missing_module_rejected():
-    u = SourceUnit.from_text("t", "assign x = y;")
+    u = SourceUnit(id="t", path="", text="assign x = y;")
     reason = classify_rejection(u)
     assert reason is not None and reason.code == "missing_module_boundary"
 
 
 def test_classify_always_block_accepted():
-    u = SourceUnit.from_text("t", "module m; always @(posedge clk) q <= d; endmodule")
+    u = SourceUnit(id="t", path="", text="module m; always @(posedge clk) q <= d; endmodule")
     assert classify_rejection(u) is None
 
 
 def test_classify_computing_assign_accepted():
-    u = SourceUnit.from_text("t", "module m; assign y = a & b; endmodule")
+    u = SourceUnit(id="t", path="", text="module m; assign y = a & b; endmodule")
     assert classify_rejection(u) is None
 
 
 def test_classify_instantiation_accepted():
-    u = SourceUnit.from_text("t", "module top; dff u1 (.clk(c), .d(d), .q(q)); endmodule")
+    u = SourceUnit(id="t", path="", text="module top; dff u1 (.clk(c), .d(d), .q(q)); endmodule")
     assert classify_rejection(u) is None
 
 
@@ -156,8 +156,8 @@ def _kept_and_rejected(rows):
 
 
 def test_dedup_byte_identical():
-    a = SourceUnit.from_text("a", "module m; always @(x) y = x; endmodule")
-    b = SourceUnit.from_text("b", "module m; always @(x) y = x; endmodule")
+    a = SourceUnit(id="a", path="", text="module m; always @(x) y = x; endmodule")
+    b = SourceUnit(id="b", path="", text="module m; always @(x) y = x; endmodule")
     rows = filter_units([a, b])
     kept, rejected = _kept_and_rejected(rows)
     assert kept == ["a"]
@@ -176,16 +176,16 @@ def test_dedup_comment_only_difference():
     commented = "// header\nmodule m;\nalways @(x) y = x; /* tail */\nendmodule\n"
     # Oracle: an independent regex pass says these are the same code.
     assert _strip_comments_ws(plain) == _strip_comments_ws(commented)
-    a = SourceUnit.from_text("a", plain)
-    b = SourceUnit.from_text("b", commented)
+    a = SourceUnit(id="a", path="", text=plain)
+    b = SourceUnit(id="b", path="", text=commented)
     kept, rejected = _kept_and_rejected(filter_units([a, b]))
     assert kept == ["a"]
     assert rejected[0][1] == "duplicate"
 
 
 def test_dedup_distinct_modules_kept():
-    a = SourceUnit.from_text("a", "module m; always @(x) y = x; endmodule")
-    b = SourceUnit.from_text("b", "module n; always @(x) z = x; endmodule")
+    a = SourceUnit(id="a", path="", text="module m; always @(x) y = x; endmodule")
+    b = SourceUnit(id="b", path="", text="module n; always @(x) z = x; endmodule")
     kept, rejected = _kept_and_rejected(filter_units([a, b]))
     assert len(kept) == 2 and not rejected
 
@@ -222,7 +222,7 @@ def test_filter_units_frees_each_unit_before_reading_the_next(corpus_units):
         for i, text in enumerate(texts):
             if refs:
                 alive_when_next_asked.append(refs[-1]() is not None)
-            yield tracked(SourceUnit.from_text(f"u{i}", text))
+            yield tracked(SourceUnit(id=f"u{i}", path="", text=text))
 
     rows = filter_units(stream())
     assert len(rows) == len(texts)
@@ -254,7 +254,7 @@ def test_source_unit_invariants(corpus_units):
     for u in corpus_units:
         if u.text:
             assert u.line_count >= 1
-        assert u.dedup_key == SourceUnit.from_text("again", u.text).dedup_key
+        assert u.dedup_key == SourceUnit(id="again", path="", text=u.text).dedup_key
 
 
 def test_random_snippet_roundtrip_seeded():

@@ -63,7 +63,7 @@ def synth_unit(name, lines, uid=None):
     text = f"module {name};\n{body}\nendmodule\n"
     # line_count is what matters; construct text with exactly `lines` lines
     text = "\n".join([f"module {name};"] + [f"// {i}" for i in range(lines - 2)] + ["endmodule"])
-    return SourceUnit.from_text(uid or name, text)
+    return SourceUnit(id=uid or name, path="", text=text)
 
 
 def test_split_ten_modules_nine_one():
@@ -108,7 +108,7 @@ def test_split_partition_property_random_corpora():
 
 def test_split_unit_follows_first_module():
     text = "module alpha;\nendmodule\nmodule beta;\nendmodule\n"
-    u = SourceUnit.from_text("multi", text)
+    u = SourceUnit(id="multi", path="", text=text)
     plan = split([u], seed=3)
     assert plan.unit_assignment(u) == plan.assignment_of("alpha")
 
@@ -130,7 +130,8 @@ def test_split_plan_map_agrees_with_bins():
         [synth_unit("solo", 10)],
         [synth_unit(f"m{i}", 10 + i) for i in range(30)],
         [synth_unit(f"t_m{i}", rng.randrange(3, 260)) for i in range(40)],
-        [SourceUnit.from_text("multi", "module alpha;\nendmodule\nmodule beta;\nendmodule\n")],
+        [SourceUnit(id="multi", path="",
+                    text="module alpha;\nendmodule\nmodule beta;\nendmodule\n")],
     ]
     for units in corpora:
         plan, fresh = split(units, seed=7), split(units, seed=7)

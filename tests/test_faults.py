@@ -164,7 +164,7 @@ def test_augment_reports_each_tool_error_once(cli_env, monkeypatch, tmp_path):
     assert json.loads((out / "augment_report.json").read_text())["errors"] == errors
 
     # Case 2: the verifier fails on every mutant of the unit that compiles.
-    unit = SourceUnit.from_text(SVA_FAILING_UNIT, text)
+    unit = SourceUnit(id=SVA_FAILING_UNIT, path="", text=text)
     compiled = [
         rec for rec in engine_bug_candidates(unit, 3, E2E_SEED)
         if fake_compile(rec.apply_to(text)).status == "ok"

@@ -25,10 +25,10 @@ from test_lexer_differential import _CHARS, _FRAGMENTS, EDGE_CASES
 
 def assert_same_as_reference(text: str, label: str = "") -> None:
     want = ref.fingerprint(text)
-    scanned = SourceUnit.from_text("scanned", text)
+    scanned = SourceUnit(id="scanned", path="", text=text)
     assert tuple(scanned.fingerprint) == want, label
     assert "tokens" not in scanned.__dict__, label  # the scan did not lex
-    lexed = SourceUnit.from_text("lexed", text)
+    lexed = SourceUnit(id="lexed", path="", text=text)
     assert "".join(t.text for t in lexed.tokens) == text, label  # lexed first
     assert tuple(lexed.fingerprint) == want, label
     assert module_names_of(lexed.tokens) == scanned.fingerprint.module_names, label

@@ -18,7 +18,7 @@ from assertforge.mutate import (
 
 
 def unit(text, uid="u"):
-    return SourceUnit.from_text(uid, text)
+    return SourceUnit(id=uid, path="", text=text)
 
 
 # -- enumerate_sites ---------------------------------------------------------

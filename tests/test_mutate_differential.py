@@ -54,7 +54,7 @@ def test_fixture_corpus_matches_reference(corpus_units):
 def test_wide_modules_match_reference():
     for stages in (1, 9, 40):
         text = _wide_module(f"w{stages}", stages, extra="// trailing note")
-        assert_same_as_reference(SourceUnit.from_text(f"wide{stages}", text))
+        assert_same_as_reference(SourceUnit(id=f"wide{stages}", path="", text=text))
 
 
 @pytest.fixture(scope="module")
@@ -71,7 +71,7 @@ def test_bench_units_match_reference(bench_gen, seed):
     # The reference is slow on these long units: every site list is compared,
     # and the records of every fifth site, at a seed that varies by line.
     for uid, text in bench_gen.units(seed, 40).texts.items():
-        unit = SourceUnit.from_text(uid, text)
+        unit = SourceUnit(id=uid, path="", text=text)
         sites = mutate.enumerate_sites(unit)
         assert sites == ref.enumerate_sites(unit), uid
         for line, kinds in sites[::5]:
@@ -163,10 +163,10 @@ def _module(draw):
 @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(_module())
 def test_generated_modules_match_reference(text):
-    assert_same_as_reference(SourceUnit.from_text("gen", text))
+    assert_same_as_reference(SourceUnit(id="gen", path="", text=text))
 
 
 @settings(max_examples=60, deadline=None)
 @given(st.text(alphabet="ab01'bhdx=<>!&|^+-()[]{};@ \t/*\n", max_size=80))
 def test_arbitrary_text_matches_reference(text):
-    assert_same_as_reference(SourceUnit.from_text("raw", text))
+    assert_same_as_reference(SourceUnit(id="raw", path="", text=text))

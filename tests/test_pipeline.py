@@ -114,7 +114,7 @@ def test_llm_bug_path_single_line(mock_toolchain, accepted_units):
 
 
 def test_llm_bug_path_rejects_bad_replies():
-    u = SourceUnit.from_text("t", "module m;\nalways @(*) y = x;\nendmodule")
+    u = SourceUnit(id="t", path="", text="module m;\nalways @(*) y = x;\nendmodule")
     tc = Toolchain(llm_backend=lambda req: "not json at all")
     assert llm_bug_candidates(tc, u, 2, base_seed=1) == []
 
@@ -122,7 +122,7 @@ def test_llm_bug_path_rejects_bad_replies():
 @pytest.mark.parametrize("reply", ["[" * 200_000, '{"line": 1e400, "mutated": "y = 1;"}'],
                          ids=["nested-too-deep", "infinite-line"])
 def test_llm_bug_path_skips_a_reply_it_cannot_read(reply):
-    u = SourceUnit.from_text("t", "module m;\nalways @(*) y = x;\nendmodule")
+    u = SourceUnit(id="t", path="", text="module m;\nalways @(*) y = x;\nendmodule")
     tc = Toolchain(llm_backend=lambda req: reply)
     assert llm_bug_candidates(tc, u, 2, base_seed=1) == []
 
@@ -147,7 +147,7 @@ def test_augment_lexes_a_unit_once_and_only_when_it_reaches_mutation(
         return real(text)
 
     monkeypatch.setattr(c, "tokenize", counting)
-    units = [SourceUnit.from_text(u.id, u.text, u.path) for u in accepted_units]
+    units = [SourceUnit(id=u.id, path=u.path, text=u.text) for u in accepted_units]
     res = run_augment(units, mock_toolchain, PipelineConfig(seed=20240817, parallel=4))
     assert res.svabug and not res.errors
     compiled = {u.text for u in units if fake_compile(u.text).status == "ok"}
@@ -158,7 +158,7 @@ def test_augment_lexes_a_unit_once_and_only_when_it_reaches_mutation(
 
 @pytest.mark.parametrize("parallel", [1, 4])
 def test_augment_leaves_no_unit_holding_its_tokens(accepted_units, mock_toolchain, parallel):
-    units = [SourceUnit.from_text(u.id, u.text, u.path) for u in accepted_units]
+    units = [SourceUnit(id=u.id, path=u.path, text=u.text) for u in accepted_units]
     res = run_augment(units, mock_toolchain, PipelineConfig(seed=20240817, parallel=parallel))
     assert res.svabug and not res.errors
     assert [u.id for u in units if "tokens" in vars(u)] == []
@@ -180,7 +180,8 @@ def test_run_augment_scans_each_unit_once(accepted_units, mock_toolchain, monkey
 
     monkeypatch.setattr(corpus, "tokenize", counting(lexed, corpus.tokenize))
     monkeypatch.setattr(corpus, "_significant_pairs", counting(scanned, corpus._significant_pairs))
-    units = [SourceUnit.from_text(u.id, u.text, u.path) for u in accepted_units]  # nothing cached
+    # Fresh copies, with nothing cached.
+    units = [SourceUnit(id=u.id, path=u.path, text=u.text) for u in accepted_units]
     res = run_augment(units, mock_toolchain, PipelineConfig(seed=5, bug_source=bug_source))
     assert not res.errors and res.pt and res.svabug
     never_compiled = {row["code"] for row in res.pt}
