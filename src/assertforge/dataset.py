@@ -22,7 +22,7 @@ from typing import Iterable
 from .corpus import SourceUnit
 from .errors import DomainError, SchemaError
 from .mutate import BugType, MutationRecord
-from .textutil import normalize_line, parse_solution_reply
+from .textutil import normalize_line, normalize_line_loose, parse_solution_reply
 
 BIN_LABELS = ("(0,50]", "(50,100]", "(100,150]", "(150,200]", "(200,+inf)")
 
@@ -98,6 +98,11 @@ class GoldenSolution:
 
     buggy_line: str
     corrected_line: str
+
+    @cached_property
+    def loose(self) -> tuple[str, str]:
+        """Both lines as the judge compares them, normalized once."""
+        return normalize_line_loose(self.buggy_line), normalize_line_loose(self.corrected_line)
 
 
 @dataclass(frozen=True)

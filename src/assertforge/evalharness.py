@@ -6,7 +6,8 @@ which is also the response row of ``results.jsonl``; the parsed reply lives
 only until it is judged.
 
 pass@k follows the unbiased estimator 1 - C(n-c, k)/C(n, k), evaluated with
-exact integer arithmetic; C(m, k) is zero when m < k.
+exact integer arithmetic as (C(n, k) - C(n-c, k))/C(n, k), whose one true
+division rounds correctly; C(m, k) is zero when m < k.
 """
 
 from __future__ import annotations
@@ -15,7 +16,6 @@ import csv
 import io
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Callable, Iterable, NamedTuple, Sequence
 
 from .dataset import BIN_LABELS, BUG_TYPE_ORDER, SOURCES, EvalCase, GoldenSolution
@@ -88,7 +88,8 @@ def pass_at_k(n: int, c: int, k: int) -> float:
     """Exact unbiased pass@k for one problem: 1 - C(n-c, k)/C(n, k)."""
     if n < 1 or not (0 <= c <= n) or not (1 <= k <= n):
         raise DomainError(f"invalid pass@k arguments: n={n}, c={c}, k={k}")
-    return float(1 - Fraction(math.comb(n - c, k), math.comb(n, k)))
+    total = math.comb(n, k)
+    return (total - math.comb(n - c, k)) / total
 
 
 def solve_prompt(case: EvalCase, invalid_so_far: int = 0) -> str:
@@ -117,14 +118,9 @@ def judge(
         raise DomainError("judge requires a parsed response")
     if mode not in ("textual", "reverify"):
         raise DomainError(f"unknown judge mode: {mode!r}")
-    line_ok = normalize_line_loose(response.parsed["buggy_line"]) == normalize_line_loose(
-        golden.buggy_line
-    )
-    textual = line_ok and (
-        line_only
-        or normalize_line_loose(response.parsed["fix"])
-        == normalize_line_loose(golden.corrected_line)
-    )
+    golden_line, golden_fix = golden.loose
+    line_ok = normalize_line_loose(response.parsed["buggy_line"]) == golden_line
+    textual = line_ok and (line_only or normalize_line_loose(response.parsed["fix"]) == golden_fix)
     if mode == "textual":
         return "correct" if textual else "incorrect"
     if toolchain is None or not toolchain.has_verifier:
@@ -170,14 +166,17 @@ def collect_responses(
     if n_target < 1:
         raise DomainError("n_target must be positive")
     if judge_fn is None:
-        judge_fn = lambda resp: judge(resp, case.golden)  # noqa: E731
+        golden = case.golden
+        judge_fn = lambda resp: judge(resp, golden)  # noqa: E731
+    base = solve_prompt(case)
+    prompts = [base + suffix for suffix in RETRY_SUFFIXES]  # by invalid replies so far
     responses: list[Judged] = []
     valid = correct = invalid = 0
     calls = 0
     while valid < n_target and calls < 3 * n_target:
         req = LlmRequest(
             task="solve",
-            prompt_text=solve_prompt(case, invalid),
+            prompt_text=prompts[min(invalid, len(prompts) - 1)],
             nonce=f"{case.id}:{calls}",
         )
         reply = solver(req)

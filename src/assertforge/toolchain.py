@@ -3,12 +3,13 @@
 All three adapters are content-agnostic and replayable: every call is keyed
 by a digest of its request and goes through one record/replay path
 (``Toolchain._cached``), which either records live outcomes into a
-ReplayCache or serves them back hermetically. In replay mode a missing or
-undecodable entry is a miss: ``tool_error`` for the compiler and verifier,
-``EndpointUnreachable`` for the LLM. In record mode a cache write that fails
-raises ``AssertForgeError`` naming the key. Tool commands are
-user-configurable templates with {file} and {depth} placeholders; nothing
-here hard-depends on a particular compiler or verifier.
+ReplayCache or serves them back hermetically. Each request is encoded once:
+its key hashes the bytes a record stores and a replay matches. In replay
+mode a missing or undecodable entry is a miss: ``tool_error`` for the
+compiler and verifier, ``EndpointUnreachable`` for the LLM. In record mode a
+cache write that fails raises ``AssertForgeError`` naming the key. Tool
+commands are user-configurable templates with {file} and {depth}
+placeholders; nothing here hard-depends on a particular compiler or verifier.
 """
 
 from __future__ import annotations
@@ -141,16 +142,19 @@ class ToolSettings:
 
 # One shared C encoder; json.dumps would build a new one on every call.
 _CANONICAL = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
+_DECODER = json.JSONDecoder()
 
 
-def request_digest(payload: dict) -> str:
-    """Stable content key for one adapter request."""
-    return hashlib.sha256(_CANONICAL.encode(payload).encode()).hexdigest()
+def request_digest(payload: dict) -> tuple[str, bytes]:
+    """Stable content key for one adapter request, and the canonical bytes hashed."""
+    data = _CANONICAL.encode(payload).encode()
+    return hashlib.sha256(data).hexdigest(), data
 
 
 class ReplayCache:
     """Digest-keyed store of adapter outcomes, one ``<key>.json`` file per
     request holding compact sorted-key JSON ``{"request", "response"}``.
+    ``get`` decodes only the response of an entry with the asked request.
 
     Safe for concurrent readers. Each write is atomic: it is staged under a
     random ``.tmp`` name that no other writer, in this process or another,
@@ -174,18 +178,25 @@ class ReplayCache:
             except OSError as exc:
                 raise DomainError(f"mock.dir {directory} cannot be created: {exc}") from exc
 
-    def get(self, key: str) -> dict | None:
-        """The stored entry, or None when there is none. An entry that is not
-        valid UTF-8 JSON raises ValueError or RecursionError."""
+    def get(self, key: str, request: bytes) -> object:
+        """The stored response, or None when there is no entry. A malformed
+        entry raises ValueError, KeyError, TypeError or RecursionError."""
         try:
             with open(self._prefix + key + ".json", "rb") as f:
                 data = f.read()
         except (FileNotFoundError, IsADirectoryError, NotADirectoryError):
             return None
-        return json.loads(data.decode("utf-8"))
+        head = b'{"request":%b,"response":' % request
+        if data.startswith(head):
+            text = data[len(head):].decode("utf-8")
+            with contextlib.suppress(ValueError):  # not one value and "}": parse it whole
+                response, end = _DECODER.raw_decode(text)
+                if text[end:] == "}":
+                    return response
+        return json.loads(data.decode("utf-8"))["response"]
 
-    def put(self, key: str, request: dict, response: dict) -> None:
-        data = _CANONICAL.encode({"request": request, "response": response}).encode()
+    def put(self, key: str, request: bytes, response: dict) -> None:
+        data = b'{"request":%b,"response":%b}' % (request, _CANONICAL.encode(response).encode())
         tmp = f"{self._prefix}{key}.{os.urandom(8).hex()}.tmp"
         with self._write_lock:
             try:
@@ -247,19 +258,19 @@ class Toolchain:
         """
         if self.cache is None:
             return live()
-        key = request_digest(request)
+        key, request_bytes = request_digest(request)
         if self.cache.mode == "replay":
             try:
-                hit = self.cache.get(key)
-                if hit is not None:
-                    return decode(hit["response"])
+                response = self.cache.get(key, request_bytes)
+                if response is not None:
+                    return decode(response)
                 reason = "replay cache miss"
             except (ValueError, KeyError, TypeError, RecursionError) as exc:
                 reason = f"malformed replay cache entry ({exc})"
             return miss(f"{reason}: {key}")
         outcome = live()
         try:
-            self.cache.put(key, request, asdict(outcome))
+            self.cache.put(key, request_bytes, asdict(outcome))
         except OSError as exc:
             raise AssertForgeError(f"replay cache write failed: {key}: {exc}") from exc
         return outcome

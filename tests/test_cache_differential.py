@@ -1,10 +1,15 @@
-"""Differential test: the replay cache against its pre-rework copy.
+"""Differential test: the replay cache against its pre-rework copy, and its
+response-only read against parsing the whole entry.
 
 ``_cache_reference`` is the cache as it was before its digest shared one
 encoder, ``get`` became one binary read and ``put`` wrote compact entries.
 Keys must match it exactly, a cache directory it recorded must replay the
-same outcomes, and each entry the new ``put`` writes must read back as the
-dict the old ``get`` returned for the same ``put``.
+same outcomes, and each entry the new ``put`` writes must parse as the dict
+the old ``get`` returned for the same ``put``.
+
+``get(key, request)`` decodes only the response when the entry holds exactly
+that request. Whatever the entry holds, it must return what
+``json.loads(entry)["response"]`` gives, or raise what that raises.
 """
 
 from __future__ import annotations
@@ -13,6 +18,7 @@ import json
 import tempfile
 from pathlib import Path
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -46,7 +52,9 @@ PAYLOADS = st.dictionaries(st.text(max_size=8), JSON_VALUES, max_size=6)
 @settings(max_examples=200, derandomize=True, deadline=None)
 @given(PAYLOADS)
 def test_keys_match_reference(payload):
-    assert request_digest(payload) == ref.request_digest(payload)
+    key, data = request_digest(payload)
+    assert key == ref.request_digest(payload)
+    assert data == json.dumps(payload, sort_keys=True, separators=(",", ":")).encode()
 
 
 @settings(max_examples=100, derandomize=True, deadline=None)
@@ -54,13 +62,15 @@ def test_keys_match_reference(payload):
 def test_entries_read_back_as_reference_entries(request, response):
     with tempfile.TemporaryDirectory() as new_dir, tempfile.TemporaryDirectory() as old_dir:
         new, old = ReplayCache(new_dir, "record"), ref.ReplayCache(old_dir, "record")
-        new.put("k", request, response)
+        _, request_bytes = request_digest(request)
+        new.put("k", request_bytes, response)
         old.put("k", request, response)
         expected = old.get("k")
-        assert new.get("k") == expected
-        assert ref.ReplayCache(new_dir).get("k") == expected
-        assert ReplayCache(old_dir).get("k") == expected
         raw = (Path(new_dir) / "k.json").read_bytes()
+        assert json.loads(raw) == expected
+        assert new.get("k", request_bytes) == expected["response"]
+        assert ref.ReplayCache(new_dir).get("k") == expected
+        assert ReplayCache(old_dir).get("k", request_bytes) == expected["response"]
         compact = json.dumps(expected, sort_keys=True, separators=(",", ":"))
         assert raw == compact.encode()
 
@@ -74,7 +84,8 @@ def test_reference_recorded_cache_replays_the_same_outcomes(tmp_path, monkeypatc
             raise TransportFailure("dropped")
         return "fix: q <= d; — naïve ✓\nsecond line"
 
-    monkeypatch.setattr(toolchain, "request_digest", ref.request_digest)
+    # Record under the reference key; the reference cache takes the request as a dict.
+    monkeypatch.setattr(toolchain, "request_digest", lambda p: (ref.request_digest(p), p))
     recorder = Toolchain(
         ToolSettings(verifier_depth=7),
         cache=ref.ReplayCache(tmp_path, "record"),
@@ -97,3 +108,61 @@ def test_reference_recorded_cache_replays_the_same_outcomes(tmp_path, monkeypatc
     assert (replayer.compile_check(src), replayer.formal_verify(sva), replayer.llm_call(req)) == (
         recorded
     )
+
+
+def _same_json(a, b) -> bool:
+    """Equal values of equal JSON types: 1, 1.0 and True stay apart."""
+    return json.dumps(a, sort_keys=True) == json.dumps(b, sort_keys=True)
+
+
+def _reads_as_whole_parse(directory: Path, entry: bytes, request: bytes) -> None:
+    (directory / "k.json").write_bytes(entry)
+    try:
+        want = json.loads(entry.decode("utf-8"))["response"]
+    except (ValueError, KeyError, TypeError, RecursionError) as exc:
+        with pytest.raises(type(exc)) as err:
+            ReplayCache(directory).get("k", request)
+        assert type(err.value) is type(exc), entry
+    else:
+        assert _same_json(ReplayCache(directory).get("k", request), want), entry
+
+
+def _canonical(value) -> bytes:
+    return json.dumps(value, sort_keys=True, separators=(",", ":")).encode()
+
+
+@settings(max_examples=100, derandomize=True, deadline=None)
+@given(PAYLOADS, JSON_VALUES, PAYLOADS, JSON_VALUES)
+def test_get_returns_the_response_of_the_whole_parse(request, response, other, other_response):
+    _, asked = request_digest(request)
+    resp, other_req = _canonical(response), _canonical(other)
+    doc = {"request": request, "response": response}
+    canonical = b'{"request":' + asked + b',"response":' + resp + b"}"
+    entries = [
+        canonical,
+        canonical + b"\n",
+        b'{"request":' + asked + b',"response": ' + resp + b" }",
+        json.dumps(doc, indent=2, sort_keys=True).encode(),
+        json.dumps({"response": response, "request": request}).encode(),
+        canonical[:-1] + b',"extra":1}',
+        canonical[:-1] + b',"response":' + _canonical(other_response) + b"}",
+        b'{"request":' + other_req + b',"response":' + resp + b"}",
+        b'{"request":' + asked + b"}",
+        b'{"request":' + asked + b',"response":' + resp + b"}}",
+    ]
+    with tempfile.TemporaryDirectory() as tmp:
+        for entry in entries:
+            _reads_as_whole_parse(Path(tmp), entry, asked)
+        ref.ReplayCache(tmp, "record").put("k", request, response)
+        assert _same_json(ReplayCache(tmp).get("k", asked), response)
+
+
+@settings(max_examples=20, derandomize=True, deadline=None)
+@given(PAYLOADS, PAYLOADS)
+def test_every_truncation_of_an_entry_reads_as_the_whole_parse(request, response):
+    _, asked = request_digest(request)
+    with tempfile.TemporaryDirectory() as tmp:
+        ReplayCache(tmp, "record").put("k", asked, response)
+        entry = (Path(tmp) / "k.json").read_bytes()
+        for end in range(len(entry) + 1):
+            _reads_as_whole_parse(Path(tmp), entry[:end], asked)

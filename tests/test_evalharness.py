@@ -8,6 +8,7 @@ import random
 import re
 import tracemalloc
 from dataclasses import asdict, fields
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -88,6 +89,15 @@ def test_pass_at_k_matches_brute_force_small_n():
         for c in range(0, n + 1):
             for k in range(1, n + 1):
                 assert abs(pass_at_k(n, c, k) - brute_force_pass_at_k(n, c, k)) < 1e-12
+
+
+def test_pass_at_k_is_bit_identical_to_the_fraction_form_up_to_n_60():
+    for n in range(1, 61):
+        for k in range(1, n + 1):
+            total = math.comb(n, k)
+            for c in range(n + 1):
+                want = float(1 - Fraction(math.comb(n - c, k), total))
+                assert pass_at_k(n, c, k).hex() == want.hex(), (n, c, k)
 
 
 def test_pass_at_k_domain_errors():

@@ -7,6 +7,7 @@ import threading
 
 import pytest
 
+from assertforge import toolchain
 from assertforge.errors import (
     AssertForgeError,
     AttemptsExhausted,
@@ -308,6 +309,40 @@ def test_record_then_replay_identical(tmp_path):
     assert replayer.llm_call(LlmRequest(task="cot", prompt_text="p", nonce="n1")) == l1
 
 
+def test_each_adapter_call_encodes_its_request_once(tmp_path, monkeypatch):
+    kinds = []
+    real_digest = toolchain.request_digest
+
+    def counting_digest(payload):
+        kinds.append(payload["kind"])
+        return real_digest(payload)
+
+    monkeypatch.setattr(toolchain, "request_digest", counting_digest)
+    settings = ToolSettings(mock_dir=str(tmp_path), mock_mode="record", verifier_depth=3)
+    recorder = Toolchain(
+        settings,
+        compile_backend=lambda s: CompileOutcome("syntax_error", "línea 3: ‘;’"),
+        verify_backend=lambda s, d: VerifyOutcome("assertion_failed", "FAIL step 2 ✗", 2),
+        llm_backend=lambda r: "fix — naïve\nsecond line",
+    )
+    req = LlmRequest(task="solve", prompt_text="répare", nonce="c:0")
+
+    def calls(tc):
+        return tc.compile_check("module m; endmodule"), tc.formal_verify("assert(x);"), tc.llm_call(req)
+
+    recorded = calls(recorder)
+    assert kinds == ["compile", "verify", "llm"]
+    entries = list(tmp_path.iterdir())
+    assert len(entries) == 3
+    for entry in entries:
+        data = entry.read_bytes()
+        assert data == json.dumps(json.loads(data), sort_keys=True, separators=(",", ":")).encode()
+    kinds.clear()
+    replayer = Toolchain(ToolSettings(**{**settings.__dict__, "mock_mode": "replay"}))
+    assert calls(replayer) == recorded
+    assert kinds == ["compile", "verify", "llm"]
+
+
 def test_replay_miss_behaviour(tmp_path):
     cache = ReplayCache(tmp_path / "cache", mode="record")
     tc = Toolchain(
@@ -336,8 +371,8 @@ def test_replay_malformed_entry_is_a_miss(tmp_path):
         entry.write_text(entry.read_text()[:20])
     cache = ReplayCache(tmp_path / "cache")
     with pytest.raises(ValueError):
-        cache.get(entries[0].stem)
-    assert cache.get("0" * 64) is None
+        cache.get(entries[0].stem, b"{}")
+    assert cache.get("0" * 64, b"{}") is None
 
     tc = Toolchain(
         ToolSettings(mock_dir=str(tmp_path / "cache"), mock_mode="replay", verifier_depth=3)
@@ -354,9 +389,9 @@ def test_replay_malformed_entry_is_a_miss(tmp_path):
 
 
 def test_replay_directory_at_entry_is_a_miss(tmp_path):
-    key = request_digest({"kind": "compile", "source": "module m; endmodule"})
+    key, request = request_digest({"kind": "compile", "source": "module m; endmodule"})
     (tmp_path / f"{key}.json").mkdir()
-    assert ReplayCache(tmp_path).get(key) is None
+    assert ReplayCache(tmp_path).get(key, request) is None
     tc = Toolchain(ToolSettings(mock_dir=str(tmp_path), mock_mode="replay"))
     outcome = tc.compile_check("module m; endmodule")
     assert outcome == CompileOutcome("tool_error", f"replay cache miss: {key}")
@@ -364,10 +399,10 @@ def test_replay_directory_at_entry_is_a_miss(tmp_path):
 
 @pytest.mark.parametrize("content", [b"", b'{"response": {"status": "ok", "stderr_text": "\xff"}}'])
 def test_replay_empty_or_non_utf8_entry_is_a_malformed_miss(tmp_path, content):
-    key = request_digest({"kind": "compile", "source": "module m; endmodule"})
+    key, request = request_digest({"kind": "compile", "source": "module m; endmodule"})
     (tmp_path / f"{key}.json").write_bytes(content)
     with pytest.raises(ValueError):
-        ReplayCache(tmp_path).get(key)
+        ReplayCache(tmp_path).get(key, request)
     tc = Toolchain(ToolSettings(mock_dir=str(tmp_path), mock_mode="replay"))
     outcome = tc.compile_check("module m; endmodule")
     assert outcome.status == "tool_error"
@@ -376,7 +411,7 @@ def test_replay_empty_or_non_utf8_entry_is_a_malformed_miss(tmp_path, content):
 
 
 def test_replay_entry_nested_too_deep_is_a_malformed_miss(tmp_path):
-    key = request_digest({"kind": "compile", "source": "module m; endmodule"})
+    key, _ = request_digest({"kind": "compile", "source": "module m; endmodule"})
     (tmp_path / f"{key}.json").write_bytes(b'{"response": ' + b"[" * 200_000)
     tc = Toolchain(ToolSettings(mock_dir=str(tmp_path), mock_mode="replay"))
     outcome = tc.compile_check("module m; endmodule")
@@ -441,7 +476,7 @@ def test_a_failed_cache_write_is_a_package_error_naming_the_key(tmp_path, monkey
     monkeypatch.setattr(os, "replace", full_disk)
     tc = Toolchain(ToolSettings(mock_dir=str(tmp_path), mock_mode="record"),
                    compile_backend=lambda s: CompileOutcome("ok", ""))
-    key = request_digest({"kind": "compile", "source": "module m; endmodule"})
+    key, _ = request_digest({"kind": "compile", "source": "module m; endmodule"})
     with pytest.raises(AssertForgeError) as err:
         tc.compile_check("module m; endmodule")
     no_space = f"[Errno {errno.ENOSPC}] {os.strerror(errno.ENOSPC)}"
@@ -456,13 +491,15 @@ def test_two_writers_on_one_dir_do_not_collide(tmp_path, monkeypatch):
 
     def second_put_inside_first_replace(src, dst):
         monkeypatch.setattr(os, "replace", real_replace)
-        second.put("k", {"by": "second"}, {"n": 2})
+        second.put("k", b'{"by":"second"}', {"n": 2})
         real_replace(src, dst)
 
     monkeypatch.setattr(os, "replace", second_put_inside_first_replace)
-    first.put("k", {"by": "first"}, {"n": 1})
+    first.put("k", b'{"by":"first"}', {"n": 1})
     assert [p.name for p in tmp_path.iterdir()] == ["k.json"]
-    assert first.get("k") == {"request": {"by": "first"}, "response": {"n": 1}}
+    entry = json.loads((tmp_path / "k.json").read_bytes())
+    assert entry == {"request": {"by": "first"}, "response": {"n": 1}}
+    assert first.get("k", b'{"by":"first"}') == {"n": 1}
 
 
 def test_failed_put_leaves_no_staging_file(tmp_path, monkeypatch):
@@ -471,7 +508,7 @@ def test_failed_put_leaves_no_staging_file(tmp_path, monkeypatch):
 
     monkeypatch.setattr(os, "replace", full_disk)
     with pytest.raises(OSError, match="no space"):
-        ReplayCache(tmp_path, mode="record").put("k", {}, {})
+        ReplayCache(tmp_path, mode="record").put("k", b"{}", {})
     assert list(tmp_path.iterdir()) == []
 
 
@@ -522,7 +559,8 @@ def test_replay_nonce_distinguishes_draws(tmp_path):
 
 
 def test_request_digest_stability():
-    a = request_digest({"kind": "llm", "task": "spec", "prompt_text": "p"})
-    b = request_digest({"task": "spec", "kind": "llm", "prompt_text": "p"})
-    assert a == b
-    assert a != request_digest({"kind": "llm", "task": "spec", "prompt_text": "q"})
+    a, a_bytes = request_digest({"kind": "llm", "task": "spec", "prompt_text": "p"})
+    b, b_bytes = request_digest({"task": "spec", "kind": "llm", "prompt_text": "p"})
+    assert (a, a_bytes) == (b, b_bytes)
+    assert a_bytes == b'{"kind":"llm","prompt_text":"p","task":"spec"}'
+    assert a != request_digest({"kind": "llm", "task": "spec", "prompt_text": "q"})[0]
