@@ -190,17 +190,8 @@ def eval_cmd(benchmark, config_path, out_path, results_path, csv_path, n_target,
     errors: list[dict] = []
 
     def run_case(case: ev.EvalCase):
-        golden = case.golden
-
         def judge_fn(resp):
-            return ev.judge(
-                resp,
-                golden,
-                cfg.eval_mode,
-                line_only=cfg.eval_line_only,
-                toolchain=tc,
-                buggy_code=case.buggy_sv_code,
-            )
+            return ev.judge(resp, case, cfg.eval_mode, line_only=cfg.eval_line_only, toolchain=tc)
 
         return ev.collect_responses(
             case, tc.llm_call, n_target=cfg.eval_n, judge_fn=judge_fn
@@ -235,8 +226,6 @@ def eval_cmd(benchmark, config_path, out_path, results_path, csv_path, n_target,
             )
         for k in cfg.eval_ks:
             click.echo(f"pass@{k} = {report['overall'][f'pass@{k}']:.4f}")
-    elif not errors:
-        raise click.ClickException("no results produced")
     _finish(errors)
 
 

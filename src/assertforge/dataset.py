@@ -4,7 +4,8 @@ module-name split.
 
 A unit's outcome is decided once, in ``pipeline._process_unit``, and a
 mutant's once, in ``build_records``: every injected bug lands in exactly one
-family, one benchmark case, or one documented drop or error. The same pass
+family, one benchmark case, or one documented drop or error. A mutant's golden
+fix is its record's two snippets, a case's its two golden fields. The same pass
 counts what it routed. JSONL field names are part of the external contract
 and must not drift.
 """
@@ -93,19 +94,6 @@ def _type_error(value, kind, name: str) -> str | None:
 
 
 @dataclass(frozen=True)
-class GoldenSolution:
-    """Mechanical ground truth: the injected line and its pre-mutation original."""
-
-    buggy_line: str
-    corrected_line: str
-
-    @cached_property
-    def loose(self) -> tuple[str, str]:
-        """Both lines as the judge compares them, normalized once."""
-        return normalize_line_loose(self.buggy_line), normalize_line_loose(self.corrected_line)
-
-
-@dataclass(frozen=True)
 class EvalCase:
     """One benchmark case: a failing design, its log and the golden fix. The
     fields are the case row's, in schema order."""
@@ -129,9 +117,11 @@ class EvalCase:
         if not (0 <= self.length_bin <= 4):
             raise ValueError("length_bin must lie in 0..4")
 
-    @property
-    def golden(self) -> GoldenSolution:
-        return GoldenSolution(self.golden_buggy_line, self.golden_corrected_line)
+    @cached_property
+    def loose_golden(self) -> tuple[str, str]:
+        """Both golden lines as the judge compares them, normalized once."""
+        return (normalize_line_loose(self.golden_buggy_line),
+                normalize_line_loose(self.golden_corrected_line))
 
     @classmethod
     def from_json(cls, obj: dict) -> "EvalCase":
@@ -226,11 +216,11 @@ def split(units: Iterable[SourceUnit | PipelineItem], seed: int, fraction: float
 # CoT validation
 
 
-def _matches_golden(parsed: dict, golden: GoldenSolution) -> bool:
-    """Whether a parsed reply's buggy line and fix both match the golden
-    solution under trim/collapse-whitespace/drop-semicolon normalization."""
-    return normalize_line(parsed["buggy_line"]) == normalize_line(golden.buggy_line) and (
-        normalize_line(parsed["fix"]) == normalize_line(golden.corrected_line)
+def _matches_golden(parsed: dict, record: MutationRecord) -> bool:
+    """Whether a parsed reply's buggy line and fix match the record's injected
+    line and original under trim/collapse-whitespace/drop-semicolon normalization."""
+    return normalize_line(parsed["buggy_line"]) == normalize_line(record.mutated_snippet) and (
+        normalize_line(parsed["fix"]) == normalize_line(record.original_snippet)
     )
 
 
@@ -250,10 +240,6 @@ class MutantItem:
     buggy_sv_code: str = ""  # mutant source with the assertion inserted
     log: str = ""
     cot_reply: str | None = None  # raw Stage-3 reply; None when not generated
-
-    @property
-    def golden(self) -> GoldenSolution:
-        return GoldenSolution(self.record.mutated_snippet, self.record.original_snippet)
 
 
 @dataclass
@@ -324,7 +310,8 @@ def build_records(items: Iterable[PipelineItem]) -> RecordBundle:
         bin_index = length_bin(max(1, item.line_count))
         failures = 0
         for mut in item.mutants:
-            where = {"unit_id": item.unit_id, "line": mut.record.line}
+            rec = mut.record  # its two snippets are the golden fix
+            where = {"unit_id": item.unit_id, "line": rec.line}
             if mut.compile_status == "syntax_error":
                 # The compiler eliminates syntactically broken bugs before verification.
                 bundle.drops.append({**where, "outcome": "drop:mutant_syntax_error"})
@@ -337,21 +324,20 @@ def build_records(items: Iterable[PipelineItem]) -> RecordBundle:
             if mut.verify_status == "tool_error":
                 bundle.errors.append({**where, "stage": "verify", "error": mut.log})
                 continue
-            golden = mut.golden
             if mut.verify_status in ("proven", "inconclusive"):
                 if not item.held_out:
                     bundle.bug.append(
                         {
                             "spec": item.spec,
                             "buggy_code": mut.buggy_code,
-                            "buggy_line": golden.buggy_line,
-                            "corrected_line": golden.corrected_line,
+                            "buggy_line": rec.mutated_snippet,
+                            "corrected_line": rec.original_snippet,
                         }
                     )
                 continue
             if mut.verify_status != "assertion_failed":
                 raise DomainError(f"unknown verify status: {mut.verify_status!r}")
-            bug_type = mut.record.bug_type
+            bug_type = rec.bug_type
             side = sides["eval" if item.held_out else "svabug"]
             side["by_interval"][BIN_LABELS[bin_index]] += 1
             side["by_bug_type"][bug_type.relation] += 1
@@ -365,8 +351,8 @@ def build_records(items: Iterable[PipelineItem]) -> RecordBundle:
                         spec=item.spec,
                         buggy_sv_code=mut.buggy_sv_code,
                         log=mut.log,
-                        golden_buggy_line=golden.buggy_line,
-                        golden_corrected_line=golden.corrected_line,
+                        golden_buggy_line=rec.mutated_snippet,
+                        golden_corrected_line=rec.original_snippet,
                         bug_syntactic=bug_type.syntactic,
                         bug_relation=bug_type.relation,
                         length_bin=bin_index,
@@ -379,7 +365,7 @@ def build_records(items: Iterable[PipelineItem]) -> RecordBundle:
                 parsed = parse_solution_reply(mut.cot_reply)
                 if parsed is None:
                     cot["unparseable"] += 1
-                elif _matches_golden(parsed, golden):
+                elif _matches_golden(parsed, rec):
                     cot["correct"] += 1
                     cot_text = parsed["cot"] or ""
             bundle.svabug.append(
@@ -388,8 +374,8 @@ def build_records(items: Iterable[PipelineItem]) -> RecordBundle:
                     "buggy_sv_code": mut.buggy_sv_code,
                     "log": mut.log,
                     "step_by_step": cot_text is not None,
-                    "buggy_line": golden.buggy_line,
-                    "corrected_line": golden.corrected_line,
+                    "buggy_line": rec.mutated_snippet,
+                    "corrected_line": rec.original_snippet,
                     "cot": cot_text,
                 }
             )

@@ -18,7 +18,7 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Iterable, NamedTuple, Sequence
 
-from .dataset import BIN_LABELS, BUG_TYPE_ORDER, SOURCES, EvalCase, GoldenSolution
+from .dataset import BIN_LABELS, BUG_TYPE_ORDER, SOURCES, EvalCase
 from .errors import (
     AssertForgeError,
     DomainError,
@@ -99,37 +99,34 @@ def solve_prompt(case: EvalCase, invalid_so_far: int = 0) -> str:
 
 def judge(
     response: ModelResponse,
-    golden: GoldenSolution,
+    case: EvalCase,
     mode: str = "textual",
     *,
     line_only: bool = False,
     toolchain: Toolchain | None = None,
-    buggy_code: str | None = None,
 ) -> str:
-    """Judge one parsed response against the golden solution.
+    """Judge one parsed response against the case's golden lines.
 
     Textual mode compares whitespace-insensitively; both the buggy line and
     the fix must match (buggy line alone with ``line_only``). Reverify mode
-    additionally applies the fix and requires the verifier to prove the
-    patched design; a verifier ``tool_error`` raises AssertForgeError with
-    its log, since it says nothing about the reply.
+    additionally applies the fix to the case's ``buggy_sv_code`` and requires
+    the verifier to prove the patched design; a verifier ``tool_error`` raises
+    AssertForgeError with its log, since it says nothing about the reply.
     """
     if response.parsed is None:
         raise DomainError("judge requires a parsed response")
     if mode not in ("textual", "reverify"):
         raise DomainError(f"unknown judge mode: {mode!r}")
-    golden_line, golden_fix = golden.loose
+    golden_line, golden_fix = case.loose_golden
     line_ok = normalize_line_loose(response.parsed["buggy_line"]) == golden_line
     textual = line_ok and (line_only or normalize_line_loose(response.parsed["fix"]) == golden_fix)
     if mode == "textual":
         return "correct" if textual else "incorrect"
     if toolchain is None or not toolchain.has_verifier:
         raise ReverifyUnavailable("reverify mode needs a configured verifier")
-    if buggy_code is None:
-        raise DomainError("reverify mode needs the buggy code")
     if not textual:
         return "incorrect"
-    patched = _apply_fix(buggy_code, response.parsed["buggy_line"], response.parsed["fix"])
+    patched = _apply_fix(case.buggy_sv_code, response.parsed["buggy_line"], response.parsed["fix"])
     if patched is None:
         return "incorrect"
     outcome = toolchain.formal_verify(patched)
@@ -166,8 +163,7 @@ def collect_responses(
     if n_target < 1:
         raise DomainError("n_target must be positive")
     if judge_fn is None:
-        golden = case.golden
-        judge_fn = lambda resp: judge(resp, golden)  # noqa: E731
+        judge_fn = lambda resp: judge(resp, case)  # noqa: E731
     base = solve_prompt(case)
     prompts = [base + suffix for suffix in RETRY_SUFFIXES]  # by invalid replies so far
     responses: list[Judged] = []

@@ -100,17 +100,6 @@ def extract_referenced_signals(sva_text: str) -> frozenset[str]:
     return frozenset(t.text for t in toks if t.kind == "identifier")
 
 
-@dataclass(frozen=True)
-class AssertionSpec:
-    sva_text: str
-    insertion_line: int  # 1-based line just before `endmodule`
-    referenced_signals: frozenset[str]
-
-    @classmethod
-    def from_text(cls, sva_text: str, insertion_line: int) -> "AssertionSpec":
-        return cls(sva_text, insertion_line, extract_referenced_signals(sva_text))
-
-
 # ---------------------------------------------------------------------------
 # Per-line analysis
 
@@ -539,14 +528,14 @@ def apply_mutation(unit: SourceUnit, line: int, kind: str, seed: int) -> Mutatio
     )
 
 
-def classify_relation(record: MutationRecord, assertion: AssertionSpec) -> str:
-    """Direct when the mutated line's assigned signal is protected by the SVA."""
-    if record.lhs_targets & assertion.referenced_signals:
+def classify_relation(record: MutationRecord, signals: frozenset[str]) -> str:
+    """Direct when the mutated line assigns one of the SVA's ``signals``."""
+    if record.lhs_targets & signals:
         return "Direct"
     return "Indirect"
 
 
-def with_relation(record: MutationRecord, assertion: AssertionSpec) -> MutationRecord:
-    """Copy of ``record`` with its relation axis resolved against ``assertion``."""
-    rel = classify_relation(record, assertion)
+def with_relation(record: MutationRecord, signals: frozenset[str]) -> MutationRecord:
+    """Copy of ``record`` with its relation axis resolved against ``signals``."""
+    rel = classify_relation(record, signals)
     return dc_replace(record, bug_type=BugType(record.bug_type.syntactic, rel))

@@ -5,17 +5,19 @@ Per unit: syntax check (failures become pretraining records), spec and
 assertion generation, deterministic bug injection, mutant compilation and
 verification. Each injected bug is one ``dataset.MutantItem`` from then on.
 A unit's outcome is decided once, in ``_process_unit``: its item or the one
-error that stopped it. The split reads each item's module names, taken from
-the unit's tokens when it was lexed for bug injection and from one fingerprint
-scan otherwise. It marks each item held out or not, and CoT generation skips
-held-out items, so no test item ever receives a CoT. A mutant's outcome is
-decided once, in ``dataset.build_records``, which turns it into a record, a
-benchmark case, a drop or an error and counts the result.
+error that stopped it. The split reads the module names of each item with
+an assertion failure: taken from the unit's tokens when it was lexed for bug
+injection, and from one fingerprint scan on the LLM bug path. A unit that
+fails to compile never reaches the split and is neither lexed nor scanned.
+Each mutant is classified Direct or Indirect against the signals its unit's
+assertion references. The split marks each item held out or not, and CoT
+generation skips held-out items, so no test item ever receives a CoT. A
+mutant's outcome is decided once, in ``dataset.build_records``, which turns it
+into a record, a benchmark case, a drop or an error and counts the result.
 """
 
 from __future__ import annotations
 
-import json
 import random
 from concurrent.futures import ThreadPoolExecutor
 
@@ -23,8 +25,9 @@ from . import dataset as ds
 from . import mutate
 from .config import PipelineConfig
 from .corpus import SourceUnit, module_names_of
-from .errors import AssertForgeError, NoAlternativeError, ParseFailure
-from .mutate import AssertionSpec, MutationRecord
+from .errors import AssertForgeError, NoAlternativeError
+from .mutate import MutationRecord
+from .textutil import extract_json_object
 from .toolchain import LlmRequest, Toolchain
 
 SPEC_PROMPT = """Write a short design specification for this Verilog module.
@@ -73,16 +76,14 @@ replacement line text).
 """
 
 
-def insert_assertion(text: str, sva_text: str) -> tuple[str, int]:
-    """Insert the assertion on its own line just before the first endmodule.
-
-    Returns (new text, 1-based insertion line).
-    """
+def insert_assertion(text: str, sva_text: str) -> str:
+    """Insert the assertion on its own line just before the first endmodule,
+    or append it when there is none."""
     lines = text.split("\n")
     for i, line in enumerate(lines):
         if "endmodule" in line.split("//")[0]:
-            return "\n".join(lines[:i] + [sva_text] + lines[i:]), i + 1
-    return "\n".join(lines + [sva_text]), len(lines) + 1
+            return "\n".join(lines[:i] + [sva_text] + lines[i:])
+    return "\n".join(lines + [sva_text])
 
 
 def _derive_seed(base: int, *parts) -> int:
@@ -95,26 +96,24 @@ def llm_bug_candidates(
 ) -> list[MutationRecord]:
     """Optional LLM-generated-bug path; replies must describe a single-line edit.
 
-    Replies that do not parse, leave the text unchanged, or fall outside the
-    file are dropped, as are repeats of an already-proposed edit.
+    Replies are read like solve replies, so a fenced object counts. Those that
+    do not parse, leave the text unchanged, or fall outside the file are
+    dropped, as are repeats of an already-proposed edit.
     """
     records = []
     seen: set[tuple[int, str]] = set()
+    prompt = BUGS_PROMPT.format(code=unit.text)
+    lines = unit.text.split("\n")
     for i in range(count):
-        reply = tc.llm_call(
-            LlmRequest(
-                task="bugs",
-                prompt_text=BUGS_PROMPT.format(code=unit.text),
-                nonce=f"{unit.id}:bug{i}",
-            )
-        )
+        reply = tc.llm_call(LlmRequest(task="bugs", prompt_text=prompt, nonce=f"{unit.id}:bug{i}"))
+        obj = extract_json_object(reply.text)
+        if obj is None:
+            continue
         try:
-            obj = json.loads(reply.text)
             line_no = int(obj["line"])
             mutated = str(obj["mutated"])
         except (ValueError, KeyError, TypeError, OverflowError, RecursionError):
             continue
-        lines = unit.text.split("\n")
         if not (1 <= line_no <= len(lines)) or "\n" in mutated:
             continue
         original = lines[line_no - 1]
@@ -183,7 +182,6 @@ def _process_unit(
                 ),
             )
         ).text
-        item.module_names = unit.module_names  # never lexed: one fingerprint scan
         return item, None
 
     sva_text = tc.llm_call(
@@ -193,11 +191,10 @@ def _process_unit(
         )
     ).text.strip()
     try:
-        with_sva, at_line = insert_assertion(unit.text, sva_text)
-        assertion = AssertionSpec.from_text(sva_text, at_line)
-    except (ParseFailure, AssertForgeError) as exc:
+        signals = mutate.extract_referenced_signals(sva_text)
+    except AssertForgeError as exc:
         return None, {"unit_id": unit.id, "stage": "sva", "error": str(exc)}
-    baseline = tc.formal_verify(with_sva)
+    baseline = tc.formal_verify(insert_assertion(unit.text, sva_text))
     if baseline.status != "proven":
         return None, {
             "unit_id": unit.id,
@@ -215,14 +212,14 @@ def _process_unit(
         records = engine_bug_candidates(lexed, cfg.mutations_per_unit, cfg.seed)
         del lexed
     for rec in records:
-        rec = mutate.with_relation(rec, assertion)
+        rec = mutate.with_relation(rec, signals)
         buggy = rec.apply_to(unit.text)
         compiled = tc.compile_check(buggy)
         mut = ds.MutantItem(rec, compiled.status, buggy_code=buggy, log=compiled.stderr_text)
         item.mutants.append(mut)
         if mut.compile_status != "ok":
             continue
-        mut.buggy_sv_code, _ = insert_assertion(buggy, sva_text)
+        mut.buggy_sv_code = insert_assertion(buggy, sva_text)
         verify = tc.formal_verify(mut.buggy_sv_code)
         mut.verify_status = verify.status
         mut.log = verify.log_text

@@ -329,7 +329,10 @@ class Toolchain:
             step = None
             m = re.search(s.step_re, log)
             if m:
-                step = int(m.group(1))
+                try:  # a capture int rejects, or one past its digit limit, is no step
+                    step = int(m.group(1))
+                except (ValueError, TypeError):  # TypeError: the group took no part
+                    pass
             return VerifyOutcome("assertion_failed", log, step)
         if re.search(s.pass_re, log):
             return VerifyOutcome("proven", log)

@@ -18,12 +18,12 @@ from assertforge.cli import main
 from assertforge.corpus import SourceUnit
 from assertforge.errors import DomainError, NoAlternativeError
 from assertforge.mutate import (
-    AssertionSpec,
     BugType,
     MutationRecord,
     apply_mutation,
     classify_relation,
     enumerate_sites,
+    extract_referenced_signals,
 )
 from click.testing import CliRunner
 
@@ -238,16 +238,16 @@ def test_criterion_mutation_single_line(accepted_units, corpus_units):
     op_forms = {apply_mutation(op_unit, 1, "Op", s).mutated_snippet for s in range(8)}
     if "out = a & b;" not in op_forms:
         ok, detail = False, "operator swap | -> & not reachable"
-    assertion = AssertionSpec.from_text("assert(out == in);", 9)
+    signals = extract_referenced_signals("assert(out == in);")
     direct = MutationRecord(
         "t", 1, "out <= in;", "out <= in + 1;", BugType("Non_cond"), frozenset({"out"}), 0
     )
     indirect = MutationRecord(
         "t", 1, "temp <= in;", "temp <= in + 1;", BugType("Non_cond"), frozenset({"temp"}), 0
     )
-    if classify_relation(direct, assertion) != "Direct":
+    if classify_relation(direct, signals) != "Direct":
         ok, detail = False, "Direct example misclassified"
-    if classify_relation(indirect, assertion) != "Indirect":
+    if classify_relation(indirect, signals) != "Indirect":
         ok, detail = False, "Indirect example misclassified"
 
     report(

@@ -5,7 +5,6 @@ import pytest
 
 from assertforge.corpus import SourceUnit
 from assertforge.dataset import (
-    GoldenSolution,
     MutantItem,
     PipelineItem,
     SplitBin,
@@ -147,7 +146,7 @@ def test_split_plan_map_agrees_with_bins():
 
 # -- CoT validation ---------------------------------------------------------------
 
-GOLDEN = GoldenSolution("out <= in + 1;", "out <= in;")
+GOLDEN_BUGGY, GOLDEN_CORRECTED = "out <= in + 1;", "out <= in;"
 
 
 def reply(buggy, fix, cot="because"):
@@ -156,10 +155,10 @@ def reply(buggy, fix, cot="because"):
 
 def cot_outcome(cot_reply):
     """``build_records``' CoT counts and the ``svabug`` row's ``cot`` for one
-    assertion failure on GOLDEN with the given CoT reply."""
+    assertion failure on the GOLDEN_* lines with the given CoT reply."""
     code = "module m;\nout <= in;\nendmodule"
     mut = MutantItem(
-        record=MutationRecord("m", 2, GOLDEN.corrected_line, GOLDEN.buggy_line,
+        record=MutationRecord("m", 2, GOLDEN_CORRECTED, GOLDEN_BUGGY,
                               BugType("Op", "Direct"), frozenset(), rng_seed=0),
         compile_status="ok",
         verify_status="assertion_failed",

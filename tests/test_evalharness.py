@@ -7,7 +7,7 @@ import math
 import random
 import re
 import tracemalloc
-from dataclasses import asdict, fields
+from dataclasses import asdict, fields, replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from assertforge.dataset import BIN_LABELS, CASE_ROW, RESULTS_ROW, SOURCES, GoldenSolution
+from assertforge.dataset import BIN_LABELS, CASE_ROW, RESULTS_ROW, SOURCES
 from assertforge.errors import (
     AssertForgeError,
     DomainError,
@@ -36,6 +36,7 @@ from assertforge.evalharness import (
     solve_prompt,
 )
 from assertforge.mutate import SYNTACTIC_KINDS
+from assertforge.textutil import normalize_line_loose
 from assertforge.toolchain import LlmReply, Toolchain, VerifyOutcome
 
 
@@ -147,7 +148,8 @@ def resp(buggy, fix, cot="why"):
     return ModelResponse.from_raw(json.dumps({"buggy_line": buggy, "fix": fix, "cot": cot}))
 
 
-GOLDEN = GoldenSolution("out <= in + 1;", "out <= in;")
+GOLDEN = replace(make_case(), golden_buggy_line="out <= in + 1;",
+                 golden_corrected_line="out <= in;")
 
 
 def test_from_raw_extracts_json_once(monkeypatch):
@@ -187,7 +189,7 @@ def test_judge_requires_parsed():
 
 def test_judge_reverify_needs_verifier():
     with pytest.raises(ReverifyUnavailable):
-        judge(resp("a", "b"), GOLDEN, mode="reverify", buggy_code="x")
+        judge(resp("a", "b"), GOLDEN, mode="reverify")
 
 
 def test_judge_reverify_applies_fix():
@@ -201,10 +203,9 @@ def test_judge_reverify_applies_fix():
     code = "module m;\nalways @(posedge clk)\n  out <= in + 1;\nassert(out == in);\nendmodule"
     verdict = judge(
         resp("out <= in + 1;", "out <= in;"),
-        GOLDEN,
+        replace(GOLDEN, buggy_sv_code=code),
         mode="reverify",
         toolchain=tc,
-        buggy_code=code,
     )
     assert verdict == "correct"
     assert "  out <= in;" in seen["source"].split("\n")
@@ -216,14 +217,15 @@ REVERIFY_CODE = "module m;\nout <= in + 1;\nassert(out == in);\nendmodule"
 def test_judge_reverify_inconclusive_incorrect():
     tc = Toolchain(verify_backend=lambda s, d: VerifyOutcome("inconclusive", "UNKNOWN"))
     right = resp("out <= in + 1;", "out <= in;")
-    assert judge(right, GOLDEN, mode="reverify", toolchain=tc, buggy_code=REVERIFY_CODE) == "incorrect"
+    case = replace(GOLDEN, buggy_sv_code=REVERIFY_CODE)
+    assert judge(right, case, mode="reverify", toolchain=tc) == "incorrect"
 
 
 def test_judge_reverify_tool_error_raises_with_the_log():
     tc = Toolchain(verify_backend=lambda s, d: VerifyOutcome("tool_error", "sby: cannot start"))
     with pytest.raises(AssertForgeError, match="sby: cannot start"):
-        judge(resp("out <= in + 1;", "out <= in;"), GOLDEN, mode="reverify", toolchain=tc,
-              buggy_code=REVERIFY_CODE)
+        judge(resp("out <= in + 1;", "out <= in;"), replace(GOLDEN, buggy_sv_code=REVERIFY_CODE),
+              mode="reverify", toolchain=tc)
 
 
 def test_judge_reverify_failing_proof_incorrect():
@@ -231,10 +233,9 @@ def test_judge_reverify_failing_proof_incorrect():
     code = "module m;\nout <= in + 1;\nassert(out == in);\nendmodule"
     verdict = judge(
         resp("out <= in + 1;", "out <= in;"),
-        GOLDEN,
+        replace(GOLDEN, buggy_sv_code=code),
         mode="reverify",
         toolchain=tc,
-        buggy_code=code,
     )
     assert verdict == "incorrect"
 
@@ -412,8 +413,8 @@ def test_perfect_solver_all_rates_one():
     for case in cases:
         golden_reply = json.dumps(
             {
-                "buggy_line": case.golden.buggy_line,
-                "fix": case.golden.corrected_line,
+                "buggy_line": case.golden_buggy_line,
+                "fix": case.golden_corrected_line,
                 "cot": "done",
             }
         )
@@ -479,7 +480,8 @@ def test_eval_case_is_its_row(row):
     case = EvalCase.from_json(row)
     assert asdict(case) == row
     assert json.dumps(asdict(case)) == json.dumps(row)
-    assert case.golden == GoldenSolution(row["golden_buggy_line"], row["golden_corrected_line"])
+    assert case.loose_golden == (normalize_line_loose(row["golden_buggy_line"]),
+                                 normalize_line_loose(row["golden_corrected_line"]))
 
 
 def test_report_json_shape():

@@ -6,7 +6,6 @@ import pytest
 from assertforge.corpus import SourceUnit
 from assertforge.errors import NoAlternativeError, ParseFailure
 from assertforge.mutate import (
-    AssertionSpec,
     BugType,
     MutationRecord,
     apply_mutation,
@@ -159,35 +158,35 @@ def test_lhs_targets_empty_flagged():
 
 # -- classify_relation -------------------------------------------------------
 
-TABLE_ASSERTION = AssertionSpec.from_text("assert(out == in);", 99)
+TABLE_SIGNALS = extract_referenced_signals("assert(out == in);")
 
 
 def test_direct_classification():
     rec = MutationRecord(
         "u", 3, "out <= in;", "out <= in + 1;", BugType("Non_cond"), frozenset({"out"}), 0
     )
-    assert classify_relation(rec, TABLE_ASSERTION) == "Direct"
+    assert classify_relation(rec, TABLE_SIGNALS) == "Direct"
 
 
 def test_indirect_classification():
     rec = MutationRecord(
         "u", 3, "temp <= in;", "temp <= in + 1;", BugType("Non_cond"), frozenset({"temp"}), 0
     )
-    assert classify_relation(rec, TABLE_ASSERTION) == "Indirect"
+    assert classify_relation(rec, TABLE_SIGNALS) == "Indirect"
 
 
 def test_empty_targets_indirect():
     rec = MutationRecord(
         "u", 3, "x;", "y;", BugType("Var"), frozenset(), 0
     )
-    assert classify_relation(rec, TABLE_ASSERTION) == "Indirect"
+    assert classify_relation(rec, TABLE_SIGNALS) == "Indirect"
 
 
 def test_with_relation_resolves_axis():
     rec = MutationRecord(
         "u", 3, "out <= in;", "out <= in + 1;", BugType("Non_cond"), frozenset({"out"}), 0
     )
-    assert with_relation(rec, TABLE_ASSERTION).bug_type == BugType("Non_cond", "Direct")
+    assert with_relation(rec, TABLE_SIGNALS).bug_type == BugType("Non_cond", "Direct")
 
 
 # -- extract_referenced_signals ----------------------------------------------

@@ -17,9 +17,9 @@ from mockbackends import fake_compile, fake_llm, make_fake_verify
 
 def test_insert_assertion_before_endmodule():
     text = "module m;\nwire x;\nendmodule\n"
-    out, line = insert_assertion(text, "assert(x);")
-    assert out.split("\n")[line - 1] == "assert(x);"
-    assert out.split("\n")[line] == "endmodule"
+    out = insert_assertion(text, "assert(x);")
+    lines = out.split("\n")
+    assert lines[lines.index("endmodule") - 1] == "assert(x);"
     stripped = "\n".join(l for l in out.split("\n") if l != "assert(x);")
     assert stripped == text
 
@@ -127,6 +127,16 @@ def test_llm_bug_path_skips_a_reply_it_cannot_read(reply):
     assert llm_bug_candidates(tc, u, 2, base_seed=1) == []
 
 
+def test_llm_bug_path_reads_a_fenced_reply_like_a_bare_one():
+    u = SourceUnit(id="t", path="", text="module m;\nalways @(*) y = x;\nendmodule")
+    bare = '{"line": 2, "mutated": "always @(*) y = ~x;"}'
+    fenced = f"Here is the bug:\n```json\n{bare}\n```\n"
+    [want] = llm_bug_candidates(Toolchain(llm_backend=lambda req: bare), u, 1, base_seed=1)
+    got = llm_bug_candidates(Toolchain(llm_backend=lambda req: fenced), u, 1, base_seed=1)
+    assert got == [want]
+    assert want.line == 2 and want.mutated_snippet == "always @(*) y = ~x;"
+
+
 def test_run_augment_with_llm_bug_source(accepted_units, mock_toolchain):
     cfg = PipelineConfig(seed=5, bug_source="llm", mutations_per_unit=2)
     res = run_augment(accepted_units, mock_toolchain, cfg)
@@ -167,8 +177,9 @@ def test_augment_leaves_no_unit_holding_its_tokens(accepted_units, mock_toolchai
 @pytest.mark.parametrize("bug_source", ["engine", "llm"])
 def test_run_augment_scans_each_unit_once(accepted_units, mock_toolchain, monkeypatch, bug_source):
     # The split's module names come from the mutation copy's tokens, so a unit
-    # on the engine path is lexed once and never fingerprint-scanned; a unit
-    # that is never lexed is scanned at most once.
+    # on the engine path is lexed once and never fingerprint-scanned; a unit on
+    # the LLM bug path is never lexed and scanned once, and a unit that fails
+    # to compile is neither.
     lexed, scanned = collections.Counter(), collections.Counter()
 
     def counting(counter, fn):
@@ -186,7 +197,9 @@ def test_run_augment_scans_each_unit_once(accepted_units, mock_toolchain, monkey
     assert not res.errors and res.pt and res.svabug
     never_compiled = {row["code"] for row in res.pt}
     for u in units:
-        if bug_source == "llm" or u.text in never_compiled:
-            assert lexed[u.text] == 0 and scanned[u.text] <= 1, u.id
+        if u.text in never_compiled:
+            assert lexed[u.text] == 0 and scanned[u.text] == 0, u.id
+        elif bug_source == "llm":
+            assert lexed[u.text] == 0 and scanned[u.text] == 1, u.id
         else:
             assert lexed[u.text] == 1 and scanned[u.text] == 0, u.id

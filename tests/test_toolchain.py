@@ -135,6 +135,19 @@ def test_verify_subprocess_with_depth(tmp_path):
     assert out.failing_step == 3
 
 
+@pytest.mark.parametrize("step_re, log", [
+    (r"[Ss]tep\s+(\S+)", "FAIL at step 3:"),  # captures "3:", which int rejects
+    (ToolSettings.step_re, "FAIL at step " + "9" * 5000),  # past int's digit limit
+], ids=["non-digit-capture", "past-digit-limit"])
+def test_verify_unreadable_step_is_no_step(tmp_path, step_re, log):
+    script = tmp_path / "verifier.py"
+    script.write_text(f"print({log!r})\n")
+    tc = Toolchain(ToolSettings(verifier_cmd=f"{PY} {script} {{file}}", step_re=step_re,
+                                scratch_dir=str(tmp_path)))
+    out = tc.formal_verify("assert(x);")
+    assert out.status == "assertion_failed" and out.failing_step is None
+
+
 def test_llm_request_validation():
     with pytest.raises(ValueError):
         LlmRequest(task="unknown", prompt_text="p")
