@@ -85,8 +85,9 @@ def filter_cmd(config_path, corpus_dir, out_dir):
     """Apply the stage-1 filter rules and write the report plus manifest."""
     cfg = _load_config(config_path, corpus_dir=corpus_dir, out_dir=out_dir)
     out = Path(cfg.out_dir)
+    errors: list[dict] = []
     try:
-        units = load_corpus_dir(cfg.corpus_dir)
+        units = load_corpus_dir(cfg.corpus_dir, errors)
     except FileNotFoundError as exc:
         raise click.ClickException(str(exc))
     rows = filter_units(units)
@@ -95,6 +96,7 @@ def filter_cmd(config_path, corpus_dir, out_dir):
     ds.write_jsonl(rows, out / "filter_report.jsonl", header=header)
     ds.write_jsonl(accepted, out / "manifest.jsonl", header=header)
     click.echo(f"{len(accepted)} of {len(rows)} files accepted -> {out / 'manifest.jsonl'}")
+    _finish(errors)
 
 
 def _load_manifest_units(manifest: Path) -> tuple[list[SourceUnit], list[dict]]:
@@ -138,7 +140,7 @@ def augment(config_path, manifest, out_dir, parallel, keep_temp):
     ds.write_jsonl(result.bug, out / "bug.jsonl", header=header)
     ds.write_jsonl(result.svabug, out / "svabug.jsonl", header=header)
     ds.write_jsonl(map(asdict, result.eval_cases), out / "sva_eval_machine.jsonl", header=header)
-    split_doc = {"meta": header, **result.split_plan.to_json()}
+    split_doc = {"meta": header, **result.split_plan}
     (out / "split_plan.json").write_text(json.dumps(split_doc, indent=2) + "\n", encoding="utf-8")
     report = {
         "meta": header,
@@ -251,7 +253,8 @@ def dpo_prep(results_file, benchmark, config_path, out_path, n_expected):
             errors.append({"case_id": r.get("id"), "error": f"benchmark row: {exc}"})
             continue
         cases[case.id] = case
-    judged_entries = []
+    triples: list[dict] = []
+    challenging = 0
     for row in result_rows:
         case_id = row.get("case_id")
         error = ds.row_error(row, ds.RESULTS_ROW, "results row")
@@ -278,16 +281,13 @@ def dpo_prep(results_file, benchmark, config_path, out_path, n_expected):
                 "cot": None,
             }
         )
-        judged_entries.append(
-            (question, answer, [(r["raw_text"], r["verdict"]) for r in valid])
-        )
+        pairs = ((r["raw_text"], r["verdict"]) for r in valid)
+        rows = tm.preference_triples(question, answer, pairs)
+        challenging += bool(rows)
+        triples.extend(rows)
 
-    challenging = tm.select_challenging(judged_entries, n_expected=cfg.eval_n)
-    triples = tm.build_triples(challenging)
     ds.write_jsonl(triples, out_path, header=_header(cfg))
-    click.echo(
-        f"{len(challenging)} challenging cases -> {len(triples)} triples -> {out_path}"
-    )
+    click.echo(f"{challenging} challenging cases -> {len(triples)} triples -> {out_path}")
     _finish(errors)
 
 

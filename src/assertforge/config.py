@@ -153,6 +153,8 @@ class PipelineConfig:
             raise DomainError(f"unknown eval mode: {self.eval_mode!r}")
         if self.parallel < 1:
             raise DomainError(f"parallel must be >= 1, got {self.parallel}")
+        if self.mutations_per_unit < 1:
+            raise DomainError(f"mutations.per_unit must be >= 1, got {self.mutations_per_unit}")
         if self.bug_source not in ("engine", "llm"):
             raise DomainError(f"bugs.source must be engine or llm, got {self.bug_source!r}")
 

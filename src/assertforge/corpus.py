@@ -346,12 +346,13 @@ def classify_rejection(unit: SourceUnit) -> RejectionReason | None:
     return None
 
 
-def load_corpus_dir(root: str | Path) -> Iterator[SourceUnit]:
+def load_corpus_dir(root: str | Path, errors: list[dict]) -> Iterator[SourceUnit]:
     """Every *.v / *.sv under ``root`` (recursive), sorted by relative path.
 
     The directory is checked and listed at the call, so a missing ``root``
     raises FileNotFoundError there; each file is read only when the iterator
-    reaches it.
+    reaches it. A file that cannot be read is skipped and appended to
+    ``errors`` as ``{"unit_id", "stage": "load", "error"}``.
     """
     root = Path(root)
     if not root.is_dir():
@@ -360,14 +361,18 @@ def load_corpus_dir(root: str | Path) -> Iterator[SourceUnit]:
         (p for p in root.rglob("*") if p.is_file() and p.suffix in (".v", ".sv")),
         key=lambda p: p.relative_to(root).as_posix(),
     )
-    return (
-        SourceUnit(
-            id=p.relative_to(root).as_posix(),
-            path=str(p),
-            text=p.read_text(encoding="utf-8", errors="replace"),
-        )
-        for p in paths
-    )
+
+    def read():
+        for p in paths:
+            unit_id = p.relative_to(root).as_posix()
+            try:
+                text = p.read_text(encoding="utf-8", errors="replace")
+            except OSError as exc:
+                errors.append({"unit_id": unit_id, "stage": "load", "error": str(exc)})
+                continue
+            yield SourceUnit(id=unit_id, path=str(p), text=text)
+
+    return read()
 
 
 def filter_units(units: Iterable[SourceUnit]) -> list[dict]:

@@ -140,49 +140,15 @@ class EvalCase:
 # Split
 
 
-@dataclass(frozen=True)
-class SplitBin:
-    interval: str
-    train: tuple[str, ...]
-    test: tuple[str, ...]
-
-
-@dataclass(frozen=True)
-class SplitPlan:
-    seed: int
-    bins: tuple[SplitBin, ...]
-
-    @cached_property
-    def assignments(self) -> dict[str, str]:
-        """Module name -> side, built once. The first bin that holds a name
-        decides, train before test: later keys win, so bins go in reverse."""
-        return {n: side for b in self.bins[::-1] for side in ("test", "train") for n in getattr(b, side)}
-
-    def assignment_of(self, module_name: str) -> str | None:
-        return self.assignments.get(module_name)
-
-    def unit_assignment(self, unit: SourceUnit | PipelineItem) -> str | None:
-        """A unit follows its first module name's assignment."""
-        if not unit.module_names:
-            return None
-        return self.assignment_of(unit.module_names[0])
-
-    def to_json(self) -> dict:
-        return {
-            "seed": self.seed,
-            "bins": [
-                {"interval": b.interval, "train": list(b.train), "test": list(b.test)}
-                for b in self.bins
-            ],
-        }
-
-
-def split(units: Iterable[SourceUnit | PipelineItem], seed: int, fraction: float = 0.9) -> SplitPlan:
-    """Per-bin 90/10 module-name split, reproducible from the seed.
+def split(units: Iterable[SourceUnit | PipelineItem], seed: int, fraction: float = 0.9) -> dict:
+    """Per-bin 90/10 module-name split, reproducible from the seed: the
+    ``split_plan.json`` document, ``{"seed", "bins": [{"interval", "train",
+    "test"}]}``, each name list sorted.
 
     Module names are binned by their first unit's code length, sorted, shuffled
     with a bin-local seeded PRNG, and the first round-half-up(fraction * N)
-    go to train. ``augment`` passes the ``PipelineItem``s that carry them."""
+    go to train. Each name lands in one bin, and a unit follows its first
+    module name. ``augment`` passes the ``PipelineItem``s that carry them."""
     if not (0.0 < fraction < 1.0):
         raise DomainError("split fraction must lie in (0, 1)")
     frac = Fraction(str(fraction))
@@ -202,14 +168,9 @@ def split(units: Iterable[SourceUnit | PipelineItem], seed: int, fraction: float
         rng = random.Random(f"{seed}:{bi}")
         rng.shuffle(ordered)
         k = int(frac * len(ordered) + Fraction(1, 2))  # round half up
-        bins.append(
-            SplitBin(
-                interval=BIN_LABELS[bi],
-                train=tuple(sorted(ordered[:k])),
-                test=tuple(sorted(ordered[k:])),
-            )
-        )
-    return SplitPlan(seed, tuple(bins))
+        bins.append({"interval": BIN_LABELS[bi], "train": sorted(ordered[:k]),
+                     "test": sorted(ordered[k:])})
+    return {"seed": seed, "bins": bins}
 
 
 # ---------------------------------------------------------------------------
@@ -273,7 +234,7 @@ class RecordBundle:
     eval_cases: list[EvalCase] = field(default_factory=list)
     drops: list[dict] = field(default_factory=list)
     errors: list[dict] = field(default_factory=list)
-    split_plan: SplitPlan | None = None
+    split_plan: dict | None = None  # the split_plan.json document
     counts: dict = field(default_factory=dict)
     cot_stats: dict = field(
         default_factory=lambda: {"total": 0, "correct": 0, "unparseable": 0}

@@ -251,8 +251,9 @@ def run_augment(
     # Split before CoT generation: test items never receive a CoT.
     failing = [i for i in done if any(m.verify_status == "assertion_failed" for m in i.mutants)]
     split_plan = ds.split([i for i in failing if i.module_names], cfg.seed, cfg.split_fraction)
+    test_names = {name for b in split_plan["bins"] for name in b["test"]}
     for item in done:
-        item.held_out = split_plan.unit_assignment(item) == "test"
+        item.held_out = bool(item.module_names) and item.module_names[0] in test_names
         for mut in item.mutants:
             if item.held_out or mut.verify_status != "assertion_failed":
                 continue
@@ -283,31 +284,13 @@ def run_augment(
 
 def render_counts_table(counts: dict) -> str:
     """Plain-text table in the shape of the distribution summary."""
-    lines = []
     fam = counts["families"]
-    lines.append(
-        f"records: pt={fam['pt']} bug={fam['bug']} svabug={fam['svabug']} eval={fam['eval']}"
-    )
-    header = ["Length Interval"] + list(ds.BIN_LABELS)
-    rows = [
-        ["SVA-Bug"] + [str(counts["svabug"]["by_interval"][b]) for b in ds.BIN_LABELS],
-        ["SVA-Eval"] + [str(counts["eval"]["by_interval"][b]) for b in ds.BIN_LABELS],
-    ]
-    lines += _render_rows(header, rows)
-    header = ["Bug Type"] + list(ds.BUG_TYPE_ORDER)
-    rows = [
-        ["SVA-Bug"] + [str(counts["svabug"]["by_bug_type"][b]) for b in ds.BUG_TYPE_ORDER],
-        ["SVA-Eval"] + [str(counts["eval"]["by_bug_type"][b]) for b in ds.BUG_TYPE_ORDER],
-    ]
-    lines += _render_rows(header, rows)
+    lines = [f"records: pt={fam['pt']} bug={fam['bug']} svabug={fam['svabug']} eval={fam['eval']}"]
+    for title, table, keys in (("Length Interval", "by_interval", ds.BIN_LABELS),
+                               ("Bug Type", "by_bug_type", ds.BUG_TYPE_ORDER)):
+        rows = [[title, *keys]]
+        for name, side in (("SVA-Bug", "svabug"), ("SVA-Eval", "eval")):
+            rows.append([name] + [str(counts[side][table][k]) for k in keys])
+        widths = [max(map(len, column)) for column in zip(*rows)]
+        lines += ["  ".join(c.ljust(w) for c, w in zip(r, widths)) for r in rows]
     return "\n".join(lines)
-
-
-def _render_rows(header: list[str], rows: list[list[str]]) -> list[str]:
-    widths = [
-        max(len(header[i]), *(len(r[i]) for r in rows)) for i in range(len(header))
-    ]
-    out = ["  ".join(h.ljust(w) for h, w in zip(header, widths))]
-    for r in rows:
-        out.append("  ".join(c.ljust(w) for c, w in zip(r, widths)))
-    return out

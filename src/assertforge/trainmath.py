@@ -15,7 +15,7 @@ analytic gradients of a bigram-softmax toy provider (``tests/toyprovider.py``).
 from __future__ import annotations
 
 import math
-from typing import Hashable, Iterable, NamedTuple, Protocol, Sequence
+from typing import Hashable, Iterable, Protocol, Sequence
 
 from .errors import DomainError, ZeroProbabilityError
 from .textutil import normalize_line
@@ -128,49 +128,19 @@ def dpo_loss(
 # Challenging-case selection and preference triples
 
 
-class ChallengingCase(NamedTuple):
-    """A question, its correct answer, and the distinct incorrect replies
-    (at least one, none equal to the answer under ``normalize_line``)."""
+def preference_triples(x: str, p: str, responses: Iterable[tuple[str, str]]) -> list[dict]:
+    """One ``{"x", "p", "n"}`` row per distinct incorrect response text of a
+    question ``x`` whose correct answer is ``p``; ``responses`` are (response
+    text, verdict) pairs.
 
-    x: str
-    p: str
-    negatives: tuple[str, ...]
-
-
-def select_challenging(
-    judged: Iterable[tuple[str, str, Sequence[tuple[str, str]]]],
-    n_expected: int = 20,
-) -> list[ChallengingCase]:
-    """Keep entries with at least one incorrect verdict among their responses.
-
-    Each entry is (question, correct answer, n_expected (response text,
-    verdict) pairs).
-    Negatives are the distinct incorrect response texts (normalized dedup,
-    first-seen order). Responses whose text collapses onto the correct answer
-    are skipped; an entry whose negatives all collapse is excluded.
+    Texts are deduplicated under ``normalize_line``, in first-seen order, and a
+    text that collapses onto ``p`` is skipped. A case is challenging exactly
+    when it yields a row.
     """
-    out = []
-    for x, p, responses in judged:
-        if len(responses) != n_expected:
-            raise DomainError(
-                f"expected exactly {n_expected} judged responses, got {len(responses)}"
-            )
-        seen: set[str] = set()
-        negatives: list[str] = []
-        for text, verdict in responses:
-            if verdict == "correct":
-                continue
-            key = normalize_line(text)
-            if key in seen or key == normalize_line(p):
-                continue
+    seen = {normalize_line(p)}
+    rows = []
+    for text, verdict in responses:
+        if verdict != "correct" and (key := normalize_line(text)) not in seen:
             seen.add(key)
-            negatives.append(text)
-        if negatives:
-            out.append(ChallengingCase(x, p, tuple(negatives)))
-    return out
-
-
-def build_triples(cases: Iterable[ChallengingCase]) -> list[dict]:
-    """One ``{"x", "p", "n"}`` row per (case, negative), preserving case and
-    negative order."""
-    return [{"x": case.x, "p": case.p, "n": neg} for case in cases for neg in case.negatives]
+            rows.append({"x": x, "p": p, "n": text})
+    return rows

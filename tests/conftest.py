@@ -22,7 +22,7 @@ def corpus_dir(tmp_path_factory) -> Path:
 
 @pytest.fixture(scope="session")
 def corpus_units(corpus_dir):
-    return list(load_corpus_dir(corpus_dir))
+    return list(load_corpus_dir(corpus_dir, []))
 
 
 def select_accepted(units, rows):
@@ -69,7 +69,7 @@ def cli_env(tmp_path_factory):
     corpus = write_corpus(base / "corpus")
     mock_dir = base / "mocks"
 
-    units = list(load_corpus_dir(corpus))
+    units = list(load_corpus_dir(corpus, []))
     accepted = select_accepted(units, filter_units(units))
     recorder = Toolchain(
         ToolSettings(mock_dir=str(mock_dir), mock_mode="record"),

@@ -282,9 +282,9 @@ def test_criterion_split_properties():
             names_by_bin.setdefault(ds.length_bin(u.line_count), set()).add(
                 u.module_names[0]
             )
-        for bi, b in enumerate(plan.bins):
+        for bi, b in enumerate(plan["bins"]):
             names = names_by_bin.get(bi, set())
-            train, test = set(b.train), set(b.test)
+            train, test = set(b["train"]), set(b["test"])
             if train & test or (train | test) != names:
                 ok, detail = False, f"partition violated in bin {bi}"
                 break

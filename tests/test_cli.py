@@ -87,6 +87,31 @@ def test_filter_cli_empty_dir(tmp_path):
     assert read_records(tmp_path / "o" / "filter_report.jsonl") == []
 
 
+def test_filter_cli_skips_an_unreadable_file(tmp_path, monkeypatch):
+    corpus = tmp_path / "corpus"
+    corpus.mkdir()
+    for name in ("a", "b"):
+        (corpus / f"{name}.v").write_text(
+            f"module {name} (input clk, input d, output reg q);\n"
+            "  always @(posedge clk) q <= d;\nendmodule\n"
+        )
+    read_text = Path.read_text
+
+    def unreadable_a(path, *args, **kwargs):
+        if path.name == "a.v":
+            raise PermissionError(13, "Permission denied", str(path))
+        return read_text(path, *args, **kwargs)
+
+    monkeypatch.setattr(Path, "read_text", unreadable_a)
+    res = invoke("filter", "--corpus-dir", corpus, "--out-dir", tmp_path / "o")
+    assert res.exit_code == 1
+    errors = json.loads(res.output.strip().splitlines()[-1])["errors"]
+    assert errors == [{"unit_id": "a.v", "stage": "load",
+                       "error": f"[Errno 13] Permission denied: '{corpus / 'a.v'}'"}]
+    assert [r["id"] for r in read_records(tmp_path / "o" / "filter_report.jsonl")] == ["b.v"]
+    assert [r["id"] for r in read_records(tmp_path / "o" / "manifest.jsonl")] == ["b.v"]
+
+
 def test_filter_cli_missing_dir(tmp_path):
     res = invoke("filter", "--corpus-dir", tmp_path / "nope", "--out-dir", tmp_path / "o")
     assert res.exit_code != 0
@@ -418,9 +443,12 @@ def test_augment_cli_rejects_unknown_bug_source(cli_env, tmp_path):
         ("seed = \udcff", "not UTF-8"),  # the byte 0xff
         ("tool.timeout = 0", "tool.timeout"),
         ("compiler.cmd = 'iverilog {file}", "compiler.cmd"),
+        ("mutations.per_unit = 0", "mutations.per_unit must be >= 1, got 0"),
+        ("mutations.per_unit = -5", "mutations.per_unit must be >= 1, got -5"),
     ],
     ids=["temperature", "depth", "mock-mode", "unknown-key", "keep-temp", "pass-re", "step-re",
-         "llm-url", "llm-url-bracket", "non-utf8", "timeout", "compiler-cmd"],
+         "llm-url", "llm-url-bracket", "non-utf8", "timeout", "compiler-cmd", "per-unit-zero",
+         "per-unit-negative"],
 )
 def test_unusable_setting_stops_augment_before_any_call(
     cli_env, tmp_path, monkeypatch, config_line, key

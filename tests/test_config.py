@@ -115,6 +115,13 @@ def test_flags_are_laid_over_the_file_before_the_checks():
         PipelineConfig.from_mapping({"parallel": "2"}, parallel=0)
 
 
+@pytest.mark.parametrize("text", ["-5", "0"])
+def test_mutations_per_unit_below_one_is_rejected(text):
+    with pytest.raises(DomainError, match=f"^mutations.per_unit must be >= 1, got {text}$"):
+        PipelineConfig.from_mapping({"mutations.per_unit": text})
+    assert PipelineConfig.from_mapping({"mutations.per_unit": "1"}).mutations_per_unit == 1
+
+
 def test_the_default_digest_is_pinned():
     # Changes only when a digested key is added or a default changes.
     assert PipelineConfig.from_mapping({}).config_digest == "7a9ff141024843ff"

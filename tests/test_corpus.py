@@ -241,13 +241,13 @@ def test_filter_never_lexes(monkeypatch, corpus_dir):
         return real(text)
 
     monkeypatch.setattr(c, "tokenize", counting)
-    rows = filter_units(load_corpus_dir(corpus_dir))
+    rows = filter_units(load_corpus_dir(corpus_dir, []))
     assert len(rows) > 1 and lexed == []
 
 
 def test_load_corpus_dir_missing_dir_raises_before_iteration(tmp_path):
     with pytest.raises(FileNotFoundError, match="corpus directory not found"):
-        load_corpus_dir(tmp_path / "nope")
+        load_corpus_dir(tmp_path / "nope", [])
 
 
 def test_source_unit_invariants(corpus_units):

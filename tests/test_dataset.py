@@ -7,8 +7,6 @@ from assertforge.corpus import SourceUnit
 from assertforge.dataset import (
     MutantItem,
     PipelineItem,
-    SplitBin,
-    SplitPlan,
     build_records,
     length_bin,
     read_jsonl,
@@ -68,15 +66,15 @@ def synth_unit(name, lines, uid=None):
 def test_split_ten_modules_nine_one():
     units = [synth_unit(f"m{i:02d}", 10) for i in range(10)]
     plan = split(units, seed=7)
-    b0 = plan.bins[0]
-    assert len(b0.train) == 9 and len(b0.test) == 1
-    assert set(b0.train) | set(b0.test) == {f"m{i:02d}" for i in range(10)}
-    assert not (set(b0.train) & set(b0.test))
+    b0 = plan["bins"][0]
+    assert len(b0["train"]) == 9 and len(b0["test"]) == 1
+    assert set(b0["train"]) | set(b0["test"]) == {f"m{i:02d}" for i in range(10)}
+    assert not (set(b0["train"]) & set(b0["test"]))
 
 
 def test_split_single_module_goes_to_train():
     plan = split([synth_unit("solo", 10)], seed=1)
-    assert plan.bins[0].train == ("solo",) and plan.bins[0].test == ()
+    assert plan["bins"][0]["train"] == ["solo"] and plan["bins"][0]["test"] == []
 
 
 def test_split_deterministic():
@@ -96,52 +94,20 @@ def test_split_partition_property_random_corpora():
         names_by_bin = {}
         for u in units:
             names_by_bin.setdefault(oracle_bin(u.line_count), set()).add(u.module_names[0])
-        for bi, b in enumerate(plan.bins):
+        for bi, b in enumerate(plan["bins"]):
             names = names_by_bin.get(bi, set())
-            train, test = set(b.train), set(b.test)
+            train, test = set(b["train"]), set(b["test"])
             assert train | test == names
             assert not (train & test)
             n = len(names)
             assert len(train) == (9 * n + 5) // 10  # round-half-up of 0.9n
 
 
-def test_split_unit_follows_first_module():
+def test_split_places_each_module_name_once():
     text = "module alpha;\nendmodule\nmodule beta;\nendmodule\n"
-    u = SourceUnit(id="multi", path="", text=text)
-    plan = split([u], seed=3)
-    assert plan.unit_assignment(u) == plan.assignment_of("alpha")
-
-
-def _per_bin_assignment(plan, name):
-    """The lookup the plan's name map replaced: first bin, train first."""
-    for b in plan.bins:
-        if name in b.train:
-            return "train"
-        if name in b.test:
-            return "test"
-    return None
-
-
-def test_split_plan_map_agrees_with_bins():
-    rng = random.Random(2024)
-    corpora = [
-        [synth_unit(f"m{i:02d}", 10) for i in range(10)],
-        [synth_unit("solo", 10)],
-        [synth_unit(f"m{i}", 10 + i) for i in range(30)],
-        [synth_unit(f"t_m{i}", rng.randrange(3, 260)) for i in range(40)],
-        [SourceUnit(id="multi", path="",
-                    text="module alpha;\nendmodule\nmodule beta;\nendmodule\n")],
-    ]
-    for units in corpora:
-        plan, fresh = split(units, seed=7), split(units, seed=7)
-        names = {n for b in plan.bins for n in b.train + b.test} | {"absent"}
-        for name in names:
-            assert plan.assignment_of(name) == _per_bin_assignment(plan, name), name
-        assert plan.assignments == {n: _per_bin_assignment(plan, n) for n in names - {"absent"}}
-        assert plan == fresh and plan.to_json() == fresh.to_json()  # the map is not state
-    # A name held by two bins, and on both sides of one, takes the first hit.
-    twice = SplitPlan(1, (SplitBin("a", ("x",), ("y",)), SplitBin("b", ("y",), ("x", "x"))))
-    assert {n: twice.assignment_of(n) for n in "xy"} == {"x": "train", "y": "test"}
+    plan = split([SourceUnit(id="multi", path="", text=text)], seed=3)
+    placed = [n for b in plan["bins"] for side in ("train", "test") for n in b[side]]
+    assert sorted(placed) == ["alpha", "beta"]
 
 
 # -- CoT validation ---------------------------------------------------------------

@@ -1,9 +1,10 @@
-"""Every name a package module imports is used in that module.
+"""Every name a package module imports, and every private function or class
+it defines at top level, is used in that module.
 
 A deletion that leaves its import behind (a removed class still imported by
-its former consumer, say) fails here. Standard-library ``ast`` only: a name
-counts as used when it is loaded anywhere in the module, including inside a
-string annotation.
+its former consumer, say), or a helper whose last caller went, fails here.
+Standard-library ``ast`` only: a name counts as used when it is loaded
+anywhere in the module, including inside a string annotation.
 """
 
 import ast
@@ -25,6 +26,13 @@ def imported_names(tree: ast.Module) -> dict[str, int]:
             for alias in node.names:
                 names[alias.asname or alias.name] = node.lineno
     return names
+
+
+def private_definitions(tree: ast.Module) -> dict[str, int]:
+    """Each top-level function or class whose name starts with ``_``, with its line."""
+    return {node.name: node.lineno for node in tree.body
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+            and node.name.startswith("_")}
 
 
 def used_names(tree: ast.Module) -> set[str]:
@@ -59,3 +67,21 @@ def test_an_unused_import_is_found():
                      "def f(case: 'EvalCase') -> None:\n"
                      "    return json.dumps(1)\n")
     assert set(imported_names(tree)) - used_names(tree) == {"GoldenSolution"}
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_module_uses_every_private_helper_it_defines(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    used = used_names(tree)
+    unused = {name: line for name, line in private_definitions(tree).items() if name not in used}
+    assert unused == {}, f"{path.name} defines private helpers it never uses (name: line): {unused}"
+
+
+def test_an_unused_private_helper_is_found():
+    tree = ast.parse("def _render_rows(rows):\n"
+                     "    return rows\n"
+                     "class _Kept:\n"
+                     "    pass\n"
+                     "def render(counts) -> '_Kept':\n"
+                     "    return counts\n")
+    assert set(private_definitions(tree)) - used_names(tree) == {"_render_rows"}

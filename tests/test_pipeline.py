@@ -3,12 +3,14 @@ import collections
 import pytest
 
 from assertforge import corpus
+from assertforge import dataset as ds
 from assertforge.config import PipelineConfig
 from assertforge.corpus import SourceUnit
 from assertforge.pipeline import (
     engine_bug_candidates,
     insert_assertion,
     llm_bug_candidates,
+    render_counts_table,
     run_augment,
 )
 from assertforge.toolchain import Toolchain, ToolSettings, VerifyOutcome
@@ -22,6 +24,26 @@ def test_insert_assertion_before_endmodule():
     assert lines[lines.index("endmodule") - 1] == "assert(x);"
     stripped = "\n".join(l for l in out.split("\n") if l != "assert(x);")
     assert stripped == text
+
+
+def test_render_counts_table_pinned():
+    def side(intervals, types):
+        return {"by_interval": dict(zip(ds.BIN_LABELS, intervals)),
+                "by_bug_type": dict(zip(ds.BUG_TYPE_ORDER, types))}
+
+    # A value wider than its column's header widens the column.
+    counts = {"families": {"pt": 2, "bug": 45, "svabug": 27, "eval": 2},
+              "svabug": side([12, 0, 3, 1234567890, 0], [20, 7, 5, 10, 4, 3, 5]),
+              "eval": side([1, 0, 0, 0, 1], [2, 0, 0, 1, 123, 1, 0])}
+    assert render_counts_table(counts).split("\n") == [
+        "records: pt=2 bug=45 svabug=27 eval=2",
+        "Length Interval  (0,50]  (50,100]  (100,150]  (150,200]   (200,+inf)",
+        "SVA-Bug          12      0         3          1234567890  0         ",
+        "SVA-Eval         1       0         0          0           1         ",
+        "Bug Type  Direct  Indirect  Var  Value  Op   Cond  Non_cond",
+        "SVA-Bug   20      7         5    10     4    3     5       ",
+        "SVA-Eval  2       0         0    1      123  1     0       ",
+    ]
 
 
 def test_engine_candidates_deterministic(accepted_units):
@@ -90,13 +112,19 @@ def test_run_augment_parallel_matches_serial(accepted_units, corpus_units):
 
 def test_run_augment_test_items_never_get_cot(accepted_units, mock_toolchain):
     res = run_augment(accepted_units, mock_toolchain, PipelineConfig(seed=20240817))
-    test_names = {n for b in res.split_plan.bins for n in b.test}
+    test_names = {n for b in res.split_plan["bins"] for n in b["test"]}
     assert res.eval_cases, "fixture seed should reserve at least one unit"
     for case in res.eval_cases:
         # eval cases stem from test-assigned units only
         unit_id = case.id.split("#")[0]
         unit = next(u for u in accepted_units if u.id == unit_id)
         assert unit.module_names[0] in test_names
+    # and svabug rows from units whose first module name is not a test name
+    first_names = {u.module_names[0] for u in accepted_units if u.module_names}
+    assert res.svabug
+    for row in res.svabug:
+        name = SourceUnit(id="row", path="", text=row["buggy_sv_code"]).module_names[0]
+        assert name in first_names and name not in test_names
 
 
 def test_llm_bug_path_single_line(mock_toolchain, accepted_units):

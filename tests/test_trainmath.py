@@ -6,14 +6,7 @@ import numpy as np
 import pytest
 
 from assertforge.errors import DomainError, ZeroProbabilityError
-from assertforge.trainmath import (
-    ChallengingCase,
-    build_triples,
-    dpo_loss,
-    pt_loss,
-    select_challenging,
-    sft_loss,
-)
+from assertforge.trainmath import dpo_loss, preference_triples, pt_loss, sft_loss
 from toyprovider import BigramSoftmaxProvider, ExplicitProvider
 
 mp.mp.dps = 50
@@ -254,10 +247,6 @@ def test_gradient_checks_all_losses():
 # -- challenging cases ----------------------------------------------------------
 
 
-def entry(x, p, verdicts_and_texts):
-    return (x, p, verdicts_and_texts)
-
-
 def responses(pattern):
     """pattern: list of (text, correct?) expanded to exactly 20 entries."""
     out = [(t, "correct" if ok else "incorrect") for t, ok in pattern]
@@ -267,27 +256,20 @@ def responses(pattern):
 
 
 def test_select_all_correct_excluded():
-    judged = [entry("q", "right answer", responses([]))]
-    assert select_challenging(judged) == []
+    assert preference_triples("q", "right answer", responses([])) == []
 
 
 def test_select_single_incorrect_included():
-    judged = [entry("q", "right answer", responses([("wrong one", False)]))]
-    cases = select_challenging(judged)
-    assert len(cases) == 1
-    assert cases[0].negatives == ("wrong one",)
+    rows = preference_triples("q", "right answer", responses([("wrong one", False)]))
+    assert rows == [{"x": "q", "p": "right answer", "n": "wrong one"}]
 
 
 def test_select_identical_wrongs_dedup():
-    judged = [entry("q", "right answer", [("same wrong", "incorrect")] * 20)]
-    cases = select_challenging(judged)
-    assert len(cases) == 1
-    assert cases[0].negatives == ("same wrong",)
-
-
-def test_select_requires_twenty():
-    with pytest.raises(DomainError):
-        select_challenging([("q", "p", [("a", "incorrect")] * 19)])
+    rows = preference_triples("q", "right answer", [("same wrong", "incorrect")] * 20)
+    assert [r["n"] for r in rows] == ["same wrong"]
+    # Texts equal under normalize_line are one negative; the first one seen is kept.
+    rows = preference_triples("q", "p", [("a  = b;", "incorrect"), ("a = b", "incorrect")])
+    assert [r["n"] for r in rows] == ["a  = b;"]
 
 
 def test_select_partitions_input():
@@ -296,27 +278,26 @@ def test_select_partitions_input():
     for i in range(30):
         wrongs = rng.randrange(0, 4)
         pattern = [(f"wrong {i}.{j}", False) for j in range(wrongs)]
-        judged.append(entry(f"q{i}", "right answer", responses(pattern)))
-    cases = select_challenging(judged)
-    expected = sum(1 for _, _, rs in judged if any(v != "correct" for _, v in rs))
-    assert len(cases) == expected
+        judged.append((f"q{i}", "right answer", responses(pattern)))
+    yielding = [x for x, p, rs in judged if preference_triples(x, p, rs)]
+    expected = [x for x, _, rs in judged if any(v != "correct" for _, v in rs)]
+    assert yielding == expected
 
 
 def test_select_skips_negative_equal_to_answer():
-    judged = [entry("q", "right answer", responses([("right  answer", False)]))]
-    assert select_challenging(judged) == []
+    assert preference_triples("q", "right answer", responses([("right  answer", False)])) == []
+    rows = preference_triples("q", "right answer", [("right answer;", "incorrect"), ("x", "incorrect")])
+    assert [r["n"] for r in rows] == ["x"]
 
 
 def test_build_triples_counts():
-    cases = [
-        ChallengingCase("q1", "p1", ("n1", "n2", "n3")),
-        ChallengingCase("q2", "p2", ("n4",)),
+    pattern = [("n1", False), ("n2", False), ("n1", False), ("n3", False)]
+    triples = preference_triples("q1", "p1", responses(pattern))
+    triples += preference_triples("q2", "p2", responses([("n4", False)]))
+    assert [(t["x"], t["p"], t["n"]) for t in triples] == [
+        ("q1", "p1", "n1"),
+        ("q1", "p1", "n2"),
+        ("q1", "p1", "n3"),
+        ("q2", "p2", "n4"),
     ]
-    triples = build_triples(cases)
-    assert [(t["x"], t["n"]) for t in triples] == [
-        ("q1", "n1"),
-        ("q1", "n2"),
-        ("q1", "n3"),
-        ("q2", "n4"),
-    ]
-    assert build_triples([]) == []
+    assert preference_triples("q", "p", []) == []
