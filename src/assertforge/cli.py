@@ -17,6 +17,7 @@ import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict
 from pathlib import Path
+from typing import Iterable
 
 import click
 
@@ -63,6 +64,17 @@ def _read_rows(path, what: str) -> list[dict]:
         return ds.strip_meta_header(ds.read_jsonl(path))[1]
     except SchemaError as exc:
         raise click.ClickException(f"invalid {what}: {exc}")
+
+
+def _by_id(cases: Iterable[ev.EvalCase]) -> dict[str, ev.EvalCase]:
+    """The benchmark's cases by id; a case id that repeats is a one-line error,
+    since results and triples are matched to their case by id."""
+    by_id: dict[str, ev.EvalCase] = {}
+    for case in cases:
+        if case.id in by_id:
+            raise click.ClickException(f"invalid benchmark file: case id {case.id!r} repeats")
+        by_id[case.id] = case
+    return by_id
 
 
 def _finish(errors: list[dict]) -> None:
@@ -179,7 +191,7 @@ def eval_cmd(benchmark, config_path, out_path, results_path, csv_path, n_target,
     cfg = _load_config(config_path, eval_n=n_target, eval_ks=ks, eval_mode=mode,
                        eval_line_only=line_only, parallel=parallel)
     try:
-        cases = [ev.EvalCase.from_json(r) for r in _read_rows(benchmark, "benchmark file")]
+        cases = _by_id(ev.EvalCase.from_json(r) for r in _read_rows(benchmark, "benchmark file"))
     except (SchemaError, ValueError) as exc:
         raise click.ClickException(f"invalid benchmark file: {exc}")
     if not cases:
@@ -203,7 +215,7 @@ def eval_cmd(benchmark, config_path, out_path, results_path, csv_path, n_target,
     # once per case: at one worker, waking per case added 15-20% to eval's
     # wall time on a 2-core VM.
     with ThreadPoolExecutor(max_workers=cfg.parallel) as pool:
-        futures = [(c, pool.submit(run_case, c)) for c in cases]
+        futures = [(c, pool.submit(run_case, c)) for c in cases.values()]
     results = []
     for case, fut in futures:
         try:
@@ -214,7 +226,7 @@ def eval_cmd(benchmark, config_path, out_path, results_path, csv_path, n_target,
 
     header = _header(cfg)
     if results:
-        report = ev.aggregate(results, cases, ks=cfg.eval_ks, n_target=cfg.eval_n)
+        report = ev.aggregate(results, cases.values(), ks=cfg.eval_ks, n_target=cfg.eval_n)
         doc = {"meta": header, **report}
         Path(out_path).write_text(json.dumps(doc, indent=2) + "\n", encoding="utf-8")
         if csv_path:
@@ -245,14 +257,13 @@ def dpo_prep(results_file, benchmark, config_path, out_path, n_expected):
     result_rows = _read_rows(results_file, "results file")
 
     errors: list[dict] = []
-    cases = {}
+    parsed = []
     for r in case_rows:
         try:
-            case = ev.EvalCase.from_json(r)
+            parsed.append(ev.EvalCase.from_json(r))
         except (SchemaError, ValueError) as exc:
             errors.append({"case_id": r.get("id"), "error": f"benchmark row: {exc}"})
-            continue
-        cases[case.id] = case
+    cases = _by_id(parsed)
     triples: list[dict] = []
     challenging = 0
     for row in result_rows:
@@ -294,47 +305,49 @@ def dpo_prep(results_file, benchmark, config_path, out_path, n_expected):
 @main.command()
 @click.argument("probs_file", type=click.Path(exists=True))
 @click.option("--config", "config_path", type=click.Path(), default=None)
-@click.option("--beta", type=float, default=0.1)
-@click.option("--reduction", type=click.Choice(["sum", "mean"]), default="sum")
+@click.option("--beta", type=float, default=None, help="Overrides losses.beta.")
+@click.option("--reduction", type=click.Choice(["sum", "mean"]), default=None,
+              help="Overrides losses.reduction.")
 def losses(probs_file, config_path, beta, reduction):
     """Compute the three training losses from explicit probability records.
 
     Input rows: {"kind":"pt","token_probs":[...]} for one pretraining sample,
     {"kind":"sft","token_probs":[...]} for one answer's teacher-forced probs,
     {"kind":"dpo","policy_p":..,"ref_p":..,"policy_n":..,"ref_n":..} for one
-    preference triple's sequence probabilities. A row of another kind, or
-    one whose probabilities are missing or outside (0, 1], is a per-row error
-    and the losses come from the other rows.
+    preference triple's sequence probabilities. A row of another kind, one
+    whose probabilities are missing or outside (0, 1], or a dpo row whose term
+    overflows at ``losses.beta`` is a per-row error, and the losses come from
+    the other rows.
     """
-    if not math.isfinite(beta):
-        raise click.ClickException(f"--beta must be a finite number, got {beta}")
-    cfg = _load_config(config_path)
-    rows = _read_rows(probs_file, "probabilities file")
-    pt_samples, sft_pairs, dpo_rows = [], [], []
+    cfg = _load_config(config_path, losses_beta=beta, losses_reduction=reduction)
+    token_probs: dict[str, list] = {"pt": [], "sft": []}
+    dpo_terms: list[float] = []
     errors: list[dict] = []
-    for i, row in enumerate(rows, start=1):
+    for i, row in enumerate(_read_rows(probs_file, "probabilities file"), start=1):
         kind = row.get("kind")
         fields = ds.LOSS_ROWS.get(kind) if isinstance(kind, str) else None
         error = ds.row_error(row, fields, f"{kind} row") if fields else f"unknown kind {kind!r}"
+        if error is None and kind == "dpo":
+            term = tm.dpo_term(*map(math.log, map(row.get, fields)), cfg.losses_beta)
+            if not math.isfinite(term):
+                error = f"dpo term is not finite at losses.beta = {cfg.losses_beta}"
         if error is not None:
             errors.append({"row": i, "error": error})
-            continue
-        if kind == "pt":
-            pt_samples.append(row["token_probs"])
-        elif kind == "sft":
-            sft_pairs.append(row["token_probs"])
+        elif kind == "dpo":
+            dpo_terms.append(term)
         else:
-            dpo_rows.append(row)
+            token_probs[kind].append(row["token_probs"])
 
-    out: dict = {"meta": _header(cfg), "counts": {"pt": len(pt_samples), "sft": len(sft_pairs), "dpo": len(dpo_rows)}}
-    if pt_samples:
-        out["pt_loss"] = tm.nll(pt_samples, reduction)
-    if sft_pairs:
-        out["sft_loss"] = tm.nll(sft_pairs, reduction)
-    if dpo_rows:
-        terms = [tm.dpo_term(*map(math.log, map(row.get, ds.LOSS_ROWS["dpo"])), beta)
-                 for row in dpo_rows]
-        out["dpo_loss"] = sum(terms, 0.0) / len(terms)
+    counts = {kind: len(probs) for kind, probs in token_probs.items()}
+    out: dict = {"meta": _header(cfg), "counts": {**counts, "dpo": len(dpo_terms)}}
+    for kind, probs in token_probs.items():
+        if probs:
+            out[f"{kind}_loss"] = tm.nll(probs, cfg.losses_reduction)
+    if dpo_terms:
+        mean = sum(dpo_terms, 0.0) / len(dpo_terms)
+        if math.isinf(mean):  # the sum of finite terms overflowed
+            mean = sum(t / len(dpo_terms) for t in dpo_terms)
+        out["dpo_loss"] = mean
     click.echo(json.dumps(out, indent=2))
     _finish(errors)
 

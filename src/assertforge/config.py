@@ -1,6 +1,7 @@
 """Flat dotted key-value configuration shared by all subcommands.
 
-Format: one `key = value` per line, `#` comments, later keys win.
+Format: one `key = value` per line, later keys win. A line whose first
+non-blank character is `#` is a comment; a `#` after a value is part of it.
 
     corpus.dir = ./corpus
     out.dir = ./out
@@ -17,6 +18,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 from urllib.parse import urlsplit
@@ -104,6 +106,8 @@ _KEYS = {
     "eval.mode": ("eval_mode", _text),
     "eval.line_only": ("eval_line_only", _bool),
     "parallel": ("parallel", _int),
+    "losses.beta": ("losses_beta", _float),
+    "losses.reduction": ("losses_reduction", _text),
     # ToolSettings fields
     "compiler.cmd": ("compiler_cmd", _text),
     "verifier.cmd": ("verifier_cmd", _text),
@@ -142,6 +146,8 @@ class PipelineConfig:
     eval_mode: str = "textual"
     eval_line_only: bool = False
     parallel: int = 1
+    losses_beta: float = 0.1
+    losses_reduction: str = "sum"
     tools: ToolSettings = field(default_factory=ToolSettings)
 
     def __post_init__(self):
@@ -157,6 +163,10 @@ class PipelineConfig:
             raise DomainError(f"mutations.per_unit must be >= 1, got {self.mutations_per_unit}")
         if self.bug_source not in ("engine", "llm"):
             raise DomainError(f"bugs.source must be engine or llm, got {self.bug_source!r}")
+        if not math.isfinite(self.losses_beta):
+            raise DomainError(f"losses.beta must be a finite number, got {self.losses_beta}")
+        if self.losses_reduction not in ("sum", "mean"):
+            raise DomainError(f"losses.reduction must be sum or mean, got {self.losses_reduction!r}")
 
     @property
     def config_digest(self) -> str:

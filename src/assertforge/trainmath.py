@@ -1,4 +1,4 @@
-"""Training objectives as pure mathematics over an abstract probability provider.
+"""Training objectives as pure mathematics over explicit probabilities.
 
 The three losses are:
 
@@ -6,29 +6,20 @@ The three losses are:
   supervised tuning  L = -sum_i sum_t ln P(y_t | y_<t, x)     (x is masked)
   preference (DPO)   L = mean_i -ln sigmoid(beta * (log-ratio(p) - log-ratio(n)))
 
-No neural network is involved: a provider only has to answer teacher-forced
-sequence probabilities, and ``nll`` and ``dpo_term`` compute the losses from
-probabilities given directly. The test suite checks them against the
-analytic gradients of a bigram-softmax toy provider (``tests/toyprovider.py``).
+No neural network is involved: ``nll`` computes the first two from the
+teacher-forced token probabilities of each sample or answer, and ``dpo_term``
+one triple's term of the third from its four sequence log-probabilities. The
+``losses`` command runs exactly these two. The test suite checks them against
+the analytic gradients of a bigram-softmax toy model (``tests/toyprovider.py``).
 """
 
 from __future__ import annotations
 
 import math
-from typing import Hashable, Iterable, Protocol, Sequence
+from typing import Iterable, Sequence
 
 from .errors import DomainError, ZeroProbabilityError
 from .textutil import normalize_line
-
-
-class TokenProbProvider(Protocol):
-    """Abstract capability: token probabilities under some model."""
-
-    def sequence_probs(
-        self, x: Sequence[Hashable], y: Sequence[Hashable]
-    ) -> list[float]:
-        """Per-token probabilities of y under teacher forcing, conditioned on x."""
-        ...
 
 
 def _checked_logs(probs: Iterable[float]) -> list[float]:
@@ -40,9 +31,10 @@ def _checked_logs(probs: Iterable[float]) -> list[float]:
     return logs
 
 
-def nll(prob_lists: Iterable[Sequence[float]], reduction: str = "sum") -> float:
-    """Negative log-likelihood of every token probability in ``prob_lists``:
-    the provider-free core of ``pt_loss`` and ``sft_loss``."""
+def nll(prob_lists: Iterable[Sequence[float]], reduction: str) -> float:
+    """Negative log-likelihood of every token probability in ``prob_lists``,
+    one list per pretraining sample or answer: summed over the terms, or with
+    ``reduction="mean"`` averaged over them."""
     if reduction not in ("sum", "mean"):
         raise DomainError(f"unknown reduction: {reduction!r}")
     total = 0.0
@@ -56,72 +48,16 @@ def nll(prob_lists: Iterable[Sequence[float]], reduction: str = "sum") -> float:
     return total
 
 
-def pt_loss(
-    provider: TokenProbProvider,
-    samples: Sequence[Sequence[Hashable]],
-    reduction: str = "sum",
-) -> float:
-    """Negative log-likelihood of token sequences under the provider.
-
-    Default reduction is the plain double sum; "mean" divides by the total
-    number of token terms.
-    """
-    return sft_loss(provider, [((), sample) for sample in samples], reduction)
-
-
-def sft_loss(
-    provider: TokenProbProvider,
-    pairs: Sequence[tuple[Sequence[Hashable], Sequence[Hashable]]],
-    reduction: str = "sum",
-) -> float:
-    """Negative log-likelihood of answers given questions.
-
-    Only y tokens contribute loss terms; x supplies conditioning context.
-    """
-    return nll((provider.sequence_probs(x, y) for x, y in pairs), reduction)
-
-
-def _sequence_logprob(provider: TokenProbProvider, x, y) -> float:
-    return sum(_checked_logs(provider.sequence_probs(x, y)))
-
-
 def _softplus(z: float) -> float:
     # log(1 + exp(z)) without overflow
     return max(z, 0.0) + math.log1p(math.exp(-abs(z)))
 
 
-def dpo_term(
-    policy_p: float, ref_p: float, policy_n: float, ref_n: float, beta: float = 0.1
-) -> float:
+def dpo_term(policy_p: float, ref_p: float, policy_n: float, ref_n: float, beta: float) -> float:
     """One triple's preference loss from its four sequence log-probabilities:
     -ln sigmoid(beta * [(policy_p - ref_p) - (policy_n - ref_n)])."""
     margin = policy_p - ref_p - (policy_n - ref_n)
     return _softplus(-beta * margin)  # == -ln sigmoid(beta * margin)
-
-
-def dpo_loss(
-    policy: TokenProbProvider,
-    reference: TokenProbProvider,
-    triples: Sequence[tuple[Sequence, Sequence, Sequence]],
-    beta: float = 0.1,
-) -> float:
-    """Mean preference loss over (x, preferred, negative) triples.
-
-    Each triple contributes -ln sigmoid(beta * [(ln pi(p|x) - ln ref(p|x)) -
-    (ln pi(n|x) - ln ref(n|x))]). At policy == reference this is ln 2.
-    """
-    if not triples:
-        raise DomainError("dpo_loss needs at least one triple")
-    total = 0.0
-    for x, p, n in triples:
-        total += dpo_term(
-            _sequence_logprob(policy, x, p),
-            _sequence_logprob(reference, x, p),
-            _sequence_logprob(policy, x, n),
-            _sequence_logprob(reference, x, n),
-            beta,
-        )
-    return total / len(triples)
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,6 @@ import time
 import numpy as np
 from assertforge import dataset as ds
 from assertforge import evalharness as ev
-from assertforge import trainmath as tm
 from assertforge.cli import main
 from assertforge.corpus import SourceUnit
 from assertforge.errors import DomainError, NoAlternativeError
@@ -32,7 +31,7 @@ from conftest import (
     E2E_GOLDEN_FAMILY_COUNTS,
     E2E_GOLDEN_TRIPLES,
 )
-from toyprovider import BigramSoftmaxProvider, ExplicitProvider
+from toyprovider import BigramSoftmaxProvider, ExplicitProvider, dpo_mean, sequence_nll
 
 
 def report(name: str, ok: bool, detail: str = ""):
@@ -111,13 +110,13 @@ def test_criterion_loss_oracles():
     for _ in range(30):
         probs = [rng.uniform(0.05, 1.0) for _ in range(rng.randrange(1, 8))]
         provider = ExplicitProvider(seq_table={((), ("s",)): probs})
-        got = tm.pt_loss(provider, [("s",)])
+        got = sequence_nll(provider, [((), ("s",))], "sum")
         oracle = float(-sum(mp.log(mp.mpf(str(p))) for p in probs))
         if abs(got - oracle) > 1e-10:
             ok = False
             detail.append(f"pt err {abs(got - oracle):.2e}")
         provider = ExplicitProvider(seq_table={(("x",), ("y",)): probs})
-        got = tm.sft_loss(provider, [(("x",), ("y",))])
+        got = sequence_nll(provider, [(("x",), ("y",))], "sum")
         if abs(got - oracle) > 1e-10:
             ok = False
             detail.append(f"sft err {abs(got - oracle):.2e}")
@@ -128,7 +127,7 @@ def test_criterion_loss_oracles():
         policy = ExplicitProvider(
             seq_table={(("x",), ("p",)): [pp], (("x",), ("n",)): [pn]}
         )
-        loss = tm.dpo_loss(policy, policy, [(("x",), ("p",), ("n",))], beta=0.1)
+        loss = dpo_mean(policy, policy, [(("x",), ("p",), ("n",))], beta=0.1)
         if abs(loss - math.log(2)) > 1e-12:
             ok = False
             detail.append(f"ln2 err {abs(loss - math.log(2)):.2e}")
@@ -136,7 +135,7 @@ def test_criterion_loss_oracles():
     # worked dpo example ~ 0.60459 +- 1e-4
     policy = ExplicitProvider(seq_table={(("x",), ("p",)): [0.8], (("x",), ("n",)): [0.1]})
     reference = ExplicitProvider(seq_table={(("x",), ("p",)): [0.5], (("x",), ("n",)): [0.4]})
-    worked = tm.dpo_loss(policy, reference, [(("x",), ("p",), ("n",))], beta=0.1)
+    worked = dpo_mean(policy, reference, [(("x",), ("p",), ("n",))], beta=0.1)
     if abs(worked - 0.60459) > 1e-4:
         ok = False
         detail.append(f"worked {worked}")
@@ -178,15 +177,18 @@ def test_criterion_gradient_checks():
         x, p, n = _seqs(rng, vocab, 3)
         triples = [(x, p, n)]
         ref = BigramSoftmaxProvider(rng.standard_normal((vocab + 1, vocab)))
+        pt_pairs = [((), s) for s in samples]
 
         checks = [
             (prov.pt_loss_grad(samples),
-             _central_diff(lambda L: tm.pt_loss(BigramSoftmaxProvider(L), samples), logits)),
+             _central_diff(lambda L: sequence_nll(BigramSoftmaxProvider(L), pt_pairs, "sum"),
+                           logits)),
             (prov.sft_loss_grad(pairs),
-             _central_diff(lambda L: tm.sft_loss(BigramSoftmaxProvider(L), pairs), logits)),
+             _central_diff(lambda L: sequence_nll(BigramSoftmaxProvider(L), pairs, "sum"),
+                           logits)),
             (prov.dpo_loss_grad(ref, triples, beta=0.1),
              _central_diff(
-                 lambda L: tm.dpo_loss(BigramSoftmaxProvider(L), ref, triples, beta=0.1),
+                 lambda L: dpo_mean(BigramSoftmaxProvider(L), ref, triples, beta=0.1),
                  logits,
              )),
         ]

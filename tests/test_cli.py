@@ -12,6 +12,7 @@ import errno
 import functools
 import hashlib
 import json
+import math
 import os
 import re
 import subprocess
@@ -674,6 +675,30 @@ def test_reverify_without_a_verifier_is_one_line_before_any_call(tmp_path, monke
     assert not (tmp_path / "report.json").exists()
 
 
+@pytest.mark.parametrize("command", ["eval", "dpo-prep"])
+def test_a_benchmark_file_with_a_repeated_case_id_is_refused(tmp_path, monkeypatch, command):
+    # Results and triples are matched to their case by id, so a second case
+    # under the same id would take the first one's report row and triples.
+    first, second = HUMAN_EVAL_CASES[:2]
+    benchmark = tmp_path / "bench.jsonl"
+    ds.write_jsonl([first, {**second, "id": first["id"]}], benchmark)
+    calls = []
+    monkeypatch.setattr(cli, "Toolchain", functools.partial(
+        Toolchain, llm_backend=_golden_solver(calls)))
+    out = tmp_path / "out.json"
+    if command == "eval":
+        args = ["eval", benchmark, "--n", 2, "--k", 1, "--out", out]
+    else:
+        results = tmp_path / "results.jsonl"
+        ds.write_jsonl([{"case_id": first["id"], "n": 2, "c": 0, "responses": []}], results)
+        args = ["dpo-prep", results, "--benchmark", benchmark, "--out", out]
+    res = invoke(*args)
+    assert res.exit_code == 1 and calls == []
+    assert res.output.splitlines() == [
+        f"Error: invalid benchmark file: case id '{first['id']}' repeats"]
+    assert not out.exists()
+
+
 @settings(max_examples=200, derandomize=True, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(
@@ -1259,15 +1284,74 @@ def test_losses_cli_pinned_readme_rows(tmp_path, extra, losses):
     }
 
 
-@pytest.mark.parametrize("beta", ["nan", "inf", "-inf"])
-def test_losses_cli_rejects_a_beta_that_is_not_finite(tmp_path, beta):
+@pytest.mark.parametrize("where, beta", [("flag", "nan"), ("flag", "inf"), ("flag", "-inf"),
+                                         ("config", "inf")],
+                         ids=["nan", "inf", "-inf", "config-inf"])
+def test_losses_cli_rejects_a_beta_that_is_not_finite(tmp_path, where, beta):
     probs = tmp_path / "probs.jsonl"
     probs.write_text("not a JSON row\n")  # the check comes before any row is read
-    res = invoke("losses", probs, "--beta", beta)
+    config = tmp_path / "losses.cfg"
+    config.write_text(f"losses.beta = {beta}\n" if where == "config" else "")
+    flag = ["--beta", beta] if where == "flag" else []
+    res = invoke("losses", probs, "--config", config, *flag)
     assert res.exit_code == 1
     assert res.output.strip().splitlines() == [
-        f"Error: --beta must be a finite number, got {float(beta)}"
+        f"Error: losses.beta must be a finite number, got {float(beta)}"
     ]
+
+
+@pytest.mark.parametrize("flag, values", [("--beta", ("0.1", "0.5")),
+                                          ("--reduction", ("sum", "mean"))])
+def test_losses_cli_header_digest_names_beta_and_reduction(tmp_path, flag, values):
+    probs = tmp_path / "probs.jsonl"
+    ds.write_jsonl(README_LOSS_ROWS, probs)
+    digests = set()
+    for value in values:
+        res = invoke("losses", probs, flag, value)
+        assert res.exit_code == 0, res.output
+        digests.add(json.loads(res.output)["meta"]["config_digest"])
+    assert len(digests) == 2
+
+
+def _reject_constant(name):
+    raise ValueError(f"not JSON: {name}")
+
+
+def test_losses_cli_dpo_term_that_is_not_finite_is_a_row_error(tmp_path):
+    probs = tmp_path / "probs.jsonl"
+    ds.write_jsonl(
+        [
+            # beta * margin overflows: -1e308 * (ln 0.2 - ln 2)
+            {"kind": "dpo", "policy_p": 0.1, "ref_p": 0.5, "policy_n": 0.8, "ref_n": 0.4},
+            {"kind": "dpo", "policy_p": 0.8, "ref_p": 0.5, "policy_n": 0.1, "ref_n": 0.4},
+        ],
+        probs,
+    )
+    res = invoke("losses", probs, "--beta", "1e308")
+    assert res.exit_code == 1
+    doc = json.loads(res.stdout, parse_constant=_reject_constant)
+    assert doc["counts"] == {"pt": 0, "sft": 0, "dpo": 1}
+    assert doc["dpo_loss"] == 0.0
+    assert json.loads(res.stderr)["errors"] == [
+        {"row": 1, "error": "dpo term is not finite at losses.beta = 1e+308"}
+    ]
+    # With no dpo row left there is no dpo loss, as with no dpo row at all.
+    ds.write_jsonl(read_records(probs)[:1], probs)
+    res = invoke("losses", probs, "--beta", "1e308")
+    assert res.exit_code == 1
+    doc = json.loads(res.stdout)
+    assert doc["counts"]["dpo"] == 0 and "dpo_loss" not in doc
+
+
+def test_losses_cli_mean_of_large_dpo_terms_is_finite(tmp_path):
+    # Each term is 1e308 * ln 2, finite; the sum of three is not.
+    probs = tmp_path / "probs.jsonl"
+    row = {"kind": "dpo", "policy_p": 0.5, "ref_p": 1.0, "policy_n": 0.5, "ref_n": 0.5}
+    ds.write_jsonl([row] * 3, probs)
+    res = invoke("losses", probs, "--beta", "1e308")
+    assert res.exit_code == 0, res.output
+    doc = json.loads(res.stdout, parse_constant=_reject_constant)
+    assert doc["dpo_loss"] == pytest.approx(1e308 * math.log(2), rel=1e-12)
 
 
 def test_losses_cli_unknown_kind(tmp_path):

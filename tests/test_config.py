@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from assertforge.config import _KEYS, _NOT_DIGESTED, PipelineConfig
+from assertforge.config import _KEYS, _NOT_DIGESTED, PipelineConfig, parse_config_file
 from assertforge.errors import DomainError
 
 # A value for every key, and a different one for each.
@@ -22,6 +22,8 @@ BASE = {
     "eval.mode": "textual",
     "eval.line_only": "false",
     "parallel": "1",
+    "losses.beta": "0.1",
+    "losses.reduction": "sum",
     "compiler.cmd": "iverilog -g2012 -o /dev/null {file}",
     "verifier.cmd": "./run_bmc.sh {file} {depth}",
     "verifier.depth": "20",
@@ -51,6 +53,8 @@ OTHER = {
     "eval.mode": "reverify",
     "eval.line_only": "true",
     "parallel": "4",
+    "losses.beta": "0.5",
+    "losses.reduction": "mean",
     "compiler.cmd": "iverilog {file}",
     "verifier.cmd": "./run_bmc.sh {file}",
     "verifier.depth": "30",
@@ -95,6 +99,8 @@ FLAGS = [
     ("eval.line_only", "true", {"eval_line_only": True}),
     ("parallel", "4", {"parallel": 4}),
     ("keep_temp", "true", {"keep_temp": True}),
+    ("losses.beta", "0.5", {"losses_beta": 0.5}),
+    ("losses.reduction", "mean", {"losses_reduction": "mean"}),
 ]
 
 
@@ -122,17 +128,38 @@ def test_mutations_per_unit_below_one_is_rejected(text):
     assert PipelineConfig.from_mapping({"mutations.per_unit": "1"}).mutations_per_unit == 1
 
 
+def test_a_losses_reduction_other_than_sum_or_mean_is_rejected():
+    with pytest.raises(DomainError, match="^losses.reduction must be sum or mean, got 'median'$"):
+        PipelineConfig.from_mapping({"losses.reduction": "median"})
+
+
 def test_the_default_digest_is_pinned():
     # Changes only when a digested key is added or a default changes.
-    assert PipelineConfig.from_mapping({}).config_digest == "7a9ff141024843ff"
-    assert PipelineConfig().config_digest == "7a9ff141024843ff"
+    assert PipelineConfig.from_mapping({}).config_digest == "bf20fecfba451783"
+    assert PipelineConfig().config_digest == "bf20fecfba451783"
+
+
+def readme_config_block() -> str:
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    return readme.split("## Configuration", 1)[1].split("```", 2)[1]
 
 
 def test_the_readme_lists_every_config_key():
     readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
     section = readme.split("## Configuration", 1)[1]
-    block = section.split("```", 2)[1]
+    block = readme_config_block()
     assert "These are all the keys there are." in section.split("```", 3)[2]
     # A commented-out key, such as the alternative `# llm.cmd = ...`, counts.
     keys = {m[1] for m in re.finditer(r"^#?\s*([\w.]+) = ", block, re.M)}
     assert keys == _KEYS.keys()
+
+
+def test_the_readme_config_block_is_a_usable_config_file(tmp_path):
+    # `#` starts a comment only at the start of a line, so a trailing comment
+    # would become part of its value.
+    path = tmp_path / "pipeline.cfg"
+    path.write_text(readme_config_block(), encoding="utf-8")
+    mapping = parse_config_file(path)
+    assert [key for key, value in mapping.items() if "#" in value] == []
+    cfg = PipelineConfig.from_mapping(mapping)
+    assert (cfg.mutations_per_unit, cfg.tools.scratch_dir, cfg.losses_beta) == (3, "/tmp", 0.1)

@@ -1,5 +1,6 @@
 """Every name a package module imports, and every private function or class
-it defines at top level, is used in that module.
+it defines at top level, is used in that module; every public one is used
+somewhere in the package.
 
 A deletion that leaves its import behind (a removed class still imported by
 its former consumer, say), or a helper whose last caller went, fails here.
@@ -85,3 +86,55 @@ def test_an_unused_private_helper_is_found():
                      "def render(counts) -> '_Kept':\n"
                      "    return counts\n")
     assert set(private_definitions(tree)) - used_names(tree) == {"_render_rows"}
+
+
+def public_definitions(tree: ast.Module) -> list[tuple[str, ast.stmt]]:
+    """Each top-level function, class or constant whose name does not start
+    with ``_``, with its statement. A click command or group is left out: the
+    entry point, not a load, reaches it."""
+    found = []
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            if not any(isinstance(d, ast.Call) and isinstance(d.func, ast.Attribute)
+                       and d.func.attr in ("command", "group") for d in node.decorator_list):
+                found.append((node.name, node))
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            found += [(t.id, node) for t in targets if isinstance(t, ast.Name)]
+    return [(name, node) for name, node in found if not name.startswith("_")]
+
+
+def dead_public_names(modules: dict[str, ast.Module]) -> set[str]:
+    """``module.name`` of each public definition that no top-level statement
+    of any module loads, other than the definition itself. A load after a dot,
+    as in ``tm.nll``, counts."""
+    loads = [(stmt, used_names(stmt) | {n.attr for n in ast.walk(stmt)
+                                        if isinstance(n, ast.Attribute)})
+             for tree in modules.values() for stmt in tree.body]
+    return {f"{module}.{name}"
+            for module, tree in modules.items()
+            for name, node in public_definitions(tree)
+            if not any(name in names for stmt, names in loads if stmt is not node)}
+
+
+def test_package_uses_every_public_name_it_defines():
+    modules = {path.stem: ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+               for path in sorted(PACKAGE.glob("*.py"))}
+    assert dead_public_names(modules) == set(), "public names nothing in the package loads"
+
+
+def test_a_dead_public_name_is_found():
+    a = ast.parse("RATE = 2\n"
+                  "def used(x):\n"
+                  "    return x * RATE\n"
+                  "def only_itself(n):\n"
+                  "    return only_itself(n - 1)\n"
+                  "class Kept:\n"
+                  "    pass\n"
+                  "@main.command()\n"
+                  "def cmd():\n"
+                  "    pass\n")
+    b = ast.parse("from . import a\n"
+                  "def run() -> 'Kept':\n"
+                  "    return a.used(1)\n")
+    assert dead_public_names({"a": a, "b": b}) == {"a.only_itself", "b.run"}

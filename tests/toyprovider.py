@@ -1,5 +1,8 @@
 """Probability providers for the tests of ``assertforge.trainmath``.
 
+A provider answers teacher-forced token probabilities, ``sequence_probs(x,
+y)``. ``sequence_nll`` and ``dpo_mean`` turn those into the three losses with
+the two functions the ``losses`` command runs, ``nll`` and ``dpo_term``.
 ``ExplicitProvider`` answers from a table, for oracle checks of the losses.
 ``BigramSoftmaxProvider`` has analytic loss gradients: the gradient checks
 compare them with central differences. It keeps numpy, a test dependency,
@@ -14,7 +17,26 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from assertforge.errors import DomainError
-from assertforge.trainmath import TokenProbProvider
+from assertforge.trainmath import dpo_term, nll
+
+
+def _logprob(provider, x, y) -> float:
+    return sum(math.log(p) for p in provider.sequence_probs(x, y))
+
+
+def sequence_nll(provider, pairs, reduction: str) -> float:
+    """Negative log-likelihood of each answer y given its question x, over
+    (x, y) pairs; a pretraining sample is a pair with an empty x."""
+    return nll((provider.sequence_probs(x, y) for x, y in pairs), reduction)
+
+
+def dpo_mean(policy, reference, triples, beta: float) -> float:
+    """Mean preference loss over (x, preferred, negative) triples, each term
+    from the summed log-probabilities of the two providers."""
+    terms = [dpo_term(_logprob(policy, x, p), _logprob(reference, x, p),
+                      _logprob(policy, x, n), _logprob(reference, x, n), beta)
+             for x, p, n in triples]
+    return sum(terms) / len(terms)
 
 
 class ExplicitProvider:
@@ -32,10 +54,6 @@ class ExplicitProvider:
             return list(self._seq[key])
         except KeyError:
             raise DomainError(f"no probabilities recorded for {key}")
-
-
-def _logprob(provider: TokenProbProvider, x, y) -> float:
-    return sum(math.log(p) for p in provider.sequence_probs(x, y))
 
 
 class BigramSoftmaxProvider:
@@ -111,9 +129,9 @@ class BigramSoftmaxProvider:
         return g
 
     def dpo_loss_grad(
-        self, reference: TokenProbProvider, triples, beta: float = 0.1
+        self, reference, triples, beta: float = 0.1
     ) -> np.ndarray:
-        """Gradient of dpo_loss w.r.t. this (policy) provider's logits."""
+        """Gradient of dpo_mean w.r.t. this (policy) provider's logits."""
         g = np.zeros_like(self.logits)
         for x, p, n in triples:
             margin = (
