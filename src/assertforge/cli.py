@@ -112,12 +112,17 @@ def filter_cmd(config_path, corpus_dir, out_dir):
 
 
 def _load_manifest_units(manifest: Path) -> tuple[list[SourceUnit], list[dict]]:
-    units, errors = [], []
+    """The manifest's units; a bad row, or a later row under an id already
+    read, is a ``load`` error."""
+    units, errors, ids = [], [], set()
     for row in _read_rows(manifest, "manifest"):
         error = ds.row_error(row, ds.MANIFEST_ROW, "manifest row")
+        if error is None and row["id"] in ids:
+            error = f"manifest id {row['id']!r} repeats"
         if error is not None:
             errors.append({"unit_id": row.get("id"), "stage": "load", "error": error})
             continue
+        ids.add(row["id"])
         p = Path(row["path"])
         try:
             if not p.is_file():
@@ -315,9 +320,9 @@ def losses(probs_file, config_path, beta, reduction):
     {"kind":"sft","token_probs":[...]} for one answer's teacher-forced probs,
     {"kind":"dpo","policy_p":..,"ref_p":..,"policy_n":..,"ref_n":..} for one
     preference triple's sequence probabilities. A row of another kind, one
-    whose probabilities are missing or outside (0, 1], or a dpo row whose term
-    overflows at ``losses.beta`` is a per-row error, and the losses come from
-    the other rows.
+    whose probabilities are missing or outside (0, 1], a pt or sft row with no
+    token probability, or a dpo row whose term overflows at ``losses.beta`` is
+    a per-row error, and the losses come from the other rows.
     """
     cfg = _load_config(config_path, losses_beta=beta, losses_reduction=reduction)
     token_probs: dict[str, list] = {"pt": [], "sft": []}
@@ -331,6 +336,8 @@ def losses(probs_file, config_path, beta, reduction):
             term = tm.dpo_term(*map(math.log, map(row.get, fields)), cfg.losses_beta)
             if not math.isfinite(term):
                 error = f"dpo term is not finite at losses.beta = {cfg.losses_beta}"
+        elif error is None and not row["token_probs"]:
+            error = f"{kind} row has an empty token_probs list"
         if error is not None:
             errors.append({"row": i, "error": error})
         elif kind == "dpo":

@@ -9,8 +9,8 @@ builds the lossless stream of ``Token`` tuples, and the fingerprint scan keeps
 only the ``(kind, text)`` pairs of significant tokens. A ``SourceUnit`` runs
 each once, on first use: the filter reads only the fingerprint and never
 builds a ``Token``. ``augment`` lexes a short-lived copy of each unit it
-mutates and takes the split's module names from those tokens
-(``module_names_of``); only a unit it never lexes is fingerprint-scanned.
+injects bugs into, on either bug path, and takes the split's module names
+from those tokens (``module_names_of``), so it scans no fingerprint.
 
 Filtering streams: ``load_corpus_dir`` reads one file per step and
 ``filter_units`` judges each unit as it arrives, keeping only the dedup keys

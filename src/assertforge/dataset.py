@@ -22,7 +22,7 @@ from typing import Iterable
 
 from .corpus import SourceUnit
 from .errors import DomainError, SchemaError
-from .mutate import BugType, MutationRecord
+from .mutate import SYNTACTIC_KINDS, MutationRecord
 from .textutil import normalize_line, normalize_line_loose, parse_solution_reply
 
 BIN_LABELS = ("(0,50]", "(50,100]", "(100,150]", "(150,200]", "(200,+inf)")
@@ -112,8 +112,10 @@ class EvalCase:
     def __post_init__(self):
         if self.source not in SOURCES:
             raise ValueError(f"unknown case source: {self.source!r}")
-        if BugType(self.bug_syntactic, self.bug_relation).relation == "Unknown":
-            raise ValueError("eval cases must carry a resolved Direct/Indirect relation")
+        if self.bug_syntactic not in SYNTACTIC_KINDS:
+            raise ValueError(f"unknown syntactic bug type: {self.bug_syntactic!r}")
+        if self.bug_relation not in ("Direct", "Indirect"):
+            raise ValueError(f"unknown bug relation: {self.bug_relation!r}")
         if not (0 <= self.length_bin <= 4):
             raise ValueError("length_bin must lie in 0..4")
 
@@ -191,10 +193,12 @@ def _matches_golden(parsed: dict, record: MutationRecord) -> bool:
 
 @dataclass
 class MutantItem:
-    """One injected bug with its tool outcomes, ready for routing. ``log`` is
-    the output of the last tool that ran on it."""
+    """One injected bug, its relation (Direct or Indirect) to the unit's
+    assertion and its tool outcomes, ready for routing. ``log`` is the output
+    of the last tool that ran on it."""
 
     record: MutationRecord
+    relation: str
     compile_status: str
     verify_status: str | None = None
     buggy_code: str = ""  # mutant source without the assertion
@@ -298,11 +302,10 @@ def build_records(items: Iterable[PipelineItem]) -> RecordBundle:
                 continue
             if mut.verify_status != "assertion_failed":
                 raise DomainError(f"unknown verify status: {mut.verify_status!r}")
-            bug_type = rec.bug_type
             side = sides["eval" if item.held_out else "svabug"]
             side["by_interval"][BIN_LABELS[bin_index]] += 1
-            side["by_bug_type"][bug_type.relation] += 1
-            side["by_bug_type"][bug_type.syntactic] += 1
+            side["by_bug_type"][mut.relation] += 1
+            side["by_bug_type"][rec.kind] += 1
             failures += 1
             if item.held_out:
                 bundle.eval_cases.append(
@@ -314,8 +317,8 @@ def build_records(items: Iterable[PipelineItem]) -> RecordBundle:
                         log=mut.log,
                         golden_buggy_line=rec.mutated_snippet,
                         golden_corrected_line=rec.original_snippet,
-                        bug_syntactic=bug_type.syntactic,
-                        bug_relation=bug_type.relation,
+                        bug_syntactic=rec.kind,
+                        bug_relation=mut.relation,
                         length_bin=bin_index,
                     )
                 )

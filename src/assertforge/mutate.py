@@ -20,7 +20,7 @@ from __future__ import annotations
 import re
 from bisect import bisect_left, bisect_right
 from collections.abc import Iterator
-from dataclasses import dataclass, replace as dc_replace
+from dataclasses import dataclass
 from itertools import groupby
 from operator import attrgetter
 
@@ -28,7 +28,6 @@ from .corpus import TRIVIA_KINDS, SourceUnit, Token, significant, tokenize
 from .errors import DomainError, NoAlternativeError, ParseFailure
 
 SYNTACTIC_KINDS = ("Var", "Value", "Op", "Cond", "Non_cond")
-RELATIONS = ("Direct", "Indirect", "Unknown")
 
 # Arity-preserving swap classes; a swapped operator keeps the line parseable.
 OP_SWAP_CLASSES: tuple[tuple[str, ...], ...] = (
@@ -44,24 +43,13 @@ _IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_$]*")
 
 
 @dataclass(frozen=True)
-class BugType:
-    syntactic: str
-    relation: str = "Unknown"
-
-    def __post_init__(self):
-        if self.syntactic not in SYNTACTIC_KINDS:
-            raise ValueError(f"unknown syntactic bug type: {self.syntactic!r}")
-        if self.relation not in RELATIONS:
-            raise ValueError(f"unknown bug relation: {self.relation!r}")
-
-
-@dataclass(frozen=True)
 class MutationRecord:
-    unit_id: str
+    """One single-line bug; ``classify_relation`` gives its relation to an assertion."""
+
     line: int  # 1-based
     original_snippet: str
     mutated_snippet: str
-    bug_type: BugType
+    kind: str  # one of SYNTACTIC_KINDS
     lhs_targets: frozenset[str]
     rng_seed: int
 
@@ -435,21 +423,29 @@ def enumerate_sites(unit: SourceUnit) -> list[tuple[int, tuple[str, ...]]]:
     return sites
 
 
-def assigned_targets(line_text: str) -> frozenset[str] | None:
-    """Names a line assigns to; None when the line holds no assignment."""
-    info = _analyze_tokens(significant(tokenize(line_text)))
-    if info.assign_idx is None:
-        return None
-    return frozenset(t.text for t in info.lhs_idents)
+def _line_info(unit: SourceUnit, line: int) -> _LineInfo:
+    """The analysis of the tokens of ``unit`` that start on ``line``."""
+    lo = bisect_left(unit.tokens, line, key=_LINE)
+    hi = bisect_right(unit.tokens, line, lo, key=_LINE)
+    return _analyze_tokens(significant(unit.tokens[lo:hi]))
+
+
+def mutated_targets(
+    unit: SourceUnit, line: int, mutated: str, info: _LineInfo | None = None
+) -> frozenset[str]:
+    """The names a mutated ``line`` of ``unit`` affects: those ``mutated``
+    assigns or, when it assigns nothing (a bare `if`, an `always @(...)`
+    header), those assigned in the statement or begin/end block that the
+    original line's condition governs. ``info`` is the original line's
+    analysis, when the caller has it."""
+    mut = _analyze_tokens(significant(tokenize(mutated)))
+    if mut.assign_idx is not None:
+        return frozenset(t.text for t in mut.lhs_idents)
+    return _governed_targets(unit, line, info or _line_info(unit, line))
 
 
 def _governed_targets(unit: SourceUnit, line_no: int, info: _LineInfo) -> frozenset[str]:
-    """Assignment targets governed by the condition on ``line_no``.
-
-    Used when the mutated line itself assigns nothing (e.g. a bare `if` or an
-    `always @(...)` header). Scans the single governed statement, or the
-    begin/end block, that follows.
-    """
+    """Assignment targets governed by the condition on ``line_no``."""
     if not info.cond_spans:
         return frozenset()
     close_tok = info.tokens[info.cond_spans[0][2]]
@@ -503,39 +499,18 @@ def apply_mutation(unit: SourceUnit, line: int, kind: str, seed: int) -> Mutatio
     if kind not in SYNTACTIC_KINDS:
         raise DomainError(f"unknown mutation kind: {kind!r}")
     original = lines[line - 1]
-    lo = bisect_left(unit.tokens, line, key=_LINE)  # the tokens that start on the line
-    hi = bisect_right(unit.tokens, line, lo, key=_LINE)
-    info = _analyze_tokens(significant(unit.tokens[lo:hi]))
+    info = _line_info(unit, line)
     pool = _identifier_pool(unit) if kind in ("Var", "Non_cond") else []  # kinds that draw names
     alts = list(_alternatives(original, info, kind, pool))
     if not alts:
         raise NoAlternativeError(f"{unit.id}:{line} admits no {kind} mutation")
     mutated = alts[seed % len(alts)]
-
-    targets = assigned_targets(mutated)
-    if targets is None:
-        # Condition-only lines: the affected signals are the ones assigned in
-        # the governed statement/block, which lives on the unchanged lines.
-        targets = _governed_targets(unit, line, info)
-    return MutationRecord(
-        unit_id=unit.id,
-        line=line,
-        original_snippet=original,
-        mutated_snippet=mutated,
-        bug_type=BugType(kind, "Unknown"),
-        lhs_targets=targets,
-        rng_seed=seed,
-    )
+    targets = mutated_targets(unit, line, mutated, info)
+    return MutationRecord(line, original, mutated, kind, targets, seed)
 
 
 def classify_relation(record: MutationRecord, signals: frozenset[str]) -> str:
-    """Direct when the mutated line assigns one of the SVA's ``signals``."""
+    """Direct when the mutated line affects one of the SVA's ``signals``."""
     if record.lhs_targets & signals:
         return "Direct"
     return "Indirect"
-
-
-def with_relation(record: MutationRecord, signals: frozenset[str]) -> MutationRecord:
-    """Copy of ``record`` with its relation axis resolved against ``signals``."""
-    rel = classify_relation(record, signals)
-    return dc_replace(record, bug_type=BugType(record.bug_type.syntactic, rel))

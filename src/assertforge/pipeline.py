@@ -5,13 +5,12 @@ Per unit: syntax check (failures become pretraining records), spec and
 assertion generation, deterministic bug injection, mutant compilation and
 verification. Each injected bug is one ``dataset.MutantItem`` from then on.
 A unit's outcome is decided once, in ``_process_unit``: its item or the one
-error that stopped it. The split reads the module names of each item with
-an assertion failure: taken from the unit's tokens when it was lexed for bug
-injection, and from one fingerprint scan on the LLM bug path. A unit that
-fails to compile never reaches the split and is neither lexed nor scanned.
-Each mutant is classified Direct or Indirect against the signals its unit's
-assertion references. The split marks each item held out or not, and CoT
-generation skips held-out items, so no test item ever receives a CoT. A
+error that stopped it. Both bug sources work on one lexed copy of the unit,
+and the split reads the module names of each item with an assertion failure
+from its tokens; a unit that fails to compile is never lexed. Each mutant is
+classified Direct or Indirect once, by one rule, against the signals its
+unit's assertion references. The split marks each item held out or not, and
+CoT generation skips held-out items, so no test item ever receives a CoT. A
 mutant's outcome is decided once, in ``dataset.build_records``, which turns it
 into a record, a benchmark case, a drop or an error and counts the result.
 """
@@ -97,8 +96,9 @@ def llm_bug_candidates(
     """Optional LLM-generated-bug path; replies must describe a single-line edit.
 
     Replies are read like solve replies, so a fenced object counts. Those that
-    do not parse, leave the text unchanged, or fall outside the file are
-    dropped, as are repeats of an already-proposed edit.
+    do not parse, whose ``line`` is no JSON integer or ``mutated`` no string,
+    that leave the text unchanged, or fall outside the file are dropped, as
+    are repeats of an already-proposed edit.
     """
     records = []
     seen: set[tuple[int, str]] = set()
@@ -106,13 +106,9 @@ def llm_bug_candidates(
     lines = unit.text.split("\n")
     for i in range(count):
         reply = tc.llm_call(LlmRequest(task="bugs", prompt_text=prompt, nonce=f"{unit.id}:bug{i}"))
-        obj = extract_json_object(reply.text)
-        if obj is None:
-            continue
-        try:
-            line_no = int(obj["line"])
-            mutated = str(obj["mutated"])
-        except (ValueError, KeyError, TypeError, OverflowError, RecursionError):
+        obj = extract_json_object(reply.text) or {}
+        line_no, mutated = obj.get("line"), obj.get("mutated")
+        if type(line_no) is not int or type(mutated) is not str:  # bool is an int subclass
             continue
         if not (1 <= line_no <= len(lines)) or "\n" in mutated:
             continue
@@ -120,17 +116,9 @@ def llm_bug_candidates(
         if mutated == original or (line_no, mutated) in seen:
             continue
         seen.add((line_no, mutated))
-        records.append(
-            MutationRecord(
-                unit_id=unit.id,
-                line=line_no,
-                original_snippet=original,
-                mutated_snippet=mutated,
-                bug_type=mutate.BugType("Non_cond", "Unknown"),
-                lhs_targets=mutate.assigned_targets(mutated) or frozenset(),
-                rng_seed=_derive_seed(base_seed, unit.id, "llm", i),
-            )
-        )
+        targets = mutate.mutated_targets(unit, line_no, mutated)
+        seed = _derive_seed(base_seed, unit.id, "llm", i)
+        records.append(MutationRecord(line_no, original, mutated, "Non_cond", targets, seed))
     return records
 
 
@@ -202,20 +190,19 @@ def _process_unit(
             "error": f"assertion not proven on original design: {baseline.status}",
         }
 
+    # Lex a copy, freed before the mutants are checked: one stream per worker.
+    lexed = SourceUnit(id=unit.id, path=unit.path, text=unit.text)
+    item.module_names = module_names_of(lexed.tokens)
     if cfg.bug_source == "llm":
-        item.module_names = unit.module_names
-        records = llm_bug_candidates(tc, unit, cfg.mutations_per_unit, cfg.seed)
+        records = llm_bug_candidates(tc, lexed, cfg.mutations_per_unit, cfg.seed)
     else:
-        # Lex a copy, freed before the mutants are checked: one stream per worker.
-        lexed = SourceUnit(id=unit.id, path=unit.path, text=unit.text)
-        item.module_names = module_names_of(lexed.tokens)
         records = engine_bug_candidates(lexed, cfg.mutations_per_unit, cfg.seed)
-        del lexed
+    del lexed
     for rec in records:
-        rec = mutate.with_relation(rec, signals)
         buggy = rec.apply_to(unit.text)
         compiled = tc.compile_check(buggy)
-        mut = ds.MutantItem(rec, compiled.status, buggy_code=buggy, log=compiled.stderr_text)
+        mut = ds.MutantItem(rec, mutate.classify_relation(rec, signals), compiled.status,
+                            buggy_code=buggy, log=compiled.stderr_text)
         item.mutants.append(mut)
         if mut.compile_status != "ok":
             continue

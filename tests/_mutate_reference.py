@@ -14,7 +14,6 @@ from dataclasses import dataclass
 
 from assertforge.corpus import SourceUnit, Token, tokenize
 from assertforge.errors import DomainError, NoAlternativeError
-from assertforge.mutate import BugType, MutationRecord
 
 SYNTACTIC_KINDS = ("Var", "Value", "Op", "Cond", "Non_cond")
 
@@ -418,8 +417,9 @@ def _governed_targets(unit: SourceUnit, line_no: int, info: _LineInfo):
     return frozenset(), "no assignment governed by mutated condition"
 
 
-def apply_mutation(unit: SourceUnit, line: int, kind: str, seed: int) -> MutationRecord:
-    """Produce the seed-selected mutation of ``kind`` on ``line``.
+def apply_mutation(unit: SourceUnit, line: int, kind: str, seed: int) -> tuple:
+    """Produce the seed-selected mutation of ``kind`` on ``line``: the
+    record's fields, ``(line, original, mutated, kind, lhs_targets, seed)``.
 
     Raises NoAlternativeError when the site admits no legal distinct rewrite.
     """
@@ -442,12 +442,4 @@ def apply_mutation(unit: SourceUnit, line: int, kind: str, seed: int) -> Mutatio
         # Condition-only lines: the affected signals are the ones assigned in
         # the governed statement/block, which lives on the unchanged lines.
         targets, detail = _governed_targets(unit, line, _analyze_line(original))
-    return MutationRecord(
-        unit_id=unit.id,
-        line=line,
-        original_snippet=original,
-        mutated_snippet=mutated,
-        bug_type=BugType(kind, "Unknown"),
-        lhs_targets=targets,
-        rng_seed=seed,
-    )
+    return (line, original, mutated, kind, targets, seed)

@@ -17,7 +17,6 @@ from assertforge.cli import main
 from assertforge.corpus import SourceUnit
 from assertforge.errors import DomainError, NoAlternativeError
 from assertforge.mutate import (
-    BugType,
     MutationRecord,
     apply_mutation,
     classify_relation,
@@ -241,11 +240,9 @@ def test_criterion_mutation_single_line(accepted_units, corpus_units):
     if "out = a & b;" not in op_forms:
         ok, detail = False, "operator swap | -> & not reachable"
     signals = extract_referenced_signals("assert(out == in);")
-    direct = MutationRecord(
-        "t", 1, "out <= in;", "out <= in + 1;", BugType("Non_cond"), frozenset({"out"}), 0
-    )
+    direct = MutationRecord(1, "out <= in;", "out <= in + 1;", "Non_cond", frozenset({"out"}), 0)
     indirect = MutationRecord(
-        "t", 1, "temp <= in;", "temp <= in + 1;", BugType("Non_cond"), frozenset({"temp"}), 0
+        1, "temp <= in;", "temp <= in + 1;", "Non_cond", frozenset({"temp"}), 0
     )
     if classify_relation(direct, signals) != "Direct":
         ok, detail = False, "Direct example misclassified"
@@ -410,8 +407,9 @@ def test_criterion_hermetic_end_to_end(cli_env, tmp_path):
 
 def _routed(compile_status, verify_status, held_out):
     code = "module m;\ny = 0;\nendmodule"
-    rec = MutationRecord("m", 2, "y = 0;", "y = 1;", BugType("Value", "Direct"), frozenset(), 0)
-    mut = ds.MutantItem(rec, compile_status, verify_status, buggy_code=code, buggy_sv_code=code)
+    rec = MutationRecord(2, "y = 0;", "y = 1;", "Value", frozenset(), 0)
+    mut = ds.MutantItem(rec, "Direct", compile_status, verify_status, buggy_code=code,
+                        buggy_sv_code=code)
     item = ds.PipelineItem("m", "ok", code=code, spec="s", mutants=[mut], held_out=held_out)
     bundle = ds.build_records([item])
     outputs = (bundle.pt, bundle.bug, bundle.svabug, bundle.eval_cases, bundle.drops, bundle.errors)

@@ -520,6 +520,25 @@ def test_a_jsonl_input_line_that_is_not_json_is_a_one_line_error(
         assert lines[0].startswith(f"Error: invalid {what}: line 2: "), res.output
 
 
+def test_augment_refuses_a_repeated_manifest_id(cli_env, manifest, tmp_path):
+    once, twice = tmp_path / "once", tmp_path / "twice"
+    rows = read_records(manifest)
+    doubled = tmp_path / "doubled.jsonl"
+    ds.write_jsonl(rows + rows, doubled)
+    res = invoke("augment", "--config", cli_env["config"], "--manifest", manifest,
+                 "--out-dir", once)
+    assert res.exit_code == 0, res.output
+    res = invoke("augment", "--config", cli_env["config"], "--manifest", doubled,
+                 "--out-dir", twice)
+    assert res.exit_code == 1
+    # The first row under an id wins; each later one is a load error.
+    assert json.loads(res.stderr)["errors"] == [
+        {"unit_id": r["id"], "stage": "load", "error": f"manifest id {r['id']!r} repeats"}
+        for r in rows]
+    for name in AUGMENT_OUTPUTS[:-1]:
+        assert (twice / name).read_bytes() == (once / name).read_bytes(), name
+
+
 def test_a_manifest_path_too_long_for_the_file_system_is_a_load_error(tmp_path):
     manifest = tmp_path / "manifest.jsonl"
     ds.write_jsonl([{"id": "long", "path": "x" * 5000}], manifest)
@@ -1359,6 +1378,18 @@ def test_losses_cli_unknown_kind(tmp_path):
     ds.write_jsonl([{"kind": "mystery"}], probs)
     res = invoke("losses", probs)
     assert res.exit_code != 0
+
+
+@pytest.mark.parametrize("kind", ["pt", "sft"])
+def test_losses_cli_empty_token_probs_is_a_row_error(tmp_path, kind):
+    probs = tmp_path / "probs.jsonl"
+    ds.write_jsonl([{"kind": kind, "token_probs": []}], probs)
+    res = invoke("losses", probs)
+    assert res.exit_code == 1
+    doc = json.loads(res.stdout)
+    assert doc["counts"] == {"pt": 0, "sft": 0, "dpo": 0} and f"{kind}_loss" not in doc
+    assert json.loads(res.stderr)["errors"] == [
+        {"row": 1, "error": f"{kind} row has an empty token_probs list"}]
 
 
 def test_losses_cli_malformed_rows_are_errors(tmp_path):

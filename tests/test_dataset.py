@@ -15,7 +15,7 @@ from assertforge.dataset import (
     write_jsonl,
 )
 from assertforge.errors import DomainError, SchemaError
-from assertforge.mutate import BugType, MutationRecord
+from assertforge.mutate import MutationRecord
 from assertforge.textutil import normalize_line, normalize_line_loose
 
 
@@ -124,8 +124,8 @@ def cot_outcome(cot_reply):
     assertion failure on the GOLDEN_* lines with the given CoT reply."""
     code = "module m;\nout <= in;\nendmodule"
     mut = MutantItem(
-        record=MutationRecord("m", 2, GOLDEN_CORRECTED, GOLDEN_BUGGY,
-                              BugType("Op", "Direct"), frozenset(), rng_seed=0),
+        record=MutationRecord(2, GOLDEN_CORRECTED, GOLDEN_BUGGY, "Op", frozenset(), rng_seed=0),
+        relation="Direct",
         compile_status="ok",
         verify_status="assertion_failed",
         buggy_sv_code=code.replace("in;", "in + 1;"),
@@ -191,6 +191,7 @@ def _one_mutant_unit(compile_status, verify_status, held_out=False, unit_status=
     code = "module b;\ny = 0;\nendmodule"
     mut = MutantItem(
         record=_bug(2, "y = 0;", "y = 1;"),
+        relation="Direct",
         compile_status=compile_status,
         verify_status=verify_status,
         buggy_code=code.replace("y = 0;", "y = 1;"),
@@ -234,9 +235,7 @@ def test_build_records_unit_statuses():
 
 
 def _bug(line_no, original, mutated):
-    return MutationRecord(
-        "b", line_no, original, mutated, BugType("Value", "Direct"), frozenset(), rng_seed=0
-    )
+    return MutationRecord(line_no, original, mutated, "Value", frozenset(), rng_seed=0)
 
 
 def test_build_records_routing(mock_toolchain):
@@ -249,6 +248,7 @@ def test_build_records_routing(mock_toolchain):
             mutants=[
                 MutantItem(
                     record=_bug(2, "y = 0;", "y = 1;"),
+                    relation="Direct",
                     compile_status="ok",
                     verify_status="assertion_failed",
                     buggy_code="module b;\ny = 1;\nendmodule",
@@ -257,12 +257,14 @@ def test_build_records_routing(mock_toolchain):
                 ),
                 MutantItem(
                     record=_bug(2, "y = 0;", "y = 2;"),
+                    relation="Direct",
                     compile_status="ok",
                     verify_status="proven",
                     buggy_code="module b;\ny = 2;\nendmodule",
                 ),
                 MutantItem(
                     record=_bug(2, "y = 0;", "y = ;"),
+                    relation="Direct",
                     compile_status="syntax_error",
                 ),
             ],
@@ -285,6 +287,7 @@ def test_build_records_cot_attachment():
         mutants=[
             MutantItem(
                 record=_bug(2, "y = 0;", "y = 1;"),
+                relation="Direct",
                 compile_status="ok",
                 verify_status="assertion_failed",
                 buggy_sv_code="module b;\ny = 1;\nassert(y == 0);\nendmodule",
@@ -293,6 +296,7 @@ def test_build_records_cot_attachment():
             ),
             MutantItem(
                 record=_bug(2, "y = 0;", "y = 2;"),
+                relation="Direct",
                 compile_status="ok",
                 verify_status="assertion_failed",
                 buggy_sv_code="module b;\ny = 2;\nassert(y == 0);\nendmodule",
@@ -317,6 +321,7 @@ def test_build_records_routes_a_held_out_unit_to_cases_only():
     def mutant(mutated, compile_status, verify_status=None):
         return MutantItem(
             record=_bug(2, "y = 0;", mutated),
+            relation="Direct",
             compile_status=compile_status,
             verify_status=verify_status,
             buggy_code=code.replace("y = 0;", mutated),

@@ -446,6 +446,16 @@ def test_eval_case_json_roundtrip():
     assert EvalCase.from_json(asdict(case)) == case
 
 
+@pytest.mark.parametrize("syntactic, relation, message", [
+    ("Bogus", "Direct", "unknown syntactic bug type: 'Bogus'"),
+    ("Op", "Unknown", "unknown bug relation: 'Unknown'"),
+    ("Op", "direct", "unknown bug relation: 'direct'"),
+])
+def test_eval_case_rejects_a_bug_type_outside_the_taxonomy(syntactic, relation, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        make_case(syntactic=syntactic, relation=relation)
+
+
 def test_eval_case_fields_are_the_readme_case_row():
     readme = (Path(__file__).parent.parent / "README.md").read_text(encoding="utf-8")
     [line] = [ln for ln in readme.splitlines() if ln.startswith("| benchmark cases |")]

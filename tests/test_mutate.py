@@ -6,13 +6,11 @@ import pytest
 from assertforge.corpus import SourceUnit
 from assertforge.errors import NoAlternativeError, ParseFailure
 from assertforge.mutate import (
-    BugType,
     MutationRecord,
     apply_mutation,
     classify_relation,
     enumerate_sites,
     extract_referenced_signals,
-    with_relation,
 )
 
 
@@ -126,7 +124,7 @@ def test_multi_line_comment_and_string_text_is_never_mutated():
 
 def test_mutation_record_rejects_identity():
     with pytest.raises(ValueError):
-        MutationRecord("u", 1, "x = a;", "x = a;", BugType("Op"), frozenset(), 0)
+        MutationRecord(1, "x = a;", "x = a;", "Op", frozenset(), 0)
 
 
 def test_lhs_targets_on_assignment():
@@ -162,31 +160,18 @@ TABLE_SIGNALS = extract_referenced_signals("assert(out == in);")
 
 
 def test_direct_classification():
-    rec = MutationRecord(
-        "u", 3, "out <= in;", "out <= in + 1;", BugType("Non_cond"), frozenset({"out"}), 0
-    )
+    rec = MutationRecord(3, "out <= in;", "out <= in + 1;", "Non_cond", frozenset({"out"}), 0)
     assert classify_relation(rec, TABLE_SIGNALS) == "Direct"
 
 
 def test_indirect_classification():
-    rec = MutationRecord(
-        "u", 3, "temp <= in;", "temp <= in + 1;", BugType("Non_cond"), frozenset({"temp"}), 0
-    )
+    rec = MutationRecord(3, "temp <= in;", "temp <= in + 1;", "Non_cond", frozenset({"temp"}), 0)
     assert classify_relation(rec, TABLE_SIGNALS) == "Indirect"
 
 
 def test_empty_targets_indirect():
-    rec = MutationRecord(
-        "u", 3, "x;", "y;", BugType("Var"), frozenset(), 0
-    )
+    rec = MutationRecord(3, "x;", "y;", "Var", frozenset(), 0)
     assert classify_relation(rec, TABLE_SIGNALS) == "Indirect"
-
-
-def test_with_relation_resolves_axis():
-    rec = MutationRecord(
-        "u", 3, "out <= in;", "out <= in + 1;", BugType("Non_cond"), frozenset({"out"}), 0
-    )
-    assert with_relation(rec, TABLE_SIGNALS).bug_type == BugType("Non_cond", "Direct")
 
 
 # -- extract_referenced_signals ----------------------------------------------

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import importlib
 import sys
+from dataclasses import astuple
 from pathlib import Path
 
 import pytest
@@ -38,7 +39,7 @@ def assert_same_as_reference(unit: SourceUnit) -> None:
     for line, kinds in sites:
         for kind in kinds:
             for seed in SEEDS:
-                got = mutate.apply_mutation(unit, line, kind, seed)
+                got = astuple(mutate.apply_mutation(unit, line, kind, seed))
                 assert got == ref.apply_mutation(unit, line, kind, seed), (unit.id, line, kind, seed)
         # A kind left out of the site list has no rewrite in either version.
         for kind in set(mutate.SYNTACTIC_KINDS) - set(kinds):
@@ -76,7 +77,7 @@ def test_bench_units_match_reference(bench_gen, seed):
         assert sites == ref.enumerate_sites(unit), uid
         for line, kinds in sites[::5]:
             for kind in kinds:
-                got = mutate.apply_mutation(unit, line, kind, line)
+                got = astuple(mutate.apply_mutation(unit, line, kind, line))
                 assert got == ref.apply_mutation(unit, line, kind, line), (uid, line, kind)
 
 

@@ -1,9 +1,11 @@
 import collections
+import json
 
 import pytest
 
 from assertforge import corpus
 from assertforge import dataset as ds
+from assertforge import mutate
 from assertforge.config import PipelineConfig
 from assertforge.corpus import SourceUnit
 from assertforge.pipeline import (
@@ -147,12 +149,53 @@ def test_llm_bug_path_rejects_bad_replies():
     assert llm_bug_candidates(tc, u, 2, base_seed=1) == []
 
 
-@pytest.mark.parametrize("reply", ["[" * 200_000, '{"line": 1e400, "mutated": "y = 1;"}'],
-                         ids=["nested-too-deep", "infinite-line"])
+# A reply is kept only when "line" is a JSON integer and "mutated" a string.
+@pytest.mark.parametrize(
+    "reply",
+    ["[" * 200_000, '{"line": 1e400, "mutated": "y = 1;"}', '{"line": 2, "mutated": null}',
+     '{"line": true, "mutated": "y = 1;"}', '{"line": 2.9, "mutated": "y = 1;"}',
+     '{"line": "2", "mutated": "y = 1;"}', '{"line": 2, "mutated": 5}', '{"mutated": "y = 1;"}'],
+    ids=["nested-too-deep", "infinite-line", "mutated-null", "line-bool", "line-float",
+         "line-string", "mutated-int", "no-line"])
 def test_llm_bug_path_skips_a_reply_it_cannot_read(reply):
     u = SourceUnit(id="t", path="", text="module m;\nalways @(*) y = x;\nendmodule")
     tc = Toolchain(llm_backend=lambda req: reply)
     assert llm_bug_candidates(tc, u, 2, base_seed=1) == []
+
+
+PROBE_TEXT = ("module m(input clk, input en, input d, output reg q);\n"
+              "always @(posedge clk)\nif (en)\nq <= d;\nendmodule")
+PROBE_SVA = "assert property (@(posedge clk) q == d);"
+
+
+def _probe_toolchain() -> Toolchain:
+    replies = {"spec": "spec", "sva": PROBE_SVA, "cot": "none",
+               "bugs": json.dumps({"line": 3, "mutated": "if (!en)"})}
+
+    def verify(source, depth):
+        if source == insert_assertion(PROBE_TEXT, PROBE_SVA):
+            return VerifyOutcome("proven", "PASS")
+        return VerifyOutcome("assertion_failed", "FAIL", failing_step=0)
+
+    return Toolchain(compile_backend=fake_compile, verify_backend=verify,
+                     llm_backend=lambda req: replies[req.task])
+
+
+def test_llm_and_engine_paths_give_a_condition_edit_the_same_targets_and_relation():
+    # The edit `if (en)` -> `if (!en)` assigns nothing itself: both paths take
+    # the targets of the statement the original condition governs.
+    unit = SourceUnit(id="p", path="", text=PROBE_TEXT)
+    engine = mutate.apply_mutation(unit, 3, "Cond", 0)
+    [llm] = llm_bug_candidates(_probe_toolchain(), unit, 1, base_seed=1)
+    assert engine.mutated_snippet == llm.mutated_snippet == "if (!en)"
+    assert engine.lhs_targets == llm.lhs_targets == {"q"}
+    signals = mutate.extract_referenced_signals(PROBE_SVA)
+    assert mutate.classify_relation(engine, signals) == "Direct"
+    assert mutate.classify_relation(llm, signals) == "Direct"
+    res = run_augment([unit], _probe_toolchain(),
+                      PipelineConfig(seed=1, bug_source="llm", mutations_per_unit=1))
+    assert not res.errors and len(res.svabug) == 1
+    assert res.counts["svabug"]["by_bug_type"]["Direct"] == 1
 
 
 def test_llm_bug_path_reads_a_fenced_reply_like_a_bare_one():
@@ -205,9 +248,8 @@ def test_augment_leaves_no_unit_holding_its_tokens(accepted_units, mock_toolchai
 @pytest.mark.parametrize("bug_source", ["engine", "llm"])
 def test_run_augment_scans_each_unit_once(accepted_units, mock_toolchain, monkeypatch, bug_source):
     # The split's module names come from the mutation copy's tokens, so a unit
-    # on the engine path is lexed once and never fingerprint-scanned; a unit on
-    # the LLM bug path is never lexed and scanned once, and a unit that fails
-    # to compile is neither.
+    # on either bug path is lexed once and never fingerprint-scanned, and a
+    # unit that fails to compile is neither.
     lexed, scanned = collections.Counter(), collections.Counter()
 
     def counting(counter, fn):
@@ -227,7 +269,5 @@ def test_run_augment_scans_each_unit_once(accepted_units, mock_toolchain, monkey
     for u in units:
         if u.text in never_compiled:
             assert lexed[u.text] == 0 and scanned[u.text] == 0, u.id
-        elif bug_source == "llm":
-            assert lexed[u.text] == 0 and scanned[u.text] == 1, u.id
         else:
             assert lexed[u.text] == 1 and scanned[u.text] == 0, u.id
