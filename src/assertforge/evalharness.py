@@ -19,12 +19,7 @@ from dataclasses import dataclass
 from typing import Callable, Iterable, NamedTuple, Sequence
 
 from .dataset import BIN_LABELS, BUG_TYPE_ORDER, SOURCES, EvalCase
-from .errors import (
-    AssertForgeError,
-    DomainError,
-    InsufficientValidResponses,
-    ReverifyUnavailable,
-)
+from .errors import AssertForgeError, DomainError
 from .textutil import extract_json_object, normalize_line_loose, solution_from_object
 from .toolchain import LlmRequest, Toolchain
 
@@ -92,9 +87,8 @@ def pass_at_k(n: int, c: int, k: int) -> float:
     return (total - math.comb(n - c, k)) / total
 
 
-def solve_prompt(case: EvalCase, invalid_so_far: int = 0) -> str:
-    base = SOLVE_PROMPT.format(spec=case.spec, code=case.buggy_sv_code, log=case.log)
-    return base + RETRY_SUFFIXES[min(invalid_so_far, len(RETRY_SUFFIXES) - 1)]
+def solve_prompt(case: EvalCase) -> str:
+    return SOLVE_PROMPT.format(spec=case.spec, code=case.buggy_sv_code, log=case.log)
 
 
 def judge(
@@ -110,8 +104,9 @@ def judge(
     Textual mode compares whitespace-insensitively; both the buggy line and
     the fix must match (buggy line alone with ``line_only``). Reverify mode
     additionally applies the fix to the case's ``buggy_sv_code`` and requires
-    the verifier to prove the patched design; a verifier ``tool_error`` raises
-    AssertForgeError with its log, since it says nothing about the reply.
+    the verifier to prove the patched design. It raises DomainError when
+    ``toolchain`` has no verifier, and AssertForgeError with the log on a
+    verifier ``tool_error``, since that says nothing about the reply.
     """
     if response.parsed is None:
         raise DomainError("judge requires a parsed response")
@@ -123,7 +118,7 @@ def judge(
     if mode == "textual":
         return "correct" if textual else "incorrect"
     if toolchain is None or not toolchain.has_verifier:
-        raise ReverifyUnavailable("reverify mode needs a configured verifier")
+        raise DomainError("reverify mode needs a configured verifier")
     if not textual:
         return "incorrect"
     patched = _apply_fix(case.buggy_sv_code, response.parsed["buggy_line"], response.parsed["fix"])
@@ -158,7 +153,8 @@ def collect_responses(
     Each reply is kept as its ``Judged`` triple; invalid ones (verdict
     "invalid") do not count toward n. Each call carries a distinct nonce so
     record/replay mocks key repeated draws separately. Raises
-    InsufficientValidResponses when 3 * n_target solver calls were not enough.
+    AssertForgeError, naming the case and the valid count, when 3 * n_target
+    solver calls were not enough.
     """
     if n_target < 1:
         raise DomainError("n_target must be positive")
@@ -186,10 +182,9 @@ def collect_responses(
             invalid += 1
             verdict = "invalid"
         responses.append(Judged(resp.raw_text, resp.valid_json, verdict))
-    result = CaseResult(case.id, n=valid, c=correct, responses=tuple(responses))
     if valid < n_target:
-        raise InsufficientValidResponses(case.id, valid, n_target, result)
-    return result
+        raise AssertForgeError(f"case {case.id}: collected {valid} of {n_target} valid responses")
+    return CaseResult(case.id, n=valid, c=correct, responses=tuple(responses))
 
 
 def aggregate(

@@ -25,7 +25,7 @@ from itertools import groupby
 from operator import attrgetter
 
 from .corpus import TRIVIA_KINDS, SourceUnit, Token, significant, tokenize
-from .errors import DomainError, NoAlternativeError, ParseFailure
+from .errors import AssertForgeError, DomainError, NoAlternativeError
 
 SYNTACTIC_KINDS = ("Var", "Value", "Op", "Cond", "Non_cond")
 
@@ -82,9 +82,9 @@ def extract_referenced_signals(sva_text: str) -> frozenset[str]:
         elif t.text == ")":
             depth -= 1
             if depth < 0:
-                raise ParseFailure("unbalanced parentheses in assertion")
+                raise AssertForgeError("unbalanced parentheses in assertion")
     if depth != 0:
-        raise ParseFailure("unbalanced parentheses in assertion")
+        raise AssertForgeError("unbalanced parentheses in assertion")
     return frozenset(t.text for t in toks if t.kind == "identifier")
 
 
@@ -471,8 +471,10 @@ def _governed_targets(unit: SourceUnit, line_no: int, info: _LineInfo) -> frozen
             region.append(t)
     targets: set[str] = set()
     boundary = {";", "begin", ")", "else"}
+    paren = 0  # a `<=` inside parentheses compares; it assigns nothing
     for i, t in enumerate(region):
-        if t.kind == "operator" and t.text in ("=", "<="):
+        paren += (t.text == "(") - (t.text == ")")
+        if t.kind == "operator" and (t.text == "=" or (t.text == "<=" and paren <= 0)):
             j = i - 1
             bracket = 0
             while j >= 0 and region[j].text not in boundary:

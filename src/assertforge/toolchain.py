@@ -6,7 +6,7 @@ by a digest of its request and goes through one record/replay path
 ReplayCache or serves them back hermetically. Each request is encoded once:
 its key hashes the bytes a record stores and a replay matches. In replay
 mode a missing or undecodable entry is a miss: ``tool_error`` for the
-compiler and verifier, ``EndpointUnreachable`` for the LLM. In record mode a
+compiler and verifier, ``AssertForgeError`` for the LLM. In record mode a
 cache write that fails raises ``AssertForgeError`` naming the key. Tool
 commands are user-configurable templates with {file} and {depth}
 placeholders; nothing here hard-depends on a particular compiler or verifier.
@@ -32,13 +32,7 @@ from http.client import HTTPException
 from pathlib import Path
 from typing import Callable, TypeVar
 
-from .errors import (
-    AssertForgeError,
-    AttemptsExhausted,
-    DomainError,
-    EndpointUnreachable,
-    TransportFailure,
-)
+from .errors import AssertForgeError, DomainError, TransportFailure
 
 COMPILE_STATUSES = ("ok", "syntax_error", "tool_error")
 VERIFY_STATUSES = ("proven", "assertion_failed", "inconclusive", "tool_error")
@@ -364,7 +358,7 @@ class Toolchain:
                 return LlmReply(self._llm_raw(req), attempt)
             except TransportFailure as exc:
                 last_failure = exc
-        raise AttemptsExhausted(
+        raise AssertForgeError(
             f"{LLM_MAX_ATTEMPTS} attempts failed for task={req.task}: {last_failure}"
         )
 
@@ -379,7 +373,8 @@ class Toolchain:
                     shlex.split(self.settings.llm_cmd),
                     input=json.dumps(body),
                     capture_output=True,
-                    text=True,
+                    encoding="utf-8",
+                    errors="replace",
                     timeout=self.settings.timeout_s,
                 )
             except (OSError, subprocess.TimeoutExpired) as exc:
@@ -411,7 +406,7 @@ class Toolchain:
             if not isinstance(reply, dict) or not isinstance(reply.get("text"), str):
                 raise TransportFailure("malformed endpoint reply: not a JSON object with a text")
             return reply["text"]
-        raise EndpointUnreachable("no LLM endpoint configured")
+        raise AssertForgeError("no LLM endpoint configured")
 
     # -- subprocess plumbing --------------------------------------------------
 
@@ -419,13 +414,14 @@ class Toolchain:
         """Run a command template against a scratch copy of ``source``.
 
         Returns (returncode, stdout, stderr); returncode None means the tool
-        could not be spawned or timed out.
+        could not be spawned or timed out. Output that is not UTF-8 reads as
+        U+FFFD, and a source character UTF-8 cannot encode is written as ``?``.
         """
         scratch = None
         try:
             scratch = tempfile.mkdtemp(prefix="assertforge-", dir=self.settings.scratch_dir)
             src_path = Path(scratch) / "input.sv"
-            src_path.write_text(source, encoding="utf-8")
+            src_path.write_text(source, encoding="utf-8", errors="replace")
             args = []
             for arg in shlex.split(template):
                 arg = arg.replace("{file}", str(src_path))
@@ -435,7 +431,8 @@ class Toolchain:
             proc = subprocess.run(
                 args,
                 capture_output=True,
-                text=True,
+                encoding="utf-8",
+                errors="replace",
                 timeout=self.settings.timeout_s,
                 cwd=scratch,
             )
@@ -457,4 +454,4 @@ def _llm_reply(resp: dict) -> LlmReply:
 
 
 def _raise_unreachable(message: str) -> LlmReply:
-    raise EndpointUnreachable(message)
+    raise AssertForgeError(message)

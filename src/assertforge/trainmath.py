@@ -18,7 +18,7 @@ from __future__ import annotations
 import math
 from typing import Iterable, Sequence
 
-from .errors import DomainError, ZeroProbabilityError
+from .errors import DomainError
 from .textutil import normalize_line
 
 
@@ -26,7 +26,7 @@ def _checked_logs(probs: Iterable[float]) -> list[float]:
     logs = []
     for p in probs:
         if p <= 0.0:
-            raise ZeroProbabilityError(f"token probability {p} is not positive")
+            raise DomainError(f"token probability {p} is not positive")
         logs.append(math.log(p))
     return logs
 

@@ -400,8 +400,10 @@ def _governed_targets(unit: SourceUnit, line_no: int, info: _LineInfo):
             region.append(t)
     targets: set[str] = set()
     boundary = {";", "begin", ")", "else"}
+    paren = 0  # a `<=` inside parentheses compares; it assigns nothing
     for i, t in enumerate(region):
-        if t.kind == "operator" and t.text in ("=", "<="):
+        paren += (t.text == "(") - (t.text == ")")
+        if t.kind == "operator" and (t.text == "=" or (t.text == "<=" and paren <= 0)):
             j = i - 1
             bracket = 0
             while j >= 0 and region[j].text not in boundary:

@@ -379,9 +379,8 @@ def test_jsonl_three_records(tmp_path):
 def test_jsonl_malformed_line_number(tmp_path):
     p = tmp_path / "bad.jsonl"
     p.write_text('{"ok": 1}\n{oops\n{"ok": 2}\n')
-    with pytest.raises(SchemaError) as err:
+    with pytest.raises(SchemaError, match="^line 2: "):
         read_jsonl(p)
-    assert err.value.line == 2
 
 
 @pytest.mark.parametrize("bad", ['{"a": ' + "1" * 5000 + "}", "[" * 200_000],
@@ -389,9 +388,8 @@ def test_jsonl_malformed_line_number(tmp_path):
 def test_jsonl_value_json_cannot_decode_is_malformed(tmp_path, bad):
     p = tmp_path / "bad.jsonl"
     p.write_text('{"ok": 1}\n' + bad + "\n")
-    with pytest.raises(SchemaError, match="^line 2: malformed JSON: ") as err:
+    with pytest.raises(SchemaError, match="^line 2: malformed JSON: "):
         read_jsonl(p)
-    assert err.value.line == 2
 
 
 def test_jsonl_header_strip(tmp_path):

@@ -17,13 +17,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from assertforge.dataset import BIN_LABELS, CASE_ROW, RESULTS_ROW, SOURCES
-from assertforge.errors import (
-    AssertForgeError,
-    DomainError,
-    InsufficientValidResponses,
-    ReverifyUnavailable,
-)
+from assertforge.errors import AssertForgeError, DomainError
 from assertforge.evalharness import (
+    RETRY_SUFFIXES,
     CaseResult,
     EvalCase,
     Judged,
@@ -188,7 +184,7 @@ def test_judge_requires_parsed():
 
 
 def test_judge_reverify_needs_verifier():
-    with pytest.raises(ReverifyUnavailable):
+    with pytest.raises(DomainError, match="^reverify mode needs a configured verifier$"):
         judge(resp("a", "b"), GOLDEN, mode="reverify")
 
 
@@ -281,10 +277,15 @@ def test_collect_a_reply_nested_too_deep_is_invalid():
 
 def test_collect_always_garbage_insufficient():
     case = make_case()
-    with pytest.raises(InsufficientValidResponses) as err:
-        collect_responses(case, scripted_solver(["nope"] * 100), n_target=20)
-    assert err.value.collected == 0
-    assert len(err.value.result.responses) == 60
+    calls = []
+
+    def solver(req):
+        calls.append(req)
+        return LlmReply("nope", 1)
+
+    with pytest.raises(AssertForgeError, match="^case case-1: collected 0 of 20 valid responses$"):
+        collect_responses(case, solver, n_target=20)
+    assert len(calls) == 60
 
 
 def test_collect_nonces_distinct():
@@ -307,8 +308,9 @@ def test_collect_retry_prompt_escalates():
         return LlmReply("junk" if len(prompts) < 3 else VALID, 1)
 
     collect_responses(make_case(), solver, n_target=1)
-    assert prompts[0] == solve_prompt(make_case(), 0)
+    assert prompts[0] == solve_prompt(make_case())
     assert prompts[1] != prompts[0]  # refined after an invalid reply
+    assert prompts[1] == solve_prompt(make_case()) + RETRY_SUFFIXES[1]
 
 
 def test_collect_valid_json_missing_keys_counts_incorrect():

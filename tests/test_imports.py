@@ -1,6 +1,7 @@
 """Every name a package module imports, and every private function or class
 it defines at top level, is used in that module; every public one is used
-somewhere in the package.
+somewhere in the package; every exception class in ``errors.py`` is named by
+some ``except`` clause in it.
 
 A deletion that leaves its import behind (a removed class still imported by
 its former consumer, say), or a helper whose last caller went, fails here.
@@ -117,10 +118,14 @@ def dead_public_names(modules: dict[str, ast.Module]) -> set[str]:
             if not any(name in names for stmt, names in loads if stmt is not node)}
 
 
+def package_modules() -> dict[str, ast.Module]:
+    return {path.stem: ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+            for path in sorted(PACKAGE.glob("*.py"))}
+
+
 def test_package_uses_every_public_name_it_defines():
-    modules = {path.stem: ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
-               for path in sorted(PACKAGE.glob("*.py"))}
-    assert dead_public_names(modules) == set(), "public names nothing in the package loads"
+    assert dead_public_names(package_modules()) == set(), (
+        "public names nothing in the package loads")
 
 
 def test_a_dead_public_name_is_found():
@@ -138,3 +143,38 @@ def test_a_dead_public_name_is_found():
                   "def run() -> 'Kept':\n"
                   "    return a.used(1)\n")
     assert dead_public_names({"a": a, "b": b}) == {"a.only_itself", "b.run"}
+
+
+def uncaught_error_classes(errors: ast.Module, modules) -> set[str]:
+    """Each class ``errors`` defines that no ``except`` clause of ``modules``
+    names, alone or in a tuple; ``errors.SchemaError`` names ``SchemaError``."""
+    caught = set()
+    for tree in modules:
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ExceptHandler) and node.type is not None:
+                types = node.type.elts if isinstance(node.type, ast.Tuple) else [node.type]
+                caught |= {t.id if isinstance(t, ast.Name) else t.attr for t in types
+                           if isinstance(t, (ast.Name, ast.Attribute))}
+    return {node.name for node in errors.body if isinstance(node, ast.ClassDef)} - caught
+
+
+def test_package_catches_every_error_class_it_defines():
+    modules = package_modules()
+    assert uncaught_error_classes(modules["errors"], modules.values()) == set(), (
+        "error classes no except clause names: raise AssertForgeError or DomainError instead")
+
+
+def test_an_error_class_no_except_names_is_found():
+    errors = ast.parse("class BaseError(Exception):\n    pass\n"
+                       "class Alone(BaseError):\n    pass\n"
+                       "class InTuple(BaseError):\n    pass\n"
+                       "class Dotted(BaseError):\n    pass\n"
+                       "class OnlyRaised(BaseError):\n    pass\n")
+    user = ast.parse("from . import errors\n"
+                     "try:\n    run()\n"
+                     "except Alone:\n    pass\n"
+                     "except (ValueError, InTuple) as exc:\n    raise OnlyRaised(str(exc))\n"
+                     "except errors.Dotted:\n    pass\n"
+                     "except BaseError:\n    pass\n"
+                     "except:\n    pass\n")
+    assert uncaught_error_classes(errors, [errors, user]) == {"OnlyRaised"}

@@ -4,13 +4,14 @@ import re
 import pytest
 
 from assertforge.corpus import SourceUnit
-from assertforge.errors import NoAlternativeError, ParseFailure
+from assertforge.errors import AssertForgeError, NoAlternativeError
 from assertforge.mutate import (
     MutationRecord,
     apply_mutation,
     classify_relation,
     enumerate_sites,
     extract_referenced_signals,
+    mutated_targets,
 )
 
 
@@ -148,6 +149,21 @@ def test_lhs_targets_governed_by_condition():
     assert rec.lhs_targets == frozenset({"q", "r"})
 
 
+def test_lhs_targets_skip_a_comparison_inside_parentheses():
+    u = unit("module m;\nalways @(posedge clk)\nif (en) begin\n"
+             "  if (x <= y) q <= d;\nend\nendmodule")
+    assert mutated_targets(u, 3, "  if (!en) begin") == frozenset({"q"})
+    rec = apply_mutation(u, 3, "Cond", 0)
+    assert rec.lhs_targets == frozenset({"q"})
+    assert classify_relation(rec, frozenset({"x"})) == "Indirect"
+
+
+def test_lhs_targets_keep_an_assignment_in_a_for_header():
+    u = unit("module m;\nalways @(posedge clk)\nif (en) begin\n"
+             "  for (i = 0; i <= 3; i = i + 1) m[i] <= d;\nend\nendmodule")
+    assert mutated_targets(u, 3, "  if (!en) begin") == frozenset({"i", "m"})
+
+
 def test_lhs_targets_empty_flagged():
     u = unit("module m;\nalways @(posedge clk)\nbegin\nend\nendmodule")
     rec = apply_mutation(u, 2, "Cond", 0)
@@ -200,7 +216,7 @@ def test_signals_constant_assert_empty():
 
 
 def test_signals_unbalanced_parens():
-    with pytest.raises(ParseFailure):
+    with pytest.raises(AssertForgeError, match="^unbalanced parentheses in assertion$"):
         extract_referenced_signals("assert(out == (in);")
 
 

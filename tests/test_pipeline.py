@@ -1,11 +1,14 @@
 import collections
 import json
+import sys
 
 import pytest
+from click.testing import CliRunner
 
 from assertforge import corpus
 from assertforge import dataset as ds
 from assertforge import mutate
+from assertforge.cli import main
 from assertforge.config import PipelineConfig
 from assertforge.corpus import SourceUnit
 from assertforge.pipeline import (
@@ -271,3 +274,31 @@ def test_run_augment_scans_each_unit_once(accepted_units, mock_toolchain, monkey
             assert lexed[u.text] == 0 and scanned[u.text] == 0, u.id
         else:
             assert lexed[u.text] == 1 and scanned[u.text] == 0, u.id
+
+
+def test_augment_with_a_compiler_that_writes_non_utf8_writes_every_output(tmp_path):
+    corpus_dir = tmp_path / "corpus"
+    corpus_dir.mkdir()
+    for name in ("a", "b"):
+        (corpus_dir / f"{name}.v").write_text(
+            f"module {name} (input clk, input en, input d, output reg q);\n"
+            "  always @(posedge clk)\n    if (en) q <= d;\nendmodule\n")
+    config = tmp_path / "e9.cfg"
+    e9 = f'{sys.executable} -c "import sys; sys.stdout.buffer.write(bytes([233]))"'
+    config.write_text(f"compiler.cmd = {e9}\nllm.cmd = {e9}\n")
+    out = tmp_path / "out"
+    runner = CliRunner()
+    res = runner.invoke(main, ["filter", "--corpus-dir", str(corpus_dir), "--out-dir", str(out)],
+                        catch_exceptions=False)
+    assert res.exit_code == 0, res.output
+    res = runner.invoke(main, ["augment", "--config", str(config), "--manifest",
+                               str(out / "manifest.jsonl"), "--out-dir", str(out)],
+                        catch_exceptions=False)
+    assert res.exit_code == 1 and "Traceback" not in res.output
+    # Compile and both LLM calls read U+FFFD; the reply holds no assertion.
+    errors = json.loads(res.stderr)["errors"]
+    assert [(e["unit_id"], e["error"]) for e in errors] == [
+        ("a.v", "source contains no assertion"), ("b.v", "source contains no assertion")]
+    for name in ("pt.jsonl", "bug.jsonl", "svabug.jsonl", "sva_eval_machine.jsonl",
+                 "split_plan.json", "augment_report.json"):
+        assert (out / name).is_file(), name

@@ -8,13 +8,7 @@ import threading
 import pytest
 
 from assertforge import toolchain
-from assertforge.errors import (
-    AssertForgeError,
-    AttemptsExhausted,
-    DomainError,
-    EndpointUnreachable,
-    TransportFailure,
-)
+from assertforge.errors import AssertForgeError, DomainError, TransportFailure
 from assertforge.toolchain import (
     CompileOutcome,
     LlmReply,
@@ -74,6 +68,28 @@ def test_an_unusable_scratch_dir_is_a_tool_error(tmp_path, scratch):
     out = tc.compile_check("module m; endmodule")
     assert out.status == "tool_error" and out.stderr_text.startswith("tool spawn failed: ")
     assert sorted(p.name for p in tmp_path.iterdir()) == ["file"]
+
+
+# Writes the byte 0xE9, which is not UTF-8 on its own, to stdout and stderr.
+E9_TOOL = (f'{PY} -c "import sys; sys.stdout.buffer.write(bytes([233]));'
+           f' sys.stderr.buffer.write(bytes([233]))"')
+
+
+def test_compile_output_that_is_not_utf8_reads_as_replacement_characters(tmp_path):
+    tc = Toolchain(ToolSettings(compiler_cmd=E9_TOOL, scratch_dir=str(tmp_path)))
+    assert tc.compile_check("module m; endmodule") == CompileOutcome("ok", "\ufffd")
+
+
+def test_verify_output_that_is_not_utf8_reads_as_replacement_characters(tmp_path):
+    tc = Toolchain(ToolSettings(verifier_cmd=E9_TOOL, scratch_dir=str(tmp_path)))
+    assert tc.formal_verify("assert(x);") == VerifyOutcome("proven", "\ufffd\ufffd")
+
+
+def test_a_source_character_utf8_cannot_encode_is_written_as_a_question_mark(tmp_path):
+    cat = f'{PY} -c "import sys; sys.stderr.write(open(sys.argv[1]).read()); sys.exit(1)" {{file}}'
+    tc = Toolchain(ToolSettings(compiler_cmd=cat, scratch_dir=str(tmp_path)))
+    out = tc.compile_check("module m; \ud800 endmodule")
+    assert out == CompileOutcome("syntax_error", "module m; ? endmodule")
 
 
 @pytest.mark.parametrize("timeout", [0, -1, float("nan"), float("inf")])
@@ -188,13 +204,13 @@ def test_llm_attempts_exhausted():
         raise TransportFailure("down")
 
     tc = Toolchain(llm_backend=always_fail)
-    with pytest.raises(AttemptsExhausted):
+    with pytest.raises(AssertForgeError, match="^3 attempts failed for task=spec: down$"):
         tc.llm_call(LlmRequest(task="spec", prompt_text="p"))
 
 
 def test_llm_unconfigured_raises():
     tc = Toolchain()
-    with pytest.raises(EndpointUnreachable):
+    with pytest.raises(AssertForgeError, match="^no LLM endpoint configured$"):
         tc.llm_call(LlmRequest(task="spec", prompt_text="p"))
 
 
@@ -203,6 +219,11 @@ def test_llm_cmd_backend(tmp_path):
     tc = Toolchain(ToolSettings(llm_cmd=echo))
     reply = tc.llm_call(LlmRequest(task="sva", prompt_text="p"))
     assert reply.text == "got:sva"
+
+
+def test_llm_cmd_output_that_is_not_utf8_reads_as_a_replacement_character():
+    tc = Toolchain(ToolSettings(llm_cmd=E9_TOOL))
+    assert tc.llm_call(LlmRequest(task="sva", prompt_text="p")) == LlmReply("\ufffd", 1)
 
 
 class _ScriptedEndpoint(http.server.BaseHTTPRequestHandler):
@@ -257,7 +278,8 @@ def test_llm_url_reply(endpoint, monkeypatch):
 def test_llm_url_error_status_exhausts_attempts(endpoint, monkeypatch):
     endpoint.reply = (503, {"text": "busy"})
     tc = _url_toolchain(endpoint, monkeypatch)
-    with pytest.raises(AttemptsExhausted, match="endpoint returned 503"):
+    with pytest.raises(AssertForgeError,
+                       match="^3 attempts failed for task=spec: endpoint returned 503$"):
         tc.llm_call(LlmRequest(task="spec", prompt_text="p"))
     assert len(endpoint.seen) == 3
 
@@ -265,7 +287,8 @@ def test_llm_url_error_status_exhausts_attempts(endpoint, monkeypatch):
 def test_llm_url_reply_that_is_not_an_object_is_a_transport_failure(endpoint, monkeypatch):
     endpoint.reply = (200, ["x"])
     tc = _url_toolchain(endpoint, monkeypatch)
-    with pytest.raises(AttemptsExhausted, match="malformed endpoint reply"):
+    with pytest.raises(AssertForgeError,
+                       match="^3 attempts failed for task=spec: malformed endpoint reply"):
         tc.llm_call(LlmRequest(task="spec", prompt_text="p"))
     assert len(endpoint.seen) == 3
 
@@ -273,7 +296,8 @@ def test_llm_url_reply_that_is_not_an_object_is_a_transport_failure(endpoint, mo
 def test_llm_url_reply_nested_too_deep_is_a_transport_failure(endpoint, monkeypatch):
     endpoint.reply = (200, b"[" * 200_000)
     tc = _url_toolchain(endpoint, monkeypatch)
-    with pytest.raises(AttemptsExhausted, match="malformed endpoint reply"):
+    with pytest.raises(AssertForgeError,
+                       match="^3 attempts failed for task=spec: malformed endpoint reply"):
         tc.llm_call(LlmRequest(task="spec", prompt_text="p"))
     assert len(endpoint.seen) == 3
 
@@ -363,7 +387,7 @@ def test_replay_miss_behaviour(tmp_path):
     )
     assert tc.compile_check("nothing recorded").status == "tool_error"
     assert tc.formal_verify("assert(x);").status == "tool_error"
-    with pytest.raises(EndpointUnreachable):
+    with pytest.raises(AssertForgeError, match="^replay cache miss: [0-9a-f]{64}$"):
         tc.llm_call(LlmRequest(task="spec", prompt_text="missing"))
 
 
@@ -397,7 +421,7 @@ def test_replay_malformed_entry_is_a_miss(tmp_path):
     for text in (compiled.stderr_text, verified.log_text):
         assert "malformed replay cache entry" in text
         assert any(key in text for key in keys)
-    with pytest.raises(EndpointUnreachable, match="malformed replay cache entry"):
+    with pytest.raises(AssertForgeError, match="^malformed replay cache entry"):
         tc.llm_call(req)
 
 
@@ -448,7 +472,7 @@ def test_replay_llm_entry_of_the_wrong_type_is_a_malformed_miss(tmp_path, respon
     doc = json.loads(entry.read_text())
     entry.write_text(json.dumps({**doc, "response": response}))
     tc = Toolchain(ToolSettings(mock_dir=str(tmp_path), mock_mode="replay"))
-    with pytest.raises(EndpointUnreachable, match="malformed replay cache entry") as err:
+    with pytest.raises(AssertForgeError, match="^malformed replay cache entry") as err:
         tc.llm_call(req)
     assert str(err.value).endswith(entry.stem)
 

@@ -5,7 +5,7 @@ import mpmath as mp
 import numpy as np
 import pytest
 
-from assertforge.errors import DomainError, ZeroProbabilityError
+from assertforge.errors import DomainError
 from assertforge.trainmath import preference_triples
 from toyprovider import BigramSoftmaxProvider, ExplicitProvider, dpo_mean, sequence_nll
 
@@ -40,7 +40,7 @@ def test_pt_loss_additive_over_samples():
 
 def test_pt_loss_zero_probability_rejected():
     provider = ExplicitProvider(seq_table={((), ("a",)): [0.0]})
-    with pytest.raises(ZeroProbabilityError):
+    with pytest.raises(DomainError, match="^token probability 0.0 is not positive$"):
         sequence_nll(provider, [((), ("a",))], "sum")
 
 
