@@ -26,7 +26,7 @@ from . import dataset as ds
 from . import evalharness as ev
 from . import trainmath as tm
 from .config import PipelineConfig, parse_config_file, parse_ks
-from .corpus import SourceUnit, filter_units, load_corpus_dir
+from .corpus import SourceUnit, filter_units, load_corpus_dir, read_unit
 from .errors import AssertForgeError, DomainError, SchemaError
 from .pipeline import render_counts_table, run_augment
 from .toolchain import Toolchain
@@ -112,8 +112,8 @@ def filter_cmd(config_path, corpus_dir, out_dir):
 
 
 def _load_manifest_units(manifest: Path) -> tuple[list[SourceUnit], list[dict]]:
-    """The manifest's units; a bad row, or a later row under an id already
-    read, is a ``load`` error."""
+    """The manifest's units; a bad row, a later row under an id already read,
+    or a file ``read_unit`` cannot read is a ``load`` error."""
     units, errors, ids = [], [], set()
     for row in _read_rows(manifest, "manifest"):
         error = ds.row_error(row, ds.MANIFEST_ROW, "manifest row")
@@ -123,15 +123,9 @@ def _load_manifest_units(manifest: Path) -> tuple[list[SourceUnit], list[dict]]:
             errors.append({"unit_id": row.get("id"), "stage": "load", "error": error})
             continue
         ids.add(row["id"])
-        p = Path(row["path"])
-        try:
-            if not p.is_file():
-                raise FileNotFoundError(f"missing file: {p}")
-            text = p.read_text(encoding="utf-8", errors="replace")
-        except OSError as exc:  # also a name too long for the file system
-            errors.append({"unit_id": row["id"], "stage": "load", "error": str(exc)})
-            continue
-        units.append(SourceUnit(id=row["id"], path=str(p), text=text))
+        unit = read_unit(row["id"], Path(row["path"]), errors)
+        if unit is not None:
+            units.append(unit)
     return units, errors
 
 

@@ -5,12 +5,11 @@ exactly one token, so concatenating the lexemes reproduces the file. That
 round-trip property is what makes single-line mutation safe without a full
 parser. One scanner, a ``finditer`` pass over a master pattern (an ordered
 alternation of one group per token rule), has two consumers: ``tokenize``
-builds the lossless stream of ``Token`` tuples, and the fingerprint scan keeps
-only the ``(kind, text)`` pairs of significant tokens. A ``SourceUnit`` runs
-each once, on first use: the filter reads only the fingerprint and never
-builds a ``Token``. ``augment`` lexes a short-lived copy of each unit it
-injects bugs into, on either bug path, and takes the split's module names
-from those tokens (``module_names_of``), so it scans no fingerprint.
+builds the lossless stream of ``Token`` tuples, and ``_significant_pairs``
+keeps only the ``(kind, text)`` pairs of significant tokens. The filter scans
+each file once into pairs and never builds a ``Token``; ``augment`` lexes a
+short-lived copy of each unit it injects bugs into, on either bug path, and
+takes the split's module names from those tokens (``SourceUnit.module_names``).
 
 Filtering streams: ``load_corpus_dir`` reads one file per step and
 ``filter_units`` judges each unit as it arrives, keeping only the dedup keys
@@ -25,7 +24,6 @@ import re
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import pairwise
-from operator import attrgetter
 from pathlib import Path
 from typing import Iterable, Iterator, NamedTuple
 
@@ -117,7 +115,7 @@ _OPERATORS = (
 
 # Ordered scanner: one group per entry, joined into a single alternation, so
 # the first entry that matches at the cursor wins. Group i + 1 is entry i, and
-# the first two entries are the trivia the fingerprint skips.
+# the first two entries are the trivia ``_significant_pairs`` skips.
 _PATTERNS: tuple[tuple[str, str], ...] = (
     ("whitespace", r"[ \t\r\n\f\v]+"),
     ("comment", r"//[^\n]*|/\*.*?\*/|/\*.*"),
@@ -143,18 +141,6 @@ class Token(NamedTuple):
     text: str
     line: int  # 1-based
     col: int  # 1-based, counted from the start of the token's line
-
-
-@dataclass(frozen=True)
-class RejectionReason:
-    code: str  # missing_module_boundary | no_functional_logic | duplicate
-    detail: str = ""
-
-    REJECTION_CODES = frozenset({"missing_module_boundary", "no_functional_logic", "duplicate"})
-
-    def __post_init__(self):
-        if self.code not in self.REJECTION_CODES:
-            raise ValueError(f"unknown rejection code: {self.code!r}")
 
 
 def tokenize(text: str) -> tuple[Token, ...]:
@@ -198,43 +184,17 @@ def _significant_pairs(text: str) -> list[tuple[str, str]]:
     return pairs
 
 
-class Fingerprint(NamedTuple):
-    """What the filter and the split read of a unit."""
-
-    module_names: tuple[str, ...]
-    keywords: frozenset[str]
-    dedup_key: str
-    has_functional_logic: bool
-
-
-def _module_names(sig: Iterable) -> tuple[str, ...]:
-    pairs = pairwise(sig)  # of significant ``(kind, text)`` pairs or ``Token``s
-    return tuple(b[1] for a, b in pairs if a[1] == "module" and a[0] == "keyword" and b[0] == "identifier")
-
-
-def module_names_of(tokens: Iterable[Token]) -> tuple[str, ...]:
-    """``Fingerprint.module_names``, streamed from a lossless token stream."""
-    return _module_names(t for t in tokens if t.kind not in TRIVIA_KINDS)
-
-
 def _dedup_key(sig: list[tuple[str, str]]) -> str:
     blob = "".join([f"{kind}\x00{text}\x01" for kind, text in sig])
     return hashlib.sha256(blob.encode()).hexdigest()
 
 
-def _fingerprint(sig: list[tuple[str, str]]) -> Fingerprint:
-    keywords = frozenset(text for kind, text in sig if kind == "keyword")
-    return Fingerprint(
-        _module_names(sig), keywords, _dedup_key(sig), _has_functional_logic(sig, keywords)
-    )
-
-
 @dataclass(frozen=True)
 class SourceUnit:
-    """One Verilog file. Its fingerprint and its lossless token stream are
-    each computed once, on first use: the filter reads only the fingerprint,
-    and ``augment`` lexes a short-lived copy, whose tokens give the mutations
-    and the split's module names, so the units it keeps hold neither."""
+    """One Verilog file. Its lossless token stream is computed once, on first
+    use, and its module names are read from it. The filter never asks for
+    either; ``augment`` lexes a short-lived copy, whose tokens give the
+    mutations and the split's module names, so the units it keeps hold none."""
 
     id: str
     path: str
@@ -244,13 +204,11 @@ class SourceUnit:
     def tokens(self) -> tuple[Token, ...]:
         return tokenize(self.text)
 
-    @cached_property
-    def fingerprint(self) -> Fingerprint:
-        return _fingerprint(_significant_pairs(self.text))
-
-    module_names = property(attrgetter("fingerprint.module_names"))
-    dedup_key = property(attrgetter("fingerprint.dedup_key"))
-    has_functional_logic = property(attrgetter("fingerprint.has_functional_logic"))
+    @property
+    def module_names(self) -> tuple[str, ...]:
+        pairs = pairwise(t for t in self.tokens if t.kind not in TRIVIA_KINDS)
+        return tuple(b.text for a, b in pairs
+                     if a.text == "module" and a.kind == "keyword" and b.kind == "identifier")
 
     @property
     def line_count(self) -> int:
@@ -326,33 +284,44 @@ def _has_functional_logic(sig: list[tuple[str, str]], keywords: frozenset[str]) 
     return _has_instantiation(sig)
 
 
-def classify_rejection(unit: SourceUnit) -> RejectionReason | None:
-    """Apply the script-level filter rules to one unit.
+def classify_rejection(sig: list[tuple[str, str]]) -> tuple[str, str] | None:
+    """Apply the script-level filter rules to one unit's significant
+    ``(kind, text)`` pairs: ``(code, detail)``, or None when it is accepted.
 
-    Returns None when the unit is accepted. Duplicate detection is the
-    caller's job (see filter_units); syntax checking is the compiler adapter's.
+    Duplicate detection is the caller's job (see filter_units); syntax
+    checking is the compiler adapter's.
     """
-    kw = unit.fingerprint.keywords
-    if "module" not in kw or "endmodule" not in kw:
-        missing = [w for w in ("module", "endmodule") if w not in kw]
-        return RejectionReason(
-            "missing_module_boundary", f"missing keyword(s): {', '.join(missing)}"
-        )
-    if not unit.has_functional_logic:
-        return RejectionReason(
-            "no_functional_logic",
-            "no procedural block, control flow, computing assign, or instantiation",
-        )
+    keywords = frozenset(text for kind, text in sig if kind == "keyword")
+    missing = [w for w in ("module", "endmodule") if w not in keywords]
+    if missing:
+        return "missing_module_boundary", f"missing keyword(s): {', '.join(missing)}"
+    if not _has_functional_logic(sig, keywords):
+        return "no_functional_logic", (
+            "no procedural block, control flow, computing assign, or instantiation")
     return None
+
+
+def read_unit(unit_id: str, path: Path, errors: list[dict]) -> SourceUnit | None:
+    """The file at ``path`` as a unit, read as UTF-8 with each undecodable
+    byte replaced. A path that is not a file, or a file that cannot be read,
+    gives None and appends ``{"unit_id", "stage": "load", "error"}`` to
+    ``errors``."""
+    try:
+        if not path.is_file():
+            raise FileNotFoundError(f"missing file: {path}")
+        text = path.read_text(encoding="utf-8", errors="replace")
+    except OSError as exc:  # also a name too long for the file system
+        errors.append({"unit_id": unit_id, "stage": "load", "error": str(exc)})
+        return None
+    return SourceUnit(id=unit_id, path=str(path), text=text)
 
 
 def load_corpus_dir(root: str | Path, errors: list[dict]) -> Iterator[SourceUnit]:
     """Every *.v / *.sv under ``root`` (recursive), sorted by relative path.
 
     The directory is checked and listed at the call, so a missing ``root``
-    raises FileNotFoundError there; each file is read only when the iterator
-    reaches it. A file that cannot be read is skipped and appended to
-    ``errors`` as ``{"unit_id", "stage": "load", "error"}``.
+    raises FileNotFoundError there; each file is read by ``read_unit`` only
+    when the iterator reaches it, and one that cannot be read is skipped.
     """
     root = Path(root)
     if not root.is_dir():
@@ -361,45 +330,32 @@ def load_corpus_dir(root: str | Path, errors: list[dict]) -> Iterator[SourceUnit
         (p for p in root.rglob("*") if p.is_file() and p.suffix in (".v", ".sv")),
         key=lambda p: p.relative_to(root).as_posix(),
     )
-
-    def read():
-        for p in paths:
-            unit_id = p.relative_to(root).as_posix()
-            try:
-                text = p.read_text(encoding="utf-8", errors="replace")
-            except OSError as exc:
-                errors.append({"unit_id": unit_id, "stage": "load", "error": str(exc)})
-                continue
-            yield SourceUnit(id=unit_id, path=str(p), text=text)
-
-    return read()
+    units = (read_unit(p.relative_to(root).as_posix(), p, errors) for p in paths)
+    return (u for u in units if u is not None)
 
 
 def filter_units(units: Iterable[SourceUnit]) -> list[dict]:
-    """Judge each unit once, in order: ``classify_rejection``, then dedup.
+    """Judge each unit once, in order, from one scan of its text:
+    ``classify_rejection``, then dedup.
 
-    A unit that passes the rules is a duplicate when an earlier survivor has
-    the same dedup key; the first one wins. Returns the filter report, one
-    row per unit: {"id", "path", "status", "detail"}. No unit is kept, so a
-    stream of units is filtered in the memory of one.
+    Only a unit that passes the rules is hashed, and it is a duplicate when an
+    earlier survivor has the same dedup key; the first one wins. Returns the
+    filter report, one row per unit: {"id", "path", "status", "detail"}. No
+    unit is kept, so a stream of units is filtered in the memory of one.
     """
     first_by_key: dict[str, str] = {}
     rows = []
     for u in units:
-        reason = classify_rejection(u)
+        sig = _significant_pairs(u.text)
+        reason = classify_rejection(sig)
         if reason is None:
-            prior = first_by_key.get(u.dedup_key)
+            key = _dedup_key(sig)
+            prior = first_by_key.get(key)
             if prior is None:
-                first_by_key[u.dedup_key] = u.id
+                first_by_key[key] = u.id
             else:
-                reason = RejectionReason("duplicate", f"duplicate of {prior}")
-        rows.append(
-            {
-                "id": u.id,
-                "path": u.path,
-                "status": "accepted" if reason is None else reason.code,
-                "detail": "" if reason is None else reason.detail,
-            }
-        )
-        del u  # free this unit before the next one is read
+                reason = "duplicate", f"duplicate of {prior}"
+        status, detail = reason or ("accepted", "")
+        rows.append({"id": u.id, "path": u.path, "status": status, "detail": detail})
+        del u, sig  # free this unit before the next one is read
     return rows

@@ -71,7 +71,8 @@ class MutationRecord:
 
 
 def extract_referenced_signals(sva_text: str) -> frozenset[str]:
-    """Identifiers referenced by an assertion, minus keywords and system tasks."""
+    """Identifiers referenced by an assertion, minus keywords and system tasks.
+    Text with unbalanced parentheses or no ``assert`` keyword is not one."""
     if not sva_text:
         raise DomainError("empty assertion text")
     depth = 0
@@ -85,6 +86,8 @@ def extract_referenced_signals(sva_text: str) -> frozenset[str]:
                 raise AssertForgeError("unbalanced parentheses in assertion")
     if depth != 0:
         raise AssertForgeError("unbalanced parentheses in assertion")
+    if not any(t.kind == "keyword" and t.text == "assert" for t in toks):
+        raise AssertForgeError("assertion has no assert keyword")
     return frozenset(t.text for t in toks if t.kind == "identifier")
 
 

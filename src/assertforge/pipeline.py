@@ -23,7 +23,7 @@ from concurrent.futures import ThreadPoolExecutor
 from . import dataset as ds
 from . import mutate
 from .config import PipelineConfig
-from .corpus import SourceUnit, module_names_of
+from .corpus import SourceUnit
 from .errors import AssertForgeError, NoAlternativeError
 from .mutate import MutationRecord
 from .textutil import extract_json_object
@@ -192,7 +192,7 @@ def _process_unit(
 
     # Lex a copy, freed before the mutants are checked: one stream per worker.
     lexed = SourceUnit(id=unit.id, path=unit.path, text=unit.text)
-    item.module_names = module_names_of(lexed.tokens)
+    item.module_names = lexed.module_names
     if cfg.bug_source == "llm":
         records = llm_bug_candidates(tc, lexed, cfg.mutations_per_unit, cfg.seed)
     else:

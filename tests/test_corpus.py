@@ -7,13 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from assertforge.corpus import (
-    SourceUnit,
-    classify_rejection,
-    filter_units,
-    load_corpus_dir,
-    tokenize,
-)
+from assertforge import corpus
+from assertforge.corpus import SourceUnit, filter_units, load_corpus_dir, tokenize
 from conftest import select_accepted
 from fixture_corpus import CORPUS_FILES, EXPECTED_ACCEPTED, EXPECTED_REJECTED
 
@@ -116,36 +111,42 @@ def test_extract_modules_none():
     assert list(u.module_names) == []
 
 
+def status_of(u):
+    """(status, detail) of the filter report row of ``u`` alone."""
+    [row] = filter_units([u])
+    return row["status"], row["detail"]
+
+
 def test_classify_constant_assign_rejected():
     u = SourceUnit(id="t", path="", text="module m; assign x = 0; endmodule")
-    reason = classify_rejection(u)
-    assert reason is not None and reason.code == "no_functional_logic"
+    assert status_of(u) == (
+        "no_functional_logic",
+        "no procedural block, control flow, computing assign, or instantiation")
 
 
 def test_classify_missing_module_rejected():
     u = SourceUnit(id="t", path="", text="assign x = y;")
-    reason = classify_rejection(u)
-    assert reason is not None and reason.code == "missing_module_boundary"
+    assert status_of(u) == ("missing_module_boundary", "missing keyword(s): module, endmodule")
 
 
 def test_classify_always_block_accepted():
     u = SourceUnit(id="t", path="", text="module m; always @(posedge clk) q <= d; endmodule")
-    assert classify_rejection(u) is None
+    assert status_of(u) == ("accepted", "")
 
 
 def test_classify_computing_assign_accepted():
     u = SourceUnit(id="t", path="", text="module m; assign y = a & b; endmodule")
-    assert classify_rejection(u) is None
+    assert status_of(u) == ("accepted", "")
 
 
 def test_classify_instantiation_accepted():
     u = SourceUnit(id="t", path="", text="module top; dff u1 (.clk(c), .d(d), .q(q)); endmodule")
-    assert classify_rejection(u) is None
+    assert status_of(u) == ("accepted", "")
 
 
 def test_classify_is_deterministic(corpus_units):
     for u in corpus_units:
-        assert classify_rejection(u) == classify_rejection(u)
+        assert status_of(u) == status_of(u)
 
 
 def _kept_and_rejected(rows):
@@ -254,7 +255,8 @@ def test_source_unit_invariants(corpus_units):
     for u in corpus_units:
         if u.text:
             assert u.line_count >= 1
-        assert u.dedup_key == SourceUnit(id="again", path="", text=u.text).dedup_key
+        key = corpus._dedup_key(corpus._significant_pairs(u.text))
+        assert key == corpus._dedup_key(corpus._significant_pairs(u.text))
 
 
 def test_random_snippet_roundtrip_seeded():

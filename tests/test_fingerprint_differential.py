@@ -1,13 +1,15 @@
-"""Differential test: the fingerprint scan against the fingerprint of the
+"""Differential test: the filter's one scan against the fingerprint of the
 lossless token stream it replaces.
 
 ``_fingerprint_reference`` computes a unit's module names, keyword set, dedup
 key and logic flag the way they were computed before the filter stopped
-lexing. ``SourceUnit.fingerprint`` must equal it, never lex the unit, and
-be the same when mutation lexed the unit first, on the fixture corpus, the
-duplicate corpus of the CLI tests, the lexer edge cases and
-Hypothesis-generated text. The module names that ``augment`` takes from a
-lexed unit's token stream must equal the fingerprint's on the same inputs.
+lexing. On the fixture corpus, the duplicate corpus of the CLI tests, the
+lexer edge cases and Hypothesis-generated text, the filter's status must
+follow from the reference's keyword set and logic flag, without lexing the
+unit, and be the same when the unit was lexed first; the dedup key of the
+scan's pairs must equal the reference's; and ``SourceUnit.module_names``,
+which ``augment`` reads from a lexed unit's tokens, must equal its module
+names.
 """
 
 from __future__ import annotations
@@ -17,21 +19,37 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import _fingerprint_reference as ref
-from assertforge.corpus import SourceUnit, module_names_of
+from assertforge import corpus
+from assertforge.corpus import SourceUnit
 from fixture_corpus import CORPUS_FILES
 from test_cli import DUP_CORPUS
+from test_corpus import status_of
 from test_lexer_differential import _CHARS, _FRAGMENTS, EDGE_CASES
 
 
+def reference_row(keywords: frozenset[str], has_logic: bool) -> tuple[str, str]:
+    """The (status, detail) the filter rules give a lone unit with this
+    keyword set and logic flag."""
+    missing = [w for w in ("module", "endmodule") if w not in keywords]
+    if missing:
+        return "missing_module_boundary", f"missing keyword(s): {', '.join(missing)}"
+    if not has_logic:
+        return "no_functional_logic", (
+            "no procedural block, control flow, computing assign, or instantiation")
+    return "accepted", ""
+
+
 def assert_same_as_reference(text: str, label: str = "") -> None:
-    want = ref.fingerprint(text)
+    module_names, keywords, dedup_key, has_logic = ref.fingerprint(text)
+    want = reference_row(keywords, has_logic)
     scanned = SourceUnit(id="scanned", path="", text=text)
-    assert tuple(scanned.fingerprint) == want, label
-    assert "tokens" not in scanned.__dict__, label  # the scan did not lex
+    assert status_of(scanned) == want, label
+    assert "tokens" not in scanned.__dict__, label  # the filter did not lex
+    assert corpus._dedup_key(corpus._significant_pairs(text)) == dedup_key, label
     lexed = SourceUnit(id="lexed", path="", text=text)
     assert "".join(t.text for t in lexed.tokens) == text, label  # lexed first
-    assert tuple(lexed.fingerprint) == want, label
-    assert module_names_of(lexed.tokens) == scanned.fingerprint.module_names, label
+    assert status_of(lexed) == want, label
+    assert lexed.module_names == module_names, label
 
 
 @pytest.mark.parametrize("corpus", ["fixture", "dups"])

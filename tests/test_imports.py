@@ -1,7 +1,8 @@
 """Every name a package module imports, and every private function or class
 it defines at top level, is used in that module; every public one is used
 somewhere in the package; every exception class in ``errors.py`` is named by
-some ``except`` clause in it.
+some ``except`` clause in it; every name a docstring writes in double
+backticks is one the package still has.
 
 A deletion that leaves its import behind (a removed class still imported by
 its former consumer, say), or a helper whose last caller went, fails here.
@@ -10,6 +11,8 @@ anywhere in the module, including inside a string annotation.
 """
 
 import ast
+import keyword
+import re
 from pathlib import Path
 
 import pytest
@@ -178,3 +181,67 @@ def test_an_error_class_no_except_names_is_found():
                      "except BaseError:\n    pass\n"
                      "except:\n    pass\n")
     assert uncaught_error_classes(errors, [errors, user]) == {"OnlyRaised"}
+
+
+_DOC_NAME = re.compile(r"``([A-Za-z_]\w*(?:\.[A-Za-z_]\w*)*)``")
+_FILE_NAME = re.compile(r"\.(jsonl?|csv|py|s?v)$")
+
+
+def docstring_names(tree: ast.Module) -> set[str]:
+    """Each ``name`` or ``dotted.name`` a docstring of ``tree`` writes in
+    double backticks. A file name such as ``results.jsonl``, and any other
+    backticked text, is left out."""
+    return {name for node in ast.walk(tree)
+            if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef))
+            for name in _DOC_NAME.findall(ast.get_docstring(node, clean=False) or "")
+            if not _FILE_NAME.search(name)}
+
+
+def held_names(tree: ast.Module) -> set[str]:
+    """Every name ``tree`` defines, binds or loads, and every string constant it holds."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, ast.arg):
+            names.add(node.arg)
+        elif isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.alias):
+            names |= {node.asname or node.name, *node.name.split(".")}
+        elif isinstance(node, ast.keyword) and node.arg:
+            names.add(node.arg)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            names.add(node.value)
+    return names
+
+
+def stale_docstring_names(modules: dict[str, ast.Module]) -> set[str]:
+    """``module: name`` of each backticked docstring name that is not a name or
+    string constant of any module, a module name or a Python keyword; a
+    dotted name is stale unless it is held whole or each of its parts is."""
+    held = set(modules) | set(keyword.kwlist)
+    for tree in modules.values():
+        held |= held_names(tree)
+    return {f"{module}: {name}" for module, tree in modules.items()
+            for name in docstring_names(tree)
+            if name not in held and not all(part in held for part in name.split("."))}
+
+
+def test_package_docstrings_name_only_what_the_package_has():
+    assert stale_docstring_names(package_modules()) == set(), (
+        "docstrings name what the package no longer defines")
+
+
+def test_a_stale_docstring_name_is_found():
+    a = ast.parse('"""Reads ``KEY`` and ``b.kept``, not ``gone_helper`` or ``b.Gone``;\n'
+                  '``None``, ``(kind, text)``, ``split.json`` and ``out.jsonl`` pass."""\n'
+                  "from . import b\n"
+                  "def f(key='KEY'):\n"
+                  '    """Calls ``b.kept(key)`` through ``f``, and ``helper``."""\n'
+                  "    return b.kept(key)\n")
+    b = ast.parse("def kept(x):\n    return x\n")
+    assert stale_docstring_names({"a": a, "b": b}) == {
+        "a: gone_helper", "a: b.Gone", "a: helper"}

@@ -201,6 +201,16 @@ def test_llm_and_engine_paths_give_a_condition_edit_the_same_targets_and_relatio
     assert res.counts["svabug"]["by_bug_type"]["Direct"] == 1
 
 
+def test_an_sva_reply_with_no_assert_is_an_sva_error_and_is_never_verified(monkeypatch):
+    replies = {"spec": "spec", "sva": "q == d"}
+    tc = Toolchain(compile_backend=fake_compile, llm_backend=lambda req: replies[req.task])
+    verified, real_verify = [], tc.formal_verify
+    monkeypatch.setattr(tc, "formal_verify", lambda src: verified.append(src) or real_verify(src))
+    res = run_augment([SourceUnit(id="p", path="", text=PROBE_TEXT)], tc, PipelineConfig(seed=1))
+    assert res.errors == [{"unit_id": "p", "stage": "sva", "error": "assertion has no assert keyword"}]
+    assert verified == []
+
+
 def test_llm_bug_path_reads_a_fenced_reply_like_a_bare_one():
     u = SourceUnit(id="t", path="", text="module m;\nalways @(*) y = x;\nendmodule")
     bare = '{"line": 2, "mutated": "always @(*) y = ~x;"}'
@@ -298,7 +308,7 @@ def test_augment_with_a_compiler_that_writes_non_utf8_writes_every_output(tmp_pa
     # Compile and both LLM calls read U+FFFD; the reply holds no assertion.
     errors = json.loads(res.stderr)["errors"]
     assert [(e["unit_id"], e["error"]) for e in errors] == [
-        ("a.v", "source contains no assertion"), ("b.v", "source contains no assertion")]
+        ("a.v", "assertion has no assert keyword"), ("b.v", "assertion has no assert keyword")]
     for name in ("pt.jsonl", "bug.jsonl", "svabug.jsonl", "sva_eval_machine.jsonl",
                  "split_plan.json", "augment_report.json"):
         assert (out / name).is_file(), name
