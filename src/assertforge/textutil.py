@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import re
+from collections.abc import Iterator
 
 _FENCE_RE = re.compile(r"```(?:json)?\s*(.*?)```", re.DOTALL)
 
@@ -30,18 +31,11 @@ def normalize_line_loose(s: str) -> str:
 def extract_json_object(text: str) -> dict | None:
     """Best-effort extraction of one JSON object from a model reply.
 
-    Tries, in order: the whole text, the first fenced code block, and the
-    span from the first '{' to the last '}'. Returns None when nothing parses
-    to a dict.
+    Tries, in order and each only if those before fail: the whole text, the
+    first fenced code block, and the span from the first '{' to the last '}'.
+    Returns None when nothing parses to a dict.
     """
-    candidates = [text]
-    fence = _FENCE_RE.search(text)
-    if fence:
-        candidates.append(fence.group(1))
-    start, end = text.find("{"), text.rfind("}")
-    if 0 <= start < end:
-        candidates.append(text[start : end + 1])
-    for cand in candidates:
+    for cand in _json_candidates(text):
         try:
             obj = json.loads(cand)
         except (ValueError, RecursionError):
@@ -49,6 +43,15 @@ def extract_json_object(text: str) -> dict | None:
         if isinstance(obj, dict):
             return obj
     return None
+
+
+def _json_candidates(text: str) -> Iterator[str]:
+    yield text
+    if fence := _FENCE_RE.search(text):
+        yield fence.group(1)
+    start, end = text.find("{"), text.rfind("}")
+    if 0 <= start < end:
+        yield text[start : end + 1]
 
 
 def parse_solution_reply(text: str) -> dict | None:

@@ -1,20 +1,22 @@
 """Adapters for the three external services: compiler, verifier, LLM endpoint.
 
-All three adapters are content-agnostic and replayable: every call is keyed
-by a digest of its request and goes through one record/replay path
-(``Toolchain._cached``), which either records live outcomes into a
-ReplayCache or serves them back hermetically. Each request is encoded once:
-its key hashes the bytes a record stores and a replay matches. In replay
-mode a missing or undecodable entry is a miss: ``tool_error`` for the
-compiler and verifier, ``AssertForgeError`` for the LLM. In record mode a
+All three adapters are content-agnostic and replayable: every call is keyed by
+a digest of its request and goes through one record/replay path
+(``Toolchain._cached``), which either records live outcomes into a ReplayCache
+or serves them back hermetically. Each request is encoded once: its key hashes
+the bytes a record stores and a replay matches, and the draws of one eval
+case, which differ only by nonce, share one memoized encoding of their prompt.
+In replay mode a missing or undecodable entry is a miss: ``tool_error`` for
+the compiler and verifier, ``AssertForgeError`` for the LLM. In record mode a
 cache write that fails raises ``AssertForgeError`` naming the key. Tool
-commands are user-configurable templates with {file} and {depth}
-placeholders; nothing here hard-depends on a particular compiler or verifier.
+commands are user-configurable templates with {file} and {depth} placeholders;
+nothing here hard-depends on a particular compiler or verifier.
 """
 
 from __future__ import annotations
 
 import contextlib
+import functools
 import hashlib
 import json
 import math
@@ -27,7 +29,7 @@ import tempfile
 import threading
 import urllib.error
 import urllib.request
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from http.client import HTTPException
 from pathlib import Path
 from typing import Callable, TypeVar
@@ -137,18 +139,31 @@ class ToolSettings:
 # One shared C encoder; json.dumps would build a new one on every call.
 _CANONICAL = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
 _DECODER = json.JSONDecoder()
+_ASSERT_RE, _WORD_RE = re.compile(r"assert\b"), re.compile(r"\w")  # \bassert\b, without a scan
+_json_str = json.encoder.encode_basestring_ascii  # _CANONICAL's, without encode()'s frame
+_encoded_long = functools.lru_cache(maxsize=4)(_json_str)  # one case's prompts, not nonces
 
 
 def request_digest(payload: dict) -> tuple[str, bytes]:
     """Stable content key for one adapter request, and the canonical bytes hashed."""
-    data = _CANONICAL.encode(payload).encode()
+    fields = [f"{_json_str(k)}:{_encoded(v)}" for k, v in sorted(payload.items())]
+    data = ("{" + ",".join(fields) + "}").encode()
     return hashlib.sha256(data).hexdigest(), data
+
+
+def _encoded(value: object) -> str:
+    if type(value) is str:
+        return _json_str(value) if len(value) < 256 else _encoded_long(value)
+    if type(value) is float and math.isfinite(value):
+        return float.__repr__(value)  # as JSONEncoder writes it, without building one
+    return _CANONICAL.encode(value)
 
 
 class ReplayCache:
     """Digest-keyed store of adapter outcomes, one ``<key>.json`` file per
-    request holding compact sorted-key JSON ``{"request", "response"}``.
-    ``get`` decodes only the response of an entry with the asked request.
+    request holding compact sorted-key JSON ``{"request", "response"}``. ``get``
+    reads an entry in one ``os.read``, checks its request in place and decodes
+    only the response of an entry with the asked request.
 
     Safe for concurrent readers. Each write is atomic: it is staged under a
     random ``.tmp`` name that no other writer, in this process or another,
@@ -176,13 +191,19 @@ class ReplayCache:
         """The stored response, or None when there is no entry. A malformed
         entry raises ValueError, KeyError, TypeError or RecursionError."""
         try:
-            with open(self._prefix + key + ".json", "rb") as f:
-                data = f.read()
+            fd = os.open(self._prefix + key + ".json", os.O_RDONLY)  # opens a directory too
+            try:
+                size = os.fstat(fd).st_size
+                data = os.read(fd, size + 1)
+                while len(data) > size:  # the file grew after fstat: read on to its end
+                    data, size = data + os.read(fd, len(data)), len(data)
+            finally:
+                os.close(fd)
         except (FileNotFoundError, IsADirectoryError, NotADirectoryError):
             return None
-        head = b'{"request":%b,"response":' % request
-        if data.startswith(head):
-            text = data[len(head):].decode("utf-8")
+        head = data.startswith(b'{"request":') and data.startswith(request, 11)
+        if head and data.startswith(b',"response":', start := 11 + len(request)):
+            text = data[start + 12 :].decode("utf-8")
             with contextlib.suppress(ValueError):  # not one value and "}": parse it whole
                 response, end = _DECODER.raw_decode(text)
                 if text[end:] == "}":
@@ -264,7 +285,7 @@ class Toolchain:
             return miss(f"{reason}: {key}")
         outcome = live()
         try:
-            self.cache.put(key, request_bytes, asdict(outcome))
+            self.cache.put(key, request_bytes, vars(outcome))
         except OSError as exc:
             raise AssertForgeError(f"replay cache write failed: {key}: {exc}") from exc
         return outcome
@@ -296,7 +317,8 @@ class Toolchain:
     # -- verifier -----------------------------------------------------------
 
     def formal_verify(self, source_with_sva: str) -> VerifyOutcome:
-        if not re.search(r"\bassert\b", source_with_sva):
+        starts = (m.start() for m in _ASSERT_RE.finditer(source_with_sva))
+        if not any(not i or not _WORD_RE.match(source_with_sva, i - 1) for i in starts):
             raise DomainError("source contains no assertion")
         depth = self.settings.verifier_depth
         return self._cached(

@@ -2,11 +2,16 @@ import errno
 import http.server
 import json
 import os
+import re
 import sys
 import threading
+from types import SimpleNamespace
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+import _cache_reference as ref
 from assertforge import toolchain
 from assertforge.errors import AssertForgeError, DomainError, TransportFailure
 from assertforge.toolchain import (
@@ -601,3 +606,105 @@ def test_request_digest_stability():
     assert (a, a_bytes) == (b, b_bytes)
     assert a_bytes == b'{"kind":"llm","prompt_text":"p","task":"spec"}'
     assert a != request_digest({"kind": "llm", "task": "spec", "prompt_text": "q"})[0]
+
+
+def _edge_entry(case: str) -> tuple[str, bytes, bytes | None]:
+    """(key, asked request, entry bytes or None for a directory) of one get edge case."""
+    key, asked = request_digest({"kind": "compile", "source": "module m; endmodule"})
+    canonical = b'{"request":' + asked + b',"response":{"status":"ok","stderr_text":""}}'
+    if case == "over-64KiB":
+        key, asked = request_digest({"kind": "llm", "prompt_text": "p\u00e9" * 40_000})
+        return key, asked, b'{"request":' + asked + b',"response":{"text":"t"}}'
+    return {
+        "empty": (key, asked, b""),
+        "directory": (key, asked, None),
+        "trailing-newline": (key, asked, canonical + b"\n"),
+        "trailing-bytes": (key, asked, canonical + b"{}"),
+        "asked-request-differs-in-its-last-byte": (key, asked[:-1] + b" ", canonical),
+        "stored-request-differs-in-its-last-byte": (key, asked, canonical.replace(b'"}', b'"]', 1)),
+        "another-opening": (key, asked, canonical.replace(b'{"request":', b'[{"reques":', 1)),
+        "another-second-key": (key, asked, canonical.replace(b'"response"', b'"responsE"')),
+    }[case]
+
+
+GET_EDGE_CASES = [
+    "empty",
+    "directory",
+    "over-64KiB",
+    "trailing-newline",
+    "trailing-bytes",
+    "asked-request-differs-in-its-last-byte",
+    "stored-request-differs-in-its-last-byte",
+    "another-opening",
+    "another-second-key",
+]
+
+
+def _write_edge_entry(directory, case: str) -> tuple[str, bytes]:
+    key, asked, entry = _edge_entry(case)
+    directory.mkdir(exist_ok=True)
+    if entry is None:
+        (directory / f"{key}.json").mkdir()
+    else:
+        (directory / f"{key}.json").write_bytes(entry)
+    return key, asked
+
+
+def _outcome(read):
+    try:
+        return "returns", read()
+    except (ValueError, KeyError, TypeError, RecursionError) as exc:
+        return "raises", type(exc)
+
+
+@pytest.mark.parametrize("case", GET_EDGE_CASES)
+def test_get_edge_case_reads_as_the_reference_cache(tmp_path, case):
+    key, asked = _write_edge_entry(tmp_path, case)
+
+    def reference():  # the whole entry, parsed, before get read it in place
+        entry = ref.ReplayCache(tmp_path).get(key)
+        return None if entry is None else entry["response"]
+
+    assert _outcome(lambda: ReplayCache(tmp_path).get(key, asked)) == _outcome(reference)
+
+
+def test_get_reads_an_entry_that_grew_after_fstat_to_its_end(tmp_path, monkeypatch):
+    key, asked = _write_edge_entry(tmp_path, "over-64KiB")
+    real_fstat = os.fstat
+    monkeypatch.setattr(os, "fstat", lambda fd: SimpleNamespace(st_size=real_fstat(fd).st_size // 100))
+    assert ReplayCache(tmp_path).get(key, asked) == {"text": "t"}
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc/self/fd")
+def test_get_leaves_no_descriptor_open(tmp_path):
+    cases = [(tmp_path / case, *_write_edge_entry(tmp_path / case, case)) for case in GET_EDGE_CASES]
+    cases.append((tmp_path, "0" * 64, b"{}"))  # no entry
+    before = len(os.listdir("/proc/self/fd"))
+    for _ in range(3):
+        for directory, key, asked in cases:
+            _outcome(lambda: ReplayCache(directory).get(key, asked))
+    assert len(os.listdir("/proc/self/fd")) == before
+
+
+ASSERT_TEXTS = st.lists(
+    st.sampled_from(["assert", "x", "_", "1", "\u00e9", "\u0663", "\u2163", "\u00df", " ", "\n", "(", ";"]),
+    max_size=8,
+).map("".join)
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(ASSERT_TEXTS | st.text(st.characters(exclude_categories=()), max_size=12))
+@example("xassert")
+@example("\u00e9assert")
+@example("assert_x")
+@example("assert\u00e9")
+@example("xassert assert(x);")
+@example("assert_x; \u00e9assert; assert property (a);")
+@example("assertassert")
+def test_formal_verify_finds_assert_where_a_word_search_does(text):
+    tc = Toolchain(verify_backend=lambda s, d: VerifyOutcome("proven", ""))
+    if re.search(r"\bassert\b", text):
+        assert tc.formal_verify(text) == VerifyOutcome("proven", "")
+    else:
+        with pytest.raises(DomainError, match="^source contains no assertion$"):
+            tc.formal_verify(text)
