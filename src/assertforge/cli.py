@@ -49,6 +49,15 @@ def _toolchain(cfg: PipelineConfig) -> Toolchain:
         raise click.ClickException(str(exc))
 
 
+def _out_dir(cfg: PipelineConfig) -> Path:
+    """``out.dir``, made with its parents; one that cannot be made is a one-line error."""
+    try:
+        Path(cfg.out_dir).mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise click.ClickException(f"cannot create out.dir: {exc}")
+    return Path(cfg.out_dir)
+
+
 def _header(cfg: PipelineConfig) -> dict:
     return {
         "tool_version": __version__,
@@ -96,12 +105,12 @@ def main():
 def filter_cmd(config_path, corpus_dir, out_dir):
     """Apply the stage-1 filter rules and write the report plus manifest."""
     cfg = _load_config(config_path, corpus_dir=corpus_dir, out_dir=out_dir)
-    out = Path(cfg.out_dir)
     errors: list[dict] = []
     try:
         units = load_corpus_dir(cfg.corpus_dir, errors)
     except FileNotFoundError as exc:
         raise click.ClickException(str(exc))
+    out = _out_dir(cfg)  # before the first file is read
     rows = filter_units(units)
     accepted = [{"id": r["id"], "path": r["path"]} for r in rows if r["status"] == "accepted"]
     header = _header(cfg)
@@ -138,10 +147,10 @@ def _load_manifest_units(manifest: Path) -> tuple[list[SourceUnit], list[dict]]:
 def augment(config_path, manifest, out_dir, parallel, keep_temp):
     """Generate the pt/bug/svabug datasets, split plan, and benchmark cases."""
     cfg = _load_config(config_path, keep_temp=keep_temp, out_dir=out_dir, parallel=parallel)
-    out = Path(cfg.out_dir)
-    manifest = Path(manifest or (out / "manifest.jsonl"))
+    manifest = Path(manifest or (Path(cfg.out_dir) / "manifest.jsonl"))
     if not manifest.is_file():
         raise click.ClickException(f"manifest not found: {manifest}")
+    out = _out_dir(cfg)
     units, load_errors = _load_manifest_units(manifest)
     result = run_augment(units, _toolchain(cfg), cfg)
     result.errors = load_errors + result.errors

@@ -3,13 +3,14 @@
 The lexer is token-level only (no grammar): every byte of the input lands in
 exactly one token, so concatenating the lexemes reproduces the file. That
 round-trip property is what makes single-line mutation safe without a full
-parser. One scanner, a ``finditer`` pass over a master pattern (an ordered
-alternation of one group per token rule), has two consumers: ``tokenize``
-builds the lossless stream of ``Token`` tuples, and ``_significant_pairs``
-keeps only the ``(kind, text)`` pairs of significant tokens. The filter scans
-each file once into pairs and never builds a ``Token``; ``augment`` lexes a
-short-lived copy of each unit it injects bugs into, on either bug path, and
-takes the split's module names from those tokens (``SourceUnit.module_names``).
+parser. One table of token rules, ``_PATTERNS``, makes two scanners:
+``tokenize`` walks a ``finditer`` over ``_MASTER`` (one group per rule) into
+the lossless stream of ``Token`` tuples, and ``_significant_pairs`` takes the
+significant lexemes from one ``findall`` over ``_SCAN`` and their kinds from a
+per-file copy of a lexeme-kind table. The filter scans each file once into
+pairs and never builds a ``Token``; ``augment`` lexes a short-lived copy of
+each unit it injects bugs into, on either bug path, and takes the split's
+module names from those tokens (``SourceUnit.module_names``).
 
 Filtering streams: ``load_corpus_dir`` reads one file per step and
 ``filter_units`` judges each unit as it arrives, keeping only the dedup keys
@@ -113,9 +114,9 @@ _OPERATORS = (
     "?",
 )
 
-# Ordered scanner: one group per entry, joined into a single alternation, so
-# the first entry that matches at the cursor wins. Group i + 1 is entry i, and
-# the first two entries are the trivia ``_significant_pairs`` skips.
+# Ordered rules: the first entry that matches at the cursor wins. ``_MASTER``
+# makes entry i its group i + 1; ``_SCAN`` takes the first two, the trivia, as
+# the prefix of each significant token and the rest as its one group.
 _PATTERNS: tuple[tuple[str, str], ...] = (
     ("whitespace", r"[ \t\r\n\f\v]+"),
     ("comment", r"//[^\n]*|/\*.*?\*/|/\*.*"),
@@ -132,8 +133,17 @@ _PATTERNS: tuple[tuple[str, str], ...] = (
 )
 _MASTER = re.compile("|".join(f"({rx})" for _, rx in _PATTERNS), re.DOTALL)
 _KIND_OF_GROUP = (None, *(kind for kind, _ in _PATTERNS))  # by ``m.lastindex``
-_LAST_TRIVIA_GROUP = 2
 TRIVIA_KINDS = ("whitespace", "comment")  # the token kinds ``significant`` drops
+
+# Each ``findall`` match: a token's leading trivia, then the token as the group, or
+# ``\Z`` at the end. Plain ``*``, not 3.11's ``*+``: a rule or ``\Z`` always follows.
+_TRIVIA = "|".join(rx for kind, rx in _PATTERNS if kind in TRIVIA_KINDS)
+_SIGNIFICANT = "|".join(rx for kind, rx in _PATTERNS if kind not in TRIVIA_KINDS)
+_SCAN = re.compile(f"(?:{_TRIVIA})*({_SIGNIFICANT}|\\Z)", re.DOTALL)
+# A lexeme's kind is that of ``_MASTER``'s match of it alone, as no rule has an
+# anchor or lookaround: here for every keyword, operator and punctuation mark.
+_KIND_OF_LEXEME = {x: _KIND_OF_GROUP[_MASTER.match(x).lastindex]
+                   for x in (*_OPERATORS, *"()[]{};,.:@#'")} | dict.fromkeys(KEYWORDS, "keyword")
 
 
 class Token(NamedTuple):
@@ -171,21 +181,18 @@ def significant(tokens) -> list[Token]:
 
 
 def _significant_pairs(text: str) -> list[tuple[str, str]]:
-    """``(kind, text)`` of each token ``significant(tokenize(text))`` holds,
-    from the same scan but without positions or ``Token`` objects."""
-    pairs = []
-    for m in _MASTER.finditer(text):
-        group = m.lastindex
-        if group > _LAST_TRIVIA_GROUP:
-            kind, lexeme = _KIND_OF_GROUP[group], m.group()
-            if kind == "identifier" and lexeme in KEYWORDS:
-                kind = "keyword"
-            pairs.append((kind, lexeme))
-    return pairs
+    """``(kind, text)`` of each token ``significant(tokenize(text))`` holds, from one
+    ``_SCAN`` and a copy of ``_KIND_OF_LEXEME`` that is dropped with the file."""
+    lexemes = _SCAN.findall(text)
+    while lexemes and not lexemes[-1]:  # the empty ``\Z`` group, twice after trailing trivia
+        lexemes.pop()
+    kinds = _KIND_OF_LEXEME | {x: _KIND_OF_GROUP[_MASTER.match(x).lastindex]
+                               for x in set(lexemes).difference(_KIND_OF_LEXEME)}
+    return [(kinds[x], x) for x in lexemes]
 
 
 def _dedup_key(sig: list[tuple[str, str]]) -> str:
-    blob = "".join([f"{kind}\x00{text}\x01" for kind, text in sig])
+    blob = "\x01".join(map("\x00".join, sig)) + "\x01" if sig else ""
     return hashlib.sha256(blob.encode()).hexdigest()
 
 

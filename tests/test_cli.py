@@ -585,6 +585,35 @@ def test_a_mock_dir_that_is_a_file_is_a_one_line_error(
     assert list(out.iterdir()) == [] and not_a_dir.read_text() == ""
 
 
+@pytest.mark.parametrize("under", [False, True], ids=["a file", "under a file"])
+@pytest.mark.parametrize("command", ["filter", "augment"])
+def test_an_out_dir_that_cannot_be_made_is_a_one_line_error_before_any_work(
+    cli_env, manifest, tmp_path, monkeypatch, command, under
+):
+    a_file = tmp_path / "taken"
+    a_file.write_text("kept")
+    out = a_file / "sub" if under else a_file
+    calls = []
+
+    def record_call(*args):
+        calls.append(args)
+
+    monkeypatch.setattr(cli, "filter_units", record_call)
+    monkeypatch.setattr(cli, "Toolchain", functools.partial(
+        Toolchain, compile_backend=record_call, verify_backend=record_call,
+        llm_backend=record_call))
+    if command == "filter":
+        args = ["filter", "--config", cli_env["config"], "--out-dir", out]
+    else:
+        args = ["augment", "--manifest", manifest, "--out-dir", out]
+    res = invoke(*args)
+    assert res.exit_code == 1 and "Traceback" not in res.output
+    [line] = res.output.splitlines()
+    code = errno.ENOTDIR if under else errno.EEXIST
+    assert line.startswith(f"Error: cannot create out.dir: [Errno {code}]")
+    assert calls == [] and a_file.read_text() == "kept"
+
+
 def test_a_missing_scratch_dir_is_one_tool_error_per_unit(manifest, tmp_path):
     config = tmp_path / "scratch.cfg"
     config.write_text(f"seed = {E2E_SEED}\ncompiler.cmd = no-such-compiler {{file}}\n"

@@ -246,6 +246,22 @@ def test_filter_never_lexes(monkeypatch, corpus_dir):
     assert len(rows) > 1 and lexed == []
 
 
+def test_filter_leaves_the_fixed_kind_table_as_it_was_at_import(corpus_units):
+    # Each file's identifiers, numbers and strings are classified in a copy
+    # that is dropped with the file, so filtering never grows the module table.
+    at_import = dict(corpus._KIND_OF_LEXEME)
+    names = [f"sig_{i}_{j}" for i in range(50) for j in range(4)]
+    distinct = [SourceUnit(id=f"d{i}", path="", text=(
+        f"module m_{i}(input {names[4 * i]}, output {names[4 * i + 1]});\n"
+        f"  assign {names[4 * i + 1]} = {names[4 * i]} & {names[4 * i + 2]} | {i}'d{i};\n"
+        f'  wire {names[4 * i + 3]}; initial $display("u{i}");\nendmodule\n'))
+        for i in range(50)]
+    rows = filter_units(corpus_units) + filter_units(distinct)
+    assert [r["status"] for r in rows[-50:]] == ["accepted"] * 50
+    assert corpus._KIND_OF_LEXEME == at_import
+    assert not any(name in corpus._KIND_OF_LEXEME for name in names)
+
+
 def test_load_corpus_dir_missing_dir_raises_before_iteration(tmp_path):
     with pytest.raises(FileNotFoundError, match="corpus directory not found"):
         load_corpus_dir(tmp_path / "nope", [])

@@ -245,3 +245,37 @@ def test_a_stale_docstring_name_is_found():
     b = ast.parse("def kept(x):\n    return x\n")
     assert stale_docstring_names({"a": a, "b": b}) == {
         "a: gone_helper", "a: b.Gone", "a: helper"}
+
+
+# ``pyproject.toml`` declares ``requires-python = ">=3.10"``.
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_module_parses_as_python_3_10(path):
+    ast.parse(path.read_text(encoding="utf-8"), filename=str(path), feature_version=(3, 10))
+
+
+def test_python_3_11_syntax_is_found():
+    with pytest.raises(SyntaxError):
+        ast.parse("try:\n    pass\nexcept* ValueError:\n    pass\n", feature_version=(3, 10))
+
+
+_NEWER_REGEX = re.compile(r"[*+?}]\+|\(\?>")
+
+
+def newer_regex_syntax(pattern: str) -> list[str]:
+    """The possessive quantifiers and atomic groups in ``pattern``, which
+    Python's ``re`` reads only from 3.11 on; an escaped character counts as a
+    plain one."""
+    return _NEWER_REGEX.findall(re.sub(r"\\.", "x", pattern))
+
+
+def test_corpus_patterns_use_no_python_3_11_regex_syntax():
+    from assertforge import corpus
+
+    patterns = [v.pattern for v in vars(corpus).values() if isinstance(v, re.Pattern)]
+    assert len(patterns) >= 2
+    assert [p for p in patterns if newer_regex_syntax(p)] == []
+
+
+def test_python_3_11_regex_syntax_is_found():
+    assert newer_regex_syntax(r"(?:a|b)*+(c++|d?+|e{2}+)") == ["*+", "++", "?+", "}+"]
+    assert newer_regex_syntax(r"(?>ab)\*+\++\?+") == ["(?>"]

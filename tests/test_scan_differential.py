@@ -1,0 +1,56 @@
+"""Differential test: the filter's one-``findall`` scan against the lexer.
+
+``corpus._significant_pairs`` must give exactly the ``(kind, text)`` pairs of
+``significant(tokenize(text))``: on the lexer's edge cases, on text that ends
+in trivia or inside a comment, on every entry of the fixed lexeme-kind table,
+and on Hypothesis-generated text.
+"""
+
+from __future__ import annotations
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from assertforge import corpus
+from assertforge.corpus import significant, tokenize
+from test_lexer_differential import _CHARS, _FRAGMENTS, EDGE_CASES
+
+
+def lexer_pairs(text: str) -> list[tuple[str, str]]:
+    return [(t.kind, t.text) for t in significant(tokenize(text))]
+
+
+SCAN_EDGE_CASES = {
+    "ends in whitespace": "module m; endmodule\n\t \n",
+    "only whitespace": " \n\t",
+    "line comment at eof": "assign x = a & b; // trailing note",
+    "line comment alone": "//",
+    "line comment then newline at eof": "q <= d; // note\n",
+    "unterminated block comment": "a = b; /* never\n closed",
+    "block comment at eof": "a = b; /* done */",
+    "comment openers in strings": '$display("// no /* no"); s = "/*"; t = "//" // yes',
+    "escaped identifiers": "\\bus[3] = \\a+b ; \\q\n\\endmodule ",
+    "based literals and lone ticks": "4'b10_z 'hF 8'sd5 ' '{1} x' 'b",
+    "non-ascii": "wire ü = 1; // é\nλ /* 日本 */ \"ß\" ∑",
+    "non-ascii at eof": "a = b;é",
+}
+CASES = {**EDGE_CASES, **SCAN_EDGE_CASES}
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_edge_cases_match_the_lexer(name):
+    text = CASES[name]
+    assert corpus._significant_pairs(text) == lexer_pairs(text), name
+
+
+def test_every_fixed_table_lexeme_has_its_lexer_kind():
+    for lexeme, kind in corpus._KIND_OF_LEXEME.items():
+        assert lexer_pairs(lexeme) == [(kind, lexeme)], lexeme
+        assert corpus._significant_pairs(f" {lexeme} ") == [(kind, lexeme)], lexeme
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(st.lists(st.one_of(_FRAGMENTS, _CHARS, st.text(max_size=3)), max_size=40).map("".join))
+def test_generated_text_matches_the_lexer(text):
+    assert corpus._significant_pairs(text) == lexer_pairs(text)
