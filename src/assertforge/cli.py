@@ -58,6 +58,17 @@ def _out_dir(cfg: PipelineConfig) -> Path:
     return Path(cfg.out_dir)
 
 
+def _out_file(path: str, option: str) -> None:
+    """Make the parents of an output file; a target that cannot be written (a
+    directory, or a path under a regular file) is a one-line error."""
+    try:
+        Path(path).parent.mkdir(parents=True, exist_ok=True)
+        if Path(path).is_dir():
+            raise IsADirectoryError(f"is a directory: {path}")
+    except OSError as exc:
+        raise click.ClickException(f"cannot write {option} {path}: {exc}")
+
+
 def _header(cfg: PipelineConfig) -> dict:
     return {
         "tool_version": __version__,
@@ -204,6 +215,9 @@ def eval_cmd(benchmark, config_path, out_path, results_path, csv_path, n_target,
         raise click.ClickException(f"invalid benchmark file: {exc}")
     if not cases:
         raise click.ClickException("benchmark file holds no cases")
+    for path, option in ((out_path, "--out"), (csv_path, "--csv"), (results_path, "--results")):
+        if path:  # before the first solver call
+            _out_file(path, option)
     tc = _toolchain(cfg)
     if cfg.eval_mode == "reverify" and not tc.has_verifier:
         raise click.ClickException(

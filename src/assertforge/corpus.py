@@ -1,16 +1,14 @@
 """Verilog source ingestion: lexing, structure extraction, corpus filtering.
 
-The lexer is token-level only (no grammar): every byte of the input lands in
-exactly one token, so concatenating the lexemes reproduces the file. That
-round-trip property is what makes single-line mutation safe without a full
-parser. One table of token rules, ``_PATTERNS``, makes two scanners:
-``tokenize`` walks a ``finditer`` over ``_MASTER`` (one group per rule) into
-the lossless stream of ``Token`` tuples, and ``_significant_pairs`` takes the
-significant lexemes from one ``findall`` over ``_SCAN`` and their kinds from a
-per-file copy of a lexeme-kind table. The filter scans each file once into
-pairs and never builds a ``Token``; ``augment`` lexes a short-lived copy of
-each unit it injects bugs into, on either bug path, and takes the split's
-module names from those tokens (``SourceUnit.module_names``).
+The lexer is token-level only (no grammar). One table of token rules,
+``_PATTERNS``, makes the scanner ``_SCAN``, each of whose matches is a run of
+whitespace and comments and then one significant token. ``tokenize`` walks
+it into a text's significant ``Token`` tuples and the lines that a comment or
+string spanning lines overlaps; ``_significant_pairs`` takes the same
+lexemes as ``(kind, text)`` pairs from one ``findall``. The filter scans each
+file once into pairs and never builds a ``Token``; ``augment`` lexes a
+short-lived copy of each unit it injects bugs into, on either bug path, and
+takes the split's module names from those tokens (``SourceUnit.module_names``).
 
 Filtering streams: ``load_corpus_dir`` reads one file per step and
 ``filter_units`` judges each unit as it arrives, keeping only the dedup keys
@@ -133,13 +131,12 @@ _PATTERNS: tuple[tuple[str, str], ...] = (
 )
 _MASTER = re.compile("|".join(f"({rx})" for _, rx in _PATTERNS), re.DOTALL)
 _KIND_OF_GROUP = (None, *(kind for kind, _ in _PATTERNS))  # by ``m.lastindex``
-TRIVIA_KINDS = ("whitespace", "comment")  # the token kinds ``significant`` drops
 
-# Each ``findall`` match: a token's leading trivia, then the token as the group, or
-# ``\Z`` at the end. Plain ``*``, not 3.11's ``*+``: a rule or ``\Z`` always follows.
-_TRIVIA = "|".join(rx for kind, rx in _PATTERNS if kind in TRIVIA_KINDS)
-_SIGNIFICANT = "|".join(rx for kind, rx in _PATTERNS if kind not in TRIVIA_KINDS)
-_SCAN = re.compile(f"(?:{_TRIVIA})*({_SIGNIFICANT}|\\Z)", re.DOTALL)
+# Each match: a token's leading trivia, then the token as the group, or ``\Z``
+# at the end. Plain ``*``, not 3.11's ``*+``: a rule or ``\Z`` always follows.
+_TRIVIA = "|".join(rx for _, rx in _PATTERNS[:2])
+_SCAN = re.compile(f"(?:{_TRIVIA})*({'|'.join(rx for _, rx in _PATTERNS[2:])}|\\Z)", re.DOTALL)
+_TRIVIUM = re.compile(_TRIVIA, re.DOTALL)  # one whitespace run or comment
 # A lexeme's kind is that of ``_MASTER``'s match of it alone, as no rule has an
 # anchor or lookaround: here for every keyword, operator and punctuation mark.
 _KIND_OF_LEXEME = {x: _KIND_OF_GROUP[_MASTER.match(x).lastindex]
@@ -153,35 +150,50 @@ class Token(NamedTuple):
     col: int  # 1-based, counted from the start of the token's line
 
 
-def tokenize(text: str) -> tuple[Token, ...]:
-    """Lex Verilog/SystemVerilog source into a lossless token stream.
+class Tokens(list):
+    """The significant tokens of a text, in order, and ``tainted``: the lines
+    that a comment or string spanning lines overlaps."""
 
-    Concatenating the returned lexemes reproduces ``text`` byte for byte.
-    Unknown bytes become single-character "other" tokens.
-    """
-    tokens = []
-    new_token = tuple.__new__  # what Token._make calls, without its checks
-    line, line_start = 1, 0
-    for m in _MASTER.finditer(text):
-        kind = _KIND_OF_GROUP[m.lastindex]
-        lexeme = m.group()
-        start = m.start()
-        if kind == "identifier" and lexeme in KEYWORDS:
-            kind = "keyword"
-        tokens.append(new_token(Token, (kind, lexeme, line, start - line_start + 1)))
-        if "\n" in lexeme:
-            line += lexeme.count("\n")
-            line_start = start + lexeme.rfind("\n") + 1
-    return tuple(tokens)
+    tainted: frozenset[int]
 
 
-def significant(tokens) -> list[Token]:
-    """Tokens that carry syntax (everything but whitespace and comments)."""
-    return [t for t in tokens if t.kind not in TRIVIA_KINDS]
+def tokenize(text: str) -> Tokens:
+    """The significant tokens of Verilog/SystemVerilog source: every token but
+    whitespace and comments. Unknown bytes become single-character "other"
+    tokens, and equal lexemes share one ``str``."""
+    tokens, tainted = Tokens(), set()
+    append, new_token = tokens.append, tuple.__new__  # what Token._make calls, unchecked
+    seen: dict[str, tuple[str, str, bool]] = {}  # lexeme -> (kind, lexeme, spans lines)
+    count, find = text.count, text.find
+    line, line_start, next_newline = 1, 0, find("\n")
+    for m in _SCAN.finditer(text):
+        x, start = m.group(1), m.start(1)
+        if start > next_newline >= 0:  # the trivia before the token holds a newline
+            end = m.start()
+            if find("/*", end, start) >= 0:  # a block comment may span lines
+                for c in _TRIVIUM.finditer(text, end, start):
+                    if c.group()[0] == "/" and (inner := c.group().count("\n")):
+                        first = line + count("\n", end, c.start())
+                        tainted.update(range(first, first + inner + 1))
+            line += count("\n", end, start)
+            line_start, next_newline = text.rfind("\n", end, start) + 1, find("\n", start)
+        if (entry := seen.get(x)) is None:
+            if not x:  # ``\Z``
+                break
+            kind = _KIND_OF_LEXEME.get(x) or _KIND_OF_GROUP[_MASTER.match(x).lastindex]
+            entry = seen[x] = (kind, x, "\n" in x)
+        kind, x, spans_lines = entry
+        append(new_token(Token, (kind, x, line, start - line_start + 1)))
+        if spans_lines:  # a string with an escaped newline
+            tainted.update(range(line, line + x.count("\n") + 1))
+            line += x.count("\n")
+            line_start, next_newline = start + x.rfind("\n") + 1, find("\n", start + len(x))
+    tokens.tainted = frozenset(tainted)
+    return tokens
 
 
 def _significant_pairs(text: str) -> list[tuple[str, str]]:
-    """``(kind, text)`` of each token ``significant(tokenize(text))`` holds, from one
+    """``(kind, text)`` of each token ``tokenize(text)`` holds, from one
     ``_SCAN`` and a copy of ``_KIND_OF_LEXEME`` that is dropped with the file."""
     lexemes = _SCAN.findall(text)
     while lexemes and not lexemes[-1]:  # the empty ``\Z`` group, twice after trailing trivia
@@ -198,7 +210,7 @@ def _dedup_key(sig: list[tuple[str, str]]) -> str:
 
 @dataclass(frozen=True)
 class SourceUnit:
-    """One Verilog file. Its lossless token stream is computed once, on first
+    """One Verilog file. Its ``tokenize`` result is computed once, on first
     use, and its module names are read from it. The filter never asks for
     either; ``augment`` lexes a short-lived copy, whose tokens give the
     mutations and the split's module names, so the units it keeps hold none."""
@@ -208,13 +220,12 @@ class SourceUnit:
     text: str
 
     @cached_property
-    def tokens(self) -> tuple[Token, ...]:
+    def tokens(self) -> Tokens:
         return tokenize(self.text)
 
     @property
     def module_names(self) -> tuple[str, ...]:
-        pairs = pairwise(t for t in self.tokens if t.kind not in TRIVIA_KINDS)
-        return tuple(b.text for a, b in pairs
+        return tuple(b.text for a, b in pairwise(self.tokens)
                      if a.text == "module" and a.kind == "keyword" and b.kind == "identifier")
 
     @property

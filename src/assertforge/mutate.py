@@ -21,10 +21,12 @@ import re
 from bisect import bisect_left, bisect_right
 from collections.abc import Iterator
 from dataclasses import dataclass
-from itertools import groupby
+from functools import lru_cache
+from itertools import groupby, islice
 from operator import attrgetter
+from weakref import WeakKeyDictionary
 
-from .corpus import TRIVIA_KINDS, SourceUnit, Token, significant, tokenize
+from .corpus import SourceUnit, Token, tokenize
 from .errors import AssertForgeError, DomainError, NoAlternativeError
 
 SYNTACTIC_KINDS = ("Var", "Value", "Op", "Cond", "Non_cond")
@@ -190,6 +192,7 @@ def _analyze_tokens(tokens: list[Token]) -> _LineInfo:
 
 
 _LINE, _KIND, _TEXT = attrgetter("line"), attrgetter("kind"), attrgetter("text")
+_POSITION = attrgetter("line", "col")
 
 
 def _replace_token(line: str, tok: Token, new_text: str) -> str:
@@ -291,6 +294,10 @@ def _identifier_pool(unit: SourceUnit) -> list[str]:
     return sorted(names)
 
 
+# Each unit's pool, built on the first draw that needs it and freed with the unit.
+_POOLS: WeakKeyDictionary[SourceUnit, list[str]] = WeakKeyDictionary()
+
+
 def _var_site_tokens(info: _LineInfo) -> list[Token]:
     sites = list(info.lhs_idents)
     sites += [t for t in info.rhs if t.kind == "identifier"]
@@ -373,19 +380,15 @@ def _alternatives(line_text: str, info: _LineInfo, kind: str, pool: list[str]) -
     return (a for a in alts if a != line_text and "\n" not in a)
 
 
-def _tainted_lines(unit: SourceUnit) -> set[int]:
-    """Lines overlapped by a multi-line comment or string; unsafe to rewrite."""
-    tainted: set[int] = set()
-    for t in unit.tokens:
-        if t.kind in ("comment", "string") and "\n" in t.text:
-            tainted.update(range(t.line, t.line + t.text.count("\n") + 1))
-    return tainted
+@lru_cache(maxsize=1024)
+def _based_has_variant(text: str) -> bool:
+    return any(_literal_variants(text))
 
 
 def _has_variant(tokens) -> bool:
     """A plain decimal or real always has a variant; a based literal is asked."""
     return any(
-        t.kind == "number" and ("'" not in t.text or any(_literal_variants(t.text))) for t in tokens
+        t.kind == "number" and ("'" not in t.text or _based_has_variant(t.text)) for t in tokens
     )
 
 
@@ -413,12 +416,13 @@ def enumerate_sites(unit: SourceUnit) -> list[tuple[int, tuple[str, ...]]]:
 
     A kind is listed only when at least one legal rewrite exists for it, so
     every returned pair is a valid apply_mutation target. One pass groups the
-    unit's significant tokens by line, and each line is analysed once.
+    unit's significant tokens by line, and each line is analysed once; a line
+    that a comment or string spanning lines overlaps is never a site.
     """
-    tainted = _tainted_lines(unit)
+    tainted = unit.tokens.tainted
     lines = unit.text.split("\n")
     sites = []
-    for ln, run in groupby((t for t in unit.tokens if t.kind not in TRIVIA_KINDS), _LINE):
+    for ln, run in groupby(unit.tokens, _LINE):
         if ln not in tainted:
             kinds = _admissible_kinds(lines[ln - 1], _analyze_tokens(list(run)))
             if kinds:
@@ -430,7 +434,7 @@ def _line_info(unit: SourceUnit, line: int) -> _LineInfo:
     """The analysis of the tokens of ``unit`` that start on ``line``."""
     lo = bisect_left(unit.tokens, line, key=_LINE)
     hi = bisect_right(unit.tokens, line, lo, key=_LINE)
-    return _analyze_tokens(significant(unit.tokens[lo:hi]))
+    return _analyze_tokens(unit.tokens[lo:hi])
 
 
 def mutated_targets(
@@ -441,7 +445,7 @@ def mutated_targets(
     header), those assigned in the statement or begin/end block that the
     original line's condition governs. ``info`` is the original line's
     analysis, when the caller has it."""
-    mut = _analyze_tokens(significant(tokenize(mutated)))
+    mut = _analyze_tokens(tokenize(mutated))
     if mut.assign_idx is not None:
         return frozenset(t.text for t in mut.lhs_idents)
     return _governed_targets(unit, line, info or _line_info(unit, line))
@@ -452,12 +456,13 @@ def _governed_targets(unit: SourceUnit, line_no: int, info: _LineInfo) -> frozen
     if not info.cond_spans:
         return frozenset()
     close_tok = info.tokens[info.cond_spans[0][2]]
-    toks = [t for t in significant(unit.tokens) if (t.line, t.col) > (line_no, close_tok.col)]
-    if not toks:
+    start = bisect_right(unit.tokens, (line_no, close_tok.col), key=_POSITION)
+    if start == len(unit.tokens):
         return frozenset()
+    toks = islice(unit.tokens, start, None)
     # Bound the region: begin/end block or single statement up to ';'.
     region: list[Token] = []
-    if toks[0].kind == "keyword" and toks[0].text == "begin":
+    if unit.tokens[start][:2] == ("keyword", "begin"):
         depth = 0
         for t in toks:
             if t.kind == "keyword" and t.text == "begin":
@@ -495,8 +500,8 @@ def apply_mutation(unit: SourceUnit, line: int, kind: str, seed: int) -> Mutatio
     """Produce the seed-selected mutation of ``kind`` on ``line``.
 
     Raises NoAlternativeError when the site admits no legal distinct rewrite.
-    The line's tokens come from the unit's stream, so text inside a comment
-    or string that spans lines is never rewritten.
+    The line's tokens are the unit's significant tokens, so text inside a
+    comment or string that spans lines is never rewritten.
     """
     lines = unit.text.split("\n")
     if not (1 <= line <= len(lines)):
@@ -505,7 +510,9 @@ def apply_mutation(unit: SourceUnit, line: int, kind: str, seed: int) -> Mutatio
         raise DomainError(f"unknown mutation kind: {kind!r}")
     original = lines[line - 1]
     info = _line_info(unit, line)
-    pool = _identifier_pool(unit) if kind in ("Var", "Non_cond") else []  # kinds that draw names
+    pool = _POOLS.get(unit) if kind in ("Var", "Non_cond") else []  # kinds that draw names
+    if pool is None:
+        pool = _POOLS[unit] = _identifier_pool(unit)
     alts = list(_alternatives(original, info, kind, pool))
     if not alts:
         raise NoAlternativeError(f"{unit.id}:{line} admits no {kind} mutation")

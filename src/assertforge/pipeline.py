@@ -23,7 +23,7 @@ from concurrent.futures import ThreadPoolExecutor
 from . import dataset as ds
 from . import mutate
 from .config import PipelineConfig
-from .corpus import SourceUnit
+from .corpus import SourceUnit, tokenize
 from .errors import AssertForgeError, NoAlternativeError
 from .mutate import MutationRecord
 from .textutil import extract_json_object
@@ -97,8 +97,10 @@ def llm_bug_candidates(
 
     Replies are read like solve replies, so a fenced object counts. Those that
     do not parse, whose ``line`` is no JSON integer or ``mutated`` no string,
-    that leave the text unchanged, or fall outside the file are dropped, as
-    are repeats of an already-proposed edit.
+    or that fall outside the file are dropped, as are repeats of an
+    already-proposed edit, an edit that changes no significant token of its
+    line and an edit on a line that a comment or string spanning lines
+    overlaps: neither can be a bug.
     """
     records = []
     seen: set[tuple[int, str]] = set()
@@ -113,9 +115,11 @@ def llm_bug_candidates(
         if not (1 <= line_no <= len(lines)) or "\n" in mutated:
             continue
         original = lines[line_no - 1]
-        if mutated == original or (line_no, mutated) in seen:
+        if line_no in unit.tokens.tainted or (line_no, mutated) in seen:
             continue
         seen.add((line_no, mutated))
+        if [t[:2] for t in tokenize(mutated)] == [t[:2] for t in tokenize(original)]:
+            continue  # only whitespace or comments changed
         targets = mutate.mutated_targets(unit, line_no, mutated)
         seed = _derive_seed(base_seed, unit.id, "llm", i)
         records.append(MutationRecord(line_no, original, mutated, "Non_cond", targets, seed))

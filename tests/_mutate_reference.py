@@ -5,14 +5,18 @@ re-lexes each line for every kind, rebuilds the identifier pool for every
 ``Var``/``Non_cond`` check and builds every rewrite list in full. Its
 ``(line, kinds)`` lists and its records are the behaviour the rework must
 reproduce exactly. Do not edit it to follow changes in ``assertforge.mutate``.
+Its tokens come from the lossless stream of ``_lexer_reference``, the lexer
+as it was when this copy was frozen.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from functools import lru_cache
 
-from assertforge.corpus import SourceUnit, Token, tokenize
+from _lexer_reference import Token, tokenize
+from assertforge.corpus import SourceUnit
 from assertforge.errors import DomainError, NoAlternativeError
 
 SYNTACTIC_KINDS = ("Var", "Value", "Op", "Cond", "Non_cond")
@@ -26,6 +30,12 @@ OP_SWAP_CLASSES: tuple[tuple[str, ...], ...] = (
 )
 
 _IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_$]*")
+
+
+@lru_cache(maxsize=4)
+def _stream(text: str):
+    """A unit's lossless token stream, lexed once for all its lines."""
+    return tokenize(text)
 
 
 @dataclass
@@ -230,7 +240,7 @@ def _value_alternatives(line: str, info: _LineInfo, tokens=None) -> list[str]:
 
 
 def _identifier_pool(unit: SourceUnit) -> list[str]:
-    names = {t.text for t in unit.tokens if t.kind == "identifier"}
+    names = {t.text for t in _stream(unit.text) if t.kind == "identifier"}
     names.add("input")  # reserved-word replacement, as in the Var taxonomy row
     return sorted(names)
 
@@ -339,7 +349,7 @@ def _alternatives(unit: SourceUnit, line_text: str, kind: str) -> list[str]:
 def _tainted_lines(unit: SourceUnit) -> set[int]:
     """Lines overlapped by a multi-line comment or string; unsafe to rewrite."""
     tainted: set[int] = set()
-    for t in unit.tokens:
+    for t in _stream(unit.text):
         if t.kind in ("comment", "string") and "\n" in t.text:
             tainted.update(range(t.line, t.line + t.text.count("\n") + 1))
     return tainted
@@ -375,7 +385,7 @@ def _governed_targets(unit: SourceUnit, line_no: int, info: _LineInfo):
     close_tok = info.tokens[info.cond_spans[0][2]]
     toks = [
         t
-        for t in unit.tokens
+        for t in _stream(unit.text)
         if t.kind not in ("whitespace", "comment")
         and (t.line, t.col) > (line_no, close_tok.col)
     ]

@@ -723,6 +723,41 @@ def test_reverify_without_a_verifier_is_one_line_before_any_call(tmp_path, monke
     assert not (tmp_path / "report.json").exists()
 
 
+@pytest.mark.parametrize("target", ["a directory", "under a file"])
+@pytest.mark.parametrize("option", ["--out", "--csv", "--results"])
+def test_an_eval_output_that_cannot_be_written_is_one_line_before_any_call(
+    tmp_path, monkeypatch, option, target
+):
+    ds.write_jsonl(HUMAN_EVAL_CASES, tmp_path / "bench.jsonl")
+    calls = []
+    monkeypatch.setattr(cli, "Toolchain", functools.partial(
+        Toolchain, llm_backend=_golden_solver(calls)))
+    a_file = tmp_path / "taken"
+    a_file.write_text("kept")
+    (tmp_path / "a_dir").mkdir()
+    bad = tmp_path / "a_dir" if target == "a directory" else a_file / "out"
+    outputs = {"--out": tmp_path / "report.json", option: bad}
+    res = invoke("eval", tmp_path / "bench.jsonl", "--n", 2, "--k", 1,
+                 *(x for pair in outputs.items() for x in pair))
+    assert res.exit_code == 1 and "Traceback" not in res.output
+    [line] = res.output.splitlines()
+    assert line.startswith(f"Error: cannot write {option} {bad}: ")
+    assert calls == [] and a_file.read_text() == "kept"
+    assert not (tmp_path / "report.json").exists()
+
+
+def test_eval_makes_the_missing_parents_of_every_output(tmp_path, monkeypatch):
+    ds.write_jsonl(HUMAN_EVAL_CASES, tmp_path / "bench.jsonl")
+    monkeypatch.setattr(cli, "Toolchain", functools.partial(
+        Toolchain, llm_backend=_golden_solver([])))
+    outputs = {"--out": tmp_path / "r" / "report.json", "--csv": tmp_path / "c" / "d" / "r.csv",
+               "--results": tmp_path / "j" / "results.jsonl"}
+    res = invoke("eval", tmp_path / "bench.jsonl", "--n", 2, "--k", 1,
+                 *(x for pair in outputs.items() for x in pair))
+    assert res.exit_code == 0, res.output
+    assert all(path.is_file() for path in outputs.values())
+
+
 @pytest.mark.parametrize("command", ["eval", "dpo-prep"])
 def test_a_benchmark_file_with_a_repeated_case_id_is_refused(tmp_path, monkeypatch, command):
     # Results and triples are matched to their case by id, so a second case

@@ -11,6 +11,7 @@ from assertforge import corpus
 from assertforge.corpus import SourceUnit, filter_units, load_corpus_dir, tokenize
 from conftest import select_accepted
 from fixture_corpus import CORPUS_FILES, EXPECTED_ACCEPTED, EXPECTED_REJECTED
+from test_lexer_differential import assert_positions
 
 
 def kinds_of(text):
@@ -18,7 +19,7 @@ def kinds_of(text):
 
 
 def test_tokenize_empty():
-    assert tokenize("") == ()
+    assert tokenize("") == []
 
 
 def test_tokenize_minimal_module():
@@ -29,7 +30,7 @@ def test_tokenize_minimal_module():
         ("punctuation", ";"),
         ("keyword", "endmodule"),
     ]
-    assert "".join(t.text for t in toks) == "module m; endmodule"
+    assert_positions("module m; endmodule", toks)
 
 
 def test_tokenize_operator_kind():
@@ -63,15 +64,17 @@ def test_tokenize_line_col_tracking():
     assert (bb.line, bb.col) == (2, 3)
 
 
+# The round-trip tests: the tokens at their positions, with only whitespace
+# and comments between them, give back the text.
 def test_roundtrip_fixture_corpus():
     for name, text in CORPUS_FILES.items():
-        assert "".join(t.text for t in tokenize(text)) == text, name
+        assert_positions(text, tokenize(text), name)
 
 
 @settings(max_examples=200)
 @given(st.text(alphabet=st.characters(min_codepoint=9, max_codepoint=126), max_size=200))
 def test_roundtrip_random_ascii(text):
-    assert "".join(t.text for t in tokenize(text)) == text
+    assert_positions(text, tokenize(text))
 
 
 def test_tokenize_builds_each_token_once():
@@ -91,9 +94,20 @@ def test_tokenize_builds_each_token_once():
     assert peak - base <= 1.15 * (live - base)
 
 
+def test_a_unit_holds_only_significant_tokens_with_one_str_per_lexeme():
+    shared = 0
+    for name, text in CORPUS_FILES.items():
+        first_of = {}
+        for t in SourceUnit(id=name, path="", text=text).tokens:
+            assert t.kind not in ("whitespace", "comment"), (name, t)
+            shared += t.text in first_of and len(t.text) > 1  # Python caches 1-char strs
+            assert first_of.setdefault(t.text, t.text) is t.text, (name, t)
+    assert shared > 1000
+
+
 def test_roundtrip_comment_edge_cases():
     for text in ("// eof comment", "/* unterminated", '"unterminated string', "/**/"):
-        assert "".join(t.text for t in tokenize(text)) == text
+        assert_positions(text, tokenize(text), text)
 
 
 def test_extract_modules_single():
@@ -280,4 +294,4 @@ def test_random_snippet_roundtrip_seeded():
     pieces = ["module", "assign", "x", "=", "4'b1010", "|", "&&", ";", "//c", "\n", " ", '"s"']
     for _ in range(200):
         text = "".join(rng.choice(pieces) for _ in range(rng.randrange(0, 30)))
-        assert "".join(t.text for t in tokenize(text)) == text
+        assert_positions(text, tokenize(text), text)

@@ -7,9 +7,9 @@ lexing. On the fixture corpus, the duplicate corpus of the CLI tests, the
 lexer edge cases and Hypothesis-generated text, the filter's status must
 follow from the reference's keyword set and logic flag, without lexing the
 unit, and be the same when the unit was lexed first; the dedup key of the
-scan's pairs must equal the reference's; and ``SourceUnit.module_names``,
-which ``augment`` reads from a lexed unit's tokens, must equal its module
-names.
+scan's pairs must equal the reference's; a lexed unit's tokens must sit at
+their positions; and ``SourceUnit.module_names``, which ``augment`` reads
+from a lexed unit's tokens, must equal its module names.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from assertforge.corpus import SourceUnit
 from fixture_corpus import CORPUS_FILES
 from test_cli import DUP_CORPUS
 from test_corpus import status_of
-from test_lexer_differential import _CHARS, _FRAGMENTS, EDGE_CASES
+from test_lexer_differential import _CHARS, _FRAGMENTS, EDGE_CASES, assert_positions
 
 
 def reference_row(keywords: frozenset[str], has_logic: bool) -> tuple[str, str]:
@@ -47,7 +47,7 @@ def assert_same_as_reference(text: str, label: str = "") -> None:
     assert "tokens" not in scanned.__dict__, label  # the filter did not lex
     assert corpus._dedup_key(corpus._significant_pairs(text)) == dedup_key, label
     lexed = SourceUnit(id="lexed", path="", text=text)
-    assert "".join(t.text for t in lexed.tokens) == text, label  # lexed first
+    assert_positions(text, lexed.tokens, label)  # lexed first
     assert status_of(lexed) == want, label
     assert lexed.module_names == module_names, label
 

@@ -1,6 +1,7 @@
 import collections
 import json
 import sys
+import weakref
 
 import pytest
 from click.testing import CliRunner
@@ -219,6 +220,55 @@ def test_llm_bug_path_reads_a_fenced_reply_like_a_bare_one():
     got = llm_bug_candidates(Toolchain(llm_backend=lambda req: fenced), u, 1, base_seed=1)
     assert got == [want]
     assert want.line == 2 and want.mutated_snippet == "always @(*) y = ~x;"
+
+
+SPANNING_COMMENT_TEXT = ("module m(input clk, input d, output reg q);\n"
+             "// keep q in step with d\n"
+             "always @(posedge clk) q <= d; /* the comment\n"
+             "   spans lines */\n"
+             "endmodule")
+
+
+@pytest.mark.parametrize("line, mutated, kept", [
+    (3, "always @(posedge clk) q <= ~d; /* the comment", False),  # a tainted line
+    (1, "module m(input clk, input d, output reg  q); // ports", False),
+    (1, "module m(input clk, input d, output q);", True),
+], ids=["tainted-line", "layout-and-comment", "real-edit"])
+def test_llm_bug_path_drops_an_edit_that_cannot_be_a_bug(line, mutated, kept):
+    # An edit that changes no significant token leaves the design as it was,
+    # and a line a multi-line comment overlaps is one the engine never rewrites.
+    u = SourceUnit(id="t", path="", text=SPANNING_COMMENT_TEXT)
+    reply = json.dumps({"line": line, "mutated": mutated})
+    records = llm_bug_candidates(Toolchain(llm_backend=lambda req: reply), u, 1, base_seed=1)
+    assert [r.mutated_snippet for r in records] == ([mutated] if kept else [])
+
+
+def test_llm_bug_path_drops_the_no_op_replies_of_a_comment_line():
+    text = ("module m(input clk, input d, output reg q);\n// keep q in step with d\n"
+            "always @(posedge clk) q <= d;\nendmodule")
+    u = SourceUnit(id="t", path="", text=text)
+    for line, mutated in ((2, "  // keep q out of step with d"), (3, text.split("\n")[2] + " ")):
+        reply = json.dumps({"line": line, "mutated": mutated})
+        assert llm_bug_candidates(Toolchain(llm_backend=lambda req: reply), u, 2, 1) == []
+
+
+@pytest.mark.parametrize("parallel", [1, 4])
+def test_augment_builds_each_unit_identifier_pool_at_most_once(
+    accepted_units, mock_toolchain, monkeypatch, parallel
+):
+    built = collections.Counter()
+    real = mutate._identifier_pool
+
+    def counting(unit):
+        built[unit.text] += 1
+        return real(unit)
+
+    monkeypatch.setattr(mutate, "_identifier_pool", counting)
+    monkeypatch.setattr(mutate, "_POOLS", weakref.WeakKeyDictionary())  # none built yet
+    units = [SourceUnit(id=u.id, path=u.path, text=u.text) for u in accepted_units]
+    res = run_augment(units, mock_toolchain, PipelineConfig(seed=20240817, parallel=parallel))
+    assert res.svabug and not res.errors
+    assert built and set(built.values()) == {1}
 
 
 def test_run_augment_with_llm_bug_source(accepted_units, mock_toolchain):

@@ -1,7 +1,8 @@
 """Differential test: the filter's one-``findall`` scan against the lexer.
 
 ``corpus._significant_pairs`` must give exactly the ``(kind, text)`` pairs of
-``significant(tokenize(text))``: on the lexer's edge cases, on text that ends
+the reference lexer's significant tokens, and so of ``tokenize(text)``
+(``test_lexer_differential.py``): on the lexer's edge cases, on text that ends
 in trivia or inside a comment, on every entry of the fixed lexeme-kind table,
 and on Hypothesis-generated text.
 """
@@ -13,12 +14,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from assertforge import corpus
-from assertforge.corpus import significant, tokenize
-from test_lexer_differential import _CHARS, _FRAGMENTS, EDGE_CASES
+from test_lexer_differential import _CHARS, _FRAGMENTS, EDGE_CASES, reference_significant
 
 
 def lexer_pairs(text: str) -> list[tuple[str, str]]:
-    return [(t.kind, t.text) for t in significant(tokenize(text))]
+    return [(kind, lexeme) for kind, lexeme, _, _ in reference_significant(text)[0]]
 
 
 SCAN_EDGE_CASES = {
