@@ -275,6 +275,7 @@ def eval_cmd(benchmark, config_path, out_path, results_path, csv_path, n_target,
 def dpo_prep(results_file, benchmark, config_path, out_path, n_expected):
     """Select challenging cases from eval results and emit preference triples."""
     cfg = _load_config(config_path, eval_n=n_expected)
+    _out_file(out_path, "--out")  # before the first row is read
     case_rows = _read_rows(benchmark, "benchmark file")
     result_rows = _read_rows(results_file, "results file")
 

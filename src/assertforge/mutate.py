@@ -229,14 +229,10 @@ def _op_swaps(line: str, tokens, classes=OP_SWAP_CLASSES) -> Iterator[str]:
 _BASED_RE = re.compile(r"(\d[\d_]*)?('[sS]?)([bBoOdDhH])([0-9a-fA-FxXzZ?_]+)")
 
 
-def _literal_variants(text: str) -> Iterator[str]:
-    """Lazily, in order, the rewrites of a number literal other than itself."""
-    return (v for v in _literal_rewrites(text) if v != text)
-
-
 def _literal_rewrites(text: str) -> Iterator[str]:
-    """A based literal with one bit flipped, digit by digit; a decimal one
-    (based or plain, real included) moved by +1, then by -1 when positive."""
+    """Lazily, in order, a based literal with one bit flipped, digit by digit;
+    a decimal one (based or plain, real included) moved by +1, then by -1 when
+    positive. Each rewrite changes the value, so none is the literal itself."""
     m = _BASED_RE.fullmatch(text)
     if m:
         size = m.group(1) or ""
@@ -284,7 +280,7 @@ def _value_alternatives(line: str, tokens: list[Token]) -> Iterator[str]:
     for t in tokens:
         if t.kind != "number":
             continue
-        for variant in _literal_variants(t.text):
+        for variant in _literal_rewrites(t.text):
             yield _replace_token(line, t, variant)
 
 
@@ -382,7 +378,7 @@ def _alternatives(line_text: str, info: _LineInfo, kind: str, pool: list[str]) -
 
 @lru_cache(maxsize=1024)
 def _based_has_variant(text: str) -> bool:
-    return any(_literal_variants(text))
+    return any(_literal_rewrites(text))
 
 
 def _has_variant(tokens) -> bool:

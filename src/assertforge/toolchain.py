@@ -1,13 +1,15 @@
 """Adapters for the three external services: compiler, verifier, LLM endpoint.
 
-All three adapters are content-agnostic and replayable: every call is keyed by
-a digest of its request and goes through one record/replay path
-(``Toolchain._cached``), which either records live outcomes into a ReplayCache
-or serves them back hermetically. Each request is encoded once: its key hashes
-the bytes a record stores and a replay matches, and the draws of one eval
-case, which differ only by nonce, share one memoized encoding of their prompt.
-In replay mode a missing or undecodable entry is a miss: ``tool_error`` for
-the compiler and verifier, ``AssertForgeError`` for the LLM. In record mode a
+Each adapter is one callable, an injected backend or the built-in command or
+endpoint, and every call goes through one record/replay path
+(``Toolchain._cached``), keyed by a digest of its request: it records live
+outcomes into a ReplayCache or serves them back hermetically. Each request is
+encoded once, into the bytes its key hashes, a record stores and a replay
+matches; the draws of one eval case, which differ only by nonce, share one
+memoized encoding of their prompt. An entry replays as its outcome type, which
+checks its own fields; a missing, unknown or ill-typed field makes it
+malformed. A missing or malformed entry is a miss: ``tool_error`` for the
+compiler and verifier, ``AssertForgeError`` for the LLM. In record mode a
 cache write that fails raises ``AssertForgeError`` naming the key. Tool
 commands are user-configurable templates with {file} and {depth} placeholders;
 nothing here hard-depends on a particular compiler or verifier.
@@ -88,7 +90,13 @@ class LlmRequest:
 @dataclass(frozen=True)
 class LlmReply:
     text: str
-    attempt_index: int
+    attempt_index: int = 1  # entries recorded before it was stored lack it
+
+    def __post_init__(self):
+        if type(self.text) is not str:
+            raise ValueError(f"text must be a string, got {self.text!r}")
+        if type(self.attempt_index) is not int:
+            raise ValueError(f"attempt_index must be an integer, got {self.attempt_index!r}")
 
 
 @dataclass
@@ -116,6 +124,8 @@ class ToolSettings:
     def __post_init__(self):
         if self.mock_mode not in ("off", "replay", "record"):
             raise DomainError(f"mock.mode must be off, replay or record, got {self.mock_mode!r}")
+        if self.mock_mode != "off" and not self.mock_dir:
+            raise DomainError(f"mock.mode = {self.mock_mode} needs mock.dir")
         if not 0.0 <= self.llm_temperature <= 2.0:
             raise DomainError(f"llm.temperature must lie in [0, 2], got {self.llm_temperature}")
         if self.verifier_depth < 1:
@@ -227,8 +237,9 @@ class ReplayCache:
 class Toolchain:
     """Bundles the three adapters behind one configured object.
 
-    Backends may be injected as callables (used by tests and by record-mode
-    fixtures); otherwise the configured command templates / endpoint run.
+    Each adapter is one callable bound here: the injected backend (used by
+    tests and record-mode fixtures), else the built-in ``_*_raw`` function
+    that runs the configured command template or endpoint.
     """
 
     def __init__(
@@ -239,37 +250,26 @@ class Toolchain:
         verify_backend: Callable[[str, int], VerifyOutcome] | None = None,
         llm_backend: Callable[[LlmRequest], str] | None = None,
     ):
-        self.settings = settings or ToolSettings()
-        if cache is None and self.settings.mock_dir and self.settings.mock_mode != "off":
-            cache = ReplayCache(self.settings.mock_dir, self.settings.mock_mode)
+        self.settings = settings = settings or ToolSettings()
+        if cache is None and settings.mock_mode != "off":
+            cache = ReplayCache(settings.mock_dir, settings.mock_mode)
         self.cache = cache
-        self._compile_backend = compile_backend
-        self._verify_backend = verify_backend
-        self._llm_backend = llm_backend
+        self._compile = compile_backend or self._compile_raw
+        self._verify = verify_backend or self._verify_raw
+        self._llm = llm_backend or self._llm_raw
+        # formal_verify answers from a replay cache, else from a backend or a command.
+        replaying = cache is not None and cache.mode == "replay"
+        self.has_verifier = bool(replaying or verify_backend or settings.verifier_cmd)
 
-    @property
-    def has_verifier(self) -> bool:
-        """True when formal_verify can reach a verifier: a replay cache, a
-        verifier command or an injected backend."""
-        return (
-            self.cache is not None
-            or self.settings.verifier_cmd is not None
-            or self._verify_backend is not None
-        )
-
-    def _cached(
-        self,
-        request: dict,
-        live: Callable[[], T],
-        decode: Callable[[dict], T],
-        miss: Callable[[str], T],
-    ) -> T:
+    def _cached(self, request: dict, live: Callable[[], T], outcome_type: type[T]) -> T:
         """The one record/replay path shared by all three adapters.
 
-        Replay mode answers from the cache only; a missing or undecodable
-        entry goes to ``miss`` with a message naming the key. Otherwise
-        ``live`` runs, and record mode stores its outcome; an ``OSError``
-        from that write becomes an ``AssertForgeError`` naming the key.
+        Replay mode answers from the cache only, decoding an entry with
+        ``outcome_type(**response)``. A missing or malformed entry is a miss
+        with a message naming the key: a ``tool_error`` outcome, or for the
+        LLM an ``AssertForgeError``. Otherwise ``live`` runs, and record mode
+        stores its outcome; an ``OSError`` from that write becomes an
+        ``AssertForgeError`` naming the key.
         """
         if self.cache is None:
             return live()
@@ -278,11 +278,13 @@ class Toolchain:
             try:
                 response = self.cache.get(key, request_bytes)
                 if response is not None:
-                    return decode(response)
+                    return outcome_type(**response)
                 reason = "replay cache miss"
             except (ValueError, KeyError, TypeError, RecursionError) as exc:
                 reason = f"malformed replay cache entry ({exc})"
-            return miss(f"{reason}: {key}")
+            if outcome_type is LlmReply:
+                raise AssertForgeError(f"{reason}: {key}")
+            return outcome_type("tool_error", f"{reason}: {key}")
         outcome = live()
         try:
             self.cache.put(key, request_bytes, vars(outcome))
@@ -295,16 +297,10 @@ class Toolchain:
     def compile_check(self, source: str) -> CompileOutcome:
         if not source:
             raise DomainError("cannot compile empty source")
-        return self._cached(
-            {"kind": "compile", "source": source},
-            lambda: self._compile_raw(source),
-            lambda resp: CompileOutcome(**resp),
-            lambda msg: CompileOutcome("tool_error", msg),
-        )
+        request = {"kind": "compile", "source": source}
+        return self._cached(request, lambda: self._compile(source), CompileOutcome)
 
     def _compile_raw(self, source: str) -> CompileOutcome:
-        if self._compile_backend is not None:
-            return self._compile_backend(source)
         if not self.settings.compiler_cmd:
             return CompileOutcome("tool_error", "no compiler configured")
         rc, out, err = self._run_tool(self.settings.compiler_cmd, source)
@@ -321,16 +317,10 @@ class Toolchain:
         if not any(not i or not _WORD_RE.match(source_with_sva, i - 1) for i in starts):
             raise DomainError("source contains no assertion")
         depth = self.settings.verifier_depth
-        return self._cached(
-            {"kind": "verify", "source": source_with_sva, "depth": depth},
-            lambda: self._verify_raw(source_with_sva, depth),
-            lambda resp: VerifyOutcome(**resp),
-            lambda msg: VerifyOutcome("tool_error", msg),
-        )
+        request = {"kind": "verify", "source": source_with_sva, "depth": depth}
+        return self._cached(request, lambda: self._verify(source_with_sva, depth), VerifyOutcome)
 
     def _verify_raw(self, source: str, depth: int) -> VerifyOutcome:
-        if self._verify_backend is not None:
-            return self._verify_backend(source, depth)
         if not self.settings.verifier_cmd:
             return VerifyOutcome("tool_error", "no verifier configured")
         rc, out, err = self._run_tool(self.settings.verifier_cmd, source, depth=depth)
@@ -366,18 +356,13 @@ class Toolchain:
             "temperature": self.settings.llm_temperature,
             "nonce": req.nonce,
         }
-        return self._cached(
-            payload,
-            lambda: self._llm_attempts(req),
-            _llm_reply,
-            _raise_unreachable,
-        )
+        return self._cached(payload, lambda: self._llm_attempts(req), LlmReply)
 
     def _llm_attempts(self, req: LlmRequest) -> LlmReply:
         last_failure: Exception | None = None
         for attempt in range(1, LLM_MAX_ATTEMPTS + 1):
             try:
-                return LlmReply(self._llm_raw(req), attempt)
+                return LlmReply(self._llm(req), attempt)
             except TransportFailure as exc:
                 last_failure = exc
         raise AssertForgeError(
@@ -385,8 +370,6 @@ class Toolchain:
         )
 
     def _llm_raw(self, req: LlmRequest) -> str:
-        if self._llm_backend is not None:
-            return self._llm_backend(req)
         temperature = self.settings.llm_temperature
         body = {"task": req.task, "prompt": req.prompt_text, "temperature": temperature}
         if self.settings.llm_cmd:
@@ -464,16 +447,3 @@ class Toolchain:
             if scratch is not None and not self.settings.keep_temp:
                 shutil.rmtree(scratch, ignore_errors=True)
         return proc.returncode, proc.stdout, proc.stderr
-
-
-def _llm_reply(resp: dict) -> LlmReply:
-    """A stored LLM response; a text that is not a string or an attempt index
-    that is not an integer raises TypeError."""
-    text, attempt = resp["text"], resp.get("attempt_index", 1)
-    if not isinstance(text, str) or type(attempt) is not int:
-        raise TypeError("llm response needs a string text and an integer attempt_index")
-    return LlmReply(text, attempt)
-
-
-def _raise_unreachable(message: str) -> LlmReply:
-    raise AssertForgeError(message)

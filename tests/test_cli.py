@@ -585,6 +585,28 @@ def test_a_mock_dir_that_is_a_file_is_a_one_line_error(
     assert list(out.iterdir()) == [] and not_a_dir.read_text() == ""
 
 
+@pytest.mark.parametrize("mock_dir", ["", None], ids=["empty", "unset"])
+@pytest.mark.parametrize("mode", ["record", "replay"])
+@pytest.mark.parametrize("command", ["augment", "eval"])
+def test_a_mock_mode_without_a_mock_dir_is_a_one_line_error(
+    cli_env, manifest, tmp_path, monkeypatch, command, mode, mock_dir
+):
+    config = tmp_path / "mock.cfg"
+    config.write_text(f"mock.mode = {mode}\n" + ("" if mock_dir is None else "mock.dir =\n"))
+
+    def no_call(*args):
+        pytest.fail("a tool was called")
+
+    monkeypatch.setattr(cli, "Toolchain", functools.partial(
+        Toolchain, compile_backend=no_call, verify_backend=no_call, llm_backend=no_call))
+    out = tmp_path / "out"
+    out.mkdir()
+    res = invoke(*_tool_command(command, cli_env, manifest, config, out))
+    assert res.exit_code == 1
+    assert res.output.splitlines() == [f"Error: mock.mode = {mode} needs mock.dir"]
+    assert list(out.iterdir()) == []
+
+
 @pytest.mark.parametrize("under", [False, True], ids=["a file", "under a file"])
 @pytest.mark.parametrize("command", ["filter", "augment"])
 def test_an_out_dir_that_cannot_be_made_is_a_one_line_error_before_any_work(
@@ -716,6 +738,26 @@ def test_reverify_without_a_verifier_is_one_line_before_any_call(tmp_path, monke
     config.write_text("eval.mode = reverify\n" if where == "config" else "")
     mode = ["--mode", "reverify"] if where == "flag" else []
     res = invoke("eval", tmp_path / "bench.jsonl", "--config", config, *mode,
+                 "--out", tmp_path / "report.json")
+    assert res.exit_code == 1 and calls == []
+    [line] = res.output.splitlines()
+    assert line.startswith("Error: eval.mode = reverify needs a verifier")
+    assert not (tmp_path / "report.json").exists()
+
+
+@pytest.mark.parametrize("setting", ["empty verifier.cmd", "record cache"])
+def test_reverify_with_no_verifier_to_run_is_one_line_before_any_call(
+    tmp_path, monkeypatch, setting
+):
+    ds.write_jsonl(HUMAN_EVAL_CASES, tmp_path / "bench.jsonl")
+    calls = []
+    monkeypatch.setattr(cli, "Toolchain", functools.partial(
+        Toolchain, llm_backend=_golden_solver(calls)))
+    config = tmp_path / "eval.cfg"
+    tools = ("verifier.cmd =\n" if setting == "empty verifier.cmd"
+             else f"mock.dir = {tmp_path / 'mocks'}\nmock.mode = record\n")
+    config.write_text(tools + "eval.mode = reverify\n")
+    res = invoke("eval", tmp_path / "bench.jsonl", "--config", config,
                  "--out", tmp_path / "report.json")
     assert res.exit_code == 1 and calls == []
     [line] = res.output.splitlines()
@@ -902,6 +944,30 @@ def test_dpo_prep_cli_golden_counts(cli_env, tmp_path):
     for t in triples:
         assert set(t) == {"x", "p", "n"}
         assert t["p"] != t["n"]
+
+
+def test_dpo_prep_out_that_is_a_directory_is_one_line_before_any_row(
+    cli_env, tmp_path, monkeypatch
+):
+    results = tmp_path / "results.jsonl"
+    ds.write_jsonl([], results)
+    monkeypatch.setattr(cli, "_read_rows", lambda *args: pytest.fail("a row was read"))
+    out = tmp_path / "triples"
+    out.mkdir()
+    res = invoke("dpo-prep", results, "--benchmark", cli_env["benchmark"], "--out", out)
+    assert res.exit_code == 1 and "Traceback" not in res.output
+    [line] = res.output.splitlines()
+    assert line.startswith(f"Error: cannot write --out {out}: ")
+    assert list(out.iterdir()) == []
+
+
+def test_dpo_prep_makes_the_missing_parents_of_out(cli_env, tmp_path):
+    results = tmp_path / "results.jsonl"
+    ds.write_jsonl([], results)
+    out = tmp_path / "a" / "b" / "triples.jsonl"
+    res = invoke("dpo-prep", results, "--benchmark", cli_env["benchmark"], "--out", out)
+    assert res.exit_code == 0, res.output
+    assert read_records(out) == []
 
 
 def test_dpo_prep_all_correct_empty(cli_env, tmp_path):

@@ -2,11 +2,15 @@ import random
 import re
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from assertforge.corpus import SourceUnit
 from assertforge.errors import AssertForgeError, NoAlternativeError
 from assertforge.mutate import (
+    _BASED_RE,
     MutationRecord,
+    _literal_rewrites,
     apply_mutation,
     classify_relation,
     enumerate_sites,
@@ -71,6 +75,19 @@ def test_value_bit_flip_reachable():
     for m in muts:
         bits = re.search(r"'b([01]+)", m).group(1)
         assert sum(a != b for a, b in zip(bits, "1010")) == 1
+
+
+_LITERALS = st.one_of(
+    st.from_regex(_BASED_RE, fullmatch=True),
+    st.from_regex(r"[0-9][0-9_]*(\.[0-9][0-9_]*)?([eE][+-]?[0-9]+)?", fullmatch=True),
+    st.text(alphabet="0123456789_'sSbBoOdDhHxXzZ?aAfF.eE+-"),
+)
+
+
+@settings(max_examples=500, derandomize=True, deadline=None)
+@given(_LITERALS)
+def test_no_literal_rewrite_is_the_literal_itself(text):
+    assert text not in list(_literal_rewrites(text))
 
 
 def test_cond_negation_reachable():

@@ -103,6 +103,14 @@ def test_a_timeout_that_is_not_a_positive_number_is_rejected(timeout):
         ToolSettings(timeout_s=timeout)
 
 
+@pytest.mark.parametrize("mock_dir", [None, ""])
+@pytest.mark.parametrize("mode", ["record", "replay"])
+def test_a_mock_mode_without_a_mock_dir_is_rejected(mode, mock_dir):
+    with pytest.raises(DomainError, match=f"^mock.mode = {mode} needs mock.dir$"):
+        ToolSettings(mock_mode=mode, mock_dir=mock_dir)
+    assert Toolchain(ToolSettings(mock_dir=mock_dir)).cache is None
+
+
 def test_verify_requires_assertion():
     tc = Toolchain(verify_backend=lambda s, d: VerifyOutcome("proven", "PASS"))
     with pytest.raises(DomainError):
@@ -180,6 +188,15 @@ def test_llm_call_mock_reply():
     tc = Toolchain(llm_backend=lambda req: f"reply to {req.task}")
     reply = tc.llm_call(LlmRequest(task="cot", prompt_text="p"))
     assert reply == LlmReply("reply to cot", 1)
+
+
+@pytest.mark.parametrize(
+    "text, attempt", [(5, 1), (None, 1), (b"t", 1), ("t", "1"), ("t", True)],
+    ids=["int-text", "null-text", "bytes-text", "string-attempt", "bool-attempt"],
+)
+def test_an_llm_reply_checks_its_own_fields(text, attempt):
+    with pytest.raises(ValueError):
+        LlmReply(text, attempt)
 
 
 def test_llm_temperature_default_applied():
@@ -465,8 +482,10 @@ def test_replay_entry_nested_too_deep_is_a_malformed_miss(tmp_path):
 @pytest.mark.parametrize(
     "response",
     [{"text": 5, "attempt_index": 1}, {"text": None}, {"text": ["t"]},
-     {"text": "t", "attempt_index": "1"}, {"text": "t", "attempt_index": True}, ["t", 1]],
-    ids=["int-text", "null-text", "list-text", "string-attempt", "bool-attempt", "list"],
+     {"text": "t", "attempt_index": "1"}, {"text": "t", "attempt_index": True}, ["t", 1],
+     {"text": "t", "attempt_index": 1, "note": "x"}],
+    ids=["int-text", "null-text", "list-text", "string-attempt", "bool-attempt", "list",
+         "extra-key"],
 )
 def test_replay_llm_entry_of_the_wrong_type_is_a_malformed_miss(tmp_path, response):
     req = LlmRequest(task="solve", prompt_text="p", nonce="c:0")
@@ -482,6 +501,15 @@ def test_replay_llm_entry_of_the_wrong_type_is_a_malformed_miss(tmp_path, respon
     assert str(err.value).endswith(entry.stem)
 
 
+def test_replay_llm_entry_without_an_attempt_index_is_attempt_one(tmp_path):
+    req = LlmRequest(task="solve", prompt_text="p", nonce="c:0")
+    key, request = request_digest({"kind": "llm", "task": "solve", "prompt_text": "p",
+                                   "temperature": 0.2, "nonce": "c:0"})
+    (tmp_path / f"{key}.json").write_bytes(b'{"request":%b,"response":{"text":"t"}}' % request)
+    tc = Toolchain(ToolSettings(mock_dir=str(tmp_path), mock_mode="replay"))
+    assert tc.llm_call(req) == LlmReply("t", 1)
+
+
 @pytest.mark.parametrize(
     "kind, response",
     [("compile", {"status": "ok", "stderr_text": 5}),
@@ -490,9 +518,11 @@ def test_replay_llm_entry_of_the_wrong_type_is_a_malformed_miss(tmp_path, respon
      ("verify", {"status": "proven", "log_text": ["PASS"]}),
      ("verify", {"status": "assertion_failed", "log_text": "FAIL", "failing_step": "2"}),
      ("verify", {"status": "assertion_failed", "log_text": "FAIL", "failing_step": True}),
-     ("verify", {"status": "assertion_failed", "log_text": "FAIL", "failing_step": 2.0})],
+     ("verify", {"status": "assertion_failed", "log_text": "FAIL", "failing_step": 2.0}),
+     ("compile", {"status": "ok", "stderr_text": "", "note": "x"}),
+     ("verify", {"status": "proven", "log_text": "PASS", "failing_step": None, "note": "x"})],
     ids=["int-stderr", "null-stderr", "int-log", "list-log", "string-step", "bool-step",
-         "float-step"],
+         "float-step", "compile-extra-key", "verify-extra-key"],
 )
 def test_replay_tool_entry_of_the_wrong_type_is_a_malformed_miss(tmp_path, kind, response):
     source = "module m; assert(x); endmodule"
@@ -573,8 +603,10 @@ def test_a_cache_dir_under_a_file_misses_in_replay(tmp_path):
 def test_has_verifier_truth_table(tmp_path):
     assert not Toolchain().has_verifier
     assert Toolchain(ToolSettings(verifier_cmd="sby {file}")).has_verifier
+    assert not Toolchain(ToolSettings(verifier_cmd="")).has_verifier
     assert Toolchain(verify_backend=lambda s, d: VerifyOutcome("proven")).has_verifier
     assert Toolchain(cache=ReplayCache(tmp_path, mode="replay")).has_verifier
+    assert not Toolchain(cache=ReplayCache(tmp_path, mode="record")).has_verifier
 
 
 def test_replay_nonce_distinguishes_draws(tmp_path):
