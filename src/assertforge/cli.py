@@ -221,7 +221,7 @@ def eval_cmd(benchmark, config_path, out_path, results_path, csv_path, n_target,
     tc = _toolchain(cfg)
     if cfg.eval_mode == "reverify" and not tc.has_verifier:
         raise click.ClickException(
-            "eval.mode = reverify needs a verifier: set verifier.cmd or mock.dir")
+            "eval.mode = reverify needs a verifier: set verifier.cmd or mock.mode = replay")
 
     errors: list[dict] = []
 

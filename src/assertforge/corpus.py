@@ -228,6 +228,15 @@ class SourceUnit:
         return tuple(b.text for a, b in pairwise(self.tokens)
                      if a.text == "module" and a.kind == "keyword" and b.kind == "identifier")
 
+    @cached_property
+    def lines(self) -> list[str]:
+        return self.text.split("\n")
+
+    @property
+    def endmodule_line(self) -> int | None:
+        # Only the keyword's token has this text: an escaped name keeps its `\`.
+        return next((t.line for t in self.tokens if t.text == "endmodule"), None)
+
     @property
     def line_count(self) -> int:
         return len(self.text.splitlines())

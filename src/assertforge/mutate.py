@@ -6,20 +6,23 @@ of exactly one line:
   Var      replace one identifier in an expression with another in-scope
            identifier (or the reserved word `input`)
   Value    flip one bit of a sized literal, or perturb a decimal by +/-1
-  Op       swap a binary operator within its arity-preserving class
+  Op       swap a binary operator, never an assignment, within its class
   Cond     negate/alter an `if`/`case` condition or an event edge
   Non_cond perturb the right-hand side of an assignment, leaving any
            condition on the line untouched
 
 A (unit, line, kind, seed) quadruple always produces the same record; the
 seed indexes into the deterministically ordered list of legal rewrites.
+``edit`` builds every record, an engine rewrite's or an LLM edit's, by one
+rule: a line is cut into statements at each ``;`` outside parentheses, and a
+change affects the names its statement assigns or its condition governs.
 """
 
 from __future__ import annotations
 
 import re
 from bisect import bisect_left, bisect_right
-from collections.abc import Iterator
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import groupby, islice
@@ -39,7 +42,8 @@ OP_SWAP_CLASSES: tuple[tuple[str, ...], ...] = (
     ("<", ">", "<=", ">="),
     ("<<", ">>"),
 )
-_SWAPPABLE = frozenset(op for cls in OP_SWAP_CLASSES for op in cls)
+_CLASS_OF = {op: cls for cls in OP_SWAP_CLASSES for op in cls}
+_SWAPPABLE = frozenset(_CLASS_OF)
 
 _IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_$]*")
 
@@ -192,7 +196,34 @@ def _analyze_tokens(tokens: list[Token]) -> _LineInfo:
 
 
 _LINE, _KIND, _TEXT = attrgetter("line"), attrgetter("kind"), attrgetter("text")
-_POSITION = attrgetter("line", "col")
+
+
+def _statements(tokens: Iterable[Token]) -> Iterator[list[Token]]:
+    """``tokens`` cut at each ``;`` outside parentheses, the ``;`` left out;
+    the last statement is what follows the last cut, maybe nothing."""
+    stmt, depth = [], 0
+    for t in tokens:
+        if t.text == ";" and depth == 0:
+            yield stmt
+            stmt = []
+        else:
+            depth += (t.text == "(") - (t.text == ")")
+            stmt.append(t)
+    yield stmt
+
+
+def _op_sites(line_text: str, info: _LineInfo) -> list[Token]:
+    """The line's tokens but each statement's assignment operator."""
+    toks, a = info.tokens, info.assign_idx
+    if a is None:  # where the line assigns nothing, no statement does
+        return toks
+    if line_text.find(";", 0, toks[-1].col - 1) < 0:  # no `;` before the end: one statement
+        return toks[:a] + toks[a + 1 :]
+    sites: list[Token] = []
+    for stmt in _statements(toks):
+        a = _analyze_tokens(stmt).assign_idx
+        sites += stmt if a is None else stmt[:a] + stmt[a + 1 :]
+    return sites
 
 
 def _replace_token(line: str, tok: Token, new_text: str) -> str:
@@ -208,18 +239,11 @@ def _replace_token(line: str, tok: Token, new_text: str) -> str:
 # kind when a first rewrite exists; only Cond's is built to find out.
 
 
-def _class_of(op_text: str) -> tuple[str, ...] | None:
-    for cls in OP_SWAP_CLASSES:
-        if op_text in cls:
-            return cls
-    return None
-
-
 def _op_swaps(line: str, tokens, classes=OP_SWAP_CLASSES) -> Iterator[str]:
     """Each operator in ``tokens`` whose swap class is one of ``classes``,
     replaced in turn by every other member of that class."""
     for t in tokens:
-        cls = _class_of(t.text) if t.kind == "operator" else None
+        cls = _CLASS_OF.get(t.text) if t.kind == "operator" else None
         if cls in classes:
             for repl in cls:
                 if repl != t.text:
@@ -299,13 +323,7 @@ def _var_site_tokens(info: _LineInfo) -> list[Token]:
     sites += [t for t in info.rhs if t.kind == "identifier"]
     for span in info.cond_spans:
         sites += [t for t in info.cond_interior(span) if t.kind == "identifier"]
-    seen = set()
-    ordered = []
-    for t in sorted(sites, key=lambda t: t.col):
-        if t.col not in seen:
-            seen.add(t.col)
-            ordered.append(t)
-    return ordered
+    return sorted(set(sites), key=lambda t: t.col)
 
 
 def _var_alternatives(line: str, sites: list[Token], pool: list[str]) -> Iterator[str]:
@@ -362,7 +380,7 @@ def _non_cond_alternatives(line: str, info: _LineInfo, pool: list[str]) -> Itera
 def _alternatives(line_text: str, info: _LineInfo, kind: str, pool: list[str]) -> Iterator[str]:
     """Lazily, in order, the legal distinct rewrites of ``kind`` on a line."""
     if kind == "Op":
-        alts = _op_swaps(line_text, (t for i, t in enumerate(info.tokens) if i != info.assign_idx))
+        alts = _op_swaps(line_text, _op_sites(line_text, info))
     elif kind == "Value":
         alts = _value_alternatives(line_text, info.tokens)
     elif kind == "Var":
@@ -398,8 +416,8 @@ def _admissible_kinds(line_text: str, info: _LineInfo) -> tuple[str, ...]:
     found = (
         bool(info.lhs_idents) or rhs_var or cond_var,  # Var
         _has_variant(toks),  # Value
-        # Op, not at the assignment; only the lexer's operator rule spells these
-        not _SWAPPABLE.isdisjoint(map(_TEXT, toks if a is None else toks[:a] + toks[a + 1 :])),
+        # Op, not at an assignment; only the lexer's operator rule spells these
+        not _SWAPPABLE.isdisjoint(map(_TEXT, _op_sites(line_text, info))),
         bool(info.cond_spans) and any(_alternatives(line_text, info, "Cond", [])),  # Cond
         a is not None  # Non_cond
         and (rhs_var or _has_variant(rhs) or not _SWAPPABLE.isdisjoint(map(_TEXT, rhs))),
@@ -415,8 +433,7 @@ def enumerate_sites(unit: SourceUnit) -> list[tuple[int, tuple[str, ...]]]:
     unit's significant tokens by line, and each line is analysed once; a line
     that a comment or string spanning lines overlaps is never a site.
     """
-    tainted = unit.tokens.tainted
-    lines = unit.text.split("\n")
+    tainted, lines = unit.tokens.tainted, unit.lines
     sites = []
     for ln, run in groupby(unit.tokens, _LINE):
         if ln not in tainted:
@@ -426,70 +443,69 @@ def enumerate_sites(unit: SourceUnit) -> list[tuple[int, tuple[str, ...]]]:
     return sites
 
 
-def _line_info(unit: SourceUnit, line: int) -> _LineInfo:
-    """The analysis of the tokens of ``unit`` that start on ``line``."""
+def _line_tokens(unit: SourceUnit, line: int) -> tuple[list[Token], int]:
+    """The tokens of ``unit`` that start on ``line``, and the index of the first."""
     lo = bisect_left(unit.tokens, line, key=_LINE)
-    hi = bisect_right(unit.tokens, line, lo, key=_LINE)
-    return _analyze_tokens(unit.tokens[lo:hi])
+    return unit.tokens[lo : bisect_right(unit.tokens, line, lo, key=_LINE)], lo
 
 
-def mutated_targets(
-    unit: SourceUnit, line: int, mutated: str, info: _LineInfo | None = None
-) -> frozenset[str]:
-    """The names a mutated ``line`` of ``unit`` affects: those ``mutated``
-    assigns or, when it assigns nothing (a bare `if`, an `always @(...)`
-    header), those assigned in the statement or begin/end block that the
-    original line's condition governs. ``info`` is the original line's
-    analysis, when the caller has it."""
-    mut = _analyze_tokens(tokenize(mutated))
-    if mut.assign_idx is not None:
-        return frozenset(t.text for t in mut.lhs_idents)
-    return _governed_targets(unit, line, info or _line_info(unit, line))
+def _pool(unit: SourceUnit) -> list[str]:
+    if unit not in _POOLS:
+        _POOLS[unit] = _identifier_pool(unit)
+    return _POOLS[unit]
 
 
-def _governed_targets(unit: SourceUnit, line_no: int, info: _LineInfo) -> frozenset[str]:
-    """Assignment targets governed by the condition on ``line_no``."""
-    if not info.cond_spans:
-        return frozenset()
-    close_tok = info.tokens[info.cond_spans[0][2]]
-    start = bisect_right(unit.tokens, (line_no, close_tok.col), key=_POSITION)
-    if start == len(unit.tokens):
-        return frozenset()
-    toks = islice(unit.tokens, start, None)
-    # Bound the region: begin/end block or single statement up to ';'.
-    region: list[Token] = []
-    if unit.tokens[start][:2] == ("keyword", "begin"):
-        depth = 0
-        for t in toks:
-            if t.kind == "keyword" and t.text == "begin":
-                depth += 1
-            elif t.kind == "keyword" and t.text == "end":
-                depth -= 1
-                if depth == 0:
-                    break
-            region.append(t)
-    else:
-        for t in toks:
-            if t.text == ";":
+def _governed_targets(tokens: list[Token], start: int) -> frozenset[str]:
+    """The names assigned in the begin/end block, or else the one statement,
+    that opens at ``tokens[start]``."""
+    if start < len(tokens) and tokens[start].text == "begin":
+        block, depth = [], 0
+        for t in islice(tokens, start, None):
+            depth += (t.text == "begin") - (t.text == "end")
+            if depth == 0:
                 break
-            region.append(t)
-    targets: set[str] = set()
-    boundary = {";", "begin", ")", "else"}
-    paren = 0  # a `<=` inside parentheses compares; it assigns nothing
-    for i, t in enumerate(region):
-        paren += (t.text == "(") - (t.text == ")")
-        if t.kind == "operator" and (t.text == "=" or (t.text == "<=" and paren <= 0)):
-            j = i - 1
-            bracket = 0
-            while j >= 0 and region[j].text not in boundary:
-                if region[j].text == "]":
-                    bracket += 1
-                elif region[j].text == "[":
-                    bracket -= 1
-                elif region[j].kind == "identifier" and bracket == 0:
-                    targets.add(region[j].text)
-                j -= 1
-    return frozenset(targets)
+            block.append(t)
+        region = _statements(block)
+    else:
+        region = islice(_statements(islice(tokens, start, None)), 1)
+    return frozenset(t.text for s in region for t in _analyze_tokens(s).lhs_idents)
+
+
+def edit(
+    unit: SourceUnit, line: int, mutated: str, seed: int, kind: str | None = None
+) -> MutationRecord | None:
+    """The record of ``line`` of ``unit`` rewritten as ``mutated``, or None
+    when that changes no significant token or the line is tainted.
+
+    The change starts at the first token that differs. Inside a condition it
+    affects what that condition governs; elsewhere, what its statement
+    assigns or, when that is nothing, what the line's first condition
+    governs. ``kind`` defaults to the first kind whose engine rewrites of the
+    line include ``mutated``, else to ``Cond`` inside a condition and
+    ``Non_cond`` outside.
+    """
+    if line in unit.tokens.tainted:
+        return None
+    old, first = _line_tokens(unit, line)
+    new = tokenize(mutated)
+    at = next((i for i, (a, b) in enumerate(zip(old, new)) if a[:2] != b[:2]),
+              min(len(old), len(new)))
+    if at == len(old) == len(new):
+        return None
+    info = _analyze_tokens(old)
+    inside = [s for s in info.cond_spans if s[1] <= at <= s[2]]
+    before = len(list(_statements(new[:at]))) - 1  # statements that end before the change
+    stmt = _analyze_tokens(next(islice(_statements(new), before, None)))
+    if inside or (stmt.assign_idx is None and info.cond_spans):
+        targets = _governed_targets(unit.tokens, first + (inside or info.cond_spans)[0][2] + 1)
+    else:
+        targets = frozenset(t.text for t in stmt.lhs_idents)
+    original = unit.lines[line - 1]
+    if kind is None:
+        kind = next((k for k in SYNTACTIC_KINDS
+                     if mutated in _alternatives(original, info, k, _pool(unit))),
+                    "Cond" if inside else "Non_cond")
+    return MutationRecord(line, original, mutated, kind, targets, seed)
 
 
 def apply_mutation(unit: SourceUnit, line: int, kind: str, seed: int) -> MutationRecord:
@@ -499,22 +515,16 @@ def apply_mutation(unit: SourceUnit, line: int, kind: str, seed: int) -> Mutatio
     The line's tokens are the unit's significant tokens, so text inside a
     comment or string that spans lines is never rewritten.
     """
-    lines = unit.text.split("\n")
-    if not (1 <= line <= len(lines)):
+    if not (1 <= line <= len(unit.lines)):
         raise DomainError(f"line {line} out of range for unit {unit.id}")
     if kind not in SYNTACTIC_KINDS:
         raise DomainError(f"unknown mutation kind: {kind!r}")
-    original = lines[line - 1]
-    info = _line_info(unit, line)
-    pool = _POOLS.get(unit) if kind in ("Var", "Non_cond") else []  # kinds that draw names
-    if pool is None:
-        pool = _POOLS[unit] = _identifier_pool(unit)
-    alts = list(_alternatives(original, info, kind, pool))
-    if not alts:
+    info = _analyze_tokens(_line_tokens(unit, line)[0])
+    pool = _pool(unit) if kind in ("Var", "Non_cond") else []  # kinds that draw names
+    alts = list(_alternatives(unit.lines[line - 1], info, kind, pool))
+    if not alts or line in unit.tokens.tainted:
         raise NoAlternativeError(f"{unit.id}:{line} admits no {kind} mutation")
-    mutated = alts[seed % len(alts)]
-    targets = mutated_targets(unit, line, mutated, info)
-    return MutationRecord(line, original, mutated, kind, targets, seed)
+    return edit(unit, line, alts[seed % len(alts)], seed, kind)
 
 
 def classify_relation(record: MutationRecord, signals: frozenset[str]) -> str:

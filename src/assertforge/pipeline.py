@@ -23,7 +23,7 @@ from concurrent.futures import ThreadPoolExecutor
 from . import dataset as ds
 from . import mutate
 from .config import PipelineConfig
-from .corpus import SourceUnit, tokenize
+from .corpus import SourceUnit
 from .errors import AssertForgeError, NoAlternativeError
 from .mutate import MutationRecord
 from .textutil import extract_json_object
@@ -75,14 +75,12 @@ replacement line text).
 """
 
 
-def insert_assertion(text: str, sva_text: str) -> str:
-    """Insert the assertion on its own line just before the first endmodule,
-    or append it when there is none."""
+def insert_assertion(text: str, sva_text: str, before: int | None) -> str:
+    """Insert the assertion on its own line just before line ``before``, the
+    design's ``SourceUnit.endmodule_line``, or append it when that is None."""
     lines = text.split("\n")
-    for i, line in enumerate(lines):
-        if "endmodule" in line.split("//")[0]:
-            return "\n".join(lines[:i] + [sva_text] + lines[i:])
-    return "\n".join(lines + [sva_text])
+    at = len(lines) if before is None else before - 1
+    return "\n".join(lines[:at] + [sva_text] + lines[at:])
 
 
 def _derive_seed(base: int, *parts) -> int:
@@ -98,31 +96,25 @@ def llm_bug_candidates(
     Replies are read like solve replies, so a fenced object counts. Those that
     do not parse, whose ``line`` is no JSON integer or ``mutated`` no string,
     or that fall outside the file are dropped, as are repeats of an
-    already-proposed edit, an edit that changes no significant token of its
-    line and an edit on a line that a comment or string spanning lines
-    overlaps: neither can be a bug.
+    already-proposed edit and the edits ``mutate.edit`` finds no bug: one that
+    changes no significant token of its line, or one on a line that a comment
+    or string spanning lines overlaps.
     """
     records = []
     seen: set[tuple[int, str]] = set()
     prompt = BUGS_PROMPT.format(code=unit.text)
-    lines = unit.text.split("\n")
     for i in range(count):
         reply = tc.llm_call(LlmRequest(task="bugs", prompt_text=prompt, nonce=f"{unit.id}:bug{i}"))
         obj = extract_json_object(reply.text) or {}
         line_no, mutated = obj.get("line"), obj.get("mutated")
         if type(line_no) is not int or type(mutated) is not str:  # bool is an int subclass
             continue
-        if not (1 <= line_no <= len(lines)) or "\n" in mutated:
-            continue
-        original = lines[line_no - 1]
-        if line_no in unit.tokens.tainted or (line_no, mutated) in seen:
+        if not (1 <= line_no <= len(unit.lines)) or "\n" in mutated or (line_no, mutated) in seen:
             continue
         seen.add((line_no, mutated))
-        if [t[:2] for t in tokenize(mutated)] == [t[:2] for t in tokenize(original)]:
-            continue  # only whitespace or comments changed
-        targets = mutate.mutated_targets(unit, line_no, mutated)
-        seed = _derive_seed(base_seed, unit.id, "llm", i)
-        records.append(MutationRecord(line_no, original, mutated, "Non_cond", targets, seed))
+        rec = mutate.edit(unit, line_no, mutated, _derive_seed(base_seed, unit.id, "llm", i))
+        if rec is not None:
+            records.append(rec)
     return records
 
 
@@ -186,17 +178,16 @@ def _process_unit(
         signals = mutate.extract_referenced_signals(sva_text)
     except AssertForgeError as exc:
         return None, {"unit_id": unit.id, "stage": "sva", "error": str(exc)}
-    baseline = tc.formal_verify(insert_assertion(unit.text, sva_text))
+    # Lex a copy, freed before the mutants are checked: one stream per worker.
+    lexed = SourceUnit(id=unit.id, path=unit.path, text=unit.text)
+    item.module_names, end = lexed.module_names, lexed.endmodule_line
+    baseline = tc.formal_verify(insert_assertion(unit.text, sva_text, end))
     if baseline.status != "proven":
         return None, {
             "unit_id": unit.id,
             "stage": "sva_validation",
             "error": f"assertion not proven on original design: {baseline.status}",
         }
-
-    # Lex a copy, freed before the mutants are checked: one stream per worker.
-    lexed = SourceUnit(id=unit.id, path=unit.path, text=unit.text)
-    item.module_names = lexed.module_names
     if cfg.bug_source == "llm":
         records = llm_bug_candidates(tc, lexed, cfg.mutations_per_unit, cfg.seed)
     else:
@@ -210,7 +201,7 @@ def _process_unit(
         item.mutants.append(mut)
         if mut.compile_status != "ok":
             continue
-        mut.buggy_sv_code = insert_assertion(buggy, sva_text)
+        mut.buggy_sv_code = insert_assertion(buggy, sva_text, end)
         verify = tc.formal_verify(mut.buggy_sv_code)
         mut.verify_status = verify.status
         mut.log = verify.log_text

@@ -4,7 +4,12 @@ Kept only as the oracle for ``test_mutate_differential.py``: this version
 re-lexes each line for every kind, rebuilds the identifier pool for every
 ``Var``/``Non_cond`` check and builds every rewrite list in full. Its
 ``(line, kinds)`` lists and its records are the behaviour the rework must
-reproduce exactly. Do not edit it to follow changes in ``assertforge.mutate``.
+reproduce exactly. Do not edit it to follow changes in ``assertforge.mutate``,
+save a rule named here. It follows three: a line is cut into statements at
+each ``;`` outside parentheses, and a change's targets are those of the
+statement that holds it; a governed region's targets are read by the same
+forward rule, statement by statement; and ``Op`` swaps no statement's
+assignment operator.
 Its tokens come from the lossless stream of ``_lexer_reference``, the lexer
 as it was when this copy was frozen.
 """
@@ -163,10 +168,39 @@ def _class_of(op_text: str) -> tuple[str, ...] | None:
     return None
 
 
+def _statements(tokens):
+    """Lossless ``tokens`` cut at each ``;`` outside parentheses, the ``;``
+    left out; the last statement follows the last cut and may be empty."""
+    stmt, depth = [], 0
+    for t in tokens:
+        if t.text == ";" and depth == 0:
+            yield stmt
+            stmt = []
+            continue
+        depth += (t.text == "(") - (t.text == ")")
+        stmt.append(t)
+    yield stmt
+
+
+def _statement_info(stmt) -> _LineInfo:
+    return _analyze_line("".join(t.text for t in stmt))
+
+
+def _assignment_cols(line: str) -> set[int]:
+    """The column of each statement's assignment operator on ``line``."""
+    cols = set()
+    for stmt in _statements(tokenize(line)):
+        info = _statement_info(stmt)
+        if info.assign_idx is not None:
+            cols.add(stmt[0].col + info.tokens[info.assign_idx].col - 1)
+    return cols
+
+
 def _op_alternatives(line: str, info: _LineInfo) -> list[str]:
     out = []
-    for i, t in enumerate(info.tokens):
-        if t.kind != "operator" or i == info.assign_idx:
+    assignments = _assignment_cols(line)
+    for t in info.tokens:
+        if t.kind != "operator" or t.col in assignments:
             continue
         cls = _class_of(t.text)
         if cls is None:
@@ -373,27 +407,16 @@ def enumerate_sites(unit: SourceUnit) -> list[tuple[int, tuple[str, ...]]]:
     return sites
 
 
-def _governed_targets(unit: SourceUnit, line_no: int, info: _LineInfo):
-    """Assignment targets governed by the condition on ``line_no``.
-
-    Used when the mutated line itself assigns nothing (e.g. a bare `if` or an
-    `always @(...)` header). Scans the single governed statement, or the
-    begin/end block, that follows.
-    """
-    if not info.cond_spans:
-        return frozenset(), "no condition span found"
-    close_tok = info.tokens[info.cond_spans[0][2]]
-    toks = [
-        t
-        for t in _stream(unit.text)
-        if t.kind not in ("whitespace", "comment")
-        and (t.line, t.col) > (line_no, close_tok.col)
-    ]
-    if not toks:
-        return frozenset(), "no governed statement found"
-    # Bound the region: begin/end block or single statement up to ';'.
-    region: list[Token] = []
-    if toks[0].kind == "keyword" and toks[0].text == "begin":
+def _governed_targets(unit: SourceUnit, line_no: int, close_col: int):
+    """Assignment targets governed by the condition that closes at
+    ``close_col`` on ``line_no``: those of the begin/end block, or else the
+    one statement, that follows, each statement read by the forward rule."""
+    toks = [t for t in _stream(unit.text) if (t.line, t.col) > (line_no, close_col)]
+    sig = [t for t in toks if t.kind not in ("whitespace", "comment")]
+    if not sig:
+        return frozenset()
+    if sig[0].kind == "keyword" and sig[0].text == "begin":
+        region: list[Token] = []
         depth = 0
         for t in toks:
             if t.kind == "keyword" and t.text == "begin":
@@ -403,30 +426,10 @@ def _governed_targets(unit: SourceUnit, line_no: int, info: _LineInfo):
                 if depth == 0:
                     break
             region.append(t)
+        statements = list(_statements(region))
     else:
-        for t in toks:
-            if t.text == ";":
-                break
-            region.append(t)
-    targets: set[str] = set()
-    boundary = {";", "begin", ")", "else"}
-    paren = 0  # a `<=` inside parentheses compares; it assigns nothing
-    for i, t in enumerate(region):
-        paren += (t.text == "(") - (t.text == ")")
-        if t.kind == "operator" and (t.text == "=" or (t.text == "<=" and paren <= 0)):
-            j = i - 1
-            bracket = 0
-            while j >= 0 and region[j].text not in boundary:
-                if region[j].text == "]":
-                    bracket += 1
-                elif region[j].text == "[":
-                    bracket -= 1
-                elif region[j].kind == "identifier" and bracket == 0:
-                    targets.add(region[j].text)
-                j -= 1
-    if targets:
-        return frozenset(targets), ""
-    return frozenset(), "no assignment governed by mutated condition"
+        statements = [next(_statements(toks))]
+    return frozenset(t.text for stmt in statements for t in _statement_info(stmt).lhs_idents)
 
 
 def apply_mutation(unit: SourceUnit, line: int, kind: str, seed: int) -> tuple:
@@ -446,12 +449,33 @@ def apply_mutation(unit: SourceUnit, line: int, kind: str, seed: int) -> tuple:
         raise NoAlternativeError(f"{unit.id}:{line} admits no {kind} mutation")
     mutated = alts[seed % len(alts)]
 
-    mut_info = _analyze_line(mutated)
-    detail = ""
-    if mut_info.assign_idx is not None:
-        targets = frozenset(t.text for t in mut_info.lhs_idents)
+    # The change is the first significant token that differs. Inside a
+    # condition span of the original line it affects the region that
+    # condition governs; elsewhere the names its statement assigns, or when
+    # that statement assigns nothing, the region of the line's first condition.
+    old = [t for t in tokenize(original) if t.kind not in ("whitespace", "comment")]
+    new = list(tokenize(mutated))
+    new_sig = [t for t in new if t.kind not in ("whitespace", "comment")]
+    at = min(len(old), len(new_sig))
+    for i, (a, b) in enumerate(zip(old, new_sig)):
+        if (a.kind, a.text) != (b.kind, b.text):
+            at = i
+            break
+    info = _analyze_line(original)
+    spans = [(info.tokens[o].col, info.tokens[c].col) for _, o, c in info.cond_spans]
+    inside = [s for s in spans if at < len(old) and s[0] <= old[at].col <= s[1]]
+    if inside:
+        return (line, original, mutated, kind, _governed_targets(unit, line, inside[0][1]), seed)
+    cuts, depth = 0, 0
+    for t in new_sig[:at]:
+        if t.text == ";" and depth == 0:
+            cuts += 1
+        depth += (t.text == "(") - (t.text == ")")
+    stmt = _statement_info(list(_statements(new))[cuts])
+    if stmt.assign_idx is not None:
+        targets = frozenset(t.text for t in stmt.lhs_idents)
+    elif spans:
+        targets = _governed_targets(unit, line, spans[0][1])
     else:
-        # Condition-only lines: the affected signals are the ones assigned in
-        # the governed statement/block, which lives on the unchanged lines.
-        targets, detail = _governed_targets(unit, line, _analyze_line(original))
+        targets = frozenset()
     return (line, original, mutated, kind, targets, seed)

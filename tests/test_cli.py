@@ -762,6 +762,8 @@ def test_reverify_with_no_verifier_to_run_is_one_line_before_any_call(
     assert res.exit_code == 1 and calls == []
     [line] = res.output.splitlines()
     assert line.startswith("Error: eval.mode = reverify needs a verifier")
+    if setting == "record cache":  # mock.dir is set already; the mode is what is missing
+        assert "mock.mode = replay" in line
     assert not (tmp_path / "report.json").exists()
 
 

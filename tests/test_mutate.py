@@ -13,9 +13,9 @@ from assertforge.mutate import (
     _literal_rewrites,
     apply_mutation,
     classify_relation,
+    edit,
     enumerate_sites,
     extract_referenced_signals,
-    mutated_targets,
 )
 
 
@@ -169,7 +169,7 @@ def test_lhs_targets_governed_by_condition():
 def test_lhs_targets_skip_a_comparison_inside_parentheses():
     u = unit("module m;\nalways @(posedge clk)\nif (en) begin\n"
              "  if (x <= y) q <= d;\nend\nendmodule")
-    assert mutated_targets(u, 3, "  if (!en) begin") == frozenset({"q"})
+    assert edit(u, 3, "if (!en) begin", 0).lhs_targets == frozenset({"q"})
     rec = apply_mutation(u, 3, "Cond", 0)
     assert rec.lhs_targets == frozenset({"q"})
     assert classify_relation(rec, frozenset({"x"})) == "Indirect"
@@ -178,7 +178,59 @@ def test_lhs_targets_skip_a_comparison_inside_parentheses():
 def test_lhs_targets_keep_an_assignment_in_a_for_header():
     u = unit("module m;\nalways @(posedge clk)\nif (en) begin\n"
              "  for (i = 0; i <= 3; i = i + 1) m[i] <= d;\nend\nendmodule")
-    assert mutated_targets(u, 3, "  if (!en) begin") == frozenset({"i", "m"})
+    assert edit(u, 3, "if (!en) begin", 0).lhs_targets == frozenset({"i", "m"})
+
+
+RESET_TEXT = ("module m(input clk, input rst, input en, input d, output reg q, output reg r);\n"
+              "always @(posedge clk)\n"
+              "  if (rst) begin q <= 0; r <= 0; end\n"
+              "  else if (en) q <= d;\n"
+              "endmodule")
+
+
+def test_lhs_targets_come_from_the_statement_that_holds_the_change():
+    u = unit(RESET_TEXT)
+    by_snippet = {rec.mutated_snippet: rec for rec in
+                  (apply_mutation(u, 3, "Value", s) for s in range(8))}
+    assert by_snippet["  if (rst) begin q <= 1; r <= 0; end"].lhs_targets == {"q"}
+    assert by_snippet["  if (rst) begin q <= 0; r <= 1; end"].lhs_targets == {"r"}
+    assert edit(u, 3, "  if (rst) begin q <= 0; r <= ~r; end", 0).lhs_targets == {"r"}
+
+
+def test_a_condition_edit_gets_every_name_its_block_assigns_on_the_same_line():
+    u = unit(RESET_TEXT)
+    rec = apply_mutation(u, 3, "Cond", 0)
+    assert rec.mutated_snippet == "  if (!rst) begin q <= 0; r <= 0; end"
+    assert rec.lhs_targets == {"q", "r"}
+
+
+def test_op_never_swaps_an_assignment_operator():
+    # `r <= 0` as `r < 0` is no statement; a comparison in a later statement still swaps.
+    assert "Op" not in dict(enumerate_sites(unit(RESET_TEXT)))[3]
+    with pytest.raises(NoAlternativeError):
+        apply_mutation(unit(RESET_TEXT), 3, "Op", 0)
+    assert all_mutants(unit("q <= 0; r <= a < b;"), 1, "Op") == {
+        "q <= 0; r <= a > b;", "q <= 0; r <= a <= b;", "q <= 0; r <= a >= b;"}
+
+
+def test_a_governed_assignment_with_parentheses_in_its_index_keeps_its_target():
+    u = unit("module m;\nalways @(posedge clk)\n  if (en)\n    mem[(i+1)] <= d;\nendmodule")
+    rec = apply_mutation(u, 3, "Cond", 0)
+    assert rec.lhs_targets == {"mem"}
+    assert classify_relation(rec, frozenset({"mem"})) == "Direct"
+
+
+def test_a_governed_for_loop_gets_its_loop_and_body_targets():
+    u = unit("module m;\nalways @(posedge clk)\n  if (a)\n"
+             "    for (k = 0; k < 4; k = k + 1) a[k] <= a;\nendmodule")
+    assert apply_mutation(u, 3, "Cond", 0).lhs_targets == {"k", "a"}
+
+
+def test_edit_returns_none_for_an_edit_that_is_no_bug():
+    u = unit("x = a; // note\ny = b; /* spans\nlines */\n")
+    assert edit(u, 1, "x  =  a;   // another note", 0) is None
+    assert edit(u, 2, "y = ~b; /* spans", 0) is None  # a tainted line
+    assert edit(u, 1, "x = ~a;", 0).lhs_targets == {"x"}
 
 
 def test_lhs_targets_empty_flagged():

@@ -121,6 +121,7 @@ def _target(draw):
 @st.composite
 def _line(draw):
     e, t, i = draw(_expr()), draw(_target()), draw(_IDENTS)
+    f, u = draw(_expr()), draw(_target())
     edge = draw(st.sampled_from(["posedge", "negedge"]))
     return draw(
         st.sampled_from(
@@ -131,6 +132,8 @@ def _line(draw):
                 f"  {t} <= {e}; // {i} note",
                 f"  if ({e}) {t} <= {i};",
                 f"  if ({e})",
+                f"  if ({e}) begin {t} <= {f}; {u} <= {e}; end",
+                f"  if ({e})\n    {t}[({f})] <= {e};",
                 f"  else if (!{i}) {t} = {e};",
                 f"  always @({edge} {i})",
                 f"  always @({edge} {i} or {edge} clk) begin",

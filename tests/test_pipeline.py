@@ -24,12 +24,16 @@ from mockbackends import fake_compile, fake_llm, make_fake_verify
 
 
 def test_insert_assertion_before_endmodule():
-    text = "module m;\nwire x;\nendmodule\n"
-    out = insert_assertion(text, "assert(x);")
-    lines = out.split("\n")
-    assert lines[lines.index("endmodule") - 1] == "assert(x);"
-    stripped = "\n".join(l for l in out.split("\n") if l != "assert(x);")
-    assert stripped == text
+    # Only an ``endmodule`` keyword token ends the module: a name or a
+    # comment that spells the word does not.
+    for head in ("module m;", "module m(input clk, output reg endmodule_seen);",
+                 "module m; /* no endmodule here */",
+                 "module m;\n/* an old\nendmodule\n   went here */"):
+        text = f"{head}\nwire x;\nendmodule\n"
+        end = SourceUnit(id="u", path="", text=text).endmodule_line
+        out = insert_assertion(text, "assert(x);", end)
+        assert out == f"{head}\nwire x;\nassert(x);\nendmodule\n", head
+    assert insert_assertion("module m;\n", "assert(x);", None) == "module m;\n\nassert(x);"
 
 
 def test_render_counts_table_pinned():
@@ -177,7 +181,7 @@ def _probe_toolchain() -> Toolchain:
                "bugs": json.dumps({"line": 3, "mutated": "if (!en)"})}
 
     def verify(source, depth):
-        if source == insert_assertion(PROBE_TEXT, PROBE_SVA):
+        if source == insert_assertion(PROBE_TEXT, PROBE_SVA, 5):
             return VerifyOutcome("proven", "PASS")
         return VerifyOutcome("assertion_failed", "FAIL", failing_step=0)
 
@@ -193,13 +197,46 @@ def test_llm_and_engine_paths_give_a_condition_edit_the_same_targets_and_relatio
     [llm] = llm_bug_candidates(_probe_toolchain(), unit, 1, base_seed=1)
     assert engine.mutated_snippet == llm.mutated_snippet == "if (!en)"
     assert engine.lhs_targets == llm.lhs_targets == {"q"}
+    assert engine.kind == llm.kind == "Cond"
     signals = mutate.extract_referenced_signals(PROBE_SVA)
     assert mutate.classify_relation(engine, signals) == "Direct"
     assert mutate.classify_relation(llm, signals) == "Direct"
     res = run_augment([unit], _probe_toolchain(),
                       PipelineConfig(seed=1, bug_source="llm", mutations_per_unit=1))
     assert not res.errors and len(res.svabug) == 1
-    assert res.counts["svabug"]["by_bug_type"]["Direct"] == 1
+    by_type = res.counts["svabug"]["by_bug_type"]
+    assert by_type["Direct"] == by_type["Cond"] == 1 and by_type["Non_cond"] == 0
+
+
+def _llm_bug(text: str, line: int, mutated: str):
+    reply = json.dumps({"line": line, "mutated": mutated})
+    [rec] = llm_bug_candidates(Toolchain(llm_backend=lambda req: reply),
+                               SourceUnit(id="t", path="", text=text), 1, base_seed=1)
+    return rec
+
+
+@pytest.mark.parametrize("line, mutated, kind", [
+    (4, "q <= ~d;", "Non_cond"),  # no engine rewrite, outside any condition
+    (3, "if (en && d)", "Cond"),  # no engine rewrite, inside a condition
+    (4, "q <= en;", "Var"),  # the first kind whose engine rewrites include it
+    (2, "always @(negedge clk)", "Cond"),
+], ids=["invert-rhs", "widen-condition", "swap-name", "swap-edge"])
+def test_an_llm_bug_takes_the_kind_of_the_engine_rewrite_it_matches(line, mutated, kind):
+    assert _llm_bug(PROBE_TEXT, line, mutated).kind == kind
+
+
+def test_an_edit_in_a_later_statement_is_direct_on_both_paths():
+    text = ("module m(input clk, input rst, output reg q, output reg r);\n"
+            "always @(posedge clk)\n  if (rst) begin q <= 0; r <= 0; end\nendmodule")
+    mutated = "  if (rst) begin q <= 0; r <= 1; end"
+    unit = SourceUnit(id="t", path="", text=text)
+    [engine] = [rec for rec in (mutate.apply_mutation(unit, 3, "Value", s) for s in range(2))
+                if rec.mutated_snippet == mutated]
+    llm = _llm_bug(text, 3, mutated)
+    assert engine.lhs_targets == llm.lhs_targets == {"r"}
+    assert engine.kind == llm.kind == "Value"
+    for rec in (engine, llm):
+        assert mutate.classify_relation(rec, frozenset({"r"})) == "Direct"
 
 
 def test_an_sva_reply_with_no_assert_is_an_sva_error_and_is_never_verified(monkeypatch):
