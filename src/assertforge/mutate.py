@@ -13,9 +13,8 @@ of exactly one line:
 
 A (unit, line, kind, seed) quadruple always produces the same record; the
 seed indexes into the deterministically ordered list of legal rewrites.
-``edit`` builds every record, an engine rewrite's or an LLM edit's, by one
-rule: a line is cut into statements at each ``;`` outside parentheses, and a
-change affects the names its statement assigns or its condition governs.
+``edit`` builds every record: a change affects the names that its statement
+(cut at each ``;`` outside parentheses) assigns or its condition governs.
 """
 
 from __future__ import annotations
@@ -25,7 +24,7 @@ from bisect import bisect_left, bisect_right
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import groupby, islice
+from itertools import accumulate, groupby, islice
 from operator import attrgetter
 from weakref import WeakKeyDictionary
 
@@ -42,8 +41,7 @@ OP_SWAP_CLASSES: tuple[tuple[str, ...], ...] = (
     ("<", ">", "<=", ">="),
     ("<<", ">>"),
 )
-_CLASS_OF = {op: cls for cls in OP_SWAP_CLASSES for op in cls}
-_SWAPPABLE = frozenset(_CLASS_OF)
+_SWAPPABLE = frozenset(op for cls in OP_SWAP_CLASSES for op in cls)
 
 _IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_$]*")
 
@@ -199,8 +197,7 @@ _LINE, _KIND, _TEXT = attrgetter("line"), attrgetter("kind"), attrgetter("text")
 
 
 def _statements(tokens: Iterable[Token]) -> Iterator[list[Token]]:
-    """``tokens`` cut at each ``;`` outside parentheses, the ``;`` left out;
-    the last statement is what follows the last cut, maybe nothing."""
+    """``tokens`` cut at each ``;`` outside parentheses, which is left out."""
     stmt, depth = [], 0
     for t in tokens:
         if t.text == ";" and depth == 0:
@@ -212,18 +209,10 @@ def _statements(tokens: Iterable[Token]) -> Iterator[list[Token]]:
     yield stmt
 
 
-def _op_sites(line_text: str, info: _LineInfo) -> list[Token]:
+def _op_sites(info: _LineInfo) -> list[Token]:
     """The line's tokens but each statement's assignment operator."""
-    toks, a = info.tokens, info.assign_idx
-    if a is None:  # where the line assigns nothing, no statement does
-        return toks
-    if line_text.find(";", 0, toks[-1].col - 1) < 0:  # no `;` before the end: one statement
-        return toks[:a] + toks[a + 1 :]
-    sites: list[Token] = []
-    for stmt in _statements(toks):
-        a = _analyze_tokens(stmt).assign_idx
-        sites += stmt if a is None else stmt[:a] + stmt[a + 1 :]
-    return sites
+    return [t for stmt in filter(None, _statements(info.tokens))
+            for a in [_analyze_tokens(stmt).assign_idx] for i, t in enumerate(stmt) if i != a]
 
 
 def _replace_token(line: str, tok: Token, new_text: str) -> str:
@@ -239,11 +228,18 @@ def _replace_token(line: str, tok: Token, new_text: str) -> str:
 # kind when a first rewrite exists; only Cond's is built to find out.
 
 
+def _class_of(op_text: str) -> tuple[str, ...] | None:
+    for cls in OP_SWAP_CLASSES:
+        if op_text in cls:
+            return cls
+    return None
+
+
 def _op_swaps(line: str, tokens, classes=OP_SWAP_CLASSES) -> Iterator[str]:
     """Each operator in ``tokens`` whose swap class is one of ``classes``,
     replaced in turn by every other member of that class."""
     for t in tokens:
-        cls = _CLASS_OF.get(t.text) if t.kind == "operator" else None
+        cls = _class_of(t.text) if t.kind == "operator" else None
         if cls in classes:
             for repl in cls:
                 if repl != t.text:
@@ -323,7 +319,13 @@ def _var_site_tokens(info: _LineInfo) -> list[Token]:
     sites += [t for t in info.rhs if t.kind == "identifier"]
     for span in info.cond_spans:
         sites += [t for t in info.cond_interior(span) if t.kind == "identifier"]
-    return sorted(set(sites), key=lambda t: t.col)
+    seen = set()
+    ordered = []
+    for t in sorted(sites, key=lambda t: t.col):
+        if t.col not in seen:
+            seen.add(t.col)
+            ordered.append(t)
+    return ordered
 
 
 def _var_alternatives(line: str, sites: list[Token], pool: list[str]) -> Iterator[str]:
@@ -380,7 +382,7 @@ def _non_cond_alternatives(line: str, info: _LineInfo, pool: list[str]) -> Itera
 def _alternatives(line_text: str, info: _LineInfo, kind: str, pool: list[str]) -> Iterator[str]:
     """Lazily, in order, the legal distinct rewrites of ``kind`` on a line."""
     if kind == "Op":
-        alts = _op_swaps(line_text, _op_sites(line_text, info))
+        alts = _op_swaps(line_text, _op_sites(info))
     elif kind == "Value":
         alts = _value_alternatives(line_text, info.tokens)
     elif kind == "Var":
@@ -417,7 +419,7 @@ def _admissible_kinds(line_text: str, info: _LineInfo) -> tuple[str, ...]:
         bool(info.lhs_idents) or rhs_var or cond_var,  # Var
         _has_variant(toks),  # Value
         # Op, not at an assignment; only the lexer's operator rule spells these
-        not _SWAPPABLE.isdisjoint(map(_TEXT, _op_sites(line_text, info))),
+        not _SWAPPABLE.isdisjoint(map(_TEXT, _op_sites(info))),
         bool(info.cond_spans) and any(_alternatives(line_text, info, "Cond", [])),  # Cond
         a is not None  # Non_cond
         and (rhs_var or _has_variant(rhs) or not _SWAPPABLE.isdisjoint(map(_TEXT, rhs))),
@@ -450,9 +452,7 @@ def _line_tokens(unit: SourceUnit, line: int) -> tuple[list[Token], int]:
 
 
 def _pool(unit: SourceUnit) -> list[str]:
-    if unit not in _POOLS:
-        _POOLS[unit] = _identifier_pool(unit)
-    return _POOLS[unit]
+    return _POOLS.get(unit) or _POOLS.setdefault(unit, _identifier_pool(unit))
 
 
 def _governed_targets(tokens: list[Token], start: int) -> frozenset[str]:
@@ -480,32 +480,33 @@ def edit(
     The change starts at the first token that differs. Inside a condition it
     affects what that condition governs; elsewhere, what its statement
     assigns or, when that is nothing, what the line's first condition
-    governs. ``kind`` defaults to the first kind whose engine rewrites of the
-    line include ``mutated``, else to ``Cond`` inside a condition and
-    ``Non_cond`` outside.
+    governs. ``kind`` defaults to the first kind with an engine rewrite of
+    the line whose significant tokens are those of ``mutated``, else to
+    ``Cond`` inside a condition and ``Non_cond`` outside.
     """
     if line in unit.tokens.tainted:
         return None
     old, first = _line_tokens(unit, line)
     new = tokenize(mutated)
-    at = next((i for i, (a, b) in enumerate(zip(old, new)) if a[:2] != b[:2]),
-              min(len(old), len(new)))
+    sig = [t[:2] for t in new]
+    at = next((i for i, (a, b) in enumerate(zip(old, sig)) if a[:2] != b), min(len(old), len(new)))
     if at == len(old) == len(new):
         return None
     info = _analyze_tokens(old)
     inside = [s for s in info.cond_spans if s[1] <= at <= s[2]]
-    before = len(list(_statements(new[:at]))) - 1  # statements that end before the change
-    stmt = _analyze_tokens(next(islice(_statements(new), before, None)))
+    stmts = list(_statements(new))
+    ends = accumulate(len(s) + 1 for s in stmts)  # past each statement's `;`
+    stmt = _analyze_tokens(next(s for s, end in zip(stmts, ends) if end > at))
     if inside or (stmt.assign_idx is None and info.cond_spans):
         targets = _governed_targets(unit.tokens, first + (inside or info.cond_spans)[0][2] + 1)
     else:
         targets = frozenset(t.text for t in stmt.lhs_idents)
-    original = unit.lines[line - 1]
     if kind is None:
-        kind = next((k for k in SYNTACTIC_KINDS
-                     if mutated in _alternatives(original, info, k, _pool(unit))),
+        kind = next((k for k in SYNTACTIC_KINDS  # matched on significant tokens, not layout
+                     if any(sig == [t[:2] for t in tokenize(alt)]
+                            for alt in _alternatives(unit.lines[line - 1], info, k, _pool(unit)))),
                     "Cond" if inside else "Non_cond")
-    return MutationRecord(line, original, mutated, kind, targets, seed)
+    return MutationRecord(line, unit.lines[line - 1], mutated, kind, targets, seed)
 
 
 def apply_mutation(unit: SourceUnit, line: int, kind: str, seed: int) -> MutationRecord:

@@ -112,8 +112,7 @@ def llm_bug_candidates(
         if not (1 <= line_no <= len(unit.lines)) or "\n" in mutated or (line_no, mutated) in seen:
             continue
         seen.add((line_no, mutated))
-        rec = mutate.edit(unit, line_no, mutated, _derive_seed(base_seed, unit.id, "llm", i))
-        if rec is not None:
+        if rec := mutate.edit(unit, line_no, mutated, _derive_seed(base_seed, unit.id, "llm", i)):
             records.append(rec)
     return records
 

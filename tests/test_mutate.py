@@ -211,6 +211,8 @@ def test_op_never_swaps_an_assignment_operator():
         apply_mutation(unit(RESET_TEXT), 3, "Op", 0)
     assert all_mutants(unit("q <= 0; r <= a < b;"), 1, "Op") == {
         "q <= 0; r <= a > b;", "q <= 0; r <= a <= b;", "q <= 0; r <= a >= b;"}
+    # The whole line assigns nothing, but its first statement `) if (a <= b` does.
+    assert dict(enumerate_sites(unit(") if (a <= b ; c)")))[1] == ("Var", "Cond")
 
 
 def test_a_governed_assignment_with_parentheses_in_its_index_keeps_its_target():

@@ -215,14 +215,22 @@ def _llm_bug(text: str, line: int, mutated: str):
     return rec
 
 
-@pytest.mark.parametrize("line, mutated, kind", [
-    (4, "q <= ~d;", "Non_cond"),  # no engine rewrite, outside any condition
-    (3, "if (en && d)", "Cond"),  # no engine rewrite, inside a condition
-    (4, "q <= en;", "Var"),  # the first kind whose engine rewrites include it
-    (2, "always @(negedge clk)", "Cond"),
-], ids=["invert-rhs", "widen-condition", "swap-name", "swap-edge"])
-def test_an_llm_bug_takes_the_kind_of_the_engine_rewrite_it_matches(line, mutated, kind):
-    assert _llm_bug(PROBE_TEXT, line, mutated).kind == kind
+# The engine keeps a line's layout; a reply often does not.
+INDENTED_TEXT = ("module m(input clk, input a, input b, input d, output reg q);\n"
+                 "always @(posedge clk)\n  if (a > b)\n    q <= d;\nendmodule")
+
+
+@pytest.mark.parametrize("text, line, mutated, kind", [
+    (PROBE_TEXT, 4, "q <= ~d;", "Non_cond"),  # no engine rewrite, outside any condition
+    (PROBE_TEXT, 3, "if (en && d)", "Cond"),  # no engine rewrite, inside a condition
+    (PROBE_TEXT, 4, "q <= en;", "Var"),  # the first kind whose engine rewrites include it
+    (PROBE_TEXT, 2, "always @(negedge clk)", "Cond"),
+    (INDENTED_TEXT, 4, "q <= a;", "Var"),  # the rewrite `    q <= a;`, indentation dropped
+    (INDENTED_TEXT, 3, "if(a<b)", "Op"),  # the rewrite `  if (a < b)`, spaces dropped
+], ids=["invert-rhs", "widen-condition", "swap-name", "swap-edge",
+        "swap-name-unindented", "swap-op-respaced"])
+def test_an_llm_bug_takes_the_kind_of_the_engine_rewrite_it_matches(text, line, mutated, kind):
+    assert _llm_bug(text, line, mutated).kind == kind
 
 
 def test_an_edit_in_a_later_statement_is_direct_on_both_paths():
@@ -335,6 +343,23 @@ def test_augment_lexes_a_unit_once_and_only_when_it_reaches_mutation(
     assert len(compiled) < len(units)  # some unit fails its compile check
     assert set(lexed) == compiled
     assert set(lexed.values()) == {1}
+
+
+def test_augment_lexes_a_unit_that_fails_its_baseline_verify_once(monkeypatch):
+    # The assertion goes above the unit's first `endmodule` keyword token, so a
+    # unit is lexed when it reaches its baseline verify, even one that fails it.
+    lexed = collections.Counter()
+    real = corpus.tokenize
+    monkeypatch.setattr(corpus, "tokenize", lambda text: lexed.update([text]) or real(text))
+    replies = {"spec": "spec", "sva": PROBE_SVA}
+    def verify(source, depth):
+        return VerifyOutcome("assertion_failed", "FAIL")
+
+    tc = Toolchain(compile_backend=fake_compile, verify_backend=verify,
+                   llm_backend=lambda req: replies[req.task])
+    res = run_augment([SourceUnit(id="p", path="", text=PROBE_TEXT)], tc, PipelineConfig(seed=1))
+    assert [e["stage"] for e in res.errors] == ["sva_validation"]
+    assert lexed == {PROBE_TEXT: 1}
 
 
 @pytest.mark.parametrize("parallel", [1, 4])
