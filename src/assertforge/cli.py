@@ -11,6 +11,7 @@ written as JSON to stderr and the exit code is 1.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import math
 import sys
@@ -69,6 +70,15 @@ def _out_file(path: str, option: str) -> None:
         raise click.ClickException(f"cannot write {option} {path}: {exc}")
 
 
+@contextlib.contextmanager
+def _writing():
+    """An output file that cannot be written whole is a one-line error naming it."""
+    try:
+        yield
+    except OSError as exc:
+        raise click.ClickException(f"cannot write {exc.filename}: {exc.strerror}")
+
+
 def _header(cfg: PipelineConfig) -> dict:
     return {
         "tool_version": __version__,
@@ -125,8 +135,9 @@ def filter_cmd(config_path, corpus_dir, out_dir):
     rows = filter_units(units)
     accepted = [{"id": r["id"], "path": r["path"]} for r in rows if r["status"] == "accepted"]
     header = _header(cfg)
-    ds.write_jsonl(rows, out / "filter_report.jsonl", header=header)
-    ds.write_jsonl(accepted, out / "manifest.jsonl", header=header)
+    with _writing():
+        ds.write_jsonl(rows, out / "filter_report.jsonl", header=header)
+        ds.write_jsonl(accepted, out / "manifest.jsonl", header=header)
     click.echo(f"{len(accepted)} of {len(rows)} files accepted -> {out / 'manifest.jsonl'}")
     _finish(errors)
 
@@ -167,22 +178,17 @@ def augment(config_path, manifest, out_dir, parallel, keep_temp):
     result.errors = load_errors + result.errors
 
     header = _header(cfg)
-    ds.write_jsonl(result.pt, out / "pt.jsonl", header=header)
-    ds.write_jsonl(result.bug, out / "bug.jsonl", header=header)
-    ds.write_jsonl(result.svabug, out / "svabug.jsonl", header=header)
-    ds.write_jsonl(map(asdict, result.eval_cases), out / "sva_eval_machine.jsonl", header=header)
     split_doc = {"meta": header, **result.split_plan}
-    (out / "split_plan.json").write_text(json.dumps(split_doc, indent=2) + "\n", encoding="utf-8")
-    report = {
-        "meta": header,
-        "counts": result.counts,
-        "cot": result.cot_stats,
-        "drops": result.drops,
-        "errors": result.errors,
-    }
-    (out / "augment_report.json").write_text(
-        json.dumps(report, indent=2) + "\n", encoding="utf-8"
-    )
+    report = {"meta": header, "counts": result.counts, "cot": result.cot_stats,
+              "drops": result.drops, "errors": result.errors}
+    with _writing():
+        ds.write_jsonl(result.pt, out / "pt.jsonl", header=header)
+        ds.write_jsonl(result.bug, out / "bug.jsonl", header=header)
+        ds.write_jsonl(result.svabug, out / "svabug.jsonl", header=header)
+        ds.write_jsonl(map(asdict, result.eval_cases), out / "sva_eval_machine.jsonl",
+                       header=header)
+        ds.write_whole(out / "split_plan.json", [json.dumps(split_doc, indent=2) + "\n"])
+        ds.write_whole(out / "augment_report.json", [json.dumps(report, indent=2) + "\n"])
     click.echo(render_counts_table(result.counts))
     _finish(result.errors)
 
@@ -250,16 +256,17 @@ def eval_cmd(benchmark, config_path, out_path, results_path, csv_path, n_target,
     if results:
         report = ev.aggregate(results, cases.values(), ks=cfg.eval_ks, n_target=cfg.eval_n)
         doc = {"meta": header, **report}
-        Path(out_path).write_text(json.dumps(doc, indent=2) + "\n", encoding="utf-8")
-        if csv_path:
-            Path(csv_path).write_text(ev.report_csv(report), encoding="utf-8")
-        if results_path:
-            ds.write_jsonl(
-                ({"case_id": r.case_id, "n": r.n, "c": r.c,
-                  "responses": [j._asdict() for j in r.responses]} for r in results),
-                results_path,
-                header=header,
-            )
+        with _writing():
+            ds.write_whole(out_path, [json.dumps(doc, indent=2) + "\n"])
+            if csv_path:
+                ds.write_whole(csv_path, [ev.report_csv(report)])
+            if results_path:
+                ds.write_jsonl(
+                    ({"case_id": r.case_id, "n": r.n, "c": r.c,
+                      "responses": [j._asdict() for j in r.responses]} for r in results),
+                    results_path,
+                    header=header,
+                )
         for k in cfg.eval_ks:
             click.echo(f"pass@{k} = {report['overall'][f'pass@{k}']:.4f}")
     _finish(errors)
@@ -320,7 +327,8 @@ def dpo_prep(results_file, benchmark, config_path, out_path, n_expected):
         challenging += bool(rows)
         triples.extend(rows)
 
-    ds.write_jsonl(triples, out_path, header=_header(cfg))
+    with _writing():
+        ds.write_jsonl(triples, out_path, header=_header(cfg))
     click.echo(f"{challenging} challenging cases -> {len(triples)} triples -> {out_path}")
     _finish(errors)
 

@@ -4,15 +4,21 @@ module-name split.
 
 A unit's outcome is decided once, in ``pipeline._process_unit``, and a
 mutant's once, in ``build_records``: every injected bug lands in exactly one
-family, one benchmark case, or one documented drop or error. A mutant's golden
-fix is its record's two snippets, a case's its two golden fields. The same pass
-counts what it routed. JSONL field names are part of the external contract
-and must not drift.
+family, one benchmark case, or one documented drop or error. A mutant is its
+record: its golden fix is the record's two snippets, and its source is derived
+from its unit's item by ``PipelineItem.mutant_source`` only where it is used,
+so a written row holds the one copy it writes. A case's golden fix is its two
+golden fields. The same pass counts what it routed. Every output file is
+written whole by ``write_whole``. JSONL field names are part of the external
+contract and must not drift.
 """
 
 from __future__ import annotations
 
+import contextlib
+import itertools
 import json
+import os
 import random
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -191,18 +197,25 @@ def _matches_golden(parsed: dict, record: MutationRecord) -> bool:
 # Record building
 
 
+def insert_assertion(text: str, sva_text: str, before: int | None) -> str:
+    """Insert the assertion on its own line just before line ``before``, the
+    design's ``SourceUnit.endmodule_line``, or append it when that is None."""
+    lines = text.split("\n")
+    at = len(lines) if before is None else before - 1
+    return "\n".join(lines[:at] + [sva_text] + lines[at:])
+
+
 @dataclass
 class MutantItem:
     """One injected bug, its relation (Direct or Indirect) to the unit's
     assertion and its tool outcomes, ready for routing. ``log`` is the output
-    of the last tool that ran on it."""
+    of the last tool that ran on it. It holds no source: its record is the
+    edit, and ``PipelineItem.mutant_source`` derives the text where it is used."""
 
     record: MutationRecord
     relation: str
     compile_status: str
     verify_status: str | None = None
-    buggy_code: str = ""  # mutant source without the assertion
-    buggy_sv_code: str = ""  # mutant source with the assertion inserted
     log: str = ""
     cot_reply: str | None = None  # raw Stage-3 reply; None when not generated
 
@@ -220,10 +233,18 @@ class PipelineItem:
     mutants: list[MutantItem] = field(default_factory=list)
     held_out: bool = False
     module_names: tuple[str, ...] = ()  # what the split reads of the unit
+    sva_text: str = ""  # the unit's assertion
+    sva_before: int | None = None  # the line it goes above, as in the baseline verify
 
     @property
     def line_count(self) -> int:
         return len(self.code.splitlines())
+
+    def mutant_source(self, record: MutationRecord, with_sva: bool = True) -> str:
+        """The source of one mutant of this unit: ``code`` with ``record``
+        applied and, unless ``with_sva`` is False, the assertion inserted."""
+        code = record.apply_to(self.code)
+        return insert_assertion(code, self.sva_text, self.sva_before) if with_sva else code
 
 
 @dataclass
@@ -294,7 +315,7 @@ def build_records(items: Iterable[PipelineItem]) -> RecordBundle:
                     bundle.bug.append(
                         {
                             "spec": item.spec,
-                            "buggy_code": mut.buggy_code,
+                            "buggy_code": item.mutant_source(rec, with_sva=False),
                             "buggy_line": rec.mutated_snippet,
                             "corrected_line": rec.original_snippet,
                         }
@@ -313,7 +334,7 @@ def build_records(items: Iterable[PipelineItem]) -> RecordBundle:
                         id=f"{item.unit_id}#m{failures - 1}",
                         source="machine",
                         spec=item.spec,
-                        buggy_sv_code=mut.buggy_sv_code,
+                        buggy_sv_code=item.mutant_source(rec),
                         log=mut.log,
                         golden_buggy_line=rec.mutated_snippet,
                         golden_corrected_line=rec.original_snippet,
@@ -335,7 +356,7 @@ def build_records(items: Iterable[PipelineItem]) -> RecordBundle:
             bundle.svabug.append(
                 {
                     "spec": item.spec,
-                    "buggy_sv_code": mut.buggy_sv_code,
+                    "buggy_sv_code": item.mutant_source(rec),
                     "log": mut.log,
                     "step_by_step": cot_text is not None,
                     "buggy_line": rec.mutated_snippet,
@@ -359,15 +380,29 @@ def build_records(items: Iterable[PipelineItem]) -> RecordBundle:
 # JSONL IO
 
 
+def write_whole(path: str | Path, chunks: Iterable[str]) -> None:
+    """Write ``chunks`` to ``path`` whole or not at all: into a file staged
+    under a random name in its directory, then moved onto ``path``. A write
+    that fails leaves no staged file and raises OSError naming ``path``."""
+    path = Path(path)
+    staged = path.with_name(f".{path.name}.{os.urandom(8).hex()}.tmp")
+    try:
+        path.parent.mkdir(parents=True, exist_ok=True)
+        with open(staged, "x", encoding="utf-8") as fh:
+            fh.writelines(chunks)
+        os.replace(staged, path)
+    except BaseException as exc:
+        with contextlib.suppress(OSError):
+            os.unlink(staged)
+        if isinstance(exc, OSError):
+            raise OSError(exc.errno, exc.strerror or str(exc), str(path)) from exc
+        raise
+
+
 def write_jsonl(records: Iterable[dict], path: str | Path, header: dict | None = None) -> None:
     """One JSON object per line; optional metadata header as the first line."""
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with path.open("w", encoding="utf-8") as fh:
-        if header is not None:
-            fh.write(json.dumps(header) + "\n")
-        for rec in records:
-            fh.write(json.dumps(rec) + "\n")
+    rows = records if header is None else itertools.chain([header], records)
+    write_whole(path, (json.dumps(rec) + "\n" for rec in rows))
 
 
 def read_jsonl(path: str | Path) -> list[dict]:

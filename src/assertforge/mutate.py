@@ -106,6 +106,7 @@ class _LineInfo:
     lhs_idents: list[Token]
     rhs: list[Token]  # tokens right of the assignment op
     cond_spans: list[tuple[str, int, int]]  # (label, open-paren idx, close idx)
+    assigns: list[int]  # token index of each statement's assignment operator
 
     def cond_interior(self, span) -> list[Token]:
         _, o, c = span
@@ -129,10 +130,17 @@ def _match_paren(tokens, open_idx) -> int | None:
 
 
 def _analyze_tokens(tokens: list[Token]) -> _LineInfo:
-    """Structure of one line, given its significant tokens."""
-    # Condition spans: if/case(…), and event controls @(...).
+    """Structure of one line, given its significant tokens, and the assignment
+    of each of its statements as ``_statements`` cuts them."""
+    # Condition spans: if/case(…), and event controls @(...). Each `;` outside
+    # parentheses is a cut: a statement starts at paren depth 0.
     cond_spans: list[tuple[str, int, int]] = []
+    cuts: list[int] = []
+    depth = 0
     for i, t in enumerate(tokens):
+        depth += (t.text == "(") - (t.text == ")")
+        if t.text == ";" and depth == 0:
+            cuts.append(i)
         label = None
         if t.kind == "keyword" and t.text in ("if", "case", "casex", "casez"):
             label = "if" if t.text == "if" else "case"
@@ -146,28 +154,36 @@ def _analyze_tokens(tokens: list[Token]) -> _LineInfo:
                 cond_spans.append((label, i + 1, close))
 
     in_cond = {i for _, o, c in cond_spans for i in range(o, c + 1)}
+    # A span that a cut crosses is no condition of the statement it opens in.
+    stmt_cond = {i for _, o, c in cond_spans if bisect_left(cuts, o) == bisect_left(cuts, c)
+                 for i in range(o, c + 1)}
 
     # Assignment operator: first '=' or '<=' at parenthesis depth 0 preceded
-    # by an identifier outside any condition span. Only parens gate the scan:
-    # concatenation targets like {cout, sum} and indexed targets stay visible.
+    # by an identifier outside any condition span, in the line and in each
+    # statement. Only parens gate the scan: concatenation targets like
+    # {cout, sum} and indexed targets stay visible.
     assign_idx = None
+    assigns: list[int] = []
     paren_depth = 0
-    seen_lhs_ident = False
+    seen_lhs_ident = seen_stmt_ident = stmt_assigned = False
     for i, t in enumerate(tokens):
         if t.text == "(":
             paren_depth += 1
         elif t.text == ")":
             paren_depth -= 1
-        elif (
-            paren_depth == 0
-            and t.kind == "operator"
-            and t.text in ("=", "<=")
-            and seen_lhs_ident
-        ):
-            assign_idx = i
-            break
-        if t.kind == "identifier" and paren_depth == 0 and i not in in_cond:
-            seen_lhs_ident = True
+        elif paren_depth != 0:
+            continue
+        elif t.text == ";":
+            seen_stmt_ident = stmt_assigned = False
+        elif t.kind == "identifier":
+            seen_lhs_ident = seen_lhs_ident or i not in in_cond
+            seen_stmt_ident = seen_stmt_ident or i not in stmt_cond
+        elif t.kind == "operator" and t.text in ("=", "<="):
+            if seen_lhs_ident and assign_idx is None:
+                assign_idx = i
+            if seen_stmt_ident and not stmt_assigned:
+                assigns.append(i)
+                stmt_assigned = True
 
     lhs_idents: list[Token] = []
     rhs: list[Token] = []
@@ -190,7 +206,7 @@ def _analyze_tokens(tokens: list[Token]) -> _LineInfo:
                 break
             rhs.append(t)
 
-    return _LineInfo(tokens, assign_idx, lhs_idents, rhs, cond_spans)
+    return _LineInfo(tokens, assign_idx, lhs_idents, rhs, cond_spans, assigns)
 
 
 _LINE, _KIND, _TEXT = attrgetter("line"), attrgetter("kind"), attrgetter("text")
@@ -211,8 +227,7 @@ def _statements(tokens: Iterable[Token]) -> Iterator[list[Token]]:
 
 def _op_sites(info: _LineInfo) -> list[Token]:
     """The line's tokens but each statement's assignment operator."""
-    return [t for stmt in filter(None, _statements(info.tokens))
-            for a in [_analyze_tokens(stmt).assign_idx] for i, t in enumerate(stmt) if i != a]
+    return [t for i, t in enumerate(info.tokens) if i not in info.assigns]
 
 
 def _replace_token(line: str, tok: Token, new_text: str) -> str:

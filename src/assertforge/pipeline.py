@@ -3,7 +3,9 @@ together to produce the three dataset families plus benchmark cases.
 
 Per unit: syntax check (failures become pretraining records), spec and
 assertion generation, deterministic bug injection, mutant compilation and
-verification. Each injected bug is one ``dataset.MutantItem`` from then on.
+verification. Each injected bug is one ``dataset.MutantItem`` from then on,
+which holds its record and outcomes but no source: ``PipelineItem.mutant_source``
+derives the source for the compile call, the verify call and the CoT prompt.
 A unit's outcome is decided once, in ``_process_unit``: its item or the one
 error that stopped it. Both bug sources work on one lexed copy of the unit,
 and the split reads the module names of each item with an assertion failure
@@ -24,6 +26,7 @@ from . import dataset as ds
 from . import mutate
 from .config import PipelineConfig
 from .corpus import SourceUnit
+from .dataset import insert_assertion
 from .errors import AssertForgeError, NoAlternativeError
 from .mutate import MutationRecord
 from .textutil import extract_json_object
@@ -73,14 +76,6 @@ replacement line text).
 
 {code}
 """
-
-
-def insert_assertion(text: str, sva_text: str, before: int | None) -> str:
-    """Insert the assertion on its own line just before line ``before``, the
-    design's ``SourceUnit.endmodule_line``, or append it when that is None."""
-    lines = text.split("\n")
-    at = len(lines) if before is None else before - 1
-    return "\n".join(lines[:at] + [sva_text] + lines[at:])
 
 
 def _derive_seed(base: int, *parts) -> int:
@@ -167,20 +162,20 @@ def _process_unit(
         ).text
         return item, None
 
-    sva_text = tc.llm_call(
+    item.sva_text = tc.llm_call(
         LlmRequest(
             task="sva",
             prompt_text=SVA_PROMPT.format(spec=item.spec, code=unit.text),
         )
     ).text.strip()
     try:
-        signals = mutate.extract_referenced_signals(sva_text)
+        signals = mutate.extract_referenced_signals(item.sva_text)
     except AssertForgeError as exc:
         return None, {"unit_id": unit.id, "stage": "sva", "error": str(exc)}
     # Lex a copy, freed before the mutants are checked: one stream per worker.
     lexed = SourceUnit(id=unit.id, path=unit.path, text=unit.text)
-    item.module_names, end = lexed.module_names, lexed.endmodule_line
-    baseline = tc.formal_verify(insert_assertion(unit.text, sva_text, end))
+    item.module_names, item.sva_before = lexed.module_names, lexed.endmodule_line
+    baseline = tc.formal_verify(insert_assertion(unit.text, item.sva_text, item.sva_before))
     if baseline.status != "proven":
         return None, {
             "unit_id": unit.id,
@@ -193,15 +188,13 @@ def _process_unit(
         records = engine_bug_candidates(lexed, cfg.mutations_per_unit, cfg.seed)
     del lexed
     for rec in records:
-        buggy = rec.apply_to(unit.text)
-        compiled = tc.compile_check(buggy)
+        compiled = tc.compile_check(item.mutant_source(rec, with_sva=False))
         mut = ds.MutantItem(rec, mutate.classify_relation(rec, signals), compiled.status,
-                            buggy_code=buggy, log=compiled.stderr_text)
+                            log=compiled.stderr_text)
         item.mutants.append(mut)
         if mut.compile_status != "ok":
             continue
-        mut.buggy_sv_code = insert_assertion(buggy, sva_text, end)
-        verify = tc.formal_verify(mut.buggy_sv_code)
+        verify = tc.formal_verify(item.mutant_source(rec))
         mut.verify_status = verify.status
         mut.log = verify.log_text
     return item, None
@@ -243,7 +236,7 @@ def run_augment(
                 task="cot",
                 prompt_text=COT_PROMPT.format(
                     spec=item.spec,
-                    code=mut.buggy_sv_code,
+                    code=item.mutant_source(rec),
                     log=mut.log,
                     line=rec.line,
                     buggy_line=rec.mutated_snippet,

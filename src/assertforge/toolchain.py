@@ -151,7 +151,23 @@ _CANONICAL = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
 _DECODER = json.JSONDecoder()
 _ASSERT_RE, _WORD_RE = re.compile(r"assert\b"), re.compile(r"\w")  # \bassert\b, without a scan
 _json_str = json.encoder.encode_basestring_ascii  # _CANONICAL's, without encode()'s frame
-_encoded_long = functools.lru_cache(maxsize=4)(_json_str)  # one case's prompts, not nonces
+
+
+class _ThreadMemo(threading.local):
+    """``_json_str`` behind a 4-entry memo per thread: an eval case runs on one
+    thread and uses at most three prompts (its nonces are short, and not memoized)."""
+
+    def __init__(self):
+        self.memo = functools.lru_cache(maxsize=4)(_json_str)
+
+    def __call__(self, text: str) -> str:
+        return self.memo(text)
+
+    def __getattr__(self, name: str):  # this thread's cache_info and cache_clear
+        return getattr(self.memo, name)
+
+
+_encoded_long = _ThreadMemo()
 
 
 def request_digest(payload: dict) -> tuple[str, bytes]:

@@ -408,9 +408,9 @@ def test_criterion_hermetic_end_to_end(cli_env, tmp_path):
 def _routed(compile_status, verify_status, held_out):
     code = "module m;\ny = 0;\nendmodule"
     rec = MutationRecord(2, "y = 0;", "y = 1;", "Value", frozenset(), 0)
-    mut = ds.MutantItem(rec, "Direct", compile_status, verify_status, buggy_code=code,
-                        buggy_sv_code=code)
-    item = ds.PipelineItem("m", "ok", code=code, spec="s", mutants=[mut], held_out=held_out)
+    mut = ds.MutantItem(rec, "Direct", compile_status, verify_status)
+    item = ds.PipelineItem("m", "ok", code=code, spec="s", mutants=[mut], held_out=held_out,
+                           sva_text="assert(y == 0);", sva_before=3)
     bundle = ds.build_records([item])
     outputs = (bundle.pt, bundle.bug, bundle.svabug, bundle.eval_cases, bundle.drops, bundle.errors)
     return sum(map(len, outputs))

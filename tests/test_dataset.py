@@ -128,11 +128,12 @@ def cot_outcome(cot_reply):
         relation="Direct",
         compile_status="ok",
         verify_status="assertion_failed",
-        buggy_sv_code=code.replace("in;", "in + 1;"),
         log="FAIL",
         cot_reply=cot_reply,
     )
-    bundle = build_records([PipelineItem("m", "ok", code=code, spec="s", mutants=[mut])])
+    item = PipelineItem("m", "ok", code=code, spec="s", mutants=[mut],
+                        sva_text="assert(out == in);", sva_before=3)
+    bundle = build_records([item])
     [row] = bundle.svabug
     assert row["step_by_step"] is (row["cot"] is not None)
     return bundle.cot_stats, row["cot"]
@@ -187,18 +188,19 @@ LANDS = {
 }
 
 
+# Unit b's source: its code, its assertion and the line the assertion goes above.
+UNIT_B = {"code": "module b;\ny = 0;\nendmodule", "sva_text": "assert(y == 0);", "sva_before": 3}
+
+
 def _one_mutant_unit(compile_status, verify_status, held_out=False, unit_status="ok"):
-    code = "module b;\ny = 0;\nendmodule"
     mut = MutantItem(
         record=_bug(2, "y = 0;", "y = 1;"),
         relation="Direct",
         compile_status=compile_status,
         verify_status=verify_status,
-        buggy_code=code.replace("y = 0;", "y = 1;"),
-        buggy_sv_code=code.replace("endmodule", "assert(y == 0);\nendmodule"),
         log="tool output",
     )
-    return PipelineItem("b", unit_status, code=code, spec="s", mutants=[mut], held_out=held_out)
+    return PipelineItem("b", unit_status, spec="s", mutants=[mut], held_out=held_out, **UNIT_B)
 
 
 def test_build_records_status_table():
@@ -251,8 +253,6 @@ def test_build_records_routing(mock_toolchain):
                     relation="Direct",
                     compile_status="ok",
                     verify_status="assertion_failed",
-                    buggy_code="module b;\ny = 1;\nendmodule",
-                    buggy_sv_code="module b;\ny = 1;\nassert(y == 0);\nendmodule",
                     log="FAIL step 1",
                 ),
                 MutantItem(
@@ -260,7 +260,6 @@ def test_build_records_routing(mock_toolchain):
                     relation="Direct",
                     compile_status="ok",
                     verify_status="proven",
-                    buggy_code="module b;\ny = 2;\nendmodule",
                 ),
                 MutantItem(
                     record=_bug(2, "y = 0;", "y = ;"),
@@ -268,6 +267,7 @@ def test_build_records_routing(mock_toolchain):
                     compile_status="syntax_error",
                 ),
             ],
+            **UNIT_B,
         ),
     ]
     bundle = build_records(items)
@@ -290,7 +290,6 @@ def test_build_records_cot_attachment():
                 relation="Direct",
                 compile_status="ok",
                 verify_status="assertion_failed",
-                buggy_sv_code="module b;\ny = 1;\nassert(y == 0);\nendmodule",
                 log="FAIL",
                 cot_reply=golden_reply,
             ),
@@ -299,11 +298,11 @@ def test_build_records_cot_attachment():
                 relation="Direct",
                 compile_status="ok",
                 verify_status="assertion_failed",
-                buggy_sv_code="module b;\ny = 2;\nassert(y == 0);\nendmodule",
                 log="FAIL",
                 cot_reply="no json here",
             ),
         ],
+        **UNIT_B,
     )
     bundle = build_records([item])
     with_cot = [r for r in bundle.svabug if r["step_by_step"]]
@@ -316,23 +315,18 @@ def test_build_records_cot_attachment():
 
 
 def test_build_records_routes_a_held_out_unit_to_cases_only():
-    code = "module b;\ny = 0;\nendmodule"
-
     def mutant(mutated, compile_status, verify_status=None):
         return MutantItem(
             record=_bug(2, "y = 0;", mutated),
             relation="Direct",
             compile_status=compile_status,
             verify_status=verify_status,
-            buggy_code=code.replace("y = 0;", mutated),
-            buggy_sv_code=code.replace("endmodule", "assert(y == 0);\nendmodule"),
             log="FAIL",
         )
 
     item = PipelineItem(
         unit_id="b",
         compile_status="ok",
-        code=code,
         spec="s",
         mutants=[
             mutant("y = 1;", "ok", "assertion_failed"),
@@ -342,6 +336,7 @@ def test_build_records_routes_a_held_out_unit_to_cases_only():
             mutant("y = 4;", "ok", "tool_error"),
         ],
         held_out=True,
+        **UNIT_B,
     )
     bundle = build_records([item])
     assert [c.id for c in bundle.eval_cases] == ["b#m0", "b#m1"]

@@ -1,19 +1,24 @@
 """Differential test: ``request_digest`` builds its bytes field by field and
 memoizes the encoding of long strings; they must equal the whole payload's
 compact sorted-key JSON, whatever the memo holds. A guard checks that the
-draws of one eval case encode each distinct prompt once, through the memo.
+draws of one eval case encode each distinct prompt once, through the memo,
+and another that cases run on several threads encode them no more often.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import threading
+import time
 from collections import Counter
 
+from click.testing import CliRunner
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from assertforge import toolchain
+from assertforge import cli, toolchain
+from assertforge import dataset as ds
 from assertforge.dataset import EvalCase
 from assertforge.evalharness import RETRY_SUFFIXES, collect_responses, solve_prompt
 from assertforge.toolchain import LlmRequest, Toolchain, ToolSettings, request_digest
@@ -116,3 +121,41 @@ def test_one_cases_draws_encode_each_distinct_prompt_once(tmp_path, monkeypatch)
                 "temperature": 0.2, "nonce": r.nonce})[0]
         for r in requests
     )
+
+
+
+def test_eval_at_parallel_4_encodes_each_prompt_no_more_often_than_at_parallel_1(
+    cli_env, tmp_path, monkeypatch
+):
+    # Every case uses all three prompts, and four cases are in flight: twelve
+    # prompts. Each worker thread keeps its own memo, made on the thread's
+    # first request from the module's encoder at that time.
+    def solver(req):
+        time.sleep(0.001 * (len(req.nonce) % 3))  # cases run at different speeds
+        if req.prompt_text.endswith(RETRY_SUFFIXES[-1]):
+            return '{"buggy_line": "x", "fix": "y", "cot": null}'
+        return "not json"
+
+    monkeypatch.setattr(cli, "Toolchain", lambda settings: Toolchain(settings, llm_backend=solver))
+    real, lock = toolchain._json_str, threading.Lock()
+    encoded = {}
+    for workers in (1, 4):
+        counts = encoded[workers] = Counter()
+
+        def counting(text, counts=counts):
+            if len(text) >= 256:
+                with lock:
+                    counts[text] += 1
+            return real(text)
+
+        monkeypatch.setattr(toolchain, "_json_str", counting)
+        config = tmp_path / f"record{workers}.cfg"
+        config.write_text(f"mock.dir = {tmp_path / f'mocks{workers}'}\nmock.mode = record\n"
+                          "eval.n = 4\neval.ks = 1\n")
+        res = CliRunner().invoke(cli.main, ["eval", str(cli_env["benchmark"]), "--config",
+                                            str(config), "--out", str(tmp_path / "report.json"),
+                                            "--parallel", str(workers)], catch_exceptions=False)
+        assert res.exit_code == 0, res.output
+    assert len(encoded[1]) == 3 * len(ds.read_jsonl(cli_env["benchmark"]))
+    assert set(encoded[4]) == set(encoded[1])
+    assert {p: n for p, n in encoded[4].items() if n > encoded[1][p]} == {}

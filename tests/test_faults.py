@@ -2,14 +2,19 @@
 one CoT call fail in transport, two manifest rows cannot be loaded, or the
 compiler or verifier reports a tool error; in `eval`, every draw of two
 chosen cases fails in transport. Each run must report exactly the injected
-items as errors, once each, write every output, and exit 1.
+items as errors, once each, write every output, and exit 1. A disk that
+fills halfway through an output file stops the command with one line.
 The oracle is a clean run without the failing items: the faulty run must
 match it record for record, except that a failed CoT's mutant is an SVA-Bug
 record without a CoT.
 """
 
+import errno
 import functools
 import json
+import os
+
+import pytest
 
 from click.testing import CliRunner
 
@@ -221,3 +226,64 @@ def test_eval_isolates_failing_cases(cli_env, monkeypatch, tmp_path):
     assert _rows(results) == [r for r in _rows(clean_results) if r["case_id"] not in failing]
     doc = json.loads(report.read_text())
     assert doc["case_count"] == sum(doc["histogram"]) == len(case_ids) - 2
+
+
+class _FullDisk:
+    """A staged file that takes its first chunk and then fails as a full disk does."""
+
+    def __init__(self, fh):
+        self.fh = fh
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc_info):
+        self.fh.close()
+
+    def writelines(self, chunks):
+        for i, chunk in enumerate(chunks):
+            if i:
+                raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+            self.fh.write(chunk)
+            self.fh.flush()
+
+
+def _run(cli_env, out, command, manifest=None):
+    args = {"filter": ["--config", cli_env["config"], "--out-dir", out],
+            "augment": ["--config", cli_env["config"], "--manifest", manifest, "--out-dir", out],
+            "eval": [cli_env["benchmark"], "--config", cli_env["config"], "--out",
+                     out / "report.json", "--results", out / "results.jsonl"]}[command]
+    return CliRunner().invoke(cli.main, [command, *map(str, args)], catch_exceptions=False)
+
+
+# Each command's first outputs in the order it writes them; the last one fails.
+WRITES = {"filter": ("filter_report.jsonl", "manifest.jsonl"),
+          "augment": ("pt.jsonl", "bug.jsonl", "svabug.jsonl", "sva_eval_machine.jsonl"),
+          "eval": ("report.json", "results.jsonl")}
+
+
+@pytest.mark.parametrize("command", sorted(WRITES))
+def test_a_write_that_fails_halfway_is_one_line_and_leaves_no_part_file(
+    cli_env, monkeypatch, tmp_path, command
+):
+    manifest = tmp_path / "filtered" / "manifest.jsonl"
+    if command == "augment":
+        assert _run(cli_env, manifest.parent, "filter").exit_code == 0
+    clean, out = tmp_path / "clean", tmp_path / "out"
+    out.mkdir()
+    assert _run(cli_env, clean, command, manifest).exit_code == 0
+    written, failing = WRITES[command][:-1], WRITES[command][-1]
+    real_open = open
+
+    def opening(path, mode, **kwargs):
+        fh = real_open(path, mode, **kwargs)
+        return _FullDisk(fh) if os.path.basename(path).startswith(f".{failing}.") else fh
+
+    monkeypatch.setattr(ds, "open", opening, raising=False)
+    res = _run(cli_env, out, command, manifest)
+    assert res.exit_code == 1 and "Traceback" not in res.output
+    assert res.output.splitlines() == [
+        f"Error: cannot write {out / failing}: {os.strerror(errno.ENOSPC)}"]
+    assert sorted(p.name for p in out.iterdir()) == sorted(written)
+    for name in written:
+        assert (out / name).read_bytes() == (clean / name).read_bytes(), name

@@ -2,10 +2,10 @@ import random
 import re
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from assertforge.corpus import SourceUnit
+from assertforge.corpus import SourceUnit, tokenize
 from assertforge.errors import AssertForgeError, NoAlternativeError
 from assertforge.mutate import (
     _BASED_RE,
@@ -351,3 +351,39 @@ def test_mutation_lexes_only_the_mutated_line(monkeypatch, corpus_units):
             calls["tokenize"] = 0
             apply_mutation(u, line, kinds[0], 0)
             assert calls["tokenize"] == 1, (u.id, line)  # the mutated line alone
+
+
+def test_enumerate_sites_analyses_each_untainted_line_once(monkeypatch, corpus_units):
+    import assertforge.mutate as m
+
+    analysed = []
+    real = m._analyze_tokens
+    monkeypatch.setattr(m, "_analyze_tokens", lambda toks: analysed.append(toks[0].line) or real(toks))
+    for u in corpus_units + [unit(RESET_TEXT), unit("q <= 0; r <= a < b;\n) if (a <= b ; c)")]:
+        analysed.clear()
+        enumerate_sites(u)
+        lines = {t.line for t in u.tokens} - u.tokens.tainted
+        assert sorted(analysed) == sorted(lines), u.id
+
+
+_LINE_WORDS = ["a", "b", "q", "if", "case", "@", "(", ")", "(", ")", ";", ";", "=", "<=", "<",
+               "[", "]", "{", "}", ",", "begin", "end", "1", "+", "posedge", "for"]
+
+
+@settings(max_examples=400, derandomize=True, deadline=None)
+@given(st.lists(st.sampled_from(_LINE_WORDS), min_size=1, max_size=24))
+@example(") if ( ; a = b )".split())  # a cut crosses the span: `a` opens statement 2
+@example("if ( a ) q <= b ; r = 1 ; ; c <= ( d = e )".split())
+def test_each_statements_assignment_is_the_one_its_own_analysis_finds(words):
+    # The line's one pass against the statement-by-statement analysis it
+    # replaces for Op sites: each statement analysed alone, as `_statements` cuts it.
+    import assertforge.mutate as m
+
+    toks = tokenize(" ".join(words))
+    expected, start = [], 0
+    for stmt in m._statements(toks):
+        a = m._analyze_tokens(stmt).assign_idx
+        if a is not None:
+            expected.append(start + a)
+        start += len(stmt) + 1
+    assert m._analyze_tokens(toks).assigns == expected

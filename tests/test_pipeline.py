@@ -424,3 +424,66 @@ def test_augment_with_a_compiler_that_writes_non_utf8_writes_every_output(tmp_pa
     for name in ("pt.jsonl", "bug.jsonl", "svabug.jsonl", "sva_eval_machine.jsonl",
                  "split_plan.json", "augment_report.json"):
         assert (out / name).is_file(), name
+
+
+def _routed_items(monkeypatch) -> list[ds.PipelineItem]:
+    """The items that ``run_augment`` hands to ``build_records``, once it has."""
+    items: list[ds.PipelineItem] = []
+    real = ds.build_records
+    monkeypatch.setattr(ds, "build_records", lambda done: real(items.extend(done) or done))
+    return items
+
+
+@pytest.mark.parametrize("parallel", [1, 4])
+def test_a_mutant_holds_no_copy_of_its_unit(accepted_units, mock_toolchain, monkeypatch, parallel):
+    items = _routed_items(monkeypatch)
+    res = run_augment(accepted_units, mock_toolchain, PipelineConfig(seed=20240817, parallel=parallel))
+    assert res.svabug and res.bug and res.eval_cases and not res.errors
+    mutants = [(item, mut) for item in items for mut in item.mutants]
+    assert mutants
+    for item, mut in mutants:
+        # The CoT reply is the LLM's own text, and longer than a short unit; it
+        # still holds no copy of the unit, whose every copy holds its first line.
+        texts = {name: value for name, value in vars(mut).items() if isinstance(value, str)}
+        head = item.code.split("\n")[0]
+        assert [n for n, v in texts.items() if len(v) >= len(item.code) and n != "cot_reply"
+                or head in v] == [], item.unit_id
+
+
+def test_a_mutants_derived_sources_are_those_it_was_built_from(accepted_units, monkeypatch):
+    # Differential against the construction the items once held: the edit
+    # applied to the unit's text, then the assertion inserted above the
+    # unit's `endmodule` line. The tools and the written rows see exactly those.
+    seen = collections.defaultdict(list)
+    verify = make_fake_verify({u.text for u in accepted_units})
+
+    def llm(req):
+        reply = fake_llm(req)
+        seen[req.task].append((req.prompt_text, reply))
+        return reply
+
+    tc = Toolchain(compile_backend=lambda s: seen["compile"].append(s) or fake_compile(s),
+                   verify_backend=lambda s, d: seen["verify"].append(s) or verify(s, d),
+                   llm_backend=llm)
+    items = _routed_items(monkeypatch)
+    res = run_augment(accepted_units, tc, PipelineConfig(seed=20240817))
+    units = {u.id: u for u in accepted_units}
+    plain, with_sva = set(), set()
+    for item in (i for i in items if i.mutants):  # a unit that failed to compile has none
+        unit = units[item.unit_id]
+        end = SourceUnit(id=unit.id, path="", text=unit.text).endmodule_line
+        sva = next(r for p, r in seen["sva"] if p.endswith(f"\n{unit.text}\n")).strip()
+        for mut in item.mutants:
+            buggy = mut.record.apply_to(unit.text)
+            assert item.mutant_source(mut.record, with_sva=False) == buggy
+            assert item.mutant_source(mut.record) == insert_assertion(buggy, sva, end)
+            plain.add(buggy)
+            if mut.compile_status == "ok":
+                with_sva.add(insert_assertion(buggy, sva, end))
+    assert plain and with_sva
+    assert plain <= set(seen["compile"]) and with_sva <= set(seen["verify"])
+    assert {r["buggy_code"] for r in res.bug} <= plain
+    written = [r["buggy_sv_code"] for r in res.svabug] + [c.buggy_sv_code for c in res.eval_cases]
+    assert written and set(written) <= with_sva
+    cot_prompts = [p for p, _ in seen["cot"] if "Buggy SystemVerilog code:" in p]
+    assert cot_prompts and all(any(s in p for s in with_sva) for p in cot_prompts)
