@@ -215,6 +215,9 @@ def eval_cmd(benchmark, config_path, out_path, results_path, csv_path, n_target,
         raise click.ClickException(str(exc))
     cfg = _load_config(config_path, eval_n=n_target, eval_ks=ks, eval_mode=mode,
                        eval_line_only=line_only, parallel=parallel)
+    if cfg.eval_n < max(cfg.eval_ks):  # the one command that reads the ks
+        raise click.ClickException(
+            f"eval.n ({cfg.eval_n}) must be >= every k in {list(cfg.eval_ks)}")
     try:
         cases = _by_id(ev.EvalCase.from_json(r) for r in _read_rows(benchmark, "benchmark file"))
     except (SchemaError, ValueError) as exc:
@@ -282,6 +285,8 @@ def eval_cmd(benchmark, config_path, out_path, results_path, csv_path, n_target,
 def dpo_prep(results_file, benchmark, config_path, out_path, n_expected):
     """Select challenging cases from eval results and emit preference triples."""
     cfg = _load_config(config_path, eval_n=n_expected)
+    if cfg.eval_n < 1:  # no ks to check it against here
+        raise click.ClickException(f"eval.n ({cfg.eval_n}) must be >= 1")
     _out_file(out_path, "--out")  # before the first row is read
     case_rows = _read_rows(benchmark, "benchmark file")
     result_rows = _read_rows(results_file, "results file")

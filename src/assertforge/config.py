@@ -153,8 +153,6 @@ class PipelineConfig:
     def __post_init__(self):
         if not (0.0 < self.split_fraction < 1.0):
             raise DomainError("split.fraction must lie in (0, 1)")
-        if self.eval_n < max(self.eval_ks):
-            raise DomainError(f"eval.n ({self.eval_n}) must be >= every k in {list(self.eval_ks)}")
         if self.eval_mode not in ("textual", "reverify"):
             raise DomainError(f"unknown eval mode: {self.eval_mode!r}")
         if self.parallel < 1:

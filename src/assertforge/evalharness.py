@@ -21,7 +21,7 @@ from typing import Callable, Iterable, NamedTuple, Sequence
 from .dataset import BIN_LABELS, BUG_TYPE_ORDER, SOURCES, EvalCase
 from .errors import AssertForgeError, DomainError
 from .textutil import extract_json_object, normalize_line_loose, solution_from_object
-from .toolchain import LlmRequest, Toolchain
+from .toolchain import LlmRequest, Prompt, Toolchain
 
 SOLVE_PROMPT = """You are debugging a SystemVerilog design whose assertion fails.
 
@@ -161,7 +161,7 @@ def collect_responses(
     if judge_fn is None:
         judge_fn = lambda resp: judge(resp, case)  # noqa: E731
     base = solve_prompt(case)
-    prompts = [base + suffix for suffix in RETRY_SUFFIXES]  # by invalid replies so far
+    prompts = [Prompt(base + suffix) for suffix in RETRY_SUFFIXES]  # by invalid replies so far
     responses: list[Judged] = []
     valid = correct = invalid = 0
     calls = 0

@@ -13,19 +13,23 @@ of exactly one line:
 
 A (unit, line, kind, seed) quadruple always produces the same record; the
 seed indexes into the deterministically ordered list of legal rewrites.
-``edit`` builds every record: a change affects the names that its statement
-(cut at each ``;`` outside parentheses) assigns or its condition governs.
+The statement is the unit of analysis: a line is cut at each ``;`` outside
+parentheses, and every statement of it is a site. ``edit`` builds every
+record: a change affects the names that its statement assigns or its
+condition governs, the statement after the condition read whole by
+``_statement_end`` (a ``case`` condition governs its whole ``case``).
 """
 
 from __future__ import annotations
 
 import re
 from bisect import bisect_left, bisect_right
-from collections.abc import Iterable, Iterator
+from collections.abc import Iterator
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import accumulate, groupby, islice
+from itertools import groupby
 from operator import attrgetter
+from typing import NamedTuple
 from weakref import WeakKeyDictionary
 
 from .corpus import SourceUnit, Token, tokenize
@@ -41,7 +45,8 @@ OP_SWAP_CLASSES: tuple[tuple[str, ...], ...] = (
     ("<", ">", "<=", ">="),
     ("<<", ">>"),
 )
-_SWAPPABLE = frozenset(op for cls in OP_SWAP_CLASSES for op in cls)
+_CLASS_OF = {op: cls for cls in OP_SWAP_CLASSES for op in cls}
+_SWAPPABLE = frozenset(_CLASS_OF)
 
 _IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_$]*")
 
@@ -99,39 +104,52 @@ def extract_referenced_signals(sva_text: str) -> frozenset[str]:
 # Per-line analysis
 
 
+class _Statement(NamedTuple):
+    """One statement of a run of tokens cut at each ``;`` outside parentheses;
+    the empty one after a last ``;`` is left out."""
+
+    end: int  # index of the `;` that ends it, or the length of its tokens
+    assign: int | None  # index of its assignment operator
+    lhs: list[Token]  # the names it assigns
+    rhs: list[Token]  # its tokens right of the assignment operator
+
+
+_EMPTY = _Statement(0, None, [], [])  # the statement after a last `;`
+
+
 @dataclass
 class _LineInfo:
     tokens: list[Token]  # significant tokens only
-    assign_idx: int | None  # token index of the assignment operator
-    lhs_idents: list[Token]
-    rhs: list[Token]  # tokens right of the assignment op
     cond_spans: list[tuple[str, int, int]]  # (label, open-paren idx, close idx)
-    assigns: list[int]  # token index of each statement's assignment operator
+    statements: list[_Statement]
 
     def cond_interior(self, span) -> list[Token]:
         _, o, c = span
         return self.tokens[o + 1 : c]
 
+    def rhs(self) -> list[Token]:
+        """Every statement's right-hand tokens, in order."""
+        return [t for s in self.statements for t in s.rhs]
 
-_OPEN = {"(": ")", "[": "]", "{": "}"}
-_CLOSERS = {")", "]", "}"}
 
-
-def _match_paren(tokens, open_idx) -> int | None:
+def _closing(tokens, i, opens=("(",), closes=(")",), last=")") -> int | None:
+    """The index of the first ``last`` at nesting depth 0 from ``tokens[i]`` on,
+    each of ``opens`` opening a level and each of ``closes`` closing one."""
     depth = 0
-    for i in range(open_idx, len(tokens)):
-        if tokens[i].text == "(":
-            depth += 1
-        elif tokens[i].text == ")":
-            depth -= 1
-            if depth == 0:
-                return i
+    for j in range(i, len(tokens)):
+        text = tokens[j].text
+        depth += (text in opens) - (text in closes)
+        if depth == 0 and text == last:
+            return j
     return None
 
 
+_LABELS = {"if": "if", "case": "case", "casex": "case", "casez": "case", "@": "event"}
+
+
 def _analyze_tokens(tokens: list[Token]) -> _LineInfo:
-    """Structure of one line, given its significant tokens, and the assignment
-    of each of its statements as ``_statements`` cuts them."""
+    """The condition spans and the statements of a run of significant tokens:
+    a line, or the region a condition governs."""
     # Condition spans: if/case(…), and event controls @(...). Each `;` outside
     # parentheses is a cut: a statement starts at paren depth 0.
     cond_spans: list[tuple[str, int, int]] = []
@@ -141,93 +159,67 @@ def _analyze_tokens(tokens: list[Token]) -> _LineInfo:
         depth += (t.text == "(") - (t.text == ")")
         if t.text == ";" and depth == 0:
             cuts.append(i)
-        label = None
-        if t.kind == "keyword" and t.text in ("if", "case", "casex", "casez"):
-            label = "if" if t.text == "if" else "case"
-        elif t.text == "@":
-            label = "event"
-        if label is None:
-            continue
-        if i + 1 < len(tokens) and tokens[i + 1].text == "(":
-            close = _match_paren(tokens, i + 1)
+        label = _LABELS.get(t.text)
+        if label and i + 1 < len(tokens) and tokens[i + 1].text == "(":
+            close = _closing(tokens, i + 1)
             if close is not None:
                 cond_spans.append((label, i + 1, close))
+    if not cuts or cuts[-1] < len(tokens) - 1:  # a last statement with no `;`
+        cuts.append(len(tokens))
 
-    in_cond = {i for _, o, c in cond_spans for i in range(o, c + 1)}
     # A span that a cut crosses is no condition of the statement it opens in.
-    stmt_cond = {i for _, o, c in cond_spans if bisect_left(cuts, o) == bisect_left(cuts, c)
-                 for i in range(o, c + 1)}
+    in_cond = {i for _, o, c in cond_spans if bisect_left(cuts, o) == bisect_left(cuts, c)
+               for i in range(o, c + 1)}
 
-    # Assignment operator: first '=' or '<=' at parenthesis depth 0 preceded
-    # by an identifier outside any condition span, in the line and in each
-    # statement. Only parens gate the scan: concatenation targets like
-    # {cout, sum} and indexed targets stay visible.
-    assign_idx = None
-    assigns: list[int] = []
-    paren_depth = 0
-    seen_lhs_ident = seen_stmt_ident = stmt_assigned = False
+    # A statement's assignment operator is its first '=' or '<=' at paren depth
+    # 0 after an identifier outside its conditions. Only parens gate the scan:
+    # concatenation targets like {cout, sum} and indexed targets stay visible.
+    assigns: list[int | None] = []
+    assign, depth, seen_ident = None, 0, False
     for i, t in enumerate(tokens):
         if t.text == "(":
-            paren_depth += 1
+            depth += 1
         elif t.text == ")":
-            paren_depth -= 1
-        elif paren_depth != 0:
+            depth -= 1
+        elif depth != 0:
             continue
         elif t.text == ";":
-            seen_stmt_ident = stmt_assigned = False
+            assigns.append(assign)
+            assign, seen_ident = None, False
+        elif assign is not None:
+            continue
         elif t.kind == "identifier":
-            seen_lhs_ident = seen_lhs_ident or i not in in_cond
-            seen_stmt_ident = seen_stmt_ident or i not in stmt_cond
-        elif t.kind == "operator" and t.text in ("=", "<="):
-            if seen_lhs_ident and assign_idx is None:
-                assign_idx = i
-            if seen_stmt_ident and not stmt_assigned:
-                assigns.append(i)
-                stmt_assigned = True
+            seen_ident = seen_ident or i not in in_cond
+        elif seen_ident and t.text in ("=", "<="):
+            assign = i
+    assigns.append(assign)
 
-    lhs_idents: list[Token] = []
-    rhs: list[Token] = []
-    if assign_idx is not None:
-        bracket_depth = 0
-        for i, t in enumerate(tokens[:assign_idx]):
-            if t.text == "[":
-                bracket_depth += 1
-            elif t.text == "]":
-                bracket_depth -= 1
-            elif t.kind == "identifier" and bracket_depth == 0 and i not in in_cond:
-                lhs_idents.append(t)
-        depth = 0
-        for t in tokens[assign_idx + 1 :]:
-            if t.text in _OPEN:
-                depth += 1
-            elif t.text in _CLOSERS:
-                depth -= 1
-            elif t.text == ";" and depth == 0:
-                break
-            rhs.append(t)
-
-    return _LineInfo(tokens, assign_idx, lhs_idents, rhs, cond_spans, assigns)
+    statements = []
+    start = 0
+    for end, assign in zip(cuts, assigns):
+        if assign is None:
+            statements.append(_Statement._make((end, None, (), ())))
+        else:
+            lhs, bracket_depth = [], 0
+            for i, t in enumerate(tokens[start:assign], start):
+                if t.text == "[":
+                    bracket_depth += 1
+                elif t.text == "]":
+                    bracket_depth -= 1
+                elif t.kind == "identifier" and bracket_depth == 0 and i not in in_cond:
+                    lhs.append(t)
+            statements.append(_Statement._make((end, assign, lhs, tokens[assign + 1 : end])))
+        start = end + 1
+    return _LineInfo(tokens, cond_spans, statements)
 
 
 _LINE, _KIND, _TEXT = attrgetter("line"), attrgetter("kind"), attrgetter("text")
 
 
-def _statements(tokens: Iterable[Token]) -> Iterator[list[Token]]:
-    """``tokens`` cut at each ``;`` outside parentheses, which is left out."""
-    stmt, depth = [], 0
-    for t in tokens:
-        if t.text == ";" and depth == 0:
-            yield stmt
-            stmt = []
-        else:
-            depth += (t.text == "(") - (t.text == ")")
-            stmt.append(t)
-    yield stmt
-
-
 def _op_sites(info: _LineInfo) -> list[Token]:
     """The line's tokens but each statement's assignment operator."""
-    return [t for i, t in enumerate(info.tokens) if i not in info.assigns]
+    assigns = {s.assign for s in info.statements}
+    return [t for i, t in enumerate(info.tokens) if i not in assigns]
 
 
 def _replace_token(line: str, tok: Token, new_text: str) -> str:
@@ -243,18 +235,11 @@ def _replace_token(line: str, tok: Token, new_text: str) -> str:
 # kind when a first rewrite exists; only Cond's is built to find out.
 
 
-def _class_of(op_text: str) -> tuple[str, ...] | None:
-    for cls in OP_SWAP_CLASSES:
-        if op_text in cls:
-            return cls
-    return None
-
-
 def _op_swaps(line: str, tokens, classes=OP_SWAP_CLASSES) -> Iterator[str]:
     """Each operator in ``tokens`` whose swap class is one of ``classes``,
     replaced in turn by every other member of that class."""
     for t in tokens:
-        cls = _class_of(t.text) if t.kind == "operator" else None
+        cls = _CLASS_OF.get(t.text) if t.kind == "operator" else None
         if cls in classes:
             for repl in cls:
                 if repl != t.text:
@@ -330,17 +315,11 @@ _POOLS: WeakKeyDictionary[SourceUnit, list[str]] = WeakKeyDictionary()
 
 
 def _var_site_tokens(info: _LineInfo) -> list[Token]:
-    sites = list(info.lhs_idents)
-    sites += [t for t in info.rhs if t.kind == "identifier"]
+    sites = [t for s in info.statements for t in s.lhs]
+    sites += [t for t in info.rhs() if t.kind == "identifier"]
     for span in info.cond_spans:
         sites += [t for t in info.cond_interior(span) if t.kind == "identifier"]
-    seen = set()
-    ordered = []
-    for t in sorted(sites, key=lambda t: t.col):
-        if t.col not in seen:
-            seen.add(t.col)
-            ordered.append(t)
-    return ordered
+    return [t for _, t in sorted({t.col: t for t in sites}.items())]  # one per column
 
 
 def _var_alternatives(line: str, sites: list[Token], pool: list[str]) -> Iterator[str]:
@@ -386,12 +365,10 @@ def _cond_alternatives(line: str, info: _LineInfo) -> Iterator[str]:
 
 
 def _non_cond_alternatives(line: str, info: _LineInfo, pool: list[str]) -> Iterator[str]:
-    if info.assign_idx is None:
-        return
-    rhs_idents = [t for t in info.rhs if t.kind == "identifier"]
-    yield from _var_alternatives(line, rhs_idents, pool)
-    yield from _value_alternatives(line, info.rhs)
-    yield from _op_swaps(line, info.rhs)
+    rhs = info.rhs()
+    yield from _var_alternatives(line, [t for t in rhs if t.kind == "identifier"], pool)
+    yield from _value_alternatives(line, rhs)
+    yield from _op_swaps(line, rhs)
 
 
 def _alternatives(line_text: str, info: _LineInfo, kind: str, pool: list[str]) -> Iterator[str]:
@@ -427,17 +404,19 @@ def _admissible_kinds(line_text: str, info: _LineInfo) -> tuple[str, ...]:
     """The kinds with a rewrite on a line. A rewrite of any kind but ``Cond``
     puts other text in one token's place, so a predicate decides it: ``Var``
     needs a site token (the pool's ``input`` is no identifier's text)."""
-    toks, a, rhs = info.tokens, info.assign_idx, info.rhs
+    toks, rhs = info.tokens, info.rhs()
     rhs_var = "identifier" in map(_KIND, rhs)
-    cond_var = any("identifier" in map(_KIND, info.cond_interior(s)) for s in info.cond_spans)
     found = (
-        bool(info.lhs_idents) or rhs_var or cond_var,  # Var
+        rhs_var or any(s.lhs for s in info.statements)  # Var
+        or any("identifier" in map(_KIND, info.cond_interior(s)) for s in info.cond_spans),
         _has_variant(toks),  # Value
-        # Op, not at an assignment; only the lexer's operator rule spells these
-        not _SWAPPABLE.isdisjoint(map(_TEXT, _op_sites(info))),
+        # Op, not at an assignment; only the lexer's operator rule spells these.
+        # Most lines hold no swappable operator, and skip building their sites.
+        not _SWAPPABLE.isdisjoint(map(_TEXT, toks))
+        and not _SWAPPABLE.isdisjoint(map(_TEXT, _op_sites(info))),
         bool(info.cond_spans) and any(_alternatives(line_text, info, "Cond", [])),  # Cond
-        a is not None  # Non_cond
-        and (rhs_var or _has_variant(rhs) or not _SWAPPABLE.isdisjoint(map(_TEXT, rhs))),
+        rhs_var  # Non_cond
+        or rhs and (_has_variant(rhs) or not _SWAPPABLE.isdisjoint(map(_TEXT, rhs))),
     )
     return tuple(kind for kind, ok in zip(SYNTACTIC_KINDS, found) if ok)
 
@@ -470,20 +449,40 @@ def _pool(unit: SourceUnit) -> list[str]:
     return _POOLS.get(unit) or _POOLS.setdefault(unit, _identifier_pool(unit))
 
 
-def _governed_targets(tokens: list[Token], start: int) -> frozenset[str]:
-    """The names assigned in the begin/end block, or else the one statement,
-    that opens at ``tokens[start]``."""
-    if start < len(tokens) and tokens[start].text == "begin":
-        block, depth = [], 0
-        for t in islice(tokens, start, None):
-            depth += (t.text == "begin") - (t.text == "end")
-            if depth == 0:
+_HEADED = frozenset({"if", "for", "while", "repeat"})  # each heads (…) S
+_CASES = frozenset({"case", "casex", "casez"})
+# How a statement nests, by its first token: the tokens that open and close a
+# level, and the token that ends it at level 0. Any other reads to a `;`.
+_NESTING = {"begin": ({"begin"}, {"end"}, "end"),
+            **dict.fromkeys(_CASES, (_CASES, {"endcase"}, "endcase"))}
+_ENDS_AT_SEMICOLON = ({"("}, {")"}, ";")
+
+
+def _statement_end(tokens: list[Token], i: int) -> int:
+    """The index just past the statement that opens at ``tokens[i]``: a matched
+    ``begin … end`` or ``case … endcase``, ``if (…) S [else S]``,
+    ``for``/``while``/``repeat (…) S``, or else up to the first ``;`` outside
+    parentheses; one left open runs to the end. It counts the ``if``s still
+    open instead of recursing, so an ``else if`` chain of any depth reads."""
+    n, ifs = len(tokens), 0
+    while True:
+        head = tokens[i].text if i < n else ""
+        headed = head in _HEADED and i + 1 < n and tokens[i + 1].text == "("
+        args = (i + 1,) if headed else (i, *_NESTING.get(head, _ENDS_AT_SEMICOLON))
+        end = _closing(tokens, *args)
+        if end is None:
+            return n
+        i = end + 1
+        if headed:  # its statement follows
+            ifs += head == "if"
+            continue
+        while ifs:  # the statement ends each open `if` that takes no `else`
+            ifs -= 1
+            if i < n and tokens[i].text == "else":
+                i += 1
                 break
-            block.append(t)
-        region = _statements(block)
-    else:
-        region = islice(_statements(islice(tokens, start, None)), 1)
-    return frozenset(t.text for s in region for t in _analyze_tokens(s).lhs_idents)
+        else:
+            return i
 
 
 def edit(
@@ -493,9 +492,10 @@ def edit(
     when that changes no significant token or the line is tainted.
 
     The change starts at the first token that differs. Inside a condition it
-    affects what that condition governs; elsewhere, what its statement
-    assigns or, when that is nothing, what the line's first condition
-    governs. ``kind`` defaults to the first kind with an engine rewrite of
+    affects what that condition governs: the statement after it, read whole,
+    or for a ``case`` condition its whole ``case``. Elsewhere it affects what
+    its statement assigns or, when that is nothing, what the line's first
+    condition governs. ``kind`` defaults to the first kind with an engine rewrite of
     the line whose significant tokens are those of ``mutated``, else to
     ``Cond`` inside a condition and ``Non_cond`` outside.
     """
@@ -509,13 +509,13 @@ def edit(
         return None
     info = _analyze_tokens(old)
     inside = [s for s in info.cond_spans if s[1] <= at <= s[2]]
-    stmts = list(_statements(new))
-    ends = accumulate(len(s) + 1 for s in stmts)  # past each statement's `;`
-    stmt = _analyze_tokens(next(s for s, end in zip(stmts, ends) if end > at))
-    if inside or (stmt.assign_idx is None and info.cond_spans):
-        targets = _governed_targets(unit.tokens, first + (inside or info.cond_spans)[0][2] + 1)
-    else:
-        targets = frozenset(t.text for t in stmt.lhs_idents)
+    stmts = [next((s for s in _analyze_tokens(new).statements if s.end >= at), _EMPTY)]
+    if inside or (stmts[0].assign is None and info.cond_spans):
+        label, o, c = (inside or info.cond_spans)[0]
+        # A case condition governs the whole case statement; any other, the one after it.
+        start = first + (o - 1 if label == "case" else c + 1)
+        stmts = _analyze_tokens(unit.tokens[start : _statement_end(unit.tokens, start)]).statements
+    targets = frozenset(t.text for s in stmts for t in s.lhs)
     if kind is None:
         kind = next((k for k in SYNTACTIC_KINDS  # matched on significant tokens, not layout
                      if any(sig == [t[:2] for t in tokenize(alt)]

@@ -30,7 +30,7 @@ from .dataset import insert_assertion
 from .errors import AssertForgeError, NoAlternativeError
 from .mutate import MutationRecord
 from .textutil import extract_json_object
-from .toolchain import LlmRequest, Toolchain
+from .toolchain import LlmRequest, Prompt, Toolchain
 
 SPEC_PROMPT = """Write a short design specification for this Verilog module.
 Describe its ports and intended behaviour in plain language.
@@ -97,7 +97,7 @@ def llm_bug_candidates(
     """
     records = []
     seen: set[tuple[int, str]] = set()
-    prompt = BUGS_PROMPT.format(code=unit.text)
+    prompt = Prompt(BUGS_PROMPT.format(code=unit.text))
     for i in range(count):
         reply = tc.llm_call(LlmRequest(task="bugs", prompt_text=prompt, nonce=f"{unit.id}:bug{i}"))
         obj = extract_json_object(reply.text) or {}

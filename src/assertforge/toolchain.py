@@ -6,7 +6,7 @@ endpoint, and every call goes through one record/replay path
 outcomes into a ReplayCache or serves them back hermetically. Each request is
 encoded once, into the bytes its key hashes, a record stores and a replay
 matches; the draws of one eval case, which differ only by nonce, share one
-memoized encoding of their prompt. An entry replays as its outcome type, which
+encoding of their ``Prompt``. An entry replays as its outcome type, which
 checks its own fields; a missing, unknown or ill-typed field makes it
 malformed. A missing or malformed entry is a miss: ``tool_error`` for the
 compiler and verifier, ``AssertForgeError`` for the LLM. In record mode a
@@ -153,21 +153,13 @@ _ASSERT_RE, _WORD_RE = re.compile(r"assert\b"), re.compile(r"\w")  # \bassert\b,
 _json_str = json.encoder.encode_basestring_ascii  # _CANONICAL's, without encode()'s frame
 
 
-class _ThreadMemo(threading.local):
-    """``_json_str`` behind a 4-entry memo per thread: an eval case runs on one
-    thread and uses at most three prompts (its nonces are short, and not memoized)."""
+class Prompt(str):
+    """A prompt sent more than once, as each of an eval case's prompts and a
+    unit's bug prompt are: it makes its JSON encoding once, on first use."""
 
-    def __init__(self):
-        self.memo = functools.lru_cache(maxsize=4)(_json_str)
-
-    def __call__(self, text: str) -> str:
-        return self.memo(text)
-
-    def __getattr__(self, name: str):  # this thread's cache_info and cache_clear
-        return getattr(self.memo, name)
-
-
-_encoded_long = _ThreadMemo()
+    @functools.cached_property
+    def encoded(self) -> str:
+        return _json_str(self)
 
 
 def request_digest(payload: dict) -> tuple[str, bytes]:
@@ -179,7 +171,9 @@ def request_digest(payload: dict) -> tuple[str, bytes]:
 
 def _encoded(value: object) -> str:
     if type(value) is str:
-        return _json_str(value) if len(value) < 256 else _encoded_long(value)
+        return _json_str(value)
+    if type(value) is Prompt:
+        return value.encoded
     if type(value) is float and math.isfinite(value):
         return float.__repr__(value)  # as JSONEncoder writes it, without building one
     return _CANONICAL.encode(value)

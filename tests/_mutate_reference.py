@@ -5,11 +5,18 @@ re-lexes each line for every kind, rebuilds the identifier pool for every
 ``Var``/``Non_cond`` check and builds every rewrite list in full. Its
 ``(line, kinds)`` lists and its records are the behaviour the rework must
 reproduce exactly. Do not edit it to follow changes in ``assertforge.mutate``,
-save a rule named here. It follows three: a line is cut into statements at
+save a rule named here. It follows five: a line is cut into statements at
 each ``;`` outside parentheses, and a change's targets are those of the
 statement that holds it; a governed region's targets are read by the same
-forward rule, statement by statement; and ``Op`` swaps no statement's
-assignment operator.
+forward rule, statement by statement; ``Op`` swaps no statement's
+assignment operator; every statement of a line is a site, so ``Var`` takes
+each statement's left-hand names and ``Non_cond`` each statement's
+right-hand side, which is every token after its assignment operator; and a
+governed region is one statement read whole (a matched ``begin … end`` or
+``case … endcase``, ``if (…) S [else S]``, ``for``/``while``/``repeat (…) S``,
+or else up to the first ``;`` outside parentheses, each running to the end
+of the unit when left open), where a ``case`` condition governs its whole
+``case`` statement.
 Its tokens come from the lossless stream of ``_lexer_reference``, the lexer
 as it was when this copy was frozen.
 """
@@ -58,10 +65,6 @@ class _LineInfo:
             for t in self.tokens[o + 1 : c]
             if t.kind not in ("whitespace", "comment")
         ]
-
-
-_OPEN = {"(": ")", "[": "]", "{": "}"}
-_CLOSERS = {")", "]", "}"}
 
 
 def _match_paren(tokens, open_idx) -> int | None:
@@ -136,18 +139,7 @@ def _analyze_line(line_text: str) -> _LineInfo:
                 bracket_depth -= 1
             elif t.kind == "identifier" and bracket_depth == 0 and not in_cond_span(i):
                 lhs_idents.append(t)
-        depth = 0
-        for i in sig_idx:
-            if i <= assign_idx:
-                continue
-            t = tokens[i]
-            if t.text in _OPEN:
-                depth += 1
-            elif t.text in _CLOSERS:
-                depth -= 1
-            elif t.text == ";" and depth == 0:
-                break
-            rhs.append(t)
+        rhs = [tokens[i] for i in sig_idx if i > assign_idx]
 
     return _LineInfo(tokens, assign_idx, lhs_idents, rhs, cond_spans)
 
@@ -194,6 +186,18 @@ def _assignment_cols(line: str) -> set[int]:
         if info.assign_idx is not None:
             cols.add(stmt[0].col + info.tokens[info.assign_idx].col - 1)
     return cols
+
+
+def _statement_sites(line: str) -> tuple[set[int], set[int]]:
+    """The columns of each statement's left-hand names and right-hand tokens
+    on ``line``, each statement analysed alone."""
+    lhs, rhs = set(), set()
+    for stmt in _statements(tokenize(line)):
+        if stmt:
+            info = _statement_info(stmt)
+            lhs |= {stmt[0].col + t.col - 1 for t in info.lhs_idents}
+            rhs |= {stmt[0].col + t.col - 1 for t in info.rhs}
+    return lhs, rhs
 
 
 def _op_alternatives(line: str, info: _LineInfo) -> list[str]:
@@ -279,9 +283,10 @@ def _identifier_pool(unit: SourceUnit) -> list[str]:
     return sorted(names)
 
 
-def _var_site_tokens(info: _LineInfo) -> list[Token]:
-    sites = list(info.lhs_idents)
-    sites += [t for t in info.rhs if t.kind == "identifier"]
+def _var_site_tokens(line: str, info: _LineInfo) -> list[Token]:
+    lhs, rhs = _statement_sites(line)
+    sites = [t for t in info.tokens if t.col in lhs]
+    sites += [t for t in info.tokens if t.col in rhs and t.kind == "identifier"]
     for span in info.cond_spans:
         sites += [t for t in info.cond_interior(span) if t.kind == "identifier"]
     seen = set()
@@ -295,7 +300,7 @@ def _var_site_tokens(info: _LineInfo) -> list[Token]:
 
 def _var_alternatives(line: str, info: _LineInfo, pool: list[str], sites=None) -> list[str]:
     out = []
-    for t in sites if sites is not None else _var_site_tokens(info):
+    for t in sites if sites is not None else _var_site_tokens(line, info):
         for cand in pool:
             if cand != t.text:
                 out.append(_replace_token(line, t, cand))
@@ -347,14 +352,12 @@ def _cond_alternatives(line: str, info: _LineInfo) -> list[str]:
 
 
 def _non_cond_alternatives(line: str, info: _LineInfo, pool: list[str]) -> list[str]:
-    if info.assign_idx is None:
-        return []
-    rhs_idents = [t for t in info.rhs if t.kind == "identifier"]
+    rhs = [t for t in info.tokens if t.col in _statement_sites(line)[1]]
+    rhs_idents = [t for t in rhs if t.kind == "identifier"]
     out = _var_alternatives(line, info, pool, sites=rhs_idents)
-    out += _value_alternatives(line, info, tokens=info.rhs)
-    rhs_set = {(t.line, t.col) for t in info.rhs}
-    for i, t in enumerate(info.tokens):
-        if t.kind == "operator" and (t.line, t.col) in rhs_set and i != info.assign_idx:
+    out += _value_alternatives(line, info, tokens=rhs)
+    for t in rhs:
+        if t.kind == "operator":
             cls = _class_of(t.text)
             if cls:
                 for repl in cls:
@@ -407,28 +410,47 @@ def enumerate_sites(unit: SourceUnit) -> list[tuple[int, tuple[str, ...]]]:
     return sites
 
 
-def _governed_targets(unit: SourceUnit, line_no: int, close_col: int):
-    """Assignment targets governed by the condition that closes at
-    ``close_col`` on ``line_no``: those of the begin/end block, or else the
-    one statement, that follows, each statement read by the forward rule."""
-    toks = [t for t in _stream(unit.text) if (t.line, t.col) > (line_no, close_col)]
-    sig = [t for t in toks if t.kind not in ("whitespace", "comment")]
-    if not sig:
-        return frozenset()
-    if sig[0].kind == "keyword" and sig[0].text == "begin":
-        region: list[Token] = []
-        depth = 0
-        for t in toks:
-            if t.kind == "keyword" and t.text == "begin":
-                depth += 1
-            elif t.kind == "keyword" and t.text == "end":
-                depth -= 1
-                if depth == 0:
-                    break
-            region.append(t)
-        statements = list(_statements(region))
+_TRIVIA = ("whitespace", "comment")
+
+
+def _statement_end(sig, i: int) -> int:
+    """The index just past the statement that opens at ``sig[i]``, read whole."""
+    if i >= len(sig):
+        return len(sig)
+    head = sig[i].text
+    if head in ("if", "for", "while", "repeat") and i + 1 < len(sig) and sig[i + 1].text == "(":
+        close = _match_paren(sig, i + 1)
+        if close is None:
+            return len(sig)
+        end = _statement_end(sig, close + 1)
+        if head == "if" and end < len(sig) and sig[end].text == "else":
+            return _statement_end(sig, end + 1)
+        return end
+    if head == "begin":
+        opens, closes, last = {"begin"}, {"end"}, "end"
+    elif head in ("case", "casex", "casez"):
+        opens, closes, last = {"case", "casex", "casez"}, {"endcase"}, "endcase"
     else:
-        statements = [next(_statements(toks))]
+        opens, closes, last = {"("}, {")"}, ";"
+    depth = 0
+    for j in range(i, len(sig)):
+        depth += (sig[j].text in opens) - (sig[j].text in closes)
+        if sig[j].text == last and depth == 0:
+            return j + 1
+    return len(sig)
+
+
+def _governed_targets(unit: SourceUnit, line_no: int, col: int):
+    """Assignment targets of the statement that opens at the first token after
+    ``col`` on ``line_no``, read whole, each of its statements read by the
+    forward rule."""
+    toks = [t for t in _stream(unit.text) if (t.line, t.col) > (line_no, col)]
+    sig = [t for t in toks if t.kind not in _TRIVIA]
+    end = _statement_end(sig, 0)
+    if end == 0:
+        return frozenset()
+    region = [t for t in toks if (t.line, t.col) <= (sig[end - 1].line, sig[end - 1].col)]
+    statements = _statements(region)
     return frozenset(t.text for stmt in statements for t in _statement_info(stmt).lhs_idents)
 
 
@@ -462,10 +484,19 @@ def apply_mutation(unit: SourceUnit, line: int, kind: str, seed: int) -> tuple:
             at = i
             break
     info = _analyze_line(original)
-    spans = [(info.tokens[o].col, info.tokens[c].col) for _, o, c in info.cond_spans]
-    inside = [s for s in spans if at < len(old) and s[0] <= old[at].col <= s[1]]
+
+    def governed(span):  # a case condition governs its whole case statement
+        label, o, c = span
+        if label == "case":
+            keyword = [t for t in info.tokens[:o] if t.kind not in _TRIVIA][-1]
+            return _governed_targets(unit, line, keyword.col - 1)
+        return _governed_targets(unit, line, info.tokens[c].col)
+
+    spans = info.cond_spans
+    inside = [s for s in spans if at < len(old)
+              and info.tokens[s[1]].col <= old[at].col <= info.tokens[s[2]].col]
     if inside:
-        return (line, original, mutated, kind, _governed_targets(unit, line, inside[0][1]), seed)
+        return (line, original, mutated, kind, governed(inside[0]), seed)
     cuts, depth = 0, 0
     for t in new_sig[:at]:
         if t.text == ";" and depth == 0:
@@ -475,7 +506,7 @@ def apply_mutation(unit: SourceUnit, line: int, kind: str, seed: int) -> tuple:
     if stmt.assign_idx is not None:
         targets = frozenset(t.text for t in stmt.lhs_idents)
     elif spans:
-        targets = _governed_targets(unit, line, spans[0][1])
+        targets = governed(spans[0])
     else:
         targets = frozenset()
     return (line, original, mutated, kind, targets, seed)

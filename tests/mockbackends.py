@@ -22,7 +22,7 @@ _SYNTAX_RE = re.compile(r"=\s*;")
 def _digest(*parts: str) -> int:
     h = hashlib.sha256()
     for p in parts:
-        h.update(p.encode())
+        h.update(p.encode("utf-8", "surrogatepass"))  # a lone surrogate from a JSON reply too
         h.update(b"\x00")
     return int.from_bytes(h.digest()[:8], "big")
 

@@ -562,6 +562,47 @@ def _tool_command(command, cli_env, manifest, config, out):
     return ["eval", cli_env["benchmark"], "--config", config, "--out", out / "report.json"]
 
 
+@pytest.mark.parametrize("where", ["spec reply", "case spec"])
+def test_a_lone_surrogate_in_a_spec_is_written_and_read_back(cli_env, manifest, tmp_path,
+                                                             monkeypatch, where):
+    # A real endpoint can return "\ud800" in its JSON reply; the fake LLM must
+    # take such a prompt, and every row must read back to the same text.
+    specs = set()
+
+    def llm(req):
+        reply = fake_llm(req)
+        if req.task == "spec":
+            reply += "\ud800"
+            specs.add(reply)
+        return reply
+
+    originals = set(CORPUS_FILES.values())
+    monkeypatch.setattr(cli, "Toolchain", functools.partial(
+        Toolchain, compile_backend=fake_compile, verify_backend=make_fake_verify(originals),
+        llm_backend=llm))
+    config = tmp_path / "record.cfg"
+    config.write_text(f"seed = {E2E_SEED}\nmock.dir = {tmp_path / 'mocks'}\nmock.mode = record\n"
+                      "eval.n = 4\neval.ks = 1\n")
+    benchmark = tmp_path / "out" / "sva_eval_machine.jsonl"
+    if where == "spec reply":
+        res = invoke("augment", "--config", config, "--manifest", manifest,
+                     "--out-dir", tmp_path / "out")
+        assert res.exit_code == 0 and "Traceback" not in res.output, res.output
+        cases = read_records(benchmark)
+        assert cases and {row["spec"] for row in cases} <= specs
+    else:
+        cases = [{**row, "spec": row["spec"] + "\ud800"}
+                 for row in ds.read_jsonl(cli_env["benchmark"])]
+        ds.write_jsonl(cases, benchmark)
+        assert ds.read_jsonl(benchmark) == cases
+    assert all(row["spec"].endswith("\ud800") for row in cases)
+    results = tmp_path / "results.jsonl"
+    res = invoke("eval", benchmark, "--config", config, "--out", tmp_path / "report.json",
+                 "--results", results)
+    assert res.exit_code == 0 and "Traceback" not in res.output, res.output
+    assert [r["case_id"] for r in read_records(results)] == [row["id"] for row in cases]
+
+
 @pytest.mark.parametrize("mode", ["record", "replay"])
 @pytest.mark.parametrize("command", ["augment", "eval"])
 def test_a_mock_dir_that_is_a_file_is_a_one_line_error(
@@ -1060,22 +1101,34 @@ def test_dpo_prep_n_defaults_to_eval_n(cli_env, tmp_path):
     assert outputs[0] == outputs[1] != []
 
 
-def test_dpo_prep_n_flag_is_checked_against_the_ks(cli_env, tmp_path):
-    config = tmp_path / "k1.cfg"
-    config.write_text(cli_env["config"].read_text() + "eval.ks = 1\n")
+def test_dpo_prep_n_flag_is_not_checked_against_the_ks(cli_env, tmp_path):
+    # dpo-prep reads no ks: an n below the default largest k (5) is its own.
     results = tmp_path / "results.jsonl"
-    res = invoke("eval", cli_env["benchmark"], "--config", config, "--out",
-                 tmp_path / "report.json", "--results", results, "--n", "3")
+    res = invoke("eval", cli_env["benchmark"], "--config", cli_env["config"], "--out",
+                 tmp_path / "report.json", "--results", results, "--n", "3", "--k", "1")
     assert res.exit_code == 0, res.output
-    triples = tmp_path / "triples.jsonl"
-    args = ["dpo-prep", results, "--benchmark", cli_env["benchmark"], "--out", triples, "--n", "3"]
-    res = invoke(*args)
+    outputs = []
+    for extra in (["--n", "3"], ["--n", "3", "--config", cli_env["config"]]):
+        triples = tmp_path / f"triples{len(extra)}.jsonl"
+        res = invoke("dpo-prep", results, "--benchmark", cli_env["benchmark"], "--out", triples,
+                     *extra)
+        assert res.exit_code == 0, res.output
+        outputs.append(read_records(triples))
+    assert outputs[0] == outputs[1] != []
+    zero = tmp_path / "triples-zero.jsonl"
+    res = invoke("dpo-prep", results, "--benchmark", cli_env["benchmark"], "--out", zero,
+                 "--n", "0")
+    assert res.exit_code == 1 and not zero.exists()
+    assert res.output.strip().splitlines() == ["Error: eval.n (0) must be >= 1"]
+    # The check against the ks stays in eval, for a file value as for a flag value.
+    config = tmp_path / "n3.cfg"
+    config.write_text(cli_env["config"].read_text() + "eval.n = 3\n")
+    res = invoke("eval", cli_env["benchmark"], "--config", config, "--out", tmp_path / "r3.json")
     assert res.exit_code == 1
     assert res.output.strip().splitlines() == ["Error: eval.n (3) must be >= every k in [1, 5]"]
-    assert not triples.exists()
-    res = invoke(*args, "--config", config)
+    res = invoke("dpo-prep", results, "--benchmark", cli_env["benchmark"], "--config", config,
+                 "--out", tmp_path / "triples-file.jsonl")
     assert res.exit_code == 0, res.output
-    assert triples.exists()
 
 
 def test_dpo_prep_n_above_twenty_keeps_every_distinct_negative(cli_env, tmp_path):

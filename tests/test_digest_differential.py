@@ -1,8 +1,8 @@
-"""Differential test: ``request_digest`` builds its bytes field by field and
-memoizes the encoding of long strings; they must equal the whole payload's
-compact sorted-key JSON, whatever the memo holds. A guard checks that the
-draws of one eval case encode each distinct prompt once, through the memo,
-and another that cases run on several threads encode them no more often.
+"""Differential test: ``request_digest`` builds its bytes field by field, and
+a ``Prompt`` keeps its own encoding; they must equal the whole payload's
+compact sorted-key JSON. A guard checks that the draws of one eval case
+encode each distinct prompt once, and another that ``eval`` encodes each
+prompt once at one worker and at four.
 """
 
 from __future__ import annotations
@@ -21,12 +21,12 @@ from assertforge import cli, toolchain
 from assertforge import dataset as ds
 from assertforge.dataset import EvalCase
 from assertforge.evalharness import RETRY_SUFFIXES, collect_responses, solve_prompt
-from assertforge.toolchain import LlmRequest, Toolchain, ToolSettings, request_digest
+from assertforge.toolchain import LlmRequest, Prompt, Toolchain, ToolSettings, request_digest
 
 # Every code point: non-ASCII, control characters and lone surrogates.
 CHARS = st.characters(exclude_categories=())
 SHORT = st.text(CHARS, max_size=12)
-# Both sides of the memo's 256-character threshold.
+# Prompt-sized strings.
 LONG = st.text(CHARS, min_size=250, max_size=262) | st.text(
     st.sampled_from('a"\\\x1fé\ud800\U0001f600'), min_size=250, max_size=262
 )
@@ -45,7 +45,7 @@ PAYLOADS = st.one_of(
         {
             "kind": st.just("llm"),
             "task": st.sampled_from(["spec", "bugs", "sva", "cot", "solve"]),
-            "prompt_text": STRINGS,
+            "prompt_text": STRINGS | STRINGS.map(Prompt),
             "temperature": FLOATS,
             "nonce": SHORT,
         }
@@ -65,18 +65,18 @@ def _whole(payload: dict) -> tuple[str, bytes]:
 @example({'"': "x" * 300, "\\": "\ud800" * 256, "a": float("nan"), "b": float("-inf")})
 def test_digest_is_the_whole_payloads_encoding(payload):
     assert request_digest(payload) == _whole(payload)
-    assert request_digest(payload) == _whole(payload)  # now from the memo
+    assert request_digest(payload) == _whole(payload)  # a Prompt's from its own encoding
 
 
 @settings(max_examples=100, derandomize=True, deadline=None)
 @given(LONG, SHORT, PAYLOADS)
 def test_a_shared_or_copied_long_string_encodes_alike(text, nonce, other):
-    copy = "".join(list(text))
+    copy, prompt = "".join(list(text)), Prompt(text)
     assert copy == text and copy is not text
-    payload = {"prompt_text": text, "again": text, "copy": copy, "nonce": nonce}
+    payload = {"prompt_text": prompt, "again": prompt, "copy": copy, "text": text, "nonce": nonce}
     assert request_digest(payload) == _whole(payload)
-    request_digest(other)  # whatever it leaves in the memo
-    assert request_digest({**payload, "copy": text, "prompt_text": copy}) == _whole(payload)
+    request_digest(other)
+    assert request_digest({**payload, "copy": prompt, "prompt_text": copy}) == _whole(payload)
 
 
 def test_one_cases_draws_encode_each_distinct_prompt_once(tmp_path, monkeypatch):
@@ -100,22 +100,25 @@ def test_one_cases_draws_encode_each_distinct_prompt_once(tmp_path, monkeypatch)
         ToolSettings(mock_dir=str(tmp_path), mock_mode="record"),
         llm_backend=lambda req: requests.append(req) or next(replies),
     )
-    encoded = Counter()
+    encoded, json_str = Counter(), Counter()
     real = json.encoder.encode_basestring_ascii
 
     def counting(text):  # how a JSONEncoder encodes each string, nested ones too
         encoded[text] += 1
         return real(text)
 
+    def counting_json_str(text):  # how request_digest encodes each string
+        json_str[text] += 1
+        return real(text)
+
     monkeypatch.setattr(json.encoder, "encode_basestring_ascii", counting)
-    toolchain._encoded_long.cache_clear()
+    monkeypatch.setattr(toolchain, "_json_str", counting_json_str)
     result = collect_responses(case, tc.llm_call, n_target=20, judge_fn=lambda resp: "correct")
-    memo = toolchain._encoded_long.cache_info()
     monkeypatch.undo()
     assert result.n == 20 and len(requests) == 22
     assert Counter(r.prompt_text for r in requests) == {prompts[0]: 1, prompts[1]: 1, prompts[2]: 20}
     assert [encoded[p] for p in prompts] == [0, 0, 0]  # no whole-payload encoding
-    assert (memo.misses, memo.hits) == (3, 19)  # each prompt encoded once, then reused
+    assert [json_str[p] for p in prompts] == [1, 1, 1]  # each prompt encoded once, then reused
     assert sorted(p.stem for p in tmp_path.iterdir()) == sorted(
         _whole({"kind": "llm", "task": "solve", "prompt_text": r.prompt_text,
                 "temperature": 0.2, "nonce": r.nonce})[0]
@@ -128,8 +131,7 @@ def test_eval_at_parallel_4_encodes_each_prompt_no_more_often_than_at_parallel_1
     cli_env, tmp_path, monkeypatch
 ):
     # Every case uses all three prompts, and four cases are in flight: twelve
-    # prompts. Each worker thread keeps its own memo, made on the thread's
-    # first request from the module's encoder at that time.
+    # prompts. Each is encoded once, by its own Prompt, whatever thread asks.
     def solver(req):
         time.sleep(0.001 * (len(req.nonce) % 3))  # cases run at different speeds
         if req.prompt_text.endswith(RETRY_SUFFIXES[-1]):
@@ -143,7 +145,7 @@ def test_eval_at_parallel_4_encodes_each_prompt_no_more_often_than_at_parallel_1
         counts = encoded[workers] = Counter()
 
         def counting(text, counts=counts):
-            if len(text) >= 256:
+            if len(text) >= 256:  # a prompt; the task and nonce are short
                 with lock:
                     counts[text] += 1
             return real(text)
@@ -157,5 +159,5 @@ def test_eval_at_parallel_4_encodes_each_prompt_no_more_often_than_at_parallel_1
                                             "--parallel", str(workers)], catch_exceptions=False)
         assert res.exit_code == 0, res.output
     assert len(encoded[1]) == 3 * len(ds.read_jsonl(cli_env["benchmark"]))
-    assert set(encoded[4]) == set(encoded[1])
-    assert {p: n for p, n in encoded[4].items() if n > encoded[1][p]} == {}
+    assert set(encoded[1].values()) == {1}
+    assert encoded[4] == encoded[1]

@@ -211,8 +211,9 @@ def test_op_never_swaps_an_assignment_operator():
         apply_mutation(unit(RESET_TEXT), 3, "Op", 0)
     assert all_mutants(unit("q <= 0; r <= a < b;"), 1, "Op") == {
         "q <= 0; r <= a > b;", "q <= 0; r <= a <= b;", "q <= 0; r <= a >= b;"}
-    # The whole line assigns nothing, but its first statement `) if (a <= b` does.
-    assert dict(enumerate_sites(unit(") if (a <= b ; c)")))[1] == ("Var", "Cond")
+    # The first statement `) if (a <= b` assigns, so its `<=` never swaps and
+    # its right-hand side `b` is a Non_cond site.
+    assert dict(enumerate_sites(unit(") if (a <= b ; c)")))[1] == ("Var", "Cond", "Non_cond")
 
 
 def test_a_governed_assignment_with_parentheses_in_its_index_keeps_its_target():
@@ -226,6 +227,88 @@ def test_a_governed_for_loop_gets_its_loop_and_body_targets():
     u = unit("module m;\nalways @(posedge clk)\n  if (a)\n"
              "    for (k = 0; k < 4; k = k + 1) a[k] <= a;\nendmodule")
     assert apply_mutation(u, 3, "Cond", 0).lhs_targets == {"k", "a"}
+
+
+# -- governed statements, read whole -------------------------------------------
+
+GOVERNED_RESET = ("module m(input clk, input rst, input a, input b, input d, "
+                  "output reg q, output reg r);\n"
+                  "always @(posedge clk)\n"
+                  "  if (rst) begin q <= a; r <= b; end\n"
+                  "  else q <= d;\n"
+                  "endmodule")
+
+
+def test_an_event_governs_an_if_else_whose_then_branch_is_a_block():
+    u = unit(GOVERNED_RESET)
+    for seed in range(4):
+        rec = apply_mutation(u, 2, "Cond", seed)
+        assert rec.mutated_snippet == "always @(negedge clk)"
+        assert rec.lhs_targets == {"q", "r"}
+        assert classify_relation(rec, frozenset({"r"})) == "Direct"
+
+
+@pytest.mark.parametrize("kind", ["Var", "Non_cond"])
+def test_every_statement_of_a_line_is_a_site(kind):
+    # The second statement `r <= b` of line 3 is rewritten too, and such a
+    # record's targets are the name that statement then assigns.
+    u = unit(GOVERNED_RESET)
+    second = [rec for rec in (apply_mutation(u, 3, kind, s) for s in range(400))
+              if rec.mutated_snippet.split(";")[1] != " r <= b"]
+    assert second
+    for rec in second:
+        first, stmt, _ = rec.mutated_snippet.split(";")
+        assert first == "  if (rst) begin q <= a"
+        name = stmt.split("<=")[0].strip()
+        # `input` is no name: that statement assigns nothing, so the `if` governs.
+        assert rec.lhs_targets == ({name} if name != "input" else {"q", "r"})
+
+
+CASE_BODY = "  case (s)\n    0: y = a;\n    default: z = b;\n  endcase\n"
+
+
+@pytest.mark.parametrize("header", ["always @(s or a or b)\n", "always @*\n"])
+def test_a_case_condition_governs_every_item(header):
+    u = unit("module m(input s, input a, input b, output reg y, output reg z);\n"
+             + header + CASE_BODY + "endmodule")
+    rec = apply_mutation(u, 3, "Cond", 0)
+    assert rec.mutated_snippet == "  case (!s)"
+    assert rec.lhs_targets == {"y", "z"}
+    assert classify_relation(rec, frozenset({"z"})) == "Direct"
+
+
+def test_an_event_governs_a_case_with_no_begin():
+    u = unit("module m(input clk, input s, input a, input b, output reg y, output reg z);\n"
+             "always @(posedge clk)\n" + CASE_BODY + "endmodule")
+    assert apply_mutation(u, 2, "Cond", 0).lhs_targets == {"y", "z"}
+
+
+def test_an_event_governs_an_if_else_with_no_begin():
+    u = unit("module m;\nalways @(posedge clk)\n  if (a) q <= b;\n  else r <= c;\nendmodule")
+    assert apply_mutation(u, 2, "Cond", 0).lhs_targets == {"q", "r"}
+
+
+def test_an_event_governs_a_for_that_governs_an_if_else():
+    u = unit("module m;\nalways @(posedge clk)\n  for (k = 0; k < 4; k = k + 1)\n"
+             "    if (en[k]) q[k] <= d;\n    else r[k] <= 0;\nendmodule")
+    assert apply_mutation(u, 2, "Cond", 0).lhs_targets == {"k", "q", "r"}
+
+
+def test_an_else_if_chain_of_any_depth_is_read_whole():
+    chain = "".join(f"  else if (s == {k}) q <= {k};\n" for k in range(1, 3000))
+    u = unit("module m;\nalways @(posedge clk)\n  if (s == 0) q <= 0;\n" + chain
+             + "  else r <= 1;\nendmodule")
+    rec = apply_mutation(u, 2, "Cond", 0)
+    assert rec.kind == "Cond" and rec.lhs_targets == {"q", "r"}
+
+
+@pytest.mark.parametrize("text, targets", [
+    ("always @(posedge clk) begin\n  q <= a;\n  begin r <= b; end\n  s <= c;", {"q", "r", "s"}),
+    ("always @(posedge clk)\n  case (x)\n    0: q <= a;\n    1: r <= b;", {"q", "r"}),
+    ("always @(posedge clk)\n  if (a\n    q <= b;\n  r <= c;", set()),
+], ids=["begin", "case", "paren"])
+def test_a_statement_left_open_reads_to_the_end_of_the_unit(text, targets):
+    assert apply_mutation(unit(text), 1, "Cond", 0).lhs_targets == targets
 
 
 def test_edit_returns_none_for_an_edit_that_is_no_bug():
@@ -370,20 +453,33 @@ _LINE_WORDS = ["a", "b", "q", "if", "case", "@", "(", ")", "(", ")", ";", ";", "
                "[", "]", "{", "}", ",", "begin", "end", "1", "+", "posedge", "for"]
 
 
+def _statement_texts(line):
+    """``line`` cut at each ``;`` outside parentheses, the ``;`` left out: the
+    offset and text of each statement."""
+    out, start, depth = [], 0, 0
+    for t in tokenize(line):
+        if t.text == ";" and depth == 0:
+            out.append((start, line[start : t.col - 1]))
+            start = t.col
+        depth += (t.text == "(") - (t.text == ")")
+    return out + [(start, line[start:])]
+
+
+def _op_rewrites(text):
+    try:
+        return all_mutants(unit(text), 1, "Op")
+    except NoAlternativeError:
+        return set()
+
+
 @settings(max_examples=400, derandomize=True, deadline=None)
 @given(st.lists(st.sampled_from(_LINE_WORDS), min_size=1, max_size=24))
 @example(") if ( ; a = b )".split())  # a cut crosses the span: `a` opens statement 2
 @example("if ( a ) q <= b ; r = 1 ; ; c <= ( d = e )".split())
 def test_each_statements_assignment_is_the_one_its_own_analysis_finds(words):
-    # The line's one pass against the statement-by-statement analysis it
-    # replaces for Op sites: each statement analysed alone, as `_statements` cuts it.
-    import assertforge.mutate as m
-
-    toks = tokenize(" ".join(words))
-    expected, start = [], 0
-    for stmt in m._statements(toks):
-        a = m._analyze_tokens(stmt).assign_idx
-        if a is not None:
-            expected.append(start + a)
-        start += len(stmt) + 1
-    assert m._analyze_tokens(toks).assigns == expected
+    # Op on a whole line against Op on each of its statements as a unit of its
+    # own: the line's one pass skips the same assignment operators.
+    line = " ".join(words)
+    expected = {line[:at] + m + line[at + len(text):]
+                for at, text in _statement_texts(line) for m in _op_rewrites(text)}
+    assert _op_rewrites(line) == expected

@@ -135,6 +135,14 @@ def _line(draw):
                 f"  if ({e}) begin {t} <= {f}; {u} <= {e}; end",
                 f"  if ({e})\n    {t}[({f})] <= {e};",
                 f"  else if (!{i}) {t} = {e};",
+                f"  if ({e}) {t} <= {f}; else {u} <= {i};",
+                f"  always @({edge} {i}) if ({e}) {t} <= {f};"
+                f" else if ({f}) {u} <= {i}; else {i} = 1;",
+                f"  always @({edge} clk) for (k = 0; k < 4; k = k + 1)"
+                f" if ({e}) {t} <= {f}; else {u} = 0;",
+                f"  while ({e}) {t} = {f};",
+                f"  repeat ({e})",
+                f"  casez ({e}) {draw(_NUMBERS)}: {t} = {f}; default: {u} = {e}; endcase",
                 f"  always @({edge} {i})",
                 f"  always @({edge} {i} or {edge} clk) begin",
                 "  always @(*) begin",
