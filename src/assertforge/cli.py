@@ -11,6 +11,7 @@ written as JSON to stderr and the exit code is 1.
 
 from __future__ import annotations
 
+import collections
 import contextlib
 import json
 import math
@@ -18,7 +19,7 @@ import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict
 from pathlib import Path
-from typing import Iterable
+from typing import Iterable, Iterator
 
 import click
 
@@ -193,6 +194,33 @@ def augment(config_path, manifest, out_dir, parallel, keep_temp):
     _finish(result.errors)
 
 
+class _NoCaseJudged(Exception):
+    """Ends ``eval``'s cases when every one failed, so that ``write_whole``
+    drops the staged results file instead of moving it into place."""
+
+
+def _in_order(fn, items, parallel: int) -> Iterator:
+    """``fn(item)`` for each item, in item order. At one worker each call runs
+    inline when its value is taken. Above one, at most ``2 * parallel`` calls
+    are submitted and not yet taken, so no more values than that are held."""
+    if parallel == 1:
+        yield from map(fn, items)
+        return
+    with ThreadPoolExecutor(max_workers=parallel) as pool:
+        window: collections.deque = collections.deque()
+        for item in items:
+            if len(window) == 2 * parallel:
+                yield window.popleft().result()
+            window.append(pool.submit(fn, item))
+        while window:
+            yield window.popleft().result()
+
+
+def _results_row(r: ev.CaseResult) -> dict:
+    return {"case_id": r.case_id, "n": r.n, "c": r.c,
+            "responses": [j._asdict() for j in r.responses]}
+
+
 @main.command("eval")
 @click.argument("benchmark", type=click.Path(exists=True))
 @click.option("--config", "config_path", type=click.Path(), default=None)
@@ -235,27 +263,40 @@ def eval_cmd(benchmark, config_path, out_path, results_path, csv_path, n_target,
     errors: list[dict] = []
 
     def run_case(case: ev.EvalCase):
+        """The case's result, or its error row when it fails."""
         def judge_fn(resp):
             return ev.judge(resp, case, cfg.eval_mode, line_only=cfg.eval_line_only, toolchain=tc)
 
-        return ev.collect_responses(
-            case, tc.llm_call, n_target=cfg.eval_n, judge_fn=judge_fn
-        )
-
-    # Leaving the pool waits for every case, so this thread wakes once, not
-    # once per case: at one worker, waking per case added 15-20% to eval's
-    # wall time on a 2-core VM.
-    with ThreadPoolExecutor(max_workers=cfg.parallel) as pool:
-        futures = [(c, pool.submit(run_case, c)) for c in cases.values()]
-    results = []
-    for case, fut in futures:
         try:
-            results.append(fut.result())
+            return ev.collect_responses(case, tc.llm_call, n_target=cfg.eval_n, judge_fn=judge_fn)
         except AssertForgeError as exc:
-            errors.append({"case_id": case.id, "stage": "collect", "error": str(exc)})
-    del futures  # each holds a lock and a condition; free them before the report
+            return {"case_id": case.id, "stage": "collect", "error": str(exc)}
+
+    results: list[ev.CaseResult] = []  # (case_id, n, c) of each judged case, no replies
+
+    def judged():
+        """Each judged case's result in case order, a failed case's error put
+        in its place; when no case was judged it raises _NoCaseJudged."""
+        for r in _in_order(run_case, cases.values(), cfg.parallel):
+            if isinstance(r, dict):
+                errors.append(r)
+            else:
+                results.append(ev.CaseResult(r.case_id, r.n, r.c, ()))
+                yield r
+            del r  # the case's replies go before the next case is taken
+        if not results:
+            raise _NoCaseJudged
 
     header = _header(cfg)
+    cases_left, write_failed = judged(), None
+    with contextlib.suppress(_NoCaseJudged):
+        if results_path:
+            try:
+                with _writing():
+                    ds.write_jsonl(map(_results_row, cases_left), results_path, header=header)
+            except click.ClickException as exc:
+                write_failed = exc  # the report still covers every case
+        collections.deque(cases_left, maxlen=0)  # the cases not yet run
     if results:
         report = ev.aggregate(results, cases.values(), ks=cfg.eval_ks, n_target=cfg.eval_n)
         doc = {"meta": header, **report}
@@ -263,13 +304,8 @@ def eval_cmd(benchmark, config_path, out_path, results_path, csv_path, n_target,
             ds.write_whole(out_path, [json.dumps(doc, indent=2) + "\n"])
             if csv_path:
                 ds.write_whole(csv_path, [ev.report_csv(report)])
-            if results_path:
-                ds.write_jsonl(
-                    ({"case_id": r.case_id, "n": r.n, "c": r.c,
-                      "responses": [j._asdict() for j in r.responses]} for r in results),
-                    results_path,
-                    header=header,
-                )
+        if write_failed is not None:
+            raise write_failed
         for k in cfg.eval_ks:
             click.echo(f"pass@{k} = {report['overall'][f'pass@{k}']:.4f}")
     _finish(errors)

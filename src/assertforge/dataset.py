@@ -400,9 +400,14 @@ def write_whole(path: str | Path, chunks: Iterable[str]) -> None:
 
 
 def write_jsonl(records: Iterable[dict], path: str | Path, header: dict | None = None) -> None:
-    """One JSON object per line; optional metadata header as the first line."""
+    """One JSON object per line; optional metadata header as the first line.
+    No record is held once its line is made, so ``records`` may stream."""
     rows = records if header is None else itertools.chain([header], records)
-    write_whole(path, (json.dumps(rec) + "\n" for rec in rows))
+    write_whole(path, map(_jsonl_line, rows))
+
+
+def _jsonl_line(rec: dict) -> str:
+    return json.dumps(rec) + "\n"
 
 
 def read_jsonl(path: str | Path) -> list[dict]:

@@ -16,8 +16,9 @@ seed indexes into the deterministically ordered list of legal rewrites.
 The statement is the unit of analysis: a line is cut at each ``;`` outside
 parentheses, and every statement of it is a site. ``edit`` builds every
 record: a change affects the names that its statement assigns or its
-condition governs, the statement after the condition read whole by
-``_statement_end`` (a ``case`` condition governs its whole ``case``).
+condition governs, read whole by ``_statement_end``: an ``if`` or ``case``
+condition governs its whole ``if``/``else`` or ``case``, an event control the
+statement after it. A ``case`` item's label is no name a statement assigns.
 """
 
 from __future__ import annotations
@@ -206,6 +207,8 @@ def _analyze_tokens(tokens: list[Token]) -> _LineInfo:
                     bracket_depth += 1
                 elif t.text == "]":
                     bracket_depth -= 1
+                elif t.text == ":" and bracket_depth == 0:  # what went before is a case item label
+                    lhs.clear()
                 elif t.kind == "identifier" and bracket_depth == 0 and i not in in_cond:
                     lhs.append(t)
             statements.append(_Statement._make((end, assign, lhs, tokens[assign + 1 : end])))
@@ -492,8 +495,9 @@ def edit(
     when that changes no significant token or the line is tainted.
 
     The change starts at the first token that differs. Inside a condition it
-    affects what that condition governs: the statement after it, read whole,
-    or for a ``case`` condition its whole ``case``. Elsewhere it affects what
+    affects what that condition governs, read whole: for an ``if`` or ``case``
+    condition its whole statement, ``else`` included, and for an event control
+    the statement after it. Elsewhere it affects what
     its statement assigns or, when that is nothing, what the line's first
     condition governs. ``kind`` defaults to the first kind with an engine rewrite of
     the line whose significant tokens are those of ``mutated``, else to
@@ -512,8 +516,8 @@ def edit(
     stmts = [next((s for s in _analyze_tokens(new).statements if s.end >= at), _EMPTY)]
     if inside or (stmts[0].assign is None and info.cond_spans):
         label, o, c = (inside or info.cond_spans)[0]
-        # A case condition governs the whole case statement; any other, the one after it.
-        start = first + (o - 1 if label == "case" else c + 1)
+        # An if or case condition governs its whole statement; an event, the one after it.
+        start = first + (c + 1 if label == "event" else o - 1)
         stmts = _analyze_tokens(unit.tokens[start : _statement_end(unit.tokens, start)]).statements
     targets = frozenset(t.text for s in stmts for t in s.lhs)
     if kind is None:

@@ -29,10 +29,7 @@ import shutil
 import subprocess
 import tempfile
 import threading
-import urllib.error
-import urllib.request
 from dataclasses import dataclass
-from http.client import HTTPException
 from pathlib import Path
 from typing import Callable, TypeVar
 
@@ -398,6 +395,10 @@ class Toolchain:
                 raise TransportFailure(f"llm command exited {proc.returncode}: {proc.stderr}")
             return proc.stdout.rstrip("\n")
         if self.settings.llm_url:
+            import urllib.error  # here, so a run with no endpoint never loads HTTP or TLS
+            import urllib.request
+            from http.client import HTTPException
+
             headers = {"Content-Type": "application/json"}
             if self.settings.llm_credential_env:
                 cred = os.environ.get(self.settings.llm_credential_env, "")

@@ -5,7 +5,7 @@ re-lexes each line for every kind, rebuilds the identifier pool for every
 ``Var``/``Non_cond`` check and builds every rewrite list in full. Its
 ``(line, kinds)`` lists and its records are the behaviour the rework must
 reproduce exactly. Do not edit it to follow changes in ``assertforge.mutate``,
-save a rule named here. It follows five: a line is cut into statements at
+save a rule named here. It follows seven: a line is cut into statements at
 each ``;`` outside parentheses, and a change's targets are those of the
 statement that holds it; a governed region's targets are read by the same
 forward rule, statement by statement; ``Op`` swaps no statement's
@@ -16,7 +16,11 @@ governed region is one statement read whole (a matched ``begin … end`` or
 ``case … endcase``, ``if (…) S [else S]``, ``for``/``while``/``repeat (…) S``,
 or else up to the first ``;`` outside parentheses, each running to the end
 of the unit when left open), where a ``case`` condition governs its whole
-``case`` statement.
+``case`` statement; an ``if`` condition governs its whole ``if (…) S
+[else S]``, read from its keyword as a ``case`` condition's region is; and
+a statement's left-hand names are those after its last ``:`` outside
+brackets, so a ``case`` item's label is none of them (``x[3:0]`` keeps
+``x``).
 Its tokens come from the lossless stream of ``_lexer_reference``, the lexer
 as it was when this copy was frozen.
 """
@@ -137,6 +141,8 @@ def _analyze_line(line_text: str) -> _LineInfo:
                 bracket_depth += 1
             elif t.text == "]":
                 bracket_depth -= 1
+            elif t.text == ":" and bracket_depth == 0:
+                lhs_idents = []  # rule 7: a case item's label is assigned nothing
             elif t.kind == "identifier" and bracket_depth == 0 and not in_cond_span(i):
                 lhs_idents.append(t)
         rhs = [tokens[i] for i in sig_idx if i > assign_idx]
@@ -485,9 +491,9 @@ def apply_mutation(unit: SourceUnit, line: int, kind: str, seed: int) -> tuple:
             break
     info = _analyze_line(original)
 
-    def governed(span):  # a case condition governs its whole case statement
+    def governed(span):  # rule 6: an if or case condition governs its whole statement
         label, o, c = span
-        if label == "case":
+        if label != "event":
             keyword = [t for t in info.tokens[:o] if t.kind not in _TRIVIA][-1]
             return _governed_targets(unit, line, keyword.col - 1)
         return _governed_targets(unit, line, info.tokens[c].col)

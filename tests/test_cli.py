@@ -8,8 +8,10 @@ Frozen goldens (counts, c-vector) were computed once from the fixture corpus
 at seed 20240817 and pinned here.
 """
 
+import collections
 import errno
 import functools
+import gc
 import hashlib
 import json
 import math
@@ -18,6 +20,8 @@ import re
 import subprocess
 import sys
 import tempfile
+import threading
+import time
 from pathlib import Path
 
 import pytest
@@ -30,6 +34,7 @@ from assertforge import dataset as ds
 from assertforge import cli
 from assertforge import evalharness as ev
 from assertforge.cli import main
+from assertforge.errors import TransportFailure
 from assertforge.toolchain import Toolchain, ToolSettings
 from conftest import (
     E2E_SEED,
@@ -320,7 +325,7 @@ def test_augment_cli_missing_manifest(cli_env, tmp_path):
 # -- eval -----------------------------------------------------------------------
 
 
-def _run_eval(cli_env, tmp_path, tag):
+def _run_eval(cli_env, tmp_path, tag, *extra):
     report = tmp_path / f"report_{tag}.json"
     results = tmp_path / f"results_{tag}.jsonl"
     res = invoke(
@@ -334,6 +339,7 @@ def _run_eval(cli_env, tmp_path, tag):
         results,
         "--csv",
         tmp_path / f"report_{tag}.csv",
+        *extra,
     )
     assert res.exit_code == 0, res.output
     return report, results
@@ -841,6 +847,121 @@ def test_eval_makes_the_missing_parents_of_every_output(tmp_path, monkeypatch):
                  *(x for pair in outputs.items() for x in pair))
     assert res.exit_code == 0, res.output
     assert all(path.is_file() for path in outputs.values())
+
+
+# -- eval streams its results ----------------------------------------------------
+
+# Fifteen cases: each fixture case three times, under ids of its own.
+STREAM_CASES = [{**row, "id": f"{row['id']}#{k}"} for k in range(3) for row in HUMAN_EVAL_CASES]
+
+
+def _stream_solver(fail=(), slow=None, check=None, tag=""):
+    """A backend answering each solve call with its case's golden fix and
+    ``tag`` and the case id as its cot; a case in ``fail`` is a transport
+    failure, the case ``slow`` takes 50 ms a call, and ``check()`` runs first
+    on every call."""
+    goldens = {r["id"]: r for r in STREAM_CASES}
+
+    def solve(req):
+        case_id = req.nonce.rsplit(":", 1)[0]
+        if check is not None:
+            check(case_id)
+        if case_id in fail:
+            raise TransportFailure("injected solve failure")
+        if case_id == slow:
+            time.sleep(0.05)
+        row = goldens[case_id]
+        return json.dumps({"buggy_line": row["golden_buggy_line"],
+                           "fix": row["golden_corrected_line"], "cot": tag + case_id})
+
+    return solve
+
+
+def _stream_eval(tmp_path, monkeypatch, solver, parallel, *outputs):
+    ds.write_jsonl(STREAM_CASES, tmp_path / "bench.jsonl")
+    monkeypatch.setattr(cli, "Toolchain", functools.partial(Toolchain, llm_backend=solver))
+    return invoke("eval", tmp_path / "bench.jsonl", "--n", 2, "--k", 1,
+                  "--parallel", parallel, *outputs)
+
+
+@pytest.mark.parametrize("parallel", [2, 4])
+def test_eval_cli_pinned_digests_at_parallel(cli_env, tmp_path, parallel):
+    report, results = _run_eval(cli_env, tmp_path, "pin", "--parallel", parallel)
+    got = {"report.json": _body_digest(report), "results.jsonl": _body_digest(results),
+           "report.csv": _body_digest(tmp_path / "report_pin.csv")}
+    assert got == EVAL_BODY_DIGESTS
+
+
+@pytest.mark.parametrize("parallel", [1, 2, 4])
+def test_eval_holds_the_replies_of_at_most_twice_parallel_cases(tmp_path, monkeypatch, parallel):
+    # The first case is slow, so every later case could finish while it runs;
+    # only a case whose replies are held counts, wherever they are held. The
+    # tag tells this run's replies from any an earlier test left to the collector.
+    started, lock, seen = collections.Counter(), threading.Lock(), []
+    tag, ids = f"run {time.monotonic_ns()} ", [c["id"] for c in STREAM_CASES]
+    gc.collect()
+
+    def live_cases():
+        with lock:
+            drawing = {case_id for case_id, calls in started.items() if calls < 2}
+        replies = [o.raw_text for o in gc.get_objects() if isinstance(o, ev.Judged)]
+        return drawing | {i for i in ids if any(f'"{tag}{i}"' in r for r in replies)}
+
+    def check(case_id):
+        with lock:
+            started[case_id] += 1
+        live = live_cases()
+        if len(live) > 2 * parallel:  # the worker that just handed a case over lets go of it
+            time.sleep(0.05)
+            live = live_cases()
+        seen.append(len(live))
+
+    solver = _stream_solver(slow=ids[0], check=check, tag=tag)
+    res = _stream_eval(tmp_path, monkeypatch, solver, parallel,
+                       "--out", tmp_path / "report.json", "--results", tmp_path / "results.jsonl")
+    assert res.exit_code == 0, res.output
+    assert len(seen) == 2 * len(STREAM_CASES)
+    assert max(seen) <= 2 * parallel
+    rows = read_records(tmp_path / "results.jsonl")
+    assert [r["case_id"] for r in rows] == ids
+
+
+@pytest.mark.parametrize("parallel", [1, 4])
+def test_a_failing_case_keeps_its_place_among_the_rows_and_the_errors(
+    tmp_path, monkeypatch, parallel
+):
+    ids = [c["id"] for c in STREAM_CASES]
+    failing = [ids[4], ids[9]]
+    res = _stream_eval(tmp_path, monkeypatch, _stream_solver(fail=failing, slow=ids[3]),
+                       parallel, "--out", tmp_path / "report.json",
+                       "--results", tmp_path / "results.jsonl")
+    assert res.exit_code == 1
+    errors = json.loads(res.stderr)["errors"]
+    assert [(e["case_id"], e["stage"]) for e in errors] == [(i, "collect") for i in failing]
+    rows = read_records(tmp_path / "results.jsonl")
+    assert [r["case_id"] for r in rows] == [i for i in ids if i not in failing]
+    assert json.loads((tmp_path / "report.json").read_text())["case_count"] == len(ids) - 2
+
+
+@pytest.mark.parametrize("parallel", [1, 4])
+def test_eval_writes_nothing_when_every_case_fails(tmp_path, monkeypatch, parallel):
+    ids = [c["id"] for c in STREAM_CASES]
+    res = _stream_eval(tmp_path, monkeypatch, _stream_solver(fail=ids), parallel,
+                       "--out", tmp_path / "report.json", "--csv", tmp_path / "report.csv",
+                       "--results", tmp_path / "results.jsonl")
+    assert res.exit_code == 1
+    assert [e["case_id"] for e in json.loads(res.stderr)["errors"]] == ids
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["bench.jsonl"]
+
+
+@pytest.mark.parametrize("parallel", [1, 4])
+def test_dpo_prep_reads_the_streamed_results(cli_env, tmp_path, parallel):
+    _, results = _run_eval(cli_env, tmp_path, "dpo", "--parallel", parallel)
+    triples = tmp_path / "triples.jsonl"
+    res = invoke("dpo-prep", results, "--benchmark", cli_env["benchmark"], "--out", triples)
+    assert res.exit_code == 0, res.output
+    assert f"{GOLDEN_CHALLENGING} challenging cases -> {GOLDEN_TRIPLES} triples" in res.output
+    assert len(read_records(triples)) == GOLDEN_TRIPLES
 
 
 @pytest.mark.parametrize("command", ["eval", "dpo-prep"])

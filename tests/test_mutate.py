@@ -302,6 +302,46 @@ def test_an_else_if_chain_of_any_depth_is_read_whole():
     assert rec.kind == "Cond" and rec.lhs_targets == {"q", "r"}
 
 
+def test_a_negated_if_condition_governs_its_else_too():
+    # Negating `a` also changes when `r <= c` runs.
+    u = unit("module m;\nalways @(posedge clk)\n  if (a) q <= b;\n  else r <= c;\nendmodule")
+    rec = apply_mutation(u, 3, "Cond", 0)
+    assert rec.mutated_snippet == "  if (!a) q <= b;"
+    assert rec.lhs_targets == {"q", "r"}
+    assert classify_relation(rec, frozenset({"r"})) == "Direct"
+
+
+def test_an_else_if_condition_governs_its_own_branches_only():
+    u = unit("module m;\nalways @(posedge clk)\n  if (a) p <= 0;\n"
+             "  else if (b) q <= 1;\n  else r <= 2;\nendmodule")
+    rec = apply_mutation(u, 4, "Cond", 0)
+    assert rec.mutated_snippet == "  else if (!b) q <= 1;"
+    assert rec.lhs_targets == {"q", "r"}
+
+
+STATE_CASE = ("module m(input clk, input s, output reg y, output reg z);\n"
+              "always @(posedge clk)\n  case (s)\n    IDLE: y = BUSY;\n"
+              "    BUSY, WAIT: z = IDLE;\n  endcase\nendmodule")
+
+
+def test_a_case_item_label_is_no_assigned_name():
+    u = unit(STATE_CASE)
+    for line, name in ((4, "y"), (5, "z")):
+        recs = [apply_mutation(u, line, kind, s) for kind in ("Var", "Non_cond") for s in range(40)]
+        kept = [r for r in recs if f" {name} = " in r.mutated_snippet]  # its target not rewritten
+        assert kept and {r.lhs_targets for r in kept} == {frozenset({name})}
+    negated = apply_mutation(u, 3, "Cond", 0)
+    assert negated.mutated_snippet == "  case (!s)"
+    assert negated.lhs_targets == {"y", "z"}
+    assert classify_relation(negated, frozenset({"IDLE", "BUSY"})) == "Indirect"
+
+
+def test_a_part_select_keeps_its_name():
+    u = unit("module m;\nalways @*\n  x[3:0] = a;\n  {c, d[1:0]} = b;\nendmodule")
+    assert apply_mutation(u, 3, "Non_cond", 0).lhs_targets == {"x"}
+    assert apply_mutation(u, 4, "Non_cond", 0).lhs_targets == {"c", "d"}
+
+
 @pytest.mark.parametrize("text, targets", [
     ("always @(posedge clk) begin\n  q <= a;\n  begin r <= b; end\n  s <= c;", {"q", "r", "s"}),
     ("always @(posedge clk)\n  case (x)\n    0: q <= a;\n    1: r <= b;", {"q", "r"}),

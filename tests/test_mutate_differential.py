@@ -148,6 +148,8 @@ def _line(draw):
                 "  always @(*) begin",
                 f"  case ({e})",
                 f"    {draw(_NUMBERS)}: {t} = {e};",
+                f"    {i}, {draw(_IDENTS)}: {t} = {e};",
+                f"  {i}[{draw(_NUMBERS)}:0] <= {e};",
                 "  endcase",
                 "  begin",
                 "  end",

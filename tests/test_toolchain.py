@@ -3,8 +3,10 @@ import http.server
 import json
 import os
 import re
+import subprocess
 import sys
 import threading
+from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
@@ -246,6 +248,16 @@ def test_llm_cmd_backend(tmp_path):
 def test_llm_cmd_output_that_is_not_utf8_reads_as_a_replacement_character():
     tc = Toolchain(ToolSettings(llm_cmd=E9_TOOL))
     assert tc.llm_call(LlmRequest(task="sva", prompt_text="p")) == LlmReply("\ufffd", 1)
+
+
+def test_importing_the_cli_loads_no_http_client():
+    # Only a call to a configured llm.url needs one; every command pays for its import.
+    probe = ("import sys, assertforge.cli; "
+             "print(sorted({'urllib.request', 'http.client', 'ssl'} & set(sys.modules)))")
+    src = str(Path(toolchain.__file__).resolve().parent.parent)
+    out = subprocess.run([PY, "-c", probe], capture_output=True, text=True, check=True,
+                         env={**os.environ, "PYTHONPATH": src})
+    assert out.stdout.strip() == "[]"
 
 
 class _ScriptedEndpoint(http.server.BaseHTTPRequestHandler):
