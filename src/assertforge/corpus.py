@@ -4,11 +4,11 @@ The lexer is token-level only (no grammar). One table of token rules,
 ``_PATTERNS``, makes the scanner ``_SCAN``, each of whose matches is a run of
 whitespace and comments and then one significant token. ``tokenize`` walks
 it into a text's significant ``Token`` tuples and the lines that a comment or
-string spanning lines overlaps; ``_significant_pairs`` takes the same
-lexemes as ``(kind, text)`` pairs from one ``findall``. The filter scans each
-file once into pairs and never builds a ``Token``; ``augment`` lexes a
-short-lived copy of each unit it injects bugs into, on either bug path, and
-takes the split's module names from those tokens (``SourceUnit.module_names``).
+string spanning lines overlaps; ``_significant_lexemes`` takes the same
+lexemes' texts from one ``findall``, and the filter judges each file from
+those strings alone. ``augment`` lexes a short-lived copy of each unit it
+injects bugs into, on either bug path, and takes the split's module names
+from those tokens (``SourceUnit.module_names``).
 
 Filtering streams: ``load_corpus_dir`` reads one file per step and
 ``filter_units`` judges each unit as it arrives, keeping only the dedup keys
@@ -112,6 +112,8 @@ _OPERATORS = (
     "?",
 )
 
+_IDENTIFIER = r"[A-Za-z_][A-Za-z0-9_$]*"
+
 # Ordered rules: the first entry that matches at the cursor wins. ``_MASTER``
 # makes entry i its group i + 1; ``_SCAN`` takes the first two, the trivia, as
 # the prefix of each significant token and the rest as its one group.
@@ -124,7 +126,7 @@ _PATTERNS: tuple[tuple[str, str], ...] = (
     ("identifier", r"\\[^ \t\r\n\f\v]+"),  # escaped identifier
     ("other", r"`[A-Za-z_][A-Za-z0-9_$]*"),  # compiler directive
     ("other", r"\$[A-Za-z_][A-Za-z0-9_$]*"),  # system task/function
-    ("identifier", r"[A-Za-z_][A-Za-z0-9_$]*"),
+    ("identifier", _IDENTIFIER),
     ("operator", "|".join(re.escape(op) for op in _OPERATORS)),
     ("punctuation", r"[()\[\]{};,.:@#']"),
     ("other", r"[\s\S]"),
@@ -134,13 +136,31 @@ _KIND_OF_GROUP = (None, *(kind for kind, _ in _PATTERNS))  # by ``m.lastindex``
 
 # Each match: a token's leading trivia, then the token as the group, or ``\Z``
 # at the end. Plain ``*``, not 3.11's ``*+``: a rule or ``\Z`` always follows.
+# The group tries identifiers first, then the punctuation no other rule starts
+# with, then the operators, one branch per first character that tries their
+# rests in table order (so the longest wins), then the other rules in table
+# order. No rule moved ahead starts with a character that begins a rule it now
+# precedes, so every match is the one table order gives.
 _TRIVIA = "|".join(rx for _, rx in _PATTERNS[:2])
-_SCAN = re.compile(f"(?:{_TRIVIA})*({'|'.join(rx for _, rx in _PATTERNS[2:])}|\\Z)", re.DOTALL)
+_TOKEN = "|".join((
+    _IDENTIFIER,
+    r"[()\[\]{};,.@]",
+    *(re.escape(c) + "(?:" + "|".join(re.escape(op[1:]) for op in _OPERATORS if op[0] == c) + ")"
+      for c in dict.fromkeys(op[0] for op in _OPERATORS)),
+    *(rx for kind, rx in _PATTERNS[2:] if rx != _IDENTIFIER and kind != "operator"),
+))
+_SCAN = re.compile(f"(?:{_TRIVIA})*({_TOKEN}|\\Z)", re.DOTALL)
 _TRIVIUM = re.compile(_TRIVIA, re.DOTALL)  # one whitespace run or comment
 # A lexeme's kind is that of ``_MASTER``'s match of it alone, as no rule has an
-# anchor or lookaround: here for every keyword, operator and punctuation mark.
+# anchor or lookaround: here for every keyword, operator and punctuation mark,
+# and in ``_TAGGED`` as the ``kind\x00lexeme`` that the dedup key hashes.
 _KIND_OF_LEXEME = {x: _KIND_OF_GROUP[_MASTER.match(x).lastindex]
                    for x in (*_OPERATORS, *"()[]{};,.:@#'")} | dict.fromkeys(KEYWORDS, "keyword")
+_TAGGED = {x: f"{kind}\x00{x}" for x, kind in _KIND_OF_LEXEME.items()}
+
+
+def _kind_of(x: str) -> str:
+    return _KIND_OF_LEXEME.get(x) or _KIND_OF_GROUP[_MASTER.match(x).lastindex]
 
 
 class Token(NamedTuple):
@@ -180,8 +200,7 @@ def tokenize(text: str) -> Tokens:
         if (entry := seen.get(x)) is None:
             if not x:  # ``\Z``
                 break
-            kind = _KIND_OF_LEXEME.get(x) or _KIND_OF_GROUP[_MASTER.match(x).lastindex]
-            entry = seen[x] = (kind, x, "\n" in x)
+            entry = seen[x] = (_kind_of(x), x, "\n" in x)
         kind, x, spans_lines = entry
         append(new_token(Token, (kind, x, line, start - line_start + 1)))
         if spans_lines:  # a string with an escaped newline
@@ -192,19 +211,19 @@ def tokenize(text: str) -> Tokens:
     return tokens
 
 
-def _significant_pairs(text: str) -> list[tuple[str, str]]:
-    """``(kind, text)`` of each token ``tokenize(text)`` holds, from one
-    ``_SCAN`` and a copy of ``_KIND_OF_LEXEME`` that is dropped with the file."""
+def _significant_lexemes(text: str) -> list[str]:
+    """The text of each token ``tokenize(text)`` holds, from one ``_SCAN``."""
     lexemes = _SCAN.findall(text)
     while lexemes and not lexemes[-1]:  # the empty ``\Z`` group, twice after trailing trivia
         lexemes.pop()
-    kinds = _KIND_OF_LEXEME | {x: _KIND_OF_GROUP[_MASTER.match(x).lastindex]
-                               for x in set(lexemes).difference(_KIND_OF_LEXEME)}
-    return [(kinds[x], x) for x in lexemes]
+    return lexemes
 
 
-def _dedup_key(sig: list[tuple[str, str]]) -> str:
-    blob = "\x01".join(map("\x00".join, sig)) + "\x01" if sig else ""
+def _dedup_key(lexemes: list[str]) -> str:
+    """The SHA-256 of each lexeme's ``kind\x00text\x01`` in turn, read from
+    ``_TAGGED`` and, for the file's other lexemes, a table dropped with it."""
+    tagged = _TAGGED | {x: f"{_kind_of(x)}\x00{x}" for x in set(lexemes).difference(_TAGGED)}
+    blob = "\x01".join(map(tagged.__getitem__, lexemes)) + "\x01" if lexemes else ""
     return hashlib.sha256(blob.encode()).hexdigest()
 
 
@@ -303,28 +322,25 @@ def _has_instantiation(sig: list[tuple[str, str]]) -> bool:
     return False
 
 
-def _has_functional_logic(sig: list[tuple[str, str]], keywords: frozenset[str]) -> bool:
-    if not keywords.isdisjoint(_FUNCTIONAL_KEYWORDS):
-        return True
-    if any(p == ("keyword", "assign") and _assign_is_functional(sig, i) for i, p in enumerate(sig)):
-        return True
-    return _has_instantiation(sig)
-
-
-def classify_rejection(sig: list[tuple[str, str]]) -> tuple[str, str] | None:
-    """Apply the script-level filter rules to one unit's significant
-    ``(kind, text)`` pairs: ``(code, detail)``, or None when it is accepted.
+def classify_rejection(lexemes: list[str]) -> tuple[str, str] | None:
+    """Apply the script-level filter rules to one unit's significant lexemes:
+    ``(code, detail)``, or None when it is accepted. Only a unit with no
+    functional keyword has its lexemes' kinds looked up, for the assign and
+    instantiation rules.
 
     Duplicate detection is the caller's job (see filter_units); syntax
     checking is the compiler adapter's.
     """
-    keywords = frozenset(text for kind, text in sig if kind == "keyword")
+    keywords = KEYWORDS.intersection(lexemes)
     missing = [w for w in ("module", "endmodule") if w not in keywords]
     if missing:
         return "missing_module_boundary", f"missing keyword(s): {', '.join(missing)}"
-    if not _has_functional_logic(sig, keywords):
-        return "no_functional_logic", (
-            "no procedural block, control flow, computing assign, or instantiation")
+    if keywords.isdisjoint(_FUNCTIONAL_KEYWORDS):
+        sig = [(_kind_of(x), x) for x in lexemes]
+        if not (any(p == ("keyword", "assign") and _assign_is_functional(sig, i)
+                    for i, p in enumerate(sig)) or _has_instantiation(sig)):
+            return "no_functional_logic", (
+                "no procedural block, control flow, computing assign, or instantiation")
     return None
 
 
@@ -373,10 +389,10 @@ def filter_units(units: Iterable[SourceUnit]) -> list[dict]:
     first_by_key: dict[str, str] = {}
     rows = []
     for u in units:
-        sig = _significant_pairs(u.text)
-        reason = classify_rejection(sig)
+        lexemes = _significant_lexemes(u.text)
+        reason = classify_rejection(lexemes)
         if reason is None:
-            key = _dedup_key(sig)
+            key = _dedup_key(lexemes)
             prior = first_by_key.get(key)
             if prior is None:
                 first_by_key[key] = u.id
@@ -384,5 +400,5 @@ def filter_units(units: Iterable[SourceUnit]) -> list[dict]:
                 reason = "duplicate", f"duplicate of {prior}"
         status, detail = reason or ("accepted", "")
         rows.append({"id": u.id, "path": u.path, "status": status, "detail": detail})
-        del u, sig  # free this unit before the next one is read
+        del u, lexemes  # free this unit before the next one is read
     return rows

@@ -146,6 +146,7 @@ def _closing(tokens, i, opens=("(",), closes=(")",), last=")") -> int | None:
 
 
 _LABELS = {"if": "if", "case": "case", "casex": "case", "casez": "case", "@": "event"}
+_BLOCKS = frozenset({"begin", "end", "fork", "join"})  # each may be followed by `: name`
 
 
 def _analyze_tokens(tokens: list[Token]) -> _LineInfo:
@@ -209,8 +210,9 @@ def _analyze_tokens(tokens: list[Token]) -> _LineInfo:
                     bracket_depth -= 1
                 elif t.text == ":" and bracket_depth == 0:  # what went before is a case item label
                     lhs.clear()
-                elif t.kind == "identifier" and bracket_depth == 0 and i not in in_cond:
-                    lhs.append(t)
+                elif t.kind == "identifier" and bracket_depth == 0 and i not in in_cond and not (
+                        i - 2 >= start and tokens[i - 1].text == ":" and tokens[i - 2].text in _BLOCKS):
+                    lhs.append(t)  # a name, but not that of a named block
             statements.append(_Statement._make((end, assign, lhs, tokens[assign + 1 : end])))
         start = end + 1
     return _LineInfo(tokens, cond_spans, statements)

@@ -5,7 +5,7 @@ re-lexes each line for every kind, rebuilds the identifier pool for every
 ``Var``/``Non_cond`` check and builds every rewrite list in full. Its
 ``(line, kinds)`` lists and its records are the behaviour the rework must
 reproduce exactly. Do not edit it to follow changes in ``assertforge.mutate``,
-save a rule named here. It follows seven: a line is cut into statements at
+save a rule named here. It follows eight: a line is cut into statements at
 each ``;`` outside parentheses, and a change's targets are those of the
 statement that holds it; a governed region's targets are read by the same
 forward rule, statement by statement; ``Op`` swaps no statement's
@@ -20,7 +20,8 @@ of the unit when left open), where a ``case`` condition governs its whole
 [else S]``, read from its keyword as a ``case`` condition's region is; and
 a statement's left-hand names are those after its last ``:`` outside
 brackets, so a ``case`` item's label is none of them (``x[3:0]`` keeps
-``x``).
+``x``); and a block's name, the identifier right after ``begin :``,
+``end :``, ``fork :`` or ``join :``, is none of them either.
 Its tokens come from the lossless stream of ``_lexer_reference``, the lexer
 as it was when this copy was frozen.
 """
@@ -133,10 +134,11 @@ def _analyze_line(line_text: str) -> _LineInfo:
     rhs: list[Token] = []
     if assign_idx is not None:
         bracket_depth = 0
-        for i in sig_idx:
+        for pos, i in enumerate(sig_idx):
             if i >= assign_idx:
                 break
             t = tokens[i]
+            before = [tokens[j].text for j in sig_idx[max(pos - 2, 0) : pos]]
             if t.text == "[":
                 bracket_depth += 1
             elif t.text == "]":
@@ -144,7 +146,8 @@ def _analyze_line(line_text: str) -> _LineInfo:
             elif t.text == ":" and bracket_depth == 0:
                 lhs_idents = []  # rule 7: a case item's label is assigned nothing
             elif t.kind == "identifier" and bracket_depth == 0 and not in_cond_span(i):
-                lhs_idents.append(t)
+                if before not in (["begin", ":"], ["end", ":"], ["fork", ":"], ["join", ":"]):
+                    lhs_idents.append(t)  # rule 8: a named block's name is assigned nothing
         rhs = [tokens[i] for i in sig_idx if i > assign_idx]
 
     return _LineInfo(tokens, assign_idx, lhs_idents, rhs, cond_spans)

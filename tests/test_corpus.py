@@ -261,9 +261,10 @@ def test_filter_never_lexes(monkeypatch, corpus_dir):
 
 
 def test_filter_leaves_the_fixed_kind_table_as_it_was_at_import(corpus_units):
-    # Each file's identifiers, numbers and strings are classified in a copy
-    # that is dropped with the file, so filtering never grows the module table.
+    # Each file's identifiers, numbers and strings are classified and tagged
+    # in tables dropped with the file, so filtering never grows a module table.
     at_import = dict(corpus._KIND_OF_LEXEME)
+    tagged_at_import = dict(corpus._TAGGED)
     names = [f"sig_{i}_{j}" for i in range(50) for j in range(4)]
     distinct = [SourceUnit(id=f"d{i}", path="", text=(
         f"module m_{i}(input {names[4 * i]}, output {names[4 * i + 1]});\n"
@@ -273,7 +274,31 @@ def test_filter_leaves_the_fixed_kind_table_as_it_was_at_import(corpus_units):
     rows = filter_units(corpus_units) + filter_units(distinct)
     assert [r["status"] for r in rows[-50:]] == ["accepted"] * 50
     assert corpus._KIND_OF_LEXEME == at_import
-    assert not any(name in corpus._KIND_OF_LEXEME for name in names)
+    assert corpus._TAGGED == tagged_at_import
+    assert not any(name in table for name in names
+                   for table in (corpus._KIND_OF_LEXEME, corpus._TAGGED))
+
+
+def test_filtering_copies_of_a_large_file_peaks_as_filtering_it_once():
+    # A file's lexemes, tagged table and hashed blob die with its iteration:
+    # the previous file's, still alive, would add their whole size to the peak.
+    text = "\n".join(CORPUS_FILES.values()) * 4  # about 64,000 characters
+
+    def peak_of(k: int) -> int:
+        units = (SourceUnit(id=f"u{i}", path="", text=text) for i in range(k))
+        tracemalloc.start()
+        try:
+            rows = filter_units(units)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert [r["status"] for r in rows] == ["accepted"] + ["duplicate"] * (k - 1)
+        return peak
+
+    peak_of(1)  # warm the regex and string caches
+    once = peak_of(1)
+    assert once > 400_000
+    assert peak_of(5) <= once + 16_384
 
 
 def test_load_corpus_dir_missing_dir_raises_before_iteration(tmp_path):
@@ -285,8 +310,8 @@ def test_source_unit_invariants(corpus_units):
     for u in corpus_units:
         if u.text:
             assert u.line_count >= 1
-        key = corpus._dedup_key(corpus._significant_pairs(u.text))
-        assert key == corpus._dedup_key(corpus._significant_pairs(u.text))
+        key = corpus._dedup_key(corpus._significant_lexemes(u.text))
+        assert key == corpus._dedup_key(corpus._significant_lexemes(u.text))
 
 
 def test_random_snippet_roundtrip_seeded():

@@ -45,7 +45,7 @@ def assert_same_as_reference(text: str, label: str = "") -> None:
     scanned = SourceUnit(id="scanned", path="", text=text)
     assert status_of(scanned) == want, label
     assert "tokens" not in scanned.__dict__, label  # the filter did not lex
-    assert corpus._dedup_key(corpus._significant_pairs(text)) == dedup_key, label
+    assert corpus._dedup_key(corpus._significant_lexemes(text)) == dedup_key, label
     lexed = SourceUnit(id="lexed", path="", text=text)
     assert_positions(text, lexed.tokens, label)  # lexed first
     assert status_of(lexed) == want, label

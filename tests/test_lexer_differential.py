@@ -81,7 +81,7 @@ def test_dedup_keys_match_reference():
         for t in ref.tokenize(text):
             if t.kind not in TRIVIA:
                 h.update(t.kind.encode() + b"\x00" + t.text.encode() + b"\x01")
-        assert corpus._dedup_key(corpus._significant_pairs(text)) == h.hexdigest(), name
+        assert corpus._dedup_key(corpus._significant_lexemes(text)) == h.hexdigest(), name
 
 
 EDGE_CASES = {

@@ -336,6 +336,18 @@ def test_a_case_item_label_is_no_assigned_name():
     assert classify_relation(negated, frozenset({"IDLE", "BUSY"})) == "Indirect"
 
 
+def test_a_named_block_name_is_no_assigned_name():
+    clocked = unit("module m;\nalways @(posedge clk) begin : blk\n  q <= a + 1;\nend\nendmodule")
+    edge = apply_mutation(clocked, 2, "Cond", 0)
+    assert edge.mutated_snippet == "always @(negedge clk) begin : blk"
+    assert edge.lhs_targets == {"q"}
+    assert classify_relation(edge, frozenset({"blk"})) == "Indirect"
+    u = unit("module m;\nalways @(posedge clk)\n  if (a) begin : blk q <= b; end\nendmodule")
+    assert apply_mutation(u, 3, "Non_cond", 0).lhs_targets == {"q"}
+    renamed = [apply_mutation(u, 3, "Var", s).mutated_snippet for s in range(40)]
+    assert renamed and all("begin : blk " in m for m in renamed)
+
+
 def test_a_part_select_keeps_its_name():
     u = unit("module m;\nalways @*\n  x[3:0] = a;\n  {c, d[1:0]} = b;\nendmodule")
     assert apply_mutation(u, 3, "Non_cond", 0).lhs_targets == {"x"}

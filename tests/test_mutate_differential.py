@@ -133,6 +133,9 @@ def _line(draw):
                 f"  if ({e}) {t} <= {i};",
                 f"  if ({e})",
                 f"  if ({e}) begin {t} <= {f}; {u} <= {e}; end",
+                f"  if ({e}) begin : {i} {t} <= {f}; end : {i}",
+                f"  always @({edge} clk) begin : {i}",
+                f"  fork : {i} {t} = {e}; join : {i}",
                 f"  if ({e})\n    {t}[({f})] <= {e};",
                 f"  else if (!{i}) {t} = {e};",
                 f"  if ({e}) {t} <= {f}; else {u} <= {i};",

@@ -385,7 +385,7 @@ def test_run_augment_scans_each_unit_once(accepted_units, mock_toolchain, monkey
         return wrapper
 
     monkeypatch.setattr(corpus, "tokenize", counting(lexed, corpus.tokenize))
-    monkeypatch.setattr(corpus, "_significant_pairs", counting(scanned, corpus._significant_pairs))
+    monkeypatch.setattr(corpus, "_significant_lexemes", counting(scanned, corpus._significant_lexemes))
     # Fresh copies, with nothing cached.
     units = [SourceUnit(id=u.id, path=u.path, text=u.text) for u in accepted_units]
     res = run_augment(units, mock_toolchain, PipelineConfig(seed=5, bug_source=bug_source))

@@ -1,13 +1,20 @@
-"""Differential test: the filter's one-``findall`` scan against the lexer.
+"""Differential tests of the filter's one-``findall`` scan.
 
-``corpus._significant_pairs`` must give exactly the ``(kind, text)`` pairs of
-the reference lexer's significant tokens, and so of ``tokenize(text)``
-(``test_lexer_differential.py``): on the lexer's edge cases, on text that ends
-in trivia or inside a comment, on every entry of the fixed lexeme-kind table,
-and on Hypothesis-generated text.
+``corpus._SCAN`` tries its token rules in first-character order. Its
+``findall`` must equal that of the scanner it replaces, which tried them in
+``_PATTERNS`` order: on every ordered pair of fixed-table lexemes, joined with
+and without a space, on hand-picked operator and literal forms, and on
+Hypothesis-generated text. ``corpus._significant_lexemes`` with ``_kind_of``
+must give exactly the ``(kind, text)`` pairs of the reference lexer's
+significant tokens, and so of ``tokenize(text)`` (``test_lexer_differential.py``):
+on the lexer's edge cases, on text that ends in trivia or inside a comment, on
+every entry of the fixed lexeme-kind table, and on Hypothesis-generated text.
 """
 
 from __future__ import annotations
+
+import re
+from itertools import product
 
 import pytest
 from hypothesis import given, settings
@@ -16,9 +23,38 @@ from hypothesis import strategies as st
 from assertforge import corpus
 from test_lexer_differential import _CHARS, _FRAGMENTS, EDGE_CASES, reference_significant
 
+TABLE_ORDER_SCAN = re.compile(
+    f"(?:{'|'.join(rx for _, rx in corpus._PATTERNS[:2])})*"
+    f"({'|'.join(rx for _, rx in corpus._PATTERNS[2:])}|\\Z)",
+    re.DOTALL,
+)
+GENERATED_TEXT = st.lists(st.one_of(_FRAGMENTS, _CHARS, st.text(max_size=3)), max_size=40).map("".join)
+
 
 def lexer_pairs(text: str) -> list[tuple[str, str]]:
     return [(kind, lexeme) for kind, lexeme, _, _ in reference_significant(text)[0]]
+
+
+def scan_pairs(text: str) -> list[tuple[str, str]]:
+    return [(corpus._kind_of(x), x) for x in corpus._significant_lexemes(text)]
+
+
+def test_every_pair_of_fixed_lexemes_scans_as_in_table_order():
+    fixed = list(corpus._KIND_OF_LEXEME)
+    for a, b in product(fixed, repeat=2):
+        for text in (a + b, f"{a} {b}"):
+            assert corpus._SCAN.findall(text) == TABLE_ORDER_SCAN.findall(text), text
+
+
+@pytest.mark.parametrize("text", ["'h1F", "::", "##1", "#(", "<->", "|->", "a<<<=b", "==?"])
+def test_operator_and_literal_forms_scan_as_in_table_order(text):
+    assert corpus._SCAN.findall(text) == TABLE_ORDER_SCAN.findall(text)
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(GENERATED_TEXT)
+def test_generated_text_scans_as_in_table_order(text):
+    assert corpus._SCAN.findall(text) == TABLE_ORDER_SCAN.findall(text)
 
 
 SCAN_EDGE_CASES = {
@@ -41,16 +77,17 @@ CASES = {**EDGE_CASES, **SCAN_EDGE_CASES}
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_edge_cases_match_the_lexer(name):
     text = CASES[name]
-    assert corpus._significant_pairs(text) == lexer_pairs(text), name
+    assert scan_pairs(text) == lexer_pairs(text), name
 
 
 def test_every_fixed_table_lexeme_has_its_lexer_kind():
     for lexeme, kind in corpus._KIND_OF_LEXEME.items():
         assert lexer_pairs(lexeme) == [(kind, lexeme)], lexeme
-        assert corpus._significant_pairs(f" {lexeme} ") == [(kind, lexeme)], lexeme
+        assert scan_pairs(f" {lexeme} ") == [(kind, lexeme)], lexeme
+        assert corpus._TAGGED[lexeme] == f"{kind}\x00{lexeme}", lexeme
 
 
 @settings(max_examples=300, derandomize=True, deadline=None)
-@given(st.lists(st.one_of(_FRAGMENTS, _CHARS, st.text(max_size=3)), max_size=40).map("".join))
+@given(GENERATED_TEXT)
 def test_generated_text_matches_the_lexer(text):
-    assert corpus._significant_pairs(text) == lexer_pairs(text)
+    assert scan_pairs(text) == lexer_pairs(text)
