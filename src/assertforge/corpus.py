@@ -10,10 +10,10 @@ those strings alone. ``augment`` lexes a short-lived copy of each unit it
 injects bugs into, on either bug path, and takes the split's module names
 from those tokens (``SourceUnit.module_names``).
 
-Filtering streams: ``load_corpus_dir`` reads one file per step and
-``filter_units`` judges each unit as it arrives, keeping only the dedup keys
-and the report rows, so memory is bounded by the largest file plus the
-report.
+Filtering streams: ``load_corpus_dir`` lists the files' sorted relative names
+and reads one file per step, and ``filter_units`` judges each unit as it
+arrives. At any time the filter holds those names, the report rows so far,
+the dedup keys of the files accepted so far, and one file's text and lexemes.
 """
 
 from __future__ import annotations
@@ -113,12 +113,13 @@ _OPERATORS = (
 )
 
 _IDENTIFIER = r"[A-Za-z_][A-Za-z0-9_$]*"
+_WHITESPACE = r"[ \t\r\n\f\v]"
 
 # Ordered rules: the first entry that matches at the cursor wins. ``_MASTER``
 # makes entry i its group i + 1; ``_SCAN`` takes the first two, the trivia, as
 # the prefix of each significant token and the rest as its one group.
 _PATTERNS: tuple[tuple[str, str], ...] = (
-    ("whitespace", r"[ \t\r\n\f\v]+"),
+    ("whitespace", _WHITESPACE + "+"),
     ("comment", r"//[^\n]*|/\*.*?\*/|/\*.*"),
     ("string", r'"(?:[^"\\\n]|\\.)*"?'),
     ("number", r"(?:\d[\d_]*)?'[sS]?[bBoOdDhH][0-9a-fA-FxXzZ?_]+"),
@@ -136,12 +137,14 @@ _KIND_OF_GROUP = (None, *(kind for kind, _ in _PATTERNS))  # by ``m.lastindex``
 
 # Each match: a token's leading trivia, then the token as the group, or ``\Z``
 # at the end. Plain ``*``, not 3.11's ``*+``: a rule or ``\Z`` always follows.
+# The trivia is a whitespace run, then comments each followed by one, and the
+# comment rules, their leading ``/`` taken out, are tried only after a ``/``.
 # The group tries identifiers first, then the punctuation no other rule starts
 # with, then the operators, one branch per first character that tries their
 # rests in table order (so the longest wins), then the other rules in table
 # order. No rule moved ahead starts with a character that begins a rule it now
 # precedes, so every match is the one table order gives.
-_TRIVIA = "|".join(rx for _, rx in _PATTERNS[:2])
+_COMMENT_RESTS = "|".join(rx[1:] for rx in _PATTERNS[1][1].split("|"))
 _TOKEN = "|".join((
     _IDENTIFIER,
     r"[()\[\]{};,.@]",
@@ -149,18 +152,23 @@ _TOKEN = "|".join((
       for c in dict.fromkeys(op[0] for op in _OPERATORS)),
     *(rx for kind, rx in _PATTERNS[2:] if rx != _IDENTIFIER and kind != "operator"),
 ))
-_SCAN = re.compile(f"(?:{_TRIVIA})*({_TOKEN}|\\Z)", re.DOTALL)
-_TRIVIUM = re.compile(_TRIVIA, re.DOTALL)  # one whitespace run or comment
+_SCAN = re.compile(f"{_WHITESPACE}*(?:/(?:{_COMMENT_RESTS}){_WHITESPACE}*)*({_TOKEN}|\\Z)", re.DOTALL)
+_TRIVIUM = re.compile("|".join(rx for _, rx in _PATTERNS[:2]), re.DOTALL)  # one run or comment
 # A lexeme's kind is that of ``_MASTER``'s match of it alone, as no rule has an
 # anchor or lookaround: here for every keyword, operator and punctuation mark,
 # and in ``_TAGGED`` as the ``kind\x00lexeme`` that the dedup key hashes.
 _KIND_OF_LEXEME = {x: _KIND_OF_GROUP[_MASTER.match(x).lastindex]
                    for x in (*_OPERATORS, *"()[]{};,.:@#'")} | dict.fromkeys(KEYWORDS, "keyword")
 _TAGGED = {x: f"{kind}\x00{x}" for x, kind in _KIND_OF_LEXEME.items()}
+# A lexeme outside ``_KIND_OF_LEXEME`` that starts with one of these characters
+# can match one rule only, of this kind; ``_MASTER`` decides any other.
+_KIND_OF_FIRST = dict.fromkeys("_ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz", "identifier")
+_KIND_OF_FIRST |= dict.fromkeys("0123456789", "number") | {'"': "string"}
 
 
 def _kind_of(x: str) -> str:
-    return _KIND_OF_LEXEME.get(x) or _KIND_OF_GROUP[_MASTER.match(x).lastindex]
+    return (_KIND_OF_LEXEME.get(x) or _KIND_OF_FIRST.get(x[0])
+            or _KIND_OF_GROUP[_MASTER.match(x).lastindex])
 
 
 class Token(NamedTuple):
@@ -220,9 +228,11 @@ def _significant_lexemes(text: str) -> list[str]:
 
 
 def _dedup_key(lexemes: list[str]) -> str:
-    """The SHA-256 of each lexeme's ``kind\x00text\x01`` in turn, read from
-    ``_TAGGED`` and, for the file's other lexemes, a table dropped with it."""
-    tagged = _TAGGED | {x: f"{_kind_of(x)}\x00{x}" for x in set(lexemes).difference(_TAGGED)}
+    """The SHA-256 of each lexeme's ``kind\x00text\x01`` in turn, read from a
+    table of the file's distinct lexemes, dropped with it, that takes each
+    keyword's, operator's and punctuation mark's string from ``_TAGGED``."""
+    tag = _TAGGED.get
+    tagged = {x: tag(x) or f"{_kind_of(x)}\x00{x}" for x in set(lexemes)}
     blob = "\x01".join(map(tagged.__getitem__, lexemes)) + "\x01" if lexemes else ""
     return hashlib.sha256(blob.encode()).hexdigest()
 
@@ -362,18 +372,17 @@ def read_unit(unit_id: str, path: Path, errors: list[dict]) -> SourceUnit | None
 def load_corpus_dir(root: str | Path, errors: list[dict]) -> Iterator[SourceUnit]:
     """Every *.v / *.sv under ``root`` (recursive), sorted by relative path.
 
-    The directory is checked and listed at the call, so a missing ``root``
-    raises FileNotFoundError there; each file is read by ``read_unit`` only
-    when the iterator reaches it, and one that cannot be read is skipped.
+    The directory is checked and listed at the call, as relative names, so a
+    missing ``root`` raises FileNotFoundError there; each file's path is built
+    and read by ``read_unit`` only when the iterator reaches it, and one that
+    cannot be read is skipped.
     """
     root = Path(root)
     if not root.is_dir():
         raise FileNotFoundError(f"corpus directory not found: {root}")
-    paths = sorted(
-        (p for p in root.rglob("*") if p.is_file() and p.suffix in (".v", ".sv")),
-        key=lambda p: p.relative_to(root).as_posix(),
-    )
-    units = (read_unit(p.relative_to(root).as_posix(), p, errors) for p in paths)
+    names = sorted(p.relative_to(root).as_posix()
+                   for p in root.rglob("*") if p.is_file() and p.suffix in (".v", ".sv"))
+    units = (read_unit(name, root / name, errors) for name in names)
     return (u for u in units if u is not None)
 
 

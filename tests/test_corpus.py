@@ -1,7 +1,10 @@
+import gc
+import os
 import random
 import re
 import tracemalloc
 import weakref
+from pathlib import Path, PurePath
 
 import pytest
 from hypothesis import given, settings
@@ -304,6 +307,57 @@ def test_filtering_copies_of_a_large_file_peaks_as_filtering_it_once():
 def test_load_corpus_dir_missing_dir_raises_before_iteration(tmp_path):
     with pytest.raises(FileNotFoundError, match="corpus directory not found"):
         load_corpus_dir(tmp_path / "nope", [])
+
+
+def reference_listing(root, errors: list[dict]) -> list[SourceUnit]:
+    """The listing as it was before it held names: every *.v / *.sv ``Path``
+    under ``root``, sorted by relative POSIX path, each read by ``read_unit``."""
+    root = Path(root)
+    paths = sorted((p for p in root.rglob("*") if p.is_file() and p.suffix in (".v", ".sv")),
+                   key=lambda p: p.relative_to(root).as_posix())
+    units = (corpus.read_unit(p.relative_to(root).as_posix(), p, errors) for p in paths)
+    return [u for u in units if u is not None]
+
+
+@pytest.mark.parametrize("spelling", ["c", "c/", "./c", "absolute"])
+def test_load_corpus_dir_lists_as_the_path_listing_did(tmp_path, monkeypatch, spelling):
+    c = tmp_path / "c"
+    for rel in ("top.v", "Top.v", "b.sv", "a/x.V", "a/inc.svh", "a/README", "a/.hidden.v",
+                "a/B.sv", "a/b/deep.sv", "a/b/z.v", "dir.v/in.v", "z/last.v"):
+        (c / rel).parent.mkdir(parents=True, exist_ok=True)
+        (c / rel).write_text(f"module m; // {rel}\nendmodule\n")
+    os.symlink(c / "top.v", c / "link.v")
+    os.symlink(c / "missing.v", c / "broken.v")
+    os.symlink("loop.v", c / "loop.v")
+    os.symlink(c / "a", c / "linkdir")
+    monkeypatch.chdir(tmp_path)
+    root = c if spelling == "absolute" else spelling
+    errors, want_errors = [], []
+    got = [(u.id, u.path) for u in load_corpus_dir(root, errors)]
+    assert got == [(u.id, u.path) for u in reference_listing(root, want_errors)]
+    assert errors == want_errors == []
+    ids = [i for i, _ in got]
+    assert {"top.v", "b.sv", "a/.hidden.v", "a/b/deep.sv", "dir.v/in.v", "link.v"} <= set(ids)
+    assert not any(i.startswith("linkdir/") or i.endswith((".V", ".svh")) for i in ids)
+
+
+def test_load_corpus_dir_holds_no_path_per_file(tmp_path):
+    root = tmp_path / "c"
+    for i in range(240):
+        (root / f"g{i % 8}").mkdir(parents=True, exist_ok=True)
+        (root / f"g{i % 8}" / f"u{i:04d}.v").write_text(f"module m{i}; endmodule\n")
+
+    def live_paths() -> int:
+        gc.collect()
+        return sum(isinstance(o, PurePath) for o in gc.get_objects())
+
+    before = live_paths()
+    units = load_corpus_dir(root, [])
+    listed = live_paths()
+    first = next(units)
+    stepped = live_paths()
+    assert first.id == "g0/u0000.v"
+    assert listed - before < 5 and stepped - before < 5
 
 
 def test_source_unit_invariants(corpus_units):
